@@ -71,8 +71,7 @@ def normalized_metric(g: HermitianMetric, t: float) -> HermitianMetric:
     """The metric rescaled by 1/(1+t); the result may be degenerate by design."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    s = 1.0 / (1.0 + t)
-    return HermitianMetric(g.x * s, g.y * s, g.z * s)
+    return g.scaled(1.0 / (1.0 + t))
 
 
 def linear_growth_rate(traj: Trajectory, component: str,
@@ -140,10 +139,7 @@ def verify_decay_bound(traj: Trajectory, slack: float = 1e-6) -> dict:
 def _tail_means(traj: Trajectory, window_frac: float) -> tuple[float, float, float, dict]:
     t = traj.t
     sel = t >= (1.0 - window_frac) * t[-1]
-    w = 1.0 + t[sel]
-    n_x = float(np.mean(traj.x[sel] / w))
-    n_y = float(np.mean(traj.y[sel] / w))
-    n_z = float(np.mean(np.hypot(traj.z_re[sel], traj.z_im[sel]) / w))
+    n_x, n_y, n_z = (float(np.mean(n[sel])) for n in traj.normalized)
     info = {"window_t_start": float(t[sel][0]), "window_t_end": float(t[-1]),
             "window_samples": int(sel.sum()),
             "n_x": n_x, "n_y": n_y, "n_z_abs": n_z}
@@ -267,12 +263,10 @@ def udot_consistency(geometry: Geometry, params: GeometryParams,
     The flow integrates (x, y, Re z, Im z); the reduced systems evolve
     (x, y, u).  Their u-rates must agree at every sampled state.
     """
-    desc = entry(geometry)
-    worst = 0.0
-    for i in range(len(traj)):
-        observed = float(traj.udot[i])
-        expected = desc.udot(params, traj.metric_at(i))
-        denom = max(abs(observed), abs(expected))
-        if denom > 0:
-            worst = max(worst, abs(observed - expected) / denom)
-    return {"max_rel_error": worst, "samples": len(traj)}
+    observed = traj.udot
+    expected = entry(geometry).udot(params, traj.x, traj.y, traj.z_re, traj.z_im)
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(observed - expected) / np.maximum(np.abs(observed), np.abs(expected))
+    # fmax skips NaN: samples where both rates are 0 (0/0) or either is not finite
+    return {"max_rel_error": float(np.fmax.reduce(rel, initial=0.0)),
+            "samples": len(traj)}

@@ -102,11 +102,14 @@ def _mu_inoue_j2(p: GeometryParams) -> StructureConstants:
 # reduced evolution of u = |z|^2
 # ---------------------------------------------------------------------------
 
-def _udot(geometry: Geometry, params: GeometryParams, g: HermitianMetric) -> float:
-    x, y, u = g.x, g.y, g.u
-    d2 = g.det ** 2
+def _udot(geometry: Geometry, params: GeometryParams, x: np.ndarray, y: np.ndarray,
+          z_re: np.ndarray, z_im: np.ndarray) -> np.ndarray:
     if geometry is Geometry.TORUS:
-        return 0.0
+        return np.zeros_like(x)
+    # np.float_power is libm pow on every element; numpy's ** picks a SIMD
+    # kernel by CPU that can round one ulp apart, which analysis.json would show
+    u = z_re * z_re + z_im * z_im
+    d2 = np.float_power(x * y - u, 2)
     if geometry is Geometry.HYPERELLIPTIC:
         return -2 * x * x * y * u / d2
     if geometry is Geometry.HOPF:
@@ -116,12 +119,12 @@ def _udot(geometry: Geometry, params: GeometryParams, g: HermitianMetric) -> flo
         c = params.c
         return -2 * y * u * (x * x - 2 * x * y + c * y * y) / d2
     if geometry is Geometry.KODAIRA_PRIMARY:
-        return -2 * y ** 3 * u / d2
+        return -2 * np.float_power(y, 3) * u / d2
     if geometry is Geometry.KODAIRA_SECONDARY:
         return -2 * y * u * (x * x + y * y) / d2
     if geometry is Geometry.INOUE_S0:
         return -2 * (9 * params.a ** 2 + params.b ** 2) * x * x * y * u / d2
-    im2 = g.z.imag ** 2
+    im2 = np.float_power(z_im, 2)
     if geometry is Geometry.INOUE_SPM_J1:
         return -8 * x * y * y * im2 / d2
     if geometry is Geometry.INOUE_SP_J2:
@@ -328,10 +331,12 @@ class GeometryDescriptor:
         g.require_positive()
         return self._tables(params, g)
 
-    def udot(self, params: GeometryParams, g: HermitianMetric) -> float:
-        """Reduced evolution rate of u = |z|^2 along the flow at the metric g."""
+    def udot(self, params: GeometryParams, x: np.ndarray, y: np.ndarray,
+             z_re: np.ndarray, z_im: np.ndarray) -> np.ndarray:
+        """Reduced evolution rate of u = |z|^2 along the flow, elementwise over
+        the metrics with coefficients x, y and z = z_re + i z_im."""
         self._check(params)
-        return _udot(self.geometry, params, g)
+        return _udot(self.geometry, params, x, y, z_re, z_im)
 
     def kaehler_locus(self, g: HermitianMetric) -> bool:
         """Whether g is a Kaehler metric for this geometry."""

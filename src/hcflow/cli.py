@@ -18,18 +18,17 @@ import argparse
 import concurrent.futures
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import LIMIT_UNCLASSIFIED
 from .catalog import catalog_json
 from .geometry import Geometry, GeometryParams, InadmissibleParamsError
 from .integrate import (ENGINE_CLOSED_FORM, ENGINE_GENERAL, FlowConfig,
                         OUTCOME_DEGENERATE_INPUT, OUTCOME_FAILURE, Trajectory,
-                        integrate)
+                        columns_csv, integrate)
 from .metric import HermitianMetric
 from .report import analysis_report
 from .verify import run_verification
@@ -40,10 +39,10 @@ SCHEMA_VERSION = 1
 EMIT_CHOICES = ("trajectory-csv", "outcome-json", "analysis-json", "plot-data")
 DEFAULT_EMIT = ("trajectory-csv", "outcome-json", "analysis-json")
 
+_OPTIONAL_NUMBERS = ("rel_tol", "abs_tol", "sample_stride", "degeneracy_threshold")
 #: JSON config fields (fail-closed: anything else is rejected).
-_CONFIG_FIELDS = {"schema_version", "geometry", "params", "g0", "t_max",
-                  "rel_tol", "abs_tol", "engine", "sample_stride",
-                  "degeneracy_threshold"}
+_CONFIG_FIELDS = {"schema_version", "geometry", "params", "g0", "t_max", "engine",
+                  *_OPTIONAL_NUMBERS}
 _G0_FIELDS = {"x", "y", "z_re", "z_im"}
 _PARAM_JSON_NAMES = {"lambda": "lam", "a": "a", "b": "b", "epsilon": "epsilon"}
 
@@ -106,23 +105,17 @@ def parse_config(doc: dict) -> FlowConfig:
         complex(_number("$.g0.z_re", g0doc.get("z_re", 0.0)),
                 _number("$.g0.z_im", g0doc.get("z_im", 0.0))))
 
-    engine = str(doc.get("engine", ENGINE_CLOSED_FORM))
-    if engine not in (ENGINE_CLOSED_FORM, ENGINE_GENERAL):
-        raise ConfigError("$.engine",
-                          f"must be {ENGINE_CLOSED_FORM!r} or {ENGINE_GENERAL!r}")
+    t_max = _number("$.t_max", doc["t_max"])
+    # only the fields given are passed, so FlowConfig's defaults apply to the rest
+    fields = {name: _number(f"$.{name}", doc[name]) for name in _OPTIONAL_NUMBERS
+              if name in doc}
+    if "engine" in doc:
+        fields["engine"] = str(doc["engine"])
+        if fields["engine"] not in (ENGINE_CLOSED_FORM, ENGINE_GENERAL):
+            raise ConfigError("$.engine",
+                              f"must be {ENGINE_CLOSED_FORM!r} or {ENGINE_GENERAL!r}")
     try:
-        return FlowConfig(
-            params=params, g0=g0, t_max=_number("$.t_max", doc["t_max"]),
-            rel_tol=_number("$.rel_tol", doc.get("rel_tol", 1e-9)),
-            abs_tol=_number("$.abs_tol", doc.get("abs_tol", 1e-12)),
-            engine=engine,
-            sample_stride=(_number("$.sample_stride", doc["sample_stride"])
-                           if "sample_stride" in doc else None),
-            degeneracy_threshold=_number("$.degeneracy_threshold",
-                                         doc.get("degeneracy_threshold", 1e-10)),
-        )
-    except ConfigError:
-        raise
+        return FlowConfig(params=params, g0=g0, t_max=t_max, **fields)
     except ValueError as exc:
         raise ConfigError("$", str(exc)) from None
 
@@ -130,7 +123,13 @@ def parse_config(doc: dict) -> FlowConfig:
 def _number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        num = float(value)
+    except OverflowError:  # an integer beyond the float range
+        num = math.inf
+    if not math.isfinite(num):
+        raise ConfigError(path, f"expected a finite number, got {num}")
+    return num
 
 
 def config_to_doc(config: FlowConfig) -> dict:
@@ -164,13 +163,7 @@ def _dump_json(obj) -> str:
 
 
 def _plot_data_csv(traj: Trajectory) -> str:
-    lines = ["t,n_x,n_y,n_z_abs"]
-    for i in range(len(traj)):
-        w = 1.0 + traj.t[i]
-        lines.append(",".join(f"{v:.17g}" for v in (
-            traj.t[i], traj.x[i] / w, traj.y[i] / w,
-            float(np.hypot(traj.z_re[i], traj.z_im[i])) / w)))
-    return "\n".join(lines) + "\n"
+    return columns_csv("t,n_x,n_y,n_z_abs", (traj.t, *traj.normalized))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +205,9 @@ def _config_from_args(args) -> FlowConfig:
             kwargs[name] = int(value) if name == "epsilon" else float(value)
     params = GeometryParams(geometry, **kwargs)
     g0 = HermitianMetric(args.x0, args.y0, complex(args.z0_re, args.z0_im))
-    return FlowConfig(params=params, g0=g0, t_max=args.t_max,
-                      rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-                      engine=args.engine, sample_stride=args.sample_stride,
-                      degeneracy_threshold=args.degeneracy_threshold)
+    fields = {name: getattr(args, name) for name in (*_OPTIONAL_NUMBERS, "engine")
+              if getattr(args, name) is not None}
+    return FlowConfig(params=params, g0=g0, t_max=args.t_max, **fields)
 
 
 def _execute_run(config: FlowConfig, out_dir: Path, emit: tuple[str, ...],
@@ -415,12 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--z0-re", type=float, default=0.0)
     p_run.add_argument("--z0-im", type=float, default=0.0)
     p_run.add_argument("--t-max", type=float, default=100.0)
-    p_run.add_argument("--rel-tol", type=float, default=1e-9)
-    p_run.add_argument("--abs-tol", type=float, default=1e-12)
-    p_run.add_argument("--engine", default=ENGINE_CLOSED_FORM,
-                       choices=[ENGINE_CLOSED_FORM, ENGINE_GENERAL])
-    p_run.add_argument("--sample-stride", type=float, default=None)
-    p_run.add_argument("--degeneracy-threshold", type=float, default=1e-10)
+    p_run.add_argument("--rel-tol", type=float)
+    p_run.add_argument("--abs-tol", type=float)
+    p_run.add_argument("--engine", choices=[ENGINE_CLOSED_FORM, ENGINE_GENERAL])
+    p_run.add_argument("--sample-stride", type=float)
+    p_run.add_argument("--degeneracy-threshold", type=float)
     p_run.add_argument("--theta", type=float, default=None,
                        help="classification threshold override")
     p_run.add_argument("--emit", help="comma list of: " + ",".join(EMIT_CHOICES))

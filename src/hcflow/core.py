@@ -1,7 +1,8 @@
 """Integrator-core selection: compiled extension if available, else pure Python.
 
-Set HCFLOW_PURE_PYTHON=1 before import to force the fallback (used by the
-cross-lane tests and the benchmark).
+Set HCFLOW_PURE_PYTHON=1 before import to force the fallback.  The cross-lane
+tests and ``benchmarks/bench_kernels.py`` import the lane modules directly;
+``perfbench`` only records ``COMPILED``.
 """
 from __future__ import annotations
 

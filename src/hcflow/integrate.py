@@ -11,8 +11,8 @@ ratio can stay near 1 all the way to extinction while the metric dies.
 """
 from __future__ import annotations
 
-import io
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,14 +51,14 @@ class FlowConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.t_max < 0:
-            raise ValueError("t_max must be >= 0")
+        if not 0 <= self.t_max < math.inf:
+            raise ValueError("t_max must be finite and >= 0")
         if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
             raise ValueError("tolerances must lie in (0, 1)")
         if self.engine not in (ENGINE_CLOSED_FORM, ENGINE_GENERAL):
             raise ValueError(f"unknown engine {self.engine!r}")
-        if self.sample_stride is not None and not self.sample_stride > 0:
-            raise ValueError("sample_stride must be > 0")
+        if self.sample_stride is not None and not 0 < self.sample_stride < math.inf:
+            raise ValueError("sample_stride must be finite and > 0")
         if not 0 < self.degeneracy_threshold < 1:
             raise ValueError("degeneracy_threshold must lie in (0, 1)")
 
@@ -116,22 +116,27 @@ class Trajectory:
     def ddot(self) -> np.ndarray:
         return self.xdot * self.y + self.x * self.ydot - self.udot
 
-    def metric_at(self, i: int) -> HermitianMetric:
-        return HermitianMetric(float(self.x[i]), float(self.y[i]),
-                               complex(self.z_re[i], self.z_im[i]))
+    @property
+    def normalized(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Components x/(1+t), y/(1+t) and |z|/(1+t) of the rescaled metric."""
+        w = 1.0 + self.t
+        return self.x / w, self.y / w, np.hypot(self.z_re, self.z_im) / w
 
     def final_metric(self) -> HermitianMetric:
-        return self.metric_at(len(self) - 1)
+        return HermitianMetric(float(self.x[-1]), float(self.y[-1]),
+                               complex(self.z_re[-1], self.z_im[-1]))
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(TRAJECTORY_HEADER + "\n")
-        u, d = self.u, self.d
-        for i in range(len(self)):
-            vals = (self.t[i], self.x[i], self.y[i], self.z_re[i], self.z_im[i],
-                    d[i], u[i], self.xdot[i], self.ydot[i])
-            buf.write(",".join(f"{v:.17g}" for v in vals) + "\n")
-        return buf.getvalue()
+        return columns_csv(TRAJECTORY_HEADER, (
+            self.t, self.x, self.y, self.z_re, self.z_im, self.d, self.u,
+            self.xdot, self.ydot))
+
+
+def columns_csv(header: str, columns) -> str:
+    """CSV text of equal-length columns, every cell as %.17g (reads back exactly)."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
 
 
 @dataclass(frozen=True)

@@ -206,3 +206,18 @@ def test_monotonicity_and_udot_on_short_runs():
         assert mono["passed"], mono
         consistency = udot_consistency(geometry, params, traj)
         assert consistency["max_rel_error"] <= 10 * config.rel_tol
+
+
+def test_udot_consistency_zero_rates_and_empty_trajectory():
+    # torus: z is constant and both u-rates vanish, so every denominator is 0
+    params = GeometryParams(Geometry.TORUS)
+    config = FlowConfig(params=params, g0=HermitianMetric(1, 2, 0.3 - 0.4j), t_max=5.0)
+    traj, _ = integrate(config)
+    assert len(traj) > 1 and np.all(traj.udot == 0)
+    assert udot_consistency(Geometry.TORUS, params, traj) == \
+        {"max_rel_error": 0.0, "samples": len(traj)}
+
+    empty = Trajectory.from_rows(np.zeros((0, 9)), OUTCOME_IMMORTAL, None, float("nan"))
+    params = GeometryParams(Geometry.HOPF, lam=0.5)
+    assert udot_consistency(Geometry.HOPF, params, empty) == \
+        {"max_rel_error": 0.0, "samples": 0}

@@ -108,6 +108,28 @@ def test_run_rejects_bad_param_value(tmp_path, capsys):
     assert "params" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"t_max": float("nan")}, "$.t_max"),
+    ({"params": {"lambda": float("nan")}}, "$.params.lambda"),
+    ({"g0": {"x": float("nan"), "y": 1.5}}, "$.g0.x"),
+    ({"sample_stride": float("inf")}, "$.sample_stride"),
+    ({"t_max": 10**400}, "$.t_max"),  # an integer beyond the float range
+])
+def test_run_rejects_non_finite_numbers(tmp_path, capsys, overrides, field):
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"config error at {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_flag_rejects_non_finite_t_max(tmp_path, capsys):
+    code = run_cli("run", "--geometry", "torus", "--t-max", "nan",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "t_max" in capsys.readouterr().err
+
+
 def test_parse_config_error_paths():
     with pytest.raises(ConfigError, match=r"\$\.schema_version"):
         parse_config({"schema_version": 99})

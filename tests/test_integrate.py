@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, OUTCOME_DEGENERATE_INPUT,
                               OUTCOME_EXTINCT, OUTCOME_IMMORTAL,
@@ -147,6 +148,11 @@ def test_extinct_final_state_has_tiny_monitor():
     assert np.all(np.diff(traj.t) > 0)
 
 
+def _cells(csv):
+    return np.array([[float(c) for c in line.split(",")]
+                     for line in csv.strip().split("\n")[1:]])
+
+
 def test_trajectory_csv_schema():
     config = _config(Geometry.TORUS, HermitianMetric(1, 1, 0.5), 1.0,
                      sample_stride=0.5)
@@ -159,6 +165,22 @@ def test_trajectory_csv_schema():
     assert len(row) == 9
     assert float(row[5]) == pytest.approx(0.75)   # D = 1 - 0.25
     assert float(row[6]) == pytest.approx(0.25)   # u = |z|^2
+    assert _plot_data_csv(traj).split("\n", 1)[0] == "t,n_x,n_y,n_z_abs"
+
+    # every cell of both CSVs reads back to exactly the column value it encodes
+    hopf, _ = integrate(_config(Geometry.HOPF, HermitianMetric(2, 0.7, 0.5 - 0.3j), 3.0,
+                                params={"lam": 1.5}, sample_stride=0.1))
+    j2, _ = integrate(_config(Geometry.INOUE_SP_J2, HermitianMetric(1.3, 0.4, 0.1 + 0.2j),
+                              3.0, sample_stride=0.1))
+    for tr in (traj, hopf, j2):
+        assert len(tr) > 1
+        expected = np.column_stack([tr.t, tr.x, tr.y, tr.z_re, tr.z_im,
+                                    tr.d, tr.u, tr.xdot, tr.ydot])
+        assert np.array_equal(_cells(tr.to_csv()), expected)
+        w = 1.0 + tr.t
+        expected = np.column_stack([tr.t, tr.x / w, tr.y / w,
+                                    np.hypot(tr.z_re, tr.z_im) / w])
+        assert np.array_equal(_cells(_plot_data_csv(tr)), expected)
 
 
 def test_config_validation():
@@ -172,3 +194,9 @@ def test_config_validation():
         FlowConfig(params=params, g0=g0, t_max=1.0, engine="magic")
     with pytest.raises(ValueError):
         FlowConfig(params=params, g0=g0, t_max=1.0, sample_stride=0.0)
+    with pytest.raises(ValueError):
+        FlowConfig(params=params, g0=g0, t_max=float("nan"))
+    with pytest.raises(ValueError):
+        FlowConfig(params=params, g0=g0, t_max=float("inf"))
+    with pytest.raises(ValueError):
+        FlowConfig(params=params, g0=g0, t_max=1.0, sample_stride=float("inf"))
