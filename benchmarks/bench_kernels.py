@@ -1,19 +1,16 @@
-"""Benchmark: compiled integrator core vs the pure-Python twin.
+"""Benchmark: the compiled integrator loop vs the pure-Python lane.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
-Times (a) raw closed-form tensor evaluations and (b) full flow runs, for a
-short collapsing run and a long immortal run, in both lanes.
+Times (a) raw closed-form tensor evaluations, which always run in Python,
+and (b) full flow runs, for a short collapsing run and two long immortal runs,
+in each lane that is available.  The compiled lane needs the C core built next
+to the package (``python setup.py build_ext --inplace``).
 """
 import argparse
 import time
 
-from hcflow import _core_py
-
-try:
-    from hcflow import _core_cy
-except ImportError:
-    _core_cy = None
+from hcflow import _core_py, core
 
 KERNEL_POINTS = [
     (2, 0.7, 0.0, 1.0, 1.5, 0.3, -0.2),
@@ -37,11 +34,11 @@ def time_kernel(mod, n):
     return (time.perf_counter() - t0) / (n * len(KERNEL_POINTS))
 
 
-def time_flow(mod, spec, repeat):
+def time_flow(run_closed_flow, spec, repeat):
     geom, p1, p2, s0, t_max = spec
     t0 = time.perf_counter()
     for _ in range(repeat):
-        mod.run_closed_flow(geom, p1, p2, s0, t_max, 1e-9, 1e-12, t_max / 1000, 1e-10)
+        run_closed_flow(geom, p1, p2, s0, t_max, 1e-9, 1e-12, t_max / 1000, 1e-10)
     return (time.perf_counter() - t0) / repeat
 
 
@@ -50,25 +47,19 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    lanes = [("python", _core_py)]
-    if _core_cy is not None:
-        lanes.append(("cython", _core_cy))
+    print(f"python: closed_k {time_kernel(_core_py, 20000) * 1e9:8.0f} ns/eval")
+    lanes = [("python", _core_py.run_closed_flow)]
+    if core.COMPILED:
+        lanes.append(("C", core.run_closed_flow))
     else:
-        print("compiled core not available; benchmarking the python lane only")
-
-    results = {}
-    for name, mod in lanes:
-        per_eval = time_kernel(mod, 20000)
-        results[name] = {"kernel": per_eval}
-        print(f"{name:>7}: closed_k {per_eval * 1e9:8.0f} ns/eval")
+        print("compiled core not built; benchmarking the python lane only")
     for label, spec in FLOW_RUNS:
-        for name, mod in lanes:
-            per_run = time_flow(mod, spec, args.repeat)
-            results[name][label] = per_run
-            print(f"{name:>7}: {label:<28} {per_run * 1e3:9.2f} ms/run")
-        if len(lanes) == 2:
-            speedup = results["python"][label] / results["cython"][label]
-            print(f"{'':>7}  -> speedup {speedup:.1f}x")
+        per_run = {}
+        for name, run_closed_flow in lanes:
+            per_run[name] = time_flow(run_closed_flow, spec, args.repeat)
+            print(f"{name:>7}: {label:<28} {per_run[name] * 1e3:9.2f} ms/run")
+        if len(per_run) == 2:
+            print(f"{'':>7}  -> speedup {per_run['python'] / per_run['C']:.1f}x")
 
 
 if __name__ == "__main__":

@@ -1,29 +1,14 @@
-"""Build script: compiles the optional Cython integrator core.
+"""Build script: compiles the integrator's C loop next to the package.
 
-The package is fully functional without the extension (a pure-Python twin
-of the integrator core is selected at import time), so a failed build of
-the extension is downgraded to a warning instead of aborting the install.
-Set HCFLOW_PURE_PYTHON=1 to skip the extension on purpose.
+``src/hcflow/_core_c.c`` is plain C99 without the Python API; ``hcflow.core``
+loads it with ctypes.  The flags keep it bit-identical to ``_core_py``:
+``-fno-builtin`` stops gcc folding ``pow(x, 2.0)`` into ``x*x`` (Python's
+``**`` calls libm ``pow``), and ``-ffp-contract=off`` stops it fusing
+``a*b + c``.  The extension is optional: where it does not compile, the
+install goes on and ``hcflow.core`` runs the pure-Python loop.
 """
-import os
-import warnings
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-ext_modules = []
-if not os.environ.get("HCFLOW_PURE_PYTHON"):
-    try:
-        import numpy as np
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [Extension("hcflow._core_cy", ["src/hcflow/_core_cy.pyx"],
-                       include_dirs=[np.get_include()])],
-            compiler_directives={"language_level": "3"},
-        )
-    except Exception as exc:  # pragma: no cover - build-environment dependent
-        warnings.warn(f"Cython core not built ({exc}); pure-Python core will be used")
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension(
+    "hcflow._core_c", ["src/hcflow/_core_c.c"], libraries=["m"], optional=True,
+    extra_compile_args=["-std=c99", "-O2", "-fno-builtin", "-ffp-contract=off"])])

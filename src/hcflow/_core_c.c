@@ -1,0 +1,260 @@
+/* Compiled integrator core: the RK5(4) loop over the closed-form flow tensors.
+ * A mirror of hcflow/_core_py.py (which documents geometry ids, parameter packing and the
+ * algorithm) that gives the same bits: it repeats the Python operations in order, every **
+ * is a pow() call, min() and max() keep Python's argument order, and sums run left to right
+ * from 0.0.  Build it as setup.py does, with -std=c99 -O2 -fno-builtin -ffp-contract=off:
+ * gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.  Where Python
+ * raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code. */
+#include <math.h>
+#include <string.h>
+
+enum { REACHED_TMAX, EXTINCT, FAILURE, ERR_OVERFLOW, ERR_ZERO_DIVISION, ERR_GEOMETRY, ERR_BUFFER };
+
+/* Dormand-Prince 5(4) tableau, error weights and dense-output coefficients */
+static const double A[7][6] = {
+    {0}, {1.0 / 5}, {3.0 / 40, 9.0 / 40}, {44.0 / 45, -56.0 / 15, 32.0 / 9},
+    {19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729},
+    {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656},
+    {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84}};
+static const double E[7] = {71.0 / 57600, 0.0, -71.0 / 16695, 71.0 / 1920,
+                            -17253.0 / 339200, 22.0 / 525, -1.0 / 40};
+static const double P[7][4] = {
+    {1.0, -8048581381.0 / 2820520608, 8663915743.0 / 2820520608, -12715105075.0 / 11282082432},
+    {0.0, 0.0, 0.0, 0.0},
+    {0.0, 131558114200.0 / 32700410799, -68118460800.0 / 10900136933, 87487479700.0 / 32700410799},
+    {0.0, -1754552775.0 / 470086768, 14199869525.0 / 1410260304, -10690763975.0 / 1880347072},
+    {0.0, 127303824393.0 / 49829197408, -318862633887.0 / 49829197408, 701980252875.0 / 199316789632},
+    {0.0, -282668133.0 / 205662961, 2019193451.0 / 616988883, -1453857185.0 / 822651844},
+    {0.0, 40617522.0 / 29380423, -110615467.0 / 29380423, 69997945.0 / 29380423}};
+static const double SAFETY = 0.9, ALPHA = 0.17, BETA = 0.04, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0;
+
+/* Python's min(a, b) and max(a, b): the first argument wins ties and NaNs. */
+static double pmin(double a, double b) { return b < a ? b : a; }
+static double pmax(double a, double b) { return b > a ? b : a; }
+/* Python's x ** y and x / y; *err keeps the first error, as a raise would. */
+static double pw(double x, double y, int *err) {
+    double r = pow(x, y);
+    if (!*err && isinf(r) && isfinite(x)) *err = ERR_OVERFLOW;
+    return r;
+}
+static double dv(double x, double y, int *err) {
+    if (!*err && y == 0.0) *err = ERR_ZERO_DIVISION;
+    return x / y;
+}
+#define PW(x, y) pw(x, y, &err)
+#define DV(x, y) dv(x, y, &err)
+
+/* Closed-form flow tensor (K11, K22, Re K12, Im K12) at state s; returns 0 or an ERR_ code. */
+int hcf_closed_k(int geom, double p1, double p2, const double *s, double *k) {
+    int err = 0;
+    double x = s[0], y = s[1], zre = s[2], zim = s[3];
+    double u = zre * zre + zim * zim, d = x * y - u, d2 = d * d, w, q2 = zim * zim;
+    double c = 1.0 + p1 * p1, bb = p2 * p2 + 9 * p1 * p1;  /* bb: Inoue S0, (a, b) = (p1, p2) */
+    switch (geom) {
+    case 0: k[0] = k[1] = k[2] = k[3] = 0.0; return 0;  /* torus */
+    case 1:  /* hyperelliptic */
+        k[0] = DV(x * x * u, d2), k[1] = DV(u * u, d2);
+        w = DV(x * x * y, d2); break;
+    case 2:  /* hopf */
+        k[0] = DV(c * PW(x, 4) + u * (2 * x * x + u), d2);
+        k[1] = DV(c * x * x * u + 2 * d2 + u * (y * y + 2 * u) - 2 * c * x * x * d, d2);
+        w = DV(x * (p1 * p1 * x * x + PW(x + y, 2)), d2); break;
+    case 3:  /* properly elliptic */
+        k[0] = DV(c * y * y * u - 2 * d2 + u * (x * x - 2 * u) - 2 * c * y * y * d, d2);
+        k[1] = DV(p1 * p1 * PW(y, 4) + PW(y * y - u, 2), d2);
+        w = DV(y * (p1 * p1 * y * y + PW(x - y, 2)), d2); break;
+    case 4:  /* primary Kodaira */
+        k[0] = DV(y * y * u - 2 * y * y * d, d2), k[1] = DV(PW(y, 4), d2);
+        w = DV(PW(y, 3), d2); break;
+    case 5:  /* secondary Kodaira (tensor independent of epsilon) */
+        k[0] = DV(u * (x * x + y * y) - 2 * y * y * d, d2), k[1] = DV(PW(y, 4) + u * u, d2);
+        w = DV(y * (x * x + y * y), d2); break;
+    case 6:  /* Inoue S0 */
+        k[0] = DV(x * x * u * bb, d2);
+        k[1] = DV((p1 * p1 + p2 * p2) * u * u + 16 * p1 * p1 * x * y * u
+                  - 8 * p1 * p1 * x * x * y * y, d2);
+        w = DV(x * x * y * bb, d2); break;
+    case 7:  /* Inoue S+- (first complex structure) */
+        k[0] = -3.0 + DV(4 * u * q2, d2), k[1] = DV(4 * y * y * q2, d2);
+        k[2] = DV(4 * y * zre * q2, d2);
+        k[3] = DV(4 * y * zim * (x * y - zre * zre), d2);
+        return err;
+    case 8:  /* Inoue S+ (second complex structure) */
+        k[0] = -3.0 + DV(4 * u * q2 - 2 * y * y * d + y * y * u, d2);
+        k[1] = DV(y * y * (4 * q2 + y * y), d2);
+        k[2] = DV(4 * y * zre * q2 + PW(y, 3) * zre, d2);
+        k[3] = DV(4 * y * zim * (x * y - zre * zre) + PW(y, 3) * zim, d2);
+        return err;
+    default: return ERR_GEOMETRY;
+    }
+    k[2] = w * zre;
+    k[3] = w * zim;
+    return err;
+}
+
+typedef struct { int geom; double p1, p2, *rows; long cap, n; } Run;  /* kernel + row buffer */
+
+static int rhs(const Run *r, const double *s, double *f) {
+    int err = hcf_closed_k(r->geom, r->p1, r->p2, s, f);
+    for (int c = 0; c < 4; c++) f[c] = -f[c];
+    return err;
+}
+static int finite4(const double *v) {
+    return isfinite(v[0]) && isfinite(v[1]) && isfinite(v[2]) && isfinite(v[3]);
+}
+/* Append the row (t, s, rhs(s)). */
+static int emit(Run *r, double t, const double *s) {
+    if (r->n == r->cap) return ERR_BUFFER;
+    double *row = r->rows + 9 * r->n++;
+    row[0] = t;
+    memcpy(row + 1, s, 4 * sizeof *s);
+    return rhs(r, s, row + 5);
+}
+static double monitor(const double *s, const double *inv_scale) {
+    double d = s[0] * s[1] - (s[2] * s[2] + s[3] * s[3]);
+    return pmin(pmin(s[0] * inv_scale[0], s[1] * inv_scale[1]), d * inv_scale[2]);
+}
+static double rms(const double *v, const double *scale, int *err) {
+    double acc = 0.0;
+    for (int c = 0; c < 4; c++) acc += pw(v[c] / scale[c], 2, err);
+    return sqrt(acc / 4.0);
+}
+
+static int initial_step(const Run *r, const double *y0, const double *f0, double t_max,
+                        double rel_tol, double abs_tol, double *h) {
+    int err = 0, e;
+    double scale[4], y1[4], f1[4], df[4], d0, d1, d2, h0, h1;
+    for (int c = 0; c < 4; c++) scale[c] = abs_tol + rel_tol * fabs(y0[c]);
+    d0 = rms(y0, scale, &err);
+    d1 = rms(f0, scale, &err);
+    h0 = pmin((d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1, t_max);
+    for (int c = 0; c < 4; c++) y1[c] = y0[c] + h0 * f0[c];
+    if ((e = rhs(r, y1, f1)) != 0 && !err) err = e;
+    d2 = d1;
+    if (finite4(f1)) {
+        for (int c = 0; c < 4; c++) df[c] = f1[c] - f0[c];
+        d2 = DV(rms(df, scale, &err), h0);
+    }
+    h1 = pmax(d1, d2) <= 1e-15 ? pmax(1e-6, h0 * 1e-3) : pow(0.01 / pmax(d1, d2), 0.2);
+    *h = pmin(pmin(100 * h0, h1), t_max);
+    return err;
+}
+
+static void dense_coefficients(double k[7][4], double h, double q[4][4]) {
+    for (int c = 0; c < 4; c++)
+        for (int j = 0; j < 4; j++) {
+            double acc = 0.0;
+            for (int s = 0; s < 7; s++) acc += k[s][c] * P[s][j];
+            q[c][j] = acc * h;
+        }
+}
+static void dense_eval(const double *y0, double q[4][4], double th, double *out) {
+    double p[4] = {th, th * th, pow(th, 3), pow(th, 4)};
+    for (int c = 0; c < 4; c++) {
+        double acc = 0.0;
+        for (int j = 0; j < 4; j++) acc += q[c][j] * p[j];
+        out[c] = y0[c] + acc;
+    }
+}
+
+#define CHECK(call) do { if ((status = (call)) != 0) goto done; } while (0)
+#define FINISH(st, m) do { status = (st); out[4] = (m); goto done; } while (0)
+
+/* _core_py.run_closed_flow.  Rows go to rows[cap][9]; out receives (row count,
+ * accepted, rejected, t_est or NaN for None, final monitor).  Returns a STATUS_
+ * code of _core_py or an ERR_ code. */
+int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, double t_max,
+                        double rel_tol, double abs_tol, double stride, double threshold,
+                        long max_steps, double *rows, long cap, double *out) {
+    Run r = {geom, p1, p2, rows, cap, 0};
+    double y0[4], y1[4], ys[4], y_end[4], k[7][4], q[4][4], inv_scale[3], m_hist[12];
+    double h, t = 0.0, err = 0.0, err_prev = 1.0, t_end, m1, lo, hi, mid, ts;
+    long n_acc = 0, n_rej = 0, next_sample = 1;
+    int status = 0, n_hist = 1, bad, extinct, have_q, decreasing;
+
+    memcpy(y0, state0, sizeof y0);
+    out[3] = NAN;
+    for (int c = 0; c < 3; c++) inv_scale[c] = dv(1.0, c < 2 ? y0[c] : y0[0] * y0[1], &status);
+    if (status) goto done;
+    m_hist[0] = monitor(y0, inv_scale);
+    CHECK(emit(&r, 0.0, y0));
+    if (t_max <= 0.0) FINISH(REACHED_TMAX, m_hist[0]);
+    CHECK(rhs(&r, y0, k[0]));
+    if (!finite4(k[0])) FINISH(FAILURE, m_hist[0]);
+    CHECK(initial_step(&r, y0, k[0], t_max, rel_tol, abs_tol, &h));
+    while (t < t_max) {
+        h = pmin(h, t_max - t);
+        if (h < 1e-14 * fabs(t) + 1e-200) {  /* extinct only if the monitor is tiny, shrinking */
+            decreasing = n_hist >= 11;
+            for (int i = n_hist - 11; decreasing && i < n_hist - 1; i++)
+                decreasing = m_hist[i] > m_hist[i + 1];
+            if (!(m_hist[n_hist - 1] < 1e-6 && decreasing)) FINISH(FAILURE, m_hist[n_hist - 1]);
+            out[3] = t;
+            CHECK(emit(&r, t, y0));
+            FINISH(EXTINCT, m_hist[n_hist - 1]);
+        }
+        if (n_acc + n_rej >= max_steps) FINISH(FAILURE, m_hist[n_hist - 1]);
+        bad = 0;  /* seven stages, first-same-as-last: k[0] holds rhs(y0) */
+        for (int s = 1; s < 7 && !bad; s++) {
+            memcpy(ys, y0, sizeof ys);
+            for (int j = 0; j < s; j++)
+                if (A[s][j] != 0.0)
+                    for (int c = 0; c < 4; c++) ys[c] += h * A[s][j] * k[j][c];
+            CHECK(rhs(&r, ys, k[s]));  /* a non-finite k[s] is recomputed before any use */
+            bad = !finite4(k[s]);
+        }
+        if (!bad) {
+            memcpy(y1, ys, sizeof y1);  /* stage 7 state: the 5th-order solution */
+            err = 0.0;
+            for (int c = 0; c < 4; c++) {
+                double e = 0.0;
+                for (int s = 0; s < 7; s++) e += E[s] * k[s][c];
+                err += pw(e * h / (abs_tol + rel_tol * pmax(fabs(y0[c]), fabs(y1[c]))), 2, &status);
+            }
+            if (status) goto done;
+            err = sqrt(err / 4.0);
+        }
+        if (bad || !isfinite(err)) { n_rej++; h *= 0.25; continue; }
+        if (err > 1.0) { n_rej++; h *= pmin(0.7, pmax(0.1, SAFETY * pow(err, -0.2))); continue; }
+        n_acc++;
+        m1 = monitor(y1, inv_scale);
+        t_end = t + h;
+        have_q = extinct = m1 < threshold;
+        if (extinct) {  /* locate the crossing of the positivity floor inside this step */
+            dense_coefficients(k, h, q);
+            lo = 0.0, hi = 1.0;
+            for (int i = 0; i < 60; i++) {
+                mid = 0.5 * (lo + hi);
+                dense_eval(y0, q, mid, ys);
+                if (monitor(ys, inv_scale) < threshold) hi = mid; else lo = mid;
+            }
+            t_end = t + hi * h;
+            dense_eval(y0, q, hi, y_end);
+        }
+        while (next_sample * stride <= t_end + 1e-12 * pmax(1.0, t_end)) {
+            ts = pmin(next_sample * stride, t_end);
+            if (!have_q) dense_coefficients(k, h, q), have_q = 1;
+            dense_eval(y0, q, pmin(pmax((ts - t) / h, 0.0), 1.0), ys);
+            CHECK(emit(&r, ts, ys));
+            next_sample++;
+        }
+        if (extinct) {
+            out[3] = t_end;
+            if (rows[9 * (r.n - 1)] < t_end - 1e-15) CHECK(emit(&r, t_end, y_end));
+            FINISH(EXTINCT, monitor(y_end, inv_scale));
+        }
+        if (n_hist == 12) { memmove(m_hist, m_hist + 1, 11 * sizeof *m_hist); n_hist = 11; }
+        m_hist[n_hist++] = m1;
+        t += h;
+        memcpy(y0, y1, sizeof y0);
+        memcpy(k[0], k[6], sizeof k[0]);
+        h *= err == 0.0 ? MAX_FACTOR
+            : pmin(MAX_FACTOR, pmax(MIN_FACTOR, SAFETY * pow(err, -ALPHA) * pow(err_prev, BETA)));
+        err_prev = pmax(err, 1e-10);
+    }
+    if (rows[9 * (r.n - 1)] < t_max - 1e-15) CHECK(emit(&r, t_max, y0));
+    FINISH(REACHED_TMAX, m_hist[n_hist - 1]);
+done:
+    out[0] = r.n, out[1] = n_acc, out[2] = n_rej;
+    return status;
+}

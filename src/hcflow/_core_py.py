@@ -1,8 +1,9 @@
 """Pure-Python integrator core: closed-form flow tensors and the RK5(4) loop.
 
-This is the fallback twin of the compiled core in ``_core_cy.pyx``; the two
-implement the same algorithm step for step.  ``hcflow.core`` picks whichever
-is importable.
+This is the reference lane.  ``_core_c.c`` mirrors ``run_closed_flow``
+operation for operation and must give the same bits, so change the arithmetic
+here only together with the C, and keep every sum an explicit left-to-right
+one.  ``hcflow.core`` picks the C loop when it is built.
 
 Geometry ids (shared with the compiled core):
 0 torus, 1 hyperelliptic, 2 hopf, 3 properly-elliptic, 4 kodaira-primary,
@@ -295,14 +296,14 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
 
 def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:
     scale = [abs_tol + rel_tol * abs(v) for v in y0]
-    d0 = math.sqrt(sum((y0[c] / scale[c]) ** 2 for c in range(4)) / 4.0)
-    d1 = math.sqrt(sum((f0[c] / scale[c]) ** 2 for c in range(4)) / 4.0)
+    d0 = _rms(y0, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, t_max)
     y1 = [y0[c] + h0 * f0[c] for c in range(4)]
     f1 = rhs(y1)
     if all(map(math.isfinite, f1)):
-        d2 = math.sqrt(sum(((f1[c] - f0[c]) / scale[c]) ** 2 for c in range(4)) / 4.0) / h0
+        d2 = _rms([f1[c] - f0[c] for c in range(4)], scale) / h0
     else:
         d2 = d1
     if max(d1, d2) <= 1e-15:
@@ -310,6 +311,19 @@ def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, t_max)
+
+
+def _rms(v, scale) -> float:
+    """Root mean square of v / scale.
+
+    Sums run left to right from 0.0, here and in ``_dense_eval``: ``sum()``
+    compensates its rounding from Python 3.12 on, which neither older Pythons
+    nor the C core do.
+    """
+    acc = 0.0
+    for c in range(4):
+        acc += (v[c] / scale[c]) ** 2
+    return math.sqrt(acc / 4.0)
 
 
 def _dense_coefficients(k, h):
@@ -326,5 +340,6 @@ def _dense_coefficients(k, h):
 
 def _dense_eval(y0, qmat, theta):
     th = theta
-    p = (th, th * th, th ** 3, th ** 4)
-    return [y0[c] + sum(qmat[c][j] * p[j] for j in range(4)) for c in range(4)]
+    th2, th3, th4 = th * th, th ** 3, th ** 4
+    return [y0[c] + (0.0 + q[0] * th + q[1] * th2 + q[2] * th3 + q[3] * th4)
+            for c, q in enumerate(qmat)]

@@ -7,7 +7,7 @@ x/(1+t), y/(1+t), |z|/(1+t) averaged over the final window of the run.  The
 analytic statements it approximates are t -> infinity limits, so both the
 threshold and the window are calibration choices, configurable per call.
 Empirically the slowest geometry to settle is the Kodaira pair, whose
-normalized x decays roughly like t^(-2/3); at t = 1000 it sits near 0.03-0.05
+normalized x decays like t^(-3/5); at t = 1000 it sits near 0.03-0.05
 for moderate initial metrics, which motivates the default threshold 0.05.
 """
 from __future__ import annotations

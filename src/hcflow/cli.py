@@ -336,7 +336,7 @@ def cmd_sweep(args) -> int:
         base = json.loads(Path(args.config).read_text())
         grid = json.loads(Path(args.grid).read_text())
         points = _grid_points(grid)
-    except (ConfigError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError, bad JSON, oversized integers
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_root = Path(args.out)

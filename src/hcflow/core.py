@@ -1,28 +1,58 @@
-"""Integrator-core selection: compiled extension if available, else pure Python.
+"""Integrator core: the compiled C loop when it is built, else pure Python.
 
-Set HCFLOW_PURE_PYTHON=1 before import to force the fallback.  The cross-lane
-tests and ``benchmarks/bench_kernels.py`` import the lane modules directly;
-``perfbench`` only records ``COMPILED``.
+``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
+``run_closed_flow`` operation for operation and gives the same bits, so the
+lane changes only speed and ``stats.compiled_core``.  ``setup.py build_ext``
+puts the library next to this module, where ``COMPILED`` finds it.  Only
+``run_closed_flow`` is compiled: one ctypes call costs more than a Python
+``closed_k``, so ``closed_k``, ``closed_rhs``, ``run_flow`` and the status
+codes always come from ``_core_py``.
 """
 from __future__ import annotations
 
+import ctypes
+import errno
 import os
+from importlib.machinery import EXTENSION_SUFFIXES
 
-from ._core_py import (  # noqa: F401  (shared status codes and callable-rhs loop)
-    STATUS_EXTINCT,
-    STATUS_FAILURE,
-    STATUS_REACHED_TMAX,
-    run_flow,
-)
+import numpy as np
 
-if os.environ.get("HCFLOW_PURE_PYTHON"):
-    COMPILED = False
-else:
-    try:
-        from ._core_cy import closed_k, closed_rhs, run_closed_flow  # noqa: F401
-        COMPILED = True
-    except ImportError:  # pragma: no cover - depends on build environment
-        COMPILED = False
+from ._core_py import (  # noqa: F401  (re-exported)
+    STATUS_EXTINCT, STATUS_FAILURE, STATUS_REACHED_TMAX, closed_k, closed_rhs,
+    run_closed_flow, run_flow)
 
-if not COMPILED:
-    from ._core_py import closed_k, closed_rhs, run_closed_flow  # noqa: F401
+LIBRARY = os.path.join(os.path.dirname(__file__), "_core_c" + EXTENSION_SUFFIXES[0])
+
+
+def bind(path: str):
+    """``run_closed_flow`` of the C library at ``path``, with ``_core_py``'s signature and results."""
+    def vector(n):
+        return np.ctypeslib.ndpointer(np.float64, 1, (n,), "C_CONTIGUOUS")
+
+    fn = ctypes.CDLL(path).hcf_run_closed_flow
+    dbl, long_ = ctypes.c_double, ctypes.c_long
+    fn.argtypes = [ctypes.c_int, dbl, dbl, vector(4), dbl, dbl, dbl, dbl, dbl, long_,
+                   np.ctypeslib.ndpointer(np.float64, 2, None, "C_CONTIGUOUS"), long_, vector(5)]
+    fn.restype = ctypes.c_int
+
+    def run_closed_flow(geom, p1, p2, state0, t_max, rel_tol, abs_tol, stride, threshold,
+                        max_steps=1_000_000):
+        # samples up to the emission tolerance past t_max, plus t = 0 and the end point
+        cap = int((max(t_max, 0.0) * (1 + 1e-12) + 1e-12) / stride) + 3
+        rows, out = np.empty((cap, 9)), np.empty(5)
+        status = fn(geom, p1, p2, np.array(state0, dtype=float), t_max, rel_tol, abs_tol,
+                    stride, threshold, max_steps, rows, cap, out)
+        if status > STATUS_FAILURE:  # where _core_py raises
+            raise {3: OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)),
+                   4: ZeroDivisionError("float division by zero"),
+                   5: ValueError(f"unknown geometry id {geom}")}.get(
+                       status, RuntimeError(f"C core status {status}"))
+        t_est = None if np.isnan(out[3]) else float(out[3])
+        return status, t_est, rows[:int(out[0])], int(out[1]), int(out[2]), float(out[4])
+
+    return run_closed_flow
+
+
+COMPILED = os.path.exists(LIBRARY)
+if COMPILED:
+    run_closed_flow = bind(LIBRARY)  # noqa: F811

@@ -35,6 +35,10 @@ OUTCOME_FAILURE = "integrator-failure"
 
 TRAJECTORY_HEADER = "t,x,y,z_re,z_im,D,u,xdot,ydot"
 
+#: Most stride samples one run may ask for (t_max / sample_stride); the
+#: compiled core writes its rows into a buffer sized from this ratio.
+MAX_SAMPLES = 100_000
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -61,6 +65,15 @@ class FlowConfig:
             raise ValueError("sample_stride must be finite and > 0")
         if not 0 < self.degeneracy_threshold < 1:
             raise ValueError("degeneracy_threshold must lie in (0, 1)")
+        if self.t_max / self.stride > MAX_SAMPLES:
+            raise ValueError(f"t_max / sample_stride = {self.t_max / self.stride:g} exceeds "
+                             f"the cap of {MAX_SAMPLES} samples per run")
+        g0 = self.g0
+        values = {("lambda" if k == "lam" else k): v for k, v in self.params.as_dict().items()}
+        values.update(x0=g0.x, y0=g0.y, z0_re=g0.z.real, z0_im=g0.z.imag)
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def stride(self) -> float:

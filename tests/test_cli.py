@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from hcflow.cli import ConfigError, main, parse_config
+from hcflow.integrate import MAX_SAMPLES
 
 
 def run_cli(*argv):
@@ -130,6 +131,25 @@ def test_run_flag_rejects_non_finite_t_max(tmp_path, capsys):
     assert "t_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, name", [
+    (("--geometry", "hopf", "--lambda", "nan"), "lambda"),
+    (("--geometry", "torus", "--x0", "nan"), "x0"),
+])
+def test_run_flag_rejects_non_finite_values(tmp_path, capsys, flags, name):
+    code = run_cli("run", *flags, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"error: {name} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_oversized_sample_count(tmp_path, capsys):
+    code = run_cli("run", "--geometry", "torus", "--t-max", "1e6", "--sample-stride", "1e-3",
+                   "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert f"cap of {MAX_SAMPLES} samples" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_parse_config_error_paths():
     with pytest.raises(ConfigError, match=r"\$\.schema_version"):
         parse_config({"schema_version": 99})
@@ -241,3 +261,15 @@ def test_sweep_product_grid(tmp_path):
                    "--workers", "2") == 0
     lines = (out / "summary.csv").read_text().strip().split("\n")
     assert len(lines) == 5
+
+
+def test_sweep_rejects_oversized_integer(tmp_path, capsys):
+    # json.loads raises a plain ValueError for integers beyond 4300 digits
+    cfg = tmp_path / "base.json"
+    cfg.write_text(write_config(tmp_path / "ok.json").read_text().replace(
+        '"t_max": 10.0', '"t_max": 1' + "0" * 5000))
+    (tmp_path / "grid.json").write_text(json.dumps({"points": [{}]}))
+    code = run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(tmp_path / "sweep"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

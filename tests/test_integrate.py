@@ -3,8 +3,8 @@ import pytest
 
 from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
-from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, OUTCOME_DEGENERATE_INPUT,
-                              OUTCOME_EXTINCT, OUTCOME_IMMORTAL,
+from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, MAX_SAMPLES,
+                              OUTCOME_DEGENERATE_INPUT, OUTCOME_EXTINCT, OUTCOME_IMMORTAL,
                               detect_extinction, integrate, rhs)
 from hcflow.metric import HermitianMetric
 
@@ -200,3 +200,11 @@ def test_config_validation():
         FlowConfig(params=params, g0=g0, t_max=float("inf"))
     with pytest.raises(ValueError):
         FlowConfig(params=params, g0=g0, t_max=1.0, sample_stride=float("inf"))
+    with pytest.raises(ValueError, match="cap"):
+        FlowConfig(params=params, g0=g0, t_max=MAX_SAMPLES + 1.0, sample_stride=1.0)
+    FlowConfig(params=params, g0=g0, t_max=float(MAX_SAMPLES), sample_stride=1.0)
+    with pytest.raises(ValueError, match="z0_im must be finite"):
+        FlowConfig(params=params, g0=HermitianMetric(1, 1, complex(0, float("inf"))), t_max=1.0)
+    with pytest.raises(ValueError, match="b must be finite"):
+        FlowConfig(params=GeometryParams(Geometry.INOUE_S0, a=1.0, b=float("nan")), g0=g0,
+                   t_max=1.0)
