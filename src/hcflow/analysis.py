@@ -2,13 +2,12 @@
 decay bounds, and the finite-time surrogate of the Gromov-Hausdorff
 classification.
 
-The classifier is a thresholded decision rule on the normalized components
-x/(1+t), y/(1+t), |z|/(1+t) averaged over the final window of the run.  The
-analytic statements it approximates are t -> infinity limits, so both the
-threshold and the window are calibration choices, configurable per call.
-Empirically the slowest geometry to settle is the Kodaira pair, whose
-normalized x decays like t^(-3/5); at t = 1000 it sits near 0.03-0.05
-for moderate initial metrics, which motivates the default threshold 0.05.
+The classifier fits the normalized components x/(1+t), y/(1+t), |z|/(1+t)
+over the final window of the run.  A component survives when its tail
+exponent (the slope of log n over log(1+t)) exceeds DECAY_EXPONENT, unless its
+window mean is below ZERO_LEVEL, where roundoff has no slope.  Survivors fit
+exponents near 0 and the slowest decay, Kodaira x, goes like t^(-3/5); unlike a
+level threshold, this does not depend on the scale of the initial metric.
 """
 from __future__ import annotations
 
@@ -26,10 +25,12 @@ from .metric import HermitianMetric
 LIMIT_FLAT_KAEHLER = "flat-kaehler-metric"
 LIMIT_UNCLASSIFIED = "unclassified"
 
-#: Decision threshold on normalized components (calibration choice, see module docstring).
-DEFAULT_THETA = 0.05
 #: Tail fraction of the run over which normalized components are averaged.
 DEFAULT_WINDOW = 0.10
+#: Normalized components with a window mean below this are zero (roundoff).
+ZERO_LEVEL = 1e-9
+#: A component survives when its tail exponent is above this.
+DECAY_EXPONENT = -0.3
 #: Immortal runs shorter than this cannot be classified.
 MIN_CLASSIFIABLE_T = 500.0
 
@@ -74,6 +75,13 @@ def normalized_metric(g: HermitianMetric, t: float) -> HermitianMetric:
     return g.scaled(1.0 / (1.0 + t))
 
 
+def _line_fit(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Least-squares slope and intercept of v against t."""
+    design = np.column_stack([t, np.ones_like(t)])
+    (slope, intercept), *_ = np.linalg.lstsq(design, v, rcond=None)
+    return slope, intercept
+
+
 def linear_growth_rate(traj: Trajectory, component: str,
                        window_frac: float = 0.5) -> tuple[float, float]:
     """Least-squares slope of x or y over the final window, with max relative
@@ -88,8 +96,7 @@ def linear_growth_rate(traj: Trajectory, component: str,
     t = traj.t
     sel = t >= (1.0 - window_frac) * t[-1]
     tt, vv = t[sel], v[sel]
-    design = np.column_stack([tt, np.ones_like(tt)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, vv, rcond=None)
+    slope, intercept = _line_fit(tt, vv)
     fit = slope * tt + intercept
     scale = max(1.0, float(np.max(np.abs(fit))))
     residual = float(np.max(np.abs(vv - fit)) / scale)
@@ -119,10 +126,7 @@ def verify_decay_bound(traj: Trajectory, slack: float = 1e-6) -> dict:
         # log-linear fit over the tail, above the floating-point noise floor
         sel = (traj.t >= 0.5 * traj.t[-1]) & (u > 1e-280)
         if sel.sum() >= 4:
-            tt = traj.t[sel]
-            design = np.column_stack([tt, np.ones_like(tt)])
-            (exponent, _), *_ = np.linalg.lstsq(design, np.log(u[sel]), rcond=None)
-            exponent = float(exponent)
+            exponent = float(_line_fit(traj.t[sel], np.log(u[sel]))[0])
     gf = traj.final_metric()
     return {
         "passed": True,
@@ -136,26 +140,14 @@ def verify_decay_bound(traj: Trajectory, slack: float = 1e-6) -> dict:
     }
 
 
-def _tail_means(traj: Trajectory, window_frac: float) -> tuple[float, float, float, dict]:
-    t = traj.t
-    sel = t >= (1.0 - window_frac) * t[-1]
-    n_x, n_y, n_z = (float(np.mean(n[sel])) for n in traj.normalized)
-    info = {"window_t_start": float(t[sel][0]), "window_t_end": float(t[-1]),
-            "window_samples": int(sel.sum()),
-            "n_x": n_x, "n_y": n_y, "n_z_abs": n_z}
-    return n_x, n_y, n_z, info
-
-
 def classify_gh_limit(geometry: Geometry, params: GeometryParams,
-                      traj: Trajectory, outcome: FlowOutcome,
-                      theta: float = DEFAULT_THETA,
-                      window_frac: float = DEFAULT_WINDOW) -> LimitDescriptor:
+                      traj: Trajectory, outcome: FlowOutcome) -> LimitDescriptor:
     """Classify the normalized long-time limit of one flow run.
 
-    Decision rule on the tail averages of the normalized components:
-    everything below theta is a point; one surviving diagonal entry L on an
-    Inoue geometry is a circle of length sqrt(L); a surviving first diagonal
-    entry on a properly elliptic geometry is the rescaled base curve.
+    Decision rule on the components that survive (see module docstring):
+    none is a point; x or y alone on an Inoue geometry is a circle of length
+    sqrt(L), L its window mean; x alone on a properly elliptic geometry is
+    the rescaled base curve.  A non-finite level or exponent is unclassified.
     Extinct runs are labeled by their collapse time.
     """
     if outcome.outcome_class == OUTCOME_EXTINCT:
@@ -169,24 +161,34 @@ def classify_gh_limit(geometry: Geometry, params: GeometryParams,
             f"classification needs t_max >= {MIN_CLASSIFIABLE_T:g}, got "
             f"{traj.t[-1] if len(traj) else 0.0:g}")
 
-    n_x, n_y, n_z, info = _tail_means(traj, window_frac)
-    info["theta"] = theta
+    t = traj.t
+    sel = t >= (1.0 - DEFAULT_WINDOW) * t[-1]
+    info = {"window_t_start": float(t[sel][0]), "window_t_end": float(t[-1]),
+            "window_samples": int(sel.sum())}
+    survivors = set()
+    for name, n in zip(("x", "y", "z_abs"), traj.normalized):
+        level = info[f"n_{name}"] = float(np.mean(n[sel]))
+        exponent = info[f"exponent_{name}"] = None if level < ZERO_LEVEL else float(
+            _line_fit(np.log1p(t[sel]), np.log(n[sel]))[0])
+        if exponent is not None and exponent > DECAY_EXPONENT:
+            survivors.add(name)
+    if not all(math.isfinite(v) for v in info.values() if v is not None):
+        return LimitDescriptor(kind=LIMIT_UNCLASSIFIED, evidence=info)
 
-    if n_x < theta and n_y < theta and n_z < theta:
+    n_x, n_y = info["n_x"], info["n_y"]
+    if not survivors:
         if geometry is Geometry.HYPERELLIPTIC:
             # the un-rescaled flow converges too; report both facts
             info["unnormalized_limit"] = unnormalized_limit(traj).to_json_dict()
         return LimitDescriptor(kind=LIMIT_POINT, evidence=info)
-    inoue = geometry in (Geometry.INOUE_S0, Geometry.INOUE_SPM_J1, Geometry.INOUE_SP_J2)
-    if inoue and n_z < theta:
-        if n_x >= theta > n_y:
+    if geometry in (Geometry.INOUE_S0, Geometry.INOUE_SPM_J1, Geometry.INOUE_SP_J2):
+        if survivors == {"x"}:
             return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(n_x),
                                    normalized_limit=(n_x, 0.0), evidence=info)
-        if n_y >= theta > n_x:
+        if survivors == {"y"}:
             return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(n_y),
                                    normalized_limit=(0.0, n_y), evidence=info)
-    if (geometry is Geometry.PROPERLY_ELLIPTIC and n_x >= theta
-            and n_y < theta and n_z < theta):
+    if geometry is Geometry.PROPERLY_ELLIPTIC and survivors == {"x"}:
         return LimitDescriptor(kind=LIMIT_KE_CURVE,
                                normalized_limit=(n_x, 0.0), evidence=info)
     return LimitDescriptor(kind=LIMIT_UNCLASSIFIED, evidence=info)

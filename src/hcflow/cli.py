@@ -192,7 +192,7 @@ def _config_from_args(args) -> FlowConfig:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or an integer beyond 4300 digits
             raise ConfigError("$", f"invalid JSON: {exc}") from None
         return parse_config(doc)
     if not args.geometry:
@@ -210,10 +210,10 @@ def _config_from_args(args) -> FlowConfig:
     return FlowConfig(params=params, g0=g0, t_max=args.t_max, **fields)
 
 
-def _execute_run(config: FlowConfig, out_dir: Path, emit: tuple[str, ...],
-                 theta: float | None = None) -> tuple[int, dict]:
+def _execute_run(config: FlowConfig, out_dir: Path,
+                 emit: tuple[str, ...]) -> tuple[int, dict]:
     traj, outcome = integrate(config)
-    report = analysis_report(config, traj, outcome, theta=theta)
+    report = analysis_report(config, traj, outcome)
     out_dir.mkdir(parents=True, exist_ok=True)
     if "trajectory-csv" in emit:
         _atomic_write(out_dir / "trajectory.csv", traj.to_csv())
@@ -244,7 +244,7 @@ def cmd_run(args) -> int:
     if bad:
         print(f"error: unknown emit target {sorted(bad)[0]!r}", file=sys.stderr)
         return 1
-    code, report = _execute_run(config, Path(args.out), emit, theta=args.theta)
+    code, report = _execute_run(config, Path(args.out), emit)
     cls = report["classification"]
     summary = {"outcome": report["outcome_class"], "classification": cls["kind"]}
     if "circle_length" in cls:
@@ -412,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", choices=[ENGINE_CLOSED_FORM, ENGINE_GENERAL])
     p_run.add_argument("--sample-stride", type=float)
     p_run.add_argument("--degeneracy-threshold", type=float)
-    p_run.add_argument("--theta", type=float, default=None,
-                       help="classification threshold override")
     p_run.add_argument("--emit", help="comma list of: " + ",".join(EMIT_CHOICES))
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=cmd_run)
@@ -443,7 +441,11 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("HCF_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means "unclassified"
+        return 1 if exc.code else 0
     return args.func(args)
 
 

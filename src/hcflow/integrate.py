@@ -207,29 +207,38 @@ def _general_rhs(params: GeometryParams):
     return fn
 
 
+def _no_samples(klass: str, diagnostics: str) -> tuple[Trajectory, FlowOutcome]:
+    """Empty trajectory and outcome of a run that produced no samples."""
+    return (Trajectory.from_rows(np.zeros((0, 9)), klass, None, float("nan")),
+            FlowOutcome(klass, None, None, diagnostics))
+
+
 def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
     """Run the flow described by config; never raises for dynamical failures."""
     g0 = config.g0
     if not (g0.x > 0 and g0.y > 0
             and g0.det > config.degeneracy_threshold * g0.x * g0.y):
-        outcome = FlowOutcome(OUTCOME_DEGENERATE_INPUT, None, None,
-                              f"initial metric not positive above the degeneracy "
-                              f"threshold: x={g0.x} y={g0.y} D={g0.det}")
-        return Trajectory.from_rows(np.zeros((0, 9)), OUTCOME_DEGENERATE_INPUT,
-                                    None, float("nan")), outcome
+        return _no_samples(OUTCOME_DEGENERATE_INPUT,
+                           f"initial metric not positive above the degeneracy "
+                           f"threshold: x={g0.x} y={g0.y} D={g0.det}")
 
     state0 = (g0.x, g0.y, g0.z.real, g0.z.imag)
-    if config.engine == ENGINE_CLOSED_FORM:
-        p1, p2 = pack_params(config.params)
-        status, t_est, rows, n_acc, n_rej, m_final = core.run_closed_flow(
-            GEOMETRY_IDS[config.params.geometry], p1, p2, state0, config.t_max,
-            config.rel_tol, config.abs_tol, config.stride,
-            config.degeneracy_threshold, config.max_steps)
-    else:
-        status, t_est, rows, n_acc, n_rej, m_final = core.run_flow(
-            _general_rhs(config.params), state0, config.t_max,
-            config.rel_tol, config.abs_tol, config.stride,
-            config.degeneracy_threshold, config.max_steps)
+    try:
+        if config.engine == ENGINE_CLOSED_FORM:
+            p1, p2 = pack_params(config.params)
+            status, t_est, rows, n_acc, n_rej, m_final = core.run_closed_flow(
+                GEOMETRY_IDS[config.params.geometry], p1, p2, state0, config.t_max,
+                config.rel_tol, config.abs_tol, config.stride,
+                config.degeneracy_threshold, config.max_steps)
+        else:
+            status, t_est, rows, n_acc, n_rej, m_final = core.run_flow(
+                _general_rhs(config.params), state0, config.t_max,
+                config.rel_tol, config.abs_tol, config.stride,
+                config.degeneracy_threshold, config.max_steps)
+    except OverflowError as exc:
+        # a float ** overflows on huge metrics (e.g. x**4 in the closed forms);
+        # Python raises there, and the compiled loop raises alike
+        return _no_samples(OUTCOME_FAILURE, f"OverflowError: {exc}")
 
     if status == core.STATUS_REACHED_TMAX:
         klass, reason = OUTCOME_IMMORTAL, "reached t_max"

@@ -10,8 +10,7 @@ from .geometry import Geometry
 from .integrate import FlowConfig, FlowOutcome, Trajectory
 
 
-def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome,
-                    theta: float | None = None) -> dict:
+def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) -> dict:
     """Slopes, decay checks, invariant checks and the limit classification."""
     geometry = config.params.geometry
     params = config.params
@@ -25,9 +24,8 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome,
         "expected_limit": desc.expected_limit,
     }
 
-    kwargs = {} if theta is None else {"theta": theta}
     try:
-        limit = classify_gh_limit(geometry, params, traj, outcome, **kwargs)
+        limit = classify_gh_limit(geometry, params, traj, outcome)
         report["classification"] = limit.to_json_dict()
     except TrajectoryTooShortError as exc:
         limit = None

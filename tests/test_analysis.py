@@ -6,12 +6,14 @@ from hcflow.analysis import (DecayBoundViolation, LIMIT_FLAT_KAEHLER,
                              linear_growth_rate, monotonicity_report,
                              normalized_metric, udot_consistency,
                              unnormalized_limit, verify_decay_bound)
-from hcflow.catalog import LIMIT_CIRCLE, LIMIT_COLLAPSE, LIMIT_KE_CURVE, LIMIT_POINT
+from hcflow.catalog import (LIMIT_CIRCLE, LIMIT_COLLAPSE, LIMIT_KE_CURVE, LIMIT_POINT,
+                            entry)
 from hcflow.analysis import LIMIT_UNCLASSIFIED
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (FlowConfig, FlowOutcome, OUTCOME_EXTINCT,
                               OUTCOME_IMMORTAL, Trajectory, integrate)
 from hcflow.metric import HermitianMetric
+from hcflow.report import analysis_report
 
 
 def synthetic_trajectory(t, x, y, z_re=None, z_im=None):
@@ -116,6 +118,14 @@ def test_classifier_point():
                              GeometryParams(Geometry.KODAIRA_PRIMARY),
                              traj, immortal_outcome())
     assert desc.kind == LIMIT_POINT
+    # a roundoff-level |z| growing like (1+t)^0.5 after rescaling is still zero
+    traj = synthetic_trajectory(t, x=np.sqrt(1 + t), y=1 / (1 + t) + 1.0,
+                                z_re=1e-16 * (1 + t) ** 1.5)
+    desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY,
+                             GeometryParams(Geometry.KODAIRA_PRIMARY),
+                             traj, immortal_outcome())
+    assert desc.kind == LIMIT_POINT
+    assert desc.evidence["exponent_z_abs"] is None
 
 
 def test_classifier_circle_on_y():
@@ -126,6 +136,10 @@ def test_classifier_circle_on_y():
                              traj, immortal_outcome())
     assert desc.kind == LIMIT_CIRCLE
     assert desc.circle_length == pytest.approx(2 * np.sqrt(2), rel=2e-3)
+    ev = desc.evidence
+    assert "theta" not in ev and ev["exponent_z_abs"] is None
+    assert ev["exponent_x"] == pytest.approx(-1.0, abs=1e-3)
+    assert abs(ev["exponent_y"]) < 1e-3
 
 
 def test_classifier_circle_on_x():
@@ -157,6 +171,32 @@ def test_classifier_growth_on_nongrowing_geometry_is_unclassified():
                              GeometryParams(Geometry.KODAIRA_PRIMARY),
                              traj, immortal_outcome())
     assert desc.kind == LIMIT_UNCLASSIFIED
+    # a NaN in the tail of a decaying x is never a clean point
+    x = np.sqrt(1 + t)
+    x[-5] = np.nan
+    traj = synthetic_trajectory(t, x=x, y=np.ones_like(t))
+    params = GeometryParams(Geometry.KODAIRA_PRIMARY)
+    assert classify_gh_limit(Geometry.KODAIRA_PRIMARY, params, traj,
+                             immortal_outcome()).kind == LIMIT_UNCLASSIFIED
+    config = FlowConfig(params=params, g0=HermitianMetric(1, 1, 0), t_max=1000.0)
+    report = analysis_report(config, traj, immortal_outcome())
+    assert report["classification"]["kind"] == LIMIT_UNCLASSIFIED
+    assert report["clean"] is False
+
+
+@pytest.mark.parametrize("scale", [30.0, 100.0])
+def test_classifier_ignores_initial_scale(scale):
+    # a level threshold calls these unclassified: at t = 1000 the decaying
+    # components of a large initial metric are still far from zero
+    cases = [(Geometry.KODAIRA_PRIMARY, {}), (Geometry.KODAIRA_SECONDARY, {"epsilon": 1}),
+             (Geometry.PROPERLY_ELLIPTIC, {"lam": 0.5}),
+             (Geometry.INOUE_S0, {"a": 0.3, "b": 1.0}), (Geometry.HYPERELLIPTIC, {})]
+    for geometry, params_kwargs in cases:
+        params = GeometryParams(geometry, **params_kwargs)
+        g0 = HermitianMetric(scale, scale, scale * (0.3 + 0.2j))
+        traj, outcome = integrate(FlowConfig(params=params, g0=g0, t_max=1000.0))
+        desc = classify_gh_limit(geometry, params, traj, outcome)
+        assert desc.kind == entry(geometry).expected_limit, (geometry, desc.evidence)
 
 
 def test_classifier_finite_time_collapse():

@@ -150,6 +150,31 @@ def test_run_rejects_oversized_sample_count(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--geometry", "torus", "--t-max", "abc"),
+    ("--geometry", "torus", "--theta", "0.1"),   # the threshold option is gone
+])
+def test_run_usage_error_exits_1(tmp_path, capsys, flags):
+    # argparse's own exit code 2 would read as "unclassified"
+    assert run_cli("run", *flags, "--out", str(tmp_path / "o")) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    assert run_cli("run", "--help") == 0
+
+
+def test_run_overflow_is_integrator_failure(tmp_path, capsys):
+    # x**4 in the Hopf closed form overflows; that is a failed run, not a crash
+    out = tmp_path / "o"
+    code = run_cli("run", "--geometry", "hopf", "--lambda", "0.5", "--x0", "1e100",
+                   "--out", str(out))
+    assert code == 3
+    outcome = json.loads((out / "outcome.json").read_text())
+    assert outcome["class"] == "integrator-failure"
+    assert "OverflowError" in outcome["diagnostics"]
+    assert json.loads((out / "analysis.json").read_text())["clean"] is False
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_parse_config_error_paths():
     with pytest.raises(ConfigError, match=r"\$\.schema_version"):
         parse_config({"schema_version": 99})
@@ -273,3 +298,13 @@ def test_sweep_rejects_oversized_integer(tmp_path, capsys):
                    "--out", str(tmp_path / "sweep"))
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_run_rejects_oversized_integer(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(write_config(tmp_path / "ok.json").read_text().replace(
+        '"t_max": 10.0', '"t_max": 1' + "0" * 5000))
+    code = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: config error at $: ")
+    assert not (tmp_path / "o").exists()
