@@ -4,8 +4,10 @@ Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times (a) raw closed-form tensor evaluations, which always run in Python,
 and (b) full flow runs, for a short collapsing run and two long immortal runs,
-in each lane that is available.  The compiled lane needs the C core built next
-to the package (``python setup.py build_ext --inplace``).
+in each lane that is available.  Each flow line also gives the time per
+integrator step (accepted plus rejected; both lanes take the same steps), which
+separates the loop's overhead from its step count.  The compiled lane needs the
+C core built next to the package (``python setup.py build_ext --inplace``).
 """
 import argparse
 import time
@@ -35,11 +37,12 @@ def time_kernel(mod, n):
 
 
 def time_flow(run_closed_flow, spec, repeat):
+    """Seconds per run, and integrator steps per run."""
     geom, p1, p2, s0, t_max = spec
     t0 = time.perf_counter()
     for _ in range(repeat):
-        run_closed_flow(geom, p1, p2, s0, t_max, 1e-9, 1e-12, t_max / 1000, 1e-10)
-    return (time.perf_counter() - t0) / repeat
+        result = run_closed_flow(geom, p1, p2, s0, t_max, 1e-9, 1e-12, t_max / 1000, 1e-10)
+    return (time.perf_counter() - t0) / repeat, result[3] + result[4]
 
 
 def main():
@@ -56,8 +59,9 @@ def main():
     for label, spec in FLOW_RUNS:
         per_run = {}
         for name, run_closed_flow in lanes:
-            per_run[name] = time_flow(run_closed_flow, spec, args.repeat)
-            print(f"{name:>7}: {label:<28} {per_run[name] * 1e3:9.2f} ms/run")
+            per_run[name], steps = time_flow(run_closed_flow, spec, args.repeat)
+            print(f"{name:>7}: {label:<28} {per_run[name] * 1e3:9.2f} ms/run "
+                  f"{per_run[name] / steps * 1e6:7.2f} us/step ({steps} steps)")
         if len(per_run) == 2:
             print(f"{'':>7}  -> speedup {per_run['python'] / per_run['C']:.1f}x")
 

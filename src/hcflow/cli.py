@@ -38,6 +38,9 @@ log = logging.getLogger("hcflow")
 SCHEMA_VERSION = 1
 EMIT_CHOICES = ("trajectory-csv", "outcome-json", "analysis-json", "plot-data")
 DEFAULT_EMIT = ("trajectory-csv", "outcome-json", "analysis-json")
+#: `sweep` status of a point that has no result because a worker process died
+SWEEP_WORKER_DIED = "error: worker process died"
+EXIT_WORKER_DIED = 4
 
 _OPTIONAL_NUMBERS = ("rel_tol", "abs_tol", "sample_stride", "degeneracy_threshold")
 #: JSON config fields (fail-closed: anything else is rejected).
@@ -192,6 +195,8 @@ def _config_from_args(args) -> FlowConfig:
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
+        except OSError as exc:  # a missing or unreadable file
+            raise ConfigError("$", f"cannot read the config: {exc}") from None
         except ValueError as exc:  # bad JSON or an integer beyond 4300 digits
             raise ConfigError("$", f"invalid JSON: {exc}") from None
         return parse_config(doc)
@@ -353,8 +358,12 @@ def cmd_sweep(args) -> int:
     rows: dict[int, dict] = {}
     if args.workers > 1 and len(items) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            for index, row in pool.map(_sweep_worker, items):
-                rows[index] = row
+            futures = [pool.submit(_sweep_worker, item) for item in items]
+        for i, future in enumerate(futures):
+            try:
+                rows[i] = future.result()[1]
+            except concurrent.futures.BrokenExecutor:  # a worker died; so did all unfinished points
+                rows[i] = {"run_id": i, "status": SWEEP_WORKER_DIED}
     else:
         for item in items:
             index, row = _sweep_worker(item)
@@ -379,6 +388,11 @@ def cmd_sweep(args) -> int:
         lines.append(",".join(cells))
     _atomic_write(out_root / "summary.csv", "\n".join(lines) + "\n")
     print(f"{len(points)} runs -> {out_root / 'summary.csv'}")
+    lost = sum(row["status"] == SWEEP_WORKER_DIED for row in rows.values())
+    if lost:
+        print(f"error: a sweep worker process died; {lost} of {len(points)} points "
+              f"have no result", file=sys.stderr)
+        return EXIT_WORKER_DIED
     return 0
 
 

@@ -194,8 +194,8 @@ def _general_rhs(params: GeometryParams):
     mu = entry(params.geometry).structure_constants(params)
     nan4 = (float("nan"),) * 4
 
-    def fn(state):
-        g = HermitianMetric(state[0], state[1], complex(state[2], state[3]))
+    def fn(x, y, zre, zim):
+        g = HermitianMetric(x, y, complex(zre, zim))
         if not (g.x > 0 and g.y > 0 and g.det > 0):
             return nan4
         try:

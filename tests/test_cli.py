@@ -1,9 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
-from hcflow.cli import ConfigError, main, parse_config
+from hcflow import cli
+from hcflow.cli import ConfigError, _sweep_worker, main, parse_config
 from hcflow.integrate import MAX_SAMPLES
 
 
@@ -308,3 +310,35 @@ def test_run_rejects_oversized_integer(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err.startswith("error: config error at $: ")
     assert not (tmp_path / "o").exists()
+
+
+def test_run_missing_config_exits_1(tmp_path, capsys):
+    code = run_cli("run", "--config", str(tmp_path / "missing.json"), "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config error at $: cannot read the config: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def _worker_dies_on_point_1(item):
+    if item[0] == 1:
+        os._exit(1)
+    return _sweep_worker(item)
+
+
+def test_sweep_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_sweep_worker", _worker_dies_on_point_1)
+    cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
+                       t_max=1.0, sample_stride=0.5)
+    (tmp_path / "grid.json").write_text(json.dumps({"points": [{"g0.x": x} for x in (1, 2, 3)]}))
+    out = tmp_path / "sweep"
+    code = run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(out), "--workers", "2")
+    assert code == cli.EXIT_WORKER_DIED
+    err = capsys.readouterr().err
+    assert err.startswith("error: a sweep worker process died; ") and "Traceback" not in err
+    lines = (out / "summary.csv").read_text().strip().split("\n")
+    status = [line.split(",")[-1] for line in lines[1:]]
+    assert len(status) == 3 and status[1] == cli.SWEEP_WORKER_DIED
+    assert set(status) <= {"ok", cli.SWEEP_WORKER_DIED}

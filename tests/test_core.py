@@ -5,6 +5,7 @@ these tests need only a C compiler, and they require the same bits from both
 lanes.
 """
 import ctypes
+import hashlib
 import os
 import shutil
 import subprocess
@@ -17,7 +18,8 @@ import pytest
 from hcflow import _core_py
 from hcflow import core
 from hcflow.catalog import GEOMETRY_IDS, pack_params, sample_metric, sample_params
-from hcflow.geometry import Geometry
+from hcflow.geometry import Geometry, GeometryParams
+from hcflow.integrate import _general_rhs
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,12 +98,59 @@ def test_run_flow_lanes_agree(args, c_run):
     ((2, 0.0, 0.0, (1e100, 1.0, 0.0, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), OverflowError),
     ((1, 0.0, 0.0, (1.0, 1.0, 1.0, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), ZeroDivisionError),
     ((9, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), ValueError),
-], ids=["overflow", "zero-division", "unknown-geometry"])
+    ((-1, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), ValueError),
+], ids=["overflow", "zero-division", "unknown-geometry", "negative-geometry"])
 def test_run_flow_lanes_raise_alike(args, error, c_run):
     with pytest.raises(error):
         _core_py.run_closed_flow(*args)
     with pytest.raises(error):
         c_run(*args)
+
+
+def test_closed_k_rejects_unknown_geometry():
+    for gid in (-1, 9):
+        with pytest.raises(ValueError, match="unknown geometry id"):
+            _core_py.closed_k(gid, 0.0, 0.0, 1.0, 1.0, 0.0, 0.0)
+
+
+# The reference lane's bits, pinned without a compiler: the first 16 hex digits
+# of a SHA-256 over the rows' bytes, then status, t_est, step counts and m_final.
+# The runs are the fixed ones of RUNS and its first draw per geometry (the Hopf
+# draw collapses), then a short general-contraction run.
+PINNED = {
+    "hopf-diagonal": "3e16101eeb0a86df",
+    "t_max-0": "e62e3d52f568f3e8",
+    "max_steps": "5bf54dc2b76bfa33",
+    "torus-0": "6c464fad42854b98",
+    "hyperelliptic-0": "03a4f143d18ed58d",
+    "hopf-0": "d329a048d498ef40",
+    "properly-elliptic-0": "e8b0a6cc4224e5bd",
+    "kodaira-primary-0": "0bcd981c0a3a9664",
+    "kodaira-secondary-0": "07aaa3054410809e",
+    "inoue-s0-0": "cfcef035b975c8cc",
+    "inoue-spm-j1-0": "fa38f0be1fb7e754",
+    "inoue-sp-j2-0": "52a76d35d803812e",
+    "general-contraction": "6dedb4c2be13add1",
+}
+
+
+def _digest(result):
+    status, t_est, rows, n_acc, n_rej, m_final = result
+    h = hashlib.sha256(np.ascontiguousarray(rows, dtype=np.float64).tobytes())
+    h.update(repr((rows.shape, status, t_est, n_acc, n_rej, m_final)).encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("args,digest", [pytest.param(*p.values, PINNED[p.id], id=p.id)
+                                         for p in RUNS if p.id in PINNED])
+def test_reference_lane_bits_pinned(args, digest):
+    assert _digest(_core_py.run_closed_flow(*args)) == digest
+
+
+def test_general_contraction_bits_pinned():
+    rhs = _general_rhs(GeometryParams(Geometry.INOUE_S0, a=1.0, b=2.0))
+    result = _core_py.run_flow(rhs, (1.0, 1.0, 0.3, 0.2), 0.5, 1e-9, 1e-12, 0.05, 1e-10)
+    assert _digest(result) == PINNED["general-contraction"]
 
 
 def test_run_flow_deterministic():
@@ -122,8 +171,8 @@ def test_dense_eval_sums_left_to_right():
 def test_failure_disambiguation_on_step_underflow():
     # a wall in the vector field away from degeneracy must be reported as an
     # integrator failure, not as extinction
-    def rhs(state):
-        if state[0] < 0.5:
+    def rhs(x, y, zre, zim):
+        if x < 0.5:
             return (float("nan"),) * 4
         return (-1.0, 0.0, 0.0, 0.0)
 
