@@ -3,7 +3,9 @@
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times (a) raw closed-form tensor evaluations, which always run in Python,
-and (b) full flow runs, for a short collapsing run and two long immortal runs,
+(b) the general contraction engine (``curvature_bundle``) per metric, called
+on one metric and on a stack of 100 (as ``hcflow verify`` calls it), and
+(c) full flow runs, for a short collapsing run and two long immortal runs,
 in each lane that is available.  Each flow line also gives the time per
 integrator step (accepted plus rejected; both lanes take the same steps), which
 separates the loop's overhead from its step count.  The compiled lane needs the
@@ -12,7 +14,12 @@ C core built next to the package (``python setup.py build_ext --inplace``).
 import argparse
 import time
 
+import numpy as np
+
 from hcflow import _core_py, core
+from hcflow.catalog import entry, sample_metric, sample_params
+from hcflow.curvature import curvature_bundle
+from hcflow.geometry import Geometry
 
 KERNEL_POINTS = [
     (2, 0.7, 0.0, 1.0, 1.5, 0.3, -0.2),
@@ -36,6 +43,22 @@ def time_kernel(mod, n):
     return (time.perf_counter() - t0) / (n * len(KERNEL_POINTS))
 
 
+def time_engine(stack, repeat):
+    """Seconds per metric of curvature_bundle on Inoue S0, `stack` metrics per call."""
+    rng = np.random.default_rng(0)
+    mu = entry(Geometry.INOUE_S0).structure_constants(sample_params(Geometry.INOUE_S0, rng))
+    metrics = [sample_metric(rng) for _ in range(stack)]
+    arg = metrics[0] if stack == 1 else metrics
+    calls = 2000 // stack
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            curvature_bundle(mu, arg)
+        best = min(best, time.perf_counter() - t0)
+    return best / (calls * stack)
+
+
 def time_flow(run_closed_flow, spec, repeat):
     """Seconds per run, and integrator steps per run."""
     geom, p1, p2, s0, t_max = spec
@@ -51,6 +74,9 @@ def main():
     args = parser.parse_args()
 
     print(f"python: closed_k {time_kernel(_core_py, 20000) * 1e9:8.0f} ns/eval")
+    for stack in (1, 100):
+        print(f"engine: curvature_bundle, {stack:>3} per call "
+              f"{time_engine(stack, args.repeat) * 1e6:8.2f} us/metric")
     lanes = [("python", _core_py.run_closed_flow)]
     if core.COMPILED:
         lanes.append(("C", core.run_closed_flow))

@@ -40,13 +40,10 @@ class StructureConstants:
         return float(np.max(np.abs(self.mu + np.swapaxes(self.mu, 0, 1))))
 
     def reality_violation(self) -> float:
-        """Deviation from the bracket being the complexification of a real one."""
-        worst = 0.0
-        for a in range(4):
-            for b in range(4):
-                diff = conjugate_vector(self.mu[a, b]) - self.mu[_CONJ[a], _CONJ[b]]
-                worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
+        """Deviation from the bracket being the complexification of a real one:
+        conj(mu[a, b, C[c]]) against mu[C[a], C[b], c], C swapping Zi <-> conj Zi."""
+        C = list(_CONJ)
+        return float(np.max(np.abs(np.conj(self.mu[:, :, C]) - self.mu[C][:, C])))
 
     def integrability_violation(self) -> float:
         """Antiholomorphic part of brackets of holomorphic vectors (must vanish)."""

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
+import io
 import json
 import logging
 import math
@@ -273,7 +275,9 @@ def cmd_verify(args) -> int:
     else:
         for item in report["geometries"]:
             status = "PASS" if item["passed"] else "FAIL"
-            print(f"{item['geometry']:<22} max_rel_error={item['max_rel_error']:.3e} "
+            error = item["max_rel_error"]
+            error = "non-finite" if error is None else f"{error:.3e}"
+            print(f"{item['geometry']:<22} max_rel_error={error} "
                   f"jacobi={item['structure_constants']['violations']['jacobi']:.2e} {status}")
             if args.appendix and item.get("appendix_diff", {}).get("tables"):
                 for name, tab in item["appendix_diff"]["tables"].items():
@@ -373,20 +377,14 @@ def cmd_sweep(args) -> int:
     columns = (["run_id"] + override_keys
                + ["geometry", "outcome_class", "t_est", "slope_x", "slope_y",
                   "classification", "circle_length", "exit_code", "status"])
-    lines = [",".join(columns)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")  # writes None as an empty cell
+    writer.writerow(columns)
     for i, overrides in enumerate(points):
-        row = rows[i]
-        cells = []
-        for col in columns:
-            value = overrides.get(col) if col in override_keys else row.get(col)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(f"{value:.17g}")
-            else:
-                cells.append(str(value))
-        lines.append(",".join(cells))
-    _atomic_write(out_root / "summary.csv", "\n".join(lines) + "\n")
+        values = [overrides.get(col) if col in override_keys else rows[i].get(col)
+                  for col in columns]
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in values])
+    _atomic_write(out_root / "summary.csv", text.getvalue())
     print(f"{len(points)} runs -> {out_root / 'summary.csv'}")
     lost = sum(row["status"] == SWEEP_WORKER_DIED for row in rows.values())
     if lost:

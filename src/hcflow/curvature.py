@@ -12,11 +12,18 @@ conventions used throughout:
   and the conjugate slot k; the all-conjugate components are its complex
   conjugate.
 
+``curvature_bundle`` also takes a sequence of metrics.  It then runs the
+same contractions once over the stacked matrices ``A`` of shape (n, 2, 2):
+every einsum carries a ``...`` prefix on its metric-dependent operands, so
+each metric-dependent result gains the same leading axis, and each slice
+has the bits of the one-metric call.
+
 This module is the reference oracle for the closed-form tensors in
 ``hcflow.catalog``: the two must agree for every geometry and metric.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +48,16 @@ class CurvatureBundle:
     K: np.ndarray        # S - Q, the flow tensor
 
 
-def _matrices(g: HermitianMetric, margin: float) -> tuple[np.ndarray, np.ndarray]:
-    g.require_positive(margin)
-    A = g.matrix()
+def _matrices(g: HermitianMetric | Sequence[HermitianMetric],
+              margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """Metric matrix A (one metric) or stack (n, 2, 2) (a sequence), and B = A^-1."""
+    if isinstance(g, HermitianMetric):
+        g.require_positive(margin)
+        A = g.matrix()
+    else:
+        for h in g:
+            h.require_positive(margin)
+        A = np.array([h.matrix() for h in g])
     return A, np.linalg.inv(A)
 
 
@@ -96,20 +110,20 @@ def second_chern_ricci(mu: StructureConstants, g: HermitianMetric,
 
 
 def _second_chern_ricci_from_gamma(A, B, m_bhh, m_hbh, m_hbb, gamma_h) -> np.ndarray:
-    t1 = np.einsum('lk,pj,lir,krp->ij', B, A, m_bhh, gamma_h)
-    t2 = np.einsum('lk,pj,lrp,kir->ij', B, A, m_bhh, gamma_h)
-    t3 = np.einsum('lk,pj,klr,rip->ij', B, A, m_hbh, gamma_h)
-    t4 = np.einsum('lk,pj,klr,rip->ij', B, A, m_hbb, m_bhh)
+    t1 = np.einsum('...lk,...pj,lir,...krp->...ij', B, A, m_bhh, gamma_h)
+    t2 = np.einsum('...lk,...pj,lrp,...kir->...ij', B, A, m_bhh, gamma_h)
+    t3 = np.einsum('...lk,...pj,klr,...rip->...ij', B, A, m_hbh, gamma_h)
+    t4 = np.einsum('...lk,...pj,klr,rip->...ij', B, A, m_hbb, m_bhh)
     return t1 - t2 - t3 - t4
 
 
 def _quadratic_from_torsion(B: np.ndarray, T: np.ndarray):
     Tc = np.conj(T)
-    Q1 = np.einsum('lk,qm,ikq,jlm->ij', B, B, T, Tc)
-    Q2 = np.einsum('lk,qm,kmj,lqi->ij', B, B, T, Tc)
-    Q3 = np.einsum('lk,qm,ikl,jqm->ij', B, B, T, Tc)
-    Q4 = 0.5 * (np.einsum('lk,qm,mkl,qji->ij', B, B, T, Tc)
-                + np.einsum('lk,qm,qlk,mij->ij', B, B, Tc, T))
+    Q1 = np.einsum('...lk,...qm,...ikq,...jlm->...ij', B, B, T, Tc)
+    Q2 = np.einsum('...lk,...qm,...kmj,...lqi->...ij', B, B, T, Tc)
+    Q3 = np.einsum('...lk,...qm,...ikl,...jqm->...ij', B, B, T, Tc)
+    Q4 = 0.5 * (np.einsum('...lk,...qm,...mkl,...qji->...ij', B, B, T, Tc)
+                + np.einsum('...lk,...qm,...qlk,...mij->...ij', B, B, Tc, T))
     return Q1, Q2, Q3, Q4
 
 
@@ -148,9 +162,14 @@ def quadratic_terms(mu: StructureConstants, g: HermitianMetric,
     raise ValueError(f"unknown route {route!r}")
 
 
-def curvature_bundle(mu: StructureConstants, g: HermitianMetric,
+def curvature_bundle(mu: StructureConstants,
+                     g: HermitianMetric | Sequence[HermitianMetric],
                      margin: float = POSITIVITY_MARGIN) -> CurvatureBundle:
-    """Compute Gamma, T, S, Q1..Q4, Q and K in one pass over shared intermediates."""
+    """Compute Gamma, T, S, Q1..Q4, Q and K in one pass over shared intermediates.
+
+    Given a sequence of n metrics, each is checked in order and every field
+    but ``gamma_b`` gets a leading axis of length n.
+    """
     A, B = _matrices(g, margin)
     m = mu.mu
     m_hbb = m[0:2, 2:4, 2:4]
@@ -158,11 +177,11 @@ def curvature_bundle(mu: StructureConstants, g: HermitianMetric,
     m_hbh = m[0:2, 2:4, 0:2]
     m_hhh = m[0:2, 0:2, 0:2]
 
-    gamma_h = -np.einsum('js,ip,kjp->kis', B, A, m_hbb)
+    gamma_h = -np.einsum('...js,...ip,kjp->...kis', B, A, m_hbb)
     gamma_b = m_bhh.copy()
-    T = (-np.einsum('jp,ikp->ijk', A, m_hbb)
-         + np.einsum('ip,jkp->ijk', A, m_hbb)
-         - np.einsum('mk,ijm->ijk', A, m_hhh))
+    T = (-np.einsum('...jp,ikp->...ijk', A, m_hbb)
+         + np.einsum('...ip,jkp->...ijk', A, m_hbb)
+         - np.einsum('...mk,ijm->...ijk', A, m_hhh))
     S = _second_chern_ricci_from_gamma(A, B, m_bhh, m_hbh, m_hbb, gamma_h)
     Q1, Q2, Q3, Q4 = _quadratic_from_torsion(B, T)
     Q = 0.5 * Q1 - 0.25 * Q2 - 0.5 * Q3 + Q4
@@ -176,6 +195,6 @@ def hcf_tensor(mu: StructureConstants, g: HermitianMetric,
     return curvature_bundle(mu, g, margin).K
 
 
-def hermiticity_defect(M: np.ndarray) -> float:
-    """Max absolute deviation of M from being Hermitian."""
-    return float(np.max(np.abs(M - M.conj().T)))
+def hermiticity_defect(M: np.ndarray) -> float | np.ndarray:
+    """Max absolute deviation of M from being Hermitian, over the last two axes."""
+    return np.max(np.abs(M - np.swapaxes(M, -1, -2).conj()), axis=(-2, -1))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hcflow.algebra import Z1, Z2, ZB1, ZB2, conjugate_vector, from_brackets
+from hcflow.algebra import (Z1, Z2, ZB1, ZB2, _CONJ, StructureConstants, conjugate_vector,
+                           from_brackets)
 from hcflow.catalog import entry, sample_params
 from hcflow.geometry import Geometry, GeometryParams, InadmissibleParamsError
 
@@ -66,3 +67,24 @@ def test_inadmissible_params():
 def test_params_c_derived():
     assert GeometryParams(Geometry.HOPF, lam=2.0).c == 5.0
     assert GeometryParams(Geometry.TORUS).c == 1.0
+
+
+def _reality_violation_loop(mu):
+    """The per-bracket loop that the array expression replaced."""
+    worst = 0.0
+    for a in range(4):
+        for b in range(4):
+            diff = conjugate_vector(mu.mu[a, b]) - mu.mu[_CONJ[a], _CONJ[b]]
+            worst = max(worst, float(np.max(np.abs(diff))))
+    return worst
+
+
+def test_reality_violation_equals_per_bracket_loop():
+    rng = np.random.default_rng(5)
+    algebras = [from_brackets(b11=[1, 0, 0, 0])]
+    algebras += [entry(g).structure_constants(sample_params(g, rng))
+                 for g in ALL_GEOMETRIES for _ in range(5)]
+    algebras += [StructureConstants(rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4)))
+                 for _ in range(20)]
+    for mu in algebras:
+        assert mu.reality_violation() == _reality_violation_loop(mu)

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 from pathlib import Path
@@ -342,3 +343,19 @@ def test_sweep_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
     status = [line.split(",")[-1] for line in lines[1:]]
     assert len(status) == 3 and status[1] == cli.SWEEP_WORKER_DIED
     assert set(status) <= {"ok", cli.SWEEP_WORKER_DIED}
+
+
+def test_sweep_summary_is_quoted_csv(tmp_path):
+    cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
+                       t_max=1.0, sample_stride=0.5)
+    (tmp_path / "grid.json").write_text(json.dumps({"points": [{"g0.x": "abc"}, {"g0.x": 2.0}]}))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(out), "--workers", "1") == 0
+    with open(out / "summary.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert len(rows) == 2 and all(len(row) == len(header) for row in rows)
+    first, second = (dict(zip(header, row)) for row in rows)
+    assert first["g0.x"] == "abc"
+    assert first["status"] == "error: config error at $.g0.x: expected a number, got 'abc'"
+    assert second["g0.x"] == "2" and second["status"] == "ok"
