@@ -7,8 +7,10 @@ Times (a) raw closed-form tensor evaluations, which always run in Python,
 on one metric and on a stack of 100 (as ``hcflow verify`` calls it), and
 (c) full flow runs, for a short collapsing run and two long immortal runs,
 in each lane that is available.  Each flow line also gives the time per
-integrator step (accepted plus rejected; both lanes take the same steps), which
-separates the loop's overhead from its step count.  The compiled lane needs the
+integrator step (accepted plus rejected; both lanes take the same steps) and
+per emitted sample (output row), which separate the loop's overhead from its
+step count and from its emission of stride samples.  The torus run takes 10
+steps for 1001 samples, so its time is nearly all emission.  The compiled lane needs the
 C core built next to the package (``python setup.py build_ext --inplace``).
 """
 import argparse
@@ -30,6 +32,7 @@ KERNEL_POINTS = [
 
 FLOW_RUNS = [
     ("hopf collapse (t ~ 2.8)", (2, 0.7, 0.0, (2.0, 0.7, 0.5, -0.3), 50.0)),
+    ("torus t = 1000", (0, 0.0, 0.0, (1.0, 2.0, 0.1, 0.0), 1000.0)),
     ("properly-elliptic t = 1000", (3, 1.0, 0.0, (1.0, 1.0, 0.3, 0.2), 1000.0)),
     ("inoue-s0 t = 1000", (6, 1.0, 2.0, (1.0, 1.0, 0.3, 0.2), 1000.0)),
 ]
@@ -60,12 +63,12 @@ def time_engine(stack, repeat):
 
 
 def time_flow(run_closed_flow, spec, repeat):
-    """Seconds per run, and integrator steps per run."""
+    """Seconds per run, integrator steps per run and rows emitted per run."""
     geom, p1, p2, s0, t_max = spec
     t0 = time.perf_counter()
     for _ in range(repeat):
         result = run_closed_flow(geom, p1, p2, s0, t_max, 1e-9, 1e-12, t_max / 1000, 1e-10)
-    return (time.perf_counter() - t0) / repeat, result[3] + result[4]
+    return (time.perf_counter() - t0) / repeat, result[3] + result[4], len(result[2])
 
 
 def main():
@@ -85,9 +88,10 @@ def main():
     for label, spec in FLOW_RUNS:
         per_run = {}
         for name, run_closed_flow in lanes:
-            per_run[name], steps = time_flow(run_closed_flow, spec, args.repeat)
+            per_run[name], steps, samples = time_flow(run_closed_flow, spec, args.repeat)
             print(f"{name:>7}: {label:<28} {per_run[name] * 1e3:9.2f} ms/run "
-                  f"{per_run[name] / steps * 1e6:7.2f} us/step ({steps} steps)")
+                  f"{per_run[name] / steps * 1e6:7.2f} us/step ({steps} steps) "
+                  f"{per_run[name] / samples * 1e6:7.2f} us/sample ({samples} samples)")
         if len(per_run) == 2:
             print(f"{'':>7}  -> speedup {per_run['python'] / per_run['C']:.1f}x")
 

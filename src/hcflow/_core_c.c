@@ -4,7 +4,10 @@
  * is a pow() call, min() and max() keep Python's argument order, and sums run left to right
  * from 0.0.  Build it as setup.py does, with -std=c99 -O2 -fno-builtin -ffp-contract=off:
  * gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.  Where Python
- * raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code. */
+ * raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code.
+ * This loop emits each stride sample inside its step; the Python lane records the steps and
+ * evaluates their samples after its loop, as arrays with the same per-sample operations, so
+ * a sample's error still comes before any later step's. */
 #include <math.h>
 #include <string.h>
 

@@ -6,13 +6,22 @@ here only together with the C, and keep every sum an explicit left-to-right
 one.  ``hcflow.core`` picks the C loop when it is built.
 
 Each geometry's closed form is one function in ``_KERNELS``, and
-``run_closed_flow`` binds it and ``(p1, p2)`` once per run.  ``run_flow``
+``run_closed_flow`` binds it and ``(p1, p2)`` once per run.  The RK5(4) loop
 keeps the state and the seven stages in scalar locals and writes the stage
-sums, the error norm and the dense-output coefficients out term by term.  That
-removes interpreter overhead, not arithmetic: the operations and their order
-are those of a loop over the tableau, with the ``0.0 +`` starts (a torus
-stage is -0.0, and ``0.0 + -0.0`` is 0.0), the zero-weight terms and every
-``**`` kept.
+sums and the error norm out term by term.  That removes interpreter overhead,
+not arithmetic: the operations and their order are those of a loop over the
+tableau, with the ``0.0 +`` starts (a torus stage is -0.0, and ``0.0 + -0.0``
+is 0.0), the zero-weight terms and every ``**`` kept.
+
+The loop only records the steps that cover stride samples.  After it,
+``_rows`` evaluates all samples in one array pass with the same per-sample
+operations in the same order: the dense-output coefficients (their zero-weight
+terms included), the interpolant, and the derivatives, for which the kernel
+runs once on float64 arrays whose ``**`` is ``np.float_power`` (libm ``pow``,
+as Python's float ``**``).  The C loop still emits each sample inside its
+step; the bits are equal.  Where a value is non-finite, ``_rows`` rebuilds the
+rows one sample at a time with the scalar code, which raises where that code
+raises.
 
 Geometry ids (shared with the compiled core):
 0 torus, 1 hyperelliptic, 2 hopf, 3 properly-elliptic, 4 kodaira-primary,
@@ -50,6 +59,7 @@ _P = (
 (_P00, _P01, _P02, _P03), (_P10, _P11, _P12, _P13), (_P20, _P21, _P22, _P23), \
     (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43), (_P50, _P51, _P52, _P53), \
     (_P60, _P61, _P62, _P63) = _P
+_P_ROWS = np.array(_P)  # the same coefficients, one row per stage, for the array pass
 
 STATUS_REACHED_TMAX = 0
 STATUS_EXTINCT = 1
@@ -195,13 +205,44 @@ def _monitor(x, y, zre, zim, inv_scale) -> float:
 
 
 def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
-             stride: float, threshold: float, max_steps: int = 1_000_000):
+             stride: float, threshold: float, max_steps: int = 1_000_000, array_rhs=None):
     """Adaptive RK5(4) integration of ``state' = rhs(*state)`` with collapse stopping.
 
     ``rhs(x, y, zre, zim)`` returns (xdot, ydot, Re zdot, Im zdot).  Returns
     ``(status, t_est, samples, n_accept, n_reject, m_final)`` where
     ``samples`` is a float64 array with rows (t, x, y, zre, zim, xdot, ydot,
     zredot, zimdot) emitted at multiples of ``stride`` plus the terminal point.
+
+    The loop only records the accepted steps that cover stride samples;
+    ``_rows`` evaluates all samples after it (see there).  ``array_rhs``, if
+    given, is ``rhs`` on float64 arrays: it gives the rows' derivatives in one
+    call, and without it each row calls ``rhs``.  If the loop raises, the
+    recorded samples are evaluated first, so that a sample's exception comes
+    first, as it would if each sample were emitted inside its step.
+    """
+    x, y, zr, zi = state = tuple(float(v) for v in state0)
+    inv_scale = (1.0 / x, 1.0 / y, 1.0 / (x * y))
+    records: list[tuple] = []
+    try:
+        status, t_est, tail, n_acc, n_rej, m_final = _integrate(
+            rhs, state, inv_scale, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
+            records)
+    except Exception:
+        _rows(rhs, array_rhs, state, records, stride, None)
+        raise
+    rows = _rows(rhs, array_rhs, state, records, stride, tail)
+    return status, t_est, rows, n_acc, n_rej, m_final
+
+
+def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
+               records):
+    """The RK5(4) loop of ``run_flow``; returns ``(status, t_est, tail, n_acc, n_rej, m_final)``.
+
+    Each accepted step that covers stride samples appends to ``records`` one
+    tuple: ``(t, h, t_end, k1, x, y, zr, zi)`` and its 28 stage values, the
+    seven of each component in turn; it covers the samples up to ``k1 - 1``,
+    from where the step before it stopped.  ``tail`` is None or the
+    ``(t, x, y, zr, zi)`` of the final row.
 
     The state is (x, y, zr, zi) and stage s is (dxs, dys, drs, dis).  Each
     ``h * a_sj`` is computed once per step, which is exact: Python evaluates
@@ -211,26 +252,16 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = _A[1:]
     e0, e1, e2, e3, e4, e5, e6 = _E
-    x, y, zr, zi = (float(v) for v in state0)
-    inv_scale = (1.0 / x, 1.0 / y, 1.0 / (x * y))
-
-    rows: list[tuple] = []
-
-    def emit(t, s):
-        rows.append((t, *s, *rhs(*s)))
-
-    def finish(status, t_est, n_acc, n_rej, m_final):
-        return status, t_est, np.array(rows, dtype=float), n_acc, n_rej, m_final
+    x, y, zr, zi = state0
 
     m0 = _monitor(x, y, zr, zi, inv_scale)
-    emit(0.0, (x, y, zr, zi))
-    next_sample = 1  # samples at k*stride, k >= 1; k = 0 already emitted
+    next_sample = 1  # samples at k*stride, k >= 1; k = 0 is row 0
     if t_max <= 0.0:
-        return finish(STATUS_REACHED_TMAX, None, 0, 0, m0)
+        return STATUS_REACHED_TMAX, None, None, 0, 0, m0
 
     dx0, dy0, dr0, di0 = f0 = rhs(x, y, zr, zi)
     if not all(map(isfinite, f0)):
-        return finish(STATUS_FAILURE, None, 0, 0, m0)
+        return STATUS_FAILURE, None, None, 0, 0, m0
 
     h = _initial_step(rhs, (x, y, zr, zi), f0, t_max, rel_tol, abs_tol)
     t = 0.0
@@ -250,11 +281,10 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
             decreasing = len(m_hist) >= 11 and all(
                 m_hist[i] > m_hist[i + 1] for i in range(len(m_hist) - 11, len(m_hist) - 1))
             if m_last < 1e-6 and decreasing:
-                emit(t, (x, y, zr, zi))
-                return finish(STATUS_EXTINCT, t, n_acc, n_rej, m_last)
-            return finish(STATUS_FAILURE, None, n_acc, n_rej, m_last)
+                return STATUS_EXTINCT, t, (t, x, y, zr, zi), n_acc, n_rej, m_last
+            return STATUS_FAILURE, None, None, n_acc, n_rej, m_last
         if n_acc + n_rej >= max_steps:
-            return finish(STATUS_FAILURE, None, n_acc, n_rej, m_hist[-1])
+            return STATUS_FAILURE, None, None, n_acc, n_rej, m_hist[-1]
 
         # six new stages (first-same-as-last: stage 0 holds rhs(state)); a step
         # with a non-finite stage is rejected before the next stage is evaluated
@@ -335,15 +365,13 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
 
         extinct = m1 < threshold
         t_end = t1
-        t_cut = t_end + 1e-12 * max(1.0, t_end)  # stride samples up to here are due
-        if extinct or next_sample * stride <= t_cut:
+        if extinct:
+            # locate the crossing of the positivity floor inside this step
             state = (x, y, zr, zi)
             qmat = _dense_coefficients(h, (dx0, dx1, dx2, dx3, dx4, dx5, dx6),
                                        (dy0, dy1, dy2, dy3, dy4, dy5, dy6),
                                        (dr0, dr1, dr2, dr3, dr4, dr5, dr6),
                                        (di0, di1, di2, di3, di4, di5, di6))
-        if extinct:
-            # locate the crossing of the positivity floor inside this step
             lo, hi = 0.0, 1.0
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
@@ -353,22 +381,21 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
                     lo = mid
             theta_star = hi
             t_end = t + theta_star * h
-            t_cut = t_end + 1e-12 * max(1.0, t_end)
             y_end = _dense_eval(state, qmat, theta_star)
 
-        # emit stride samples covered by [t, t_end]
-        while next_sample * stride <= t_cut:
-            ts = next_sample * stride
-            if ts > t_end:
-                ts = t_end
-            theta = (ts - t) / h
-            emit(ts, _dense_eval(state, qmat, min(max(theta, 0.0), 1.0)))
+        # record the stride samples covered by [t, t_end]; _rows evaluates them
+        t_cut = t_end + 1e-12 * max(1.0, t_end)
+        if next_sample * stride <= t_cut:
             next_sample += 1
+            while next_sample * stride <= t_cut:
+                next_sample += 1
+            records.append((t, h, t_end, next_sample, x, y, zr, zi,
+                            dx0, dx1, dx2, dx3, dx4, dx5, dx6, dy0, dy1, dy2, dy3, dy4, dy5, dy6,
+                            dr0, dr1, dr2, dr3, dr4, dr5, dr6, di0, di1, di2, di3, di4, di5, di6))
 
         if extinct:
-            if not rows or rows[-1][0] < t_end - 1e-15:
-                emit(t_end, y_end)
-            return finish(STATUS_EXTINCT, t_end, n_acc, n_rej, _monitor(*y_end, inv_scale))
+            tail = (t_end, *y_end) if _last_time(records, stride) < t_end - 1e-15 else None
+            return STATUS_EXTINCT, t_end, tail, n_acc, n_rej, _monitor(*y_end, inv_scale)
 
         m_hist.append(m1)
         if len(m_hist) > 12:
@@ -385,22 +412,115 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
         h *= factor
         err_prev = max(err, 1e-10)
 
-    if not rows or rows[-1][0] < t_max - 1e-15:
-        emit(t_max, (x, y, zr, zi))
-    return finish(STATUS_REACHED_TMAX, None, n_acc, n_rej, m_hist[-1])
+    tail = (t_max, x, y, zr, zi) if _last_time(records, stride) < t_max - 1e-15 else None
+    return STATUS_REACHED_TMAX, None, tail, n_acc, n_rej, m_hist[-1]
+
+
+def _last_time(records, stride) -> float:
+    """Time of the last recorded stride sample, or row 0's 0.0."""
+    if not records:
+        return 0.0
+    t_end, k1 = records[-1][2:4]
+    ts = (k1 - 1) * stride
+    return t_end if ts > t_end else ts
+
+
+def _rows(rhs, array_rhs, state0, records, stride, tail):
+    """The output rows: row 0 at ``state0``, the recorded stride samples, and ``tail``.
+
+    One array pass repeats, per sample, the operations ``_rows_one_at_a_time``
+    performs: ``ts = k * stride`` clamped to the step's end, ``theta`` clamped
+    as ``min(max(theta, 0.0), 1.0)`` (whose argument order fixes -0.0 and NaN),
+    the 0.0-started left-to-right coefficient sums times ``h`` and the dense
+    output, with ``np.float_power`` for each ``**``.  On finite values every
+    operation rounds as Python's float operation does, so the bits are equal.
+    If any value is non-finite, the rows are rebuilt one at a time instead:
+    that gives the reference's NaNs, and raises where the reference raises
+    (Python's ``**`` and ``/`` raise where numpy returns inf or NaN).
+    """
+    n = records[-1][3] if records else 1  # row 0 and the samples k = 1 .. n - 1
+    rows = np.empty((n + (tail is not None), 9))
+    rows[0, :5] = (0.0, *state0)
+    if tail is not None:
+        rows[-1, :5] = tail
+    with np.errstate(all="ignore"):
+        if records:
+            rec = np.array(records, dtype=float)
+            stages = rec[:, 8:].reshape(-1, 4, 7)  # (record, component, stage)
+            q = 0.0 + stages[:, :, 0, None] * _P_ROWS[0]
+            for s in range(1, 7):
+                q = q + stages[:, :, s, None] * _P_ROWS[s]
+            q = q * rec[:, 1, None, None]  # (record, component, power of theta)
+            k = np.arange(1.0, n)
+            i = np.searchsorted(rec[:, 3], k, side="right")  # each sample's record
+            q, step = q[i], rec[i, :8]
+            t, h, t_end = step[:, 0], step[:, 1], step[:, 2]
+            ts = k * stride
+            ts = np.where(ts > t_end, t_end, ts)
+            theta = (ts - t) / h
+            th = np.where(0.0 > theta, 0.0, theta)
+            th = np.where(1.0 < th, 1.0, th)
+            acc = 0.0 + q[:, :, 0] * th[:, None]
+            for j, power in enumerate((th * th, np.float_power(th, 3), np.float_power(th, 4)), 1):
+                acc = acc + q[:, :, j] * power[:, None]
+            rows[1:n, 0] = ts
+            rows[1:n, 1:5] = step[:, 4:8] + acc
+        if np.isfinite(rows[:, :5]).all():
+            if array_rhs is None:
+                rows[:, 5:] = [rhs(*s) for s in rows[:, 1:5].tolist()]
+            else:
+                columns = np.ascontiguousarray(rows[:, 1:5].T).view(_Floats)
+                for c, value in enumerate(array_rhs(*columns)):
+                    rows[:, 5 + c] = value
+            if np.isfinite(rows[:, 5:]).all():
+                return rows
+    return _rows_one_at_a_time(rhs, state0, records, stride, tail)
+
+
+def _rows_one_at_a_time(rhs, state0, records, stride, tail):
+    """``_rows`` by scalar operations, one interpreted sample at a time (the reference)."""
+    rows = [(0.0, *state0, *rhs(*state0))]
+    k = 1
+    for t, h, t_end, k1, x, y, zr, zi, *stages in records:
+        qmat = _dense_coefficients(h, stages[:7], stages[7:14], stages[14:21], stages[21:])
+        for k in range(k, k1):
+            ts = k * stride
+            if ts > t_end:
+                ts = t_end
+            theta = (ts - t) / h
+            s = _dense_eval((x, y, zr, zi), qmat, min(max(theta, 0.0), 1.0))
+            rows.append((ts, *s, *rhs(*s)))
+        k = k1
+    if tail is not None:
+        rows.append((*tail, *rhs(*tail[1:])))
+    return np.array(rows, dtype=float)
+
+
+class _Floats(np.ndarray):
+    """float64 array whose ``**`` is ``np.float_power``, libm ``pow`` on every
+    element as Python's float ``**`` is; numpy's ``**`` may take a SIMD
+    kernel that rounds differently."""
+
+    def __pow__(self, other):
+        return np.float_power(self, other)
 
 
 def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
                     rel_tol: float, abs_tol: float, stride: float,
                     threshold: float, max_steps: int = 1_000_000):
-    """Closed-form-kernel flow run (signature shared with the compiled core)."""
+    """Closed-form-kernel flow run (signature shared with the compiled core).
+
+    The kernel also runs once on the float64 columns of all rows (``_Floats``),
+    so each closed form has one definition for both uses.
+    """
     kernel = _kernel(geom)
 
     def rhs(x, y, zre, zim):
         k11, k22, k12re, k12im = kernel(p1, p2, x, y, zre, zim)
         return -k11, -k22, -k12re, -k12im
 
-    return run_flow(rhs, state0, t_max, rel_tol, abs_tol, stride, threshold, max_steps)
+    return run_flow(rhs, state0, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
+                    array_rhs=rhs)
 
 
 def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:

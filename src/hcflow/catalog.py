@@ -336,7 +336,9 @@ class GeometryDescriptor:
         """Reduced evolution rate of u = |z|^2 along the flow, elementwise over
         the metrics with coefficients x, y and z = z_re + i z_im."""
         self._check(params)
-        return _udot(self.geometry, params, x, y, z_re, z_im)
+        # a non-finite trajectory gives non-finite rates, which the run's outcome already classifies
+        with np.errstate(all="ignore"):
+            return _udot(self.geometry, params, x, y, z_re, z_im)
 
     def kaehler_locus(self, g: HermitianMetric) -> bool:
         """Whether g is a Kaehler metric for this geometry."""

@@ -277,8 +277,9 @@ def cmd_verify(args) -> int:
             status = "PASS" if item["passed"] else "FAIL"
             error = item["max_rel_error"]
             error = "non-finite" if error is None else f"{error:.3e}"
-            print(f"{item['geometry']:<22} max_rel_error={error} "
-                  f"jacobi={item['structure_constants']['violations']['jacobi']:.2e} {status}")
+            jacobi = item["structure_constants"]["violations"]["jacobi"]
+            jacobi = "non-finite" if jacobi is None else f"{jacobi:.2e}"
+            print(f"{item['geometry']:<22} max_rel_error={error} jacobi={jacobi} {status}")
             if args.appendix and item.get("appendix_diff", {}).get("tables"):
                 for name, tab in item["appendix_diff"]["tables"].items():
                     flag = "" if tab["max_rel_diff"] < 1e-9 else "  (differs: published table)"
@@ -373,16 +374,17 @@ def cmd_sweep(args) -> int:
             index, row = _sweep_worker(item)
             rows[index] = row
 
-    override_keys = sorted({k for p in points for k in p})
-    columns = (["run_id"] + override_keys
-               + ["geometry", "outcome_class", "t_est", "slope_x", "slope_y",
-                  "classification", "circle_length", "exit_code", "status"])
+    results = ["geometry", "outcome_class", "t_est", "slope_x", "slope_y",
+               "classification", "circle_length", "exit_code"]
+    # one column per name, `status` last; an override named like a result
+    # column fills it only where the run produced no value
+    override_keys = sorted({k for p in points for k in p} - {"run_id", "status", *results})
+    columns = ["run_id", *override_keys, *results, "status"]
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")  # writes None as an empty cell
     writer.writerow(columns)
     for i, overrides in enumerate(points):
-        values = [overrides.get(col) if col in override_keys else rows[i].get(col)
-                  for col in columns]
+        values = [rows[i][col] if col in rows[i] else overrides.get(col) for col in columns]
         writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in values])
     _atomic_write(out_root / "summary.csv", text.getvalue())
     print(f"{len(points)} runs -> {out_root / 'summary.csv'}")

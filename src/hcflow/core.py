@@ -2,7 +2,9 @@
 
 ``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
 ``run_closed_flow`` operation for operation and gives the same bits, so the
-lane changes only speed and ``stats.compiled_core``.  ``setup.py build_ext``
+lane changes only speed and ``stats.compiled_core``.  The C loop emits each
+stride sample inside its step; the Python lane evaluates them after its loop,
+as arrays with the same per-sample operations.  ``setup.py build_ext``
 puts the library next to this module, where ``COMPILED`` finds it.  Only
 ``run_closed_flow`` is compiled: one ctypes call costs more than a Python
 ``closed_k``, so ``closed_k``, ``closed_rhs``, ``run_flow`` and the status

@@ -86,11 +86,14 @@ def verify_structure_constants(geometry: Geometry, draws: int, seed: int,
     for _ in range(draws):
         params = sample_params(geometry, rng)
         mu = entry(geometry).structure_constants(params)
-        worst["antisymmetry"] = max(worst["antisymmetry"], mu.antisymmetry_violation())
-        worst["reality"] = max(worst["reality"], mu.reality_violation())
-        worst["integrability"] = max(worst["integrability"], mu.integrability_violation())
-        worst["jacobi"] = max(worst["jacobi"], mu.jacobi_violation())
-    return {"geometry": geometry.value, "draws": draws, "violations": worst,
+        # np.maximum propagates NaN, which Python's max drops unless it comes first
+        for name, value in (("antisymmetry", mu.antisymmetry_violation()),
+                            ("reality", mu.reality_violation()),
+                            ("integrability", mu.integrability_violation()),
+                            ("jacobi", mu.jacobi_violation())):
+            worst[name] = float(np.maximum(worst[name], value))
+    return {"geometry": geometry.value, "draws": draws,
+            "violations": {name: _finite(v) for name, v in worst.items()},
             "passed": all(v <= tol for v in worst.values())}
 
 

@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -359,3 +361,33 @@ def test_sweep_summary_is_quoted_csv(tmp_path):
     assert first["g0.x"] == "abc"
     assert first["status"] == "error: config error at $.g0.x: expected a number, got 'abc'"
     assert second["g0.x"] == "2" and second["status"] == "ok"
+
+
+def test_sweep_writes_one_column_per_name(tmp_path):
+    # an override named like a result column fills it only where the run gave no value
+    cfg = write_config(tmp_path / "base.json", t_max=1.0, sample_stride=0.5)
+    grid = {"points": [{"geometry": "torus", "params": {}}, {}, {"geometry": "nowhere"}]}
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(out), "--workers", "1") == 0
+    with open(out / "summary.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert len(header) == len(set(header)) and header[-1] == "status"
+    torus, hopf, unknown = (dict(zip(header, row)) for row in rows)
+    assert torus["geometry"] == "torus" and torus["params"] == "{}" and torus["status"] == "ok"
+    assert hopf["geometry"] == "hopf" and hopf["params"] == "" and hopf["status"] == "ok"
+    assert unknown["geometry"] == "nowhere" and unknown["status"].startswith("error: ")
+
+
+def test_run_non_finite_trajectory_writes_nothing_to_stderr(tmp_path):
+    # x0 = 1e200 overflows the closed form to NaN rows; the outcome says so, numpy must not
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcflow.cli", "run", "--geometry", "hyperelliptic",
+         "--x0", "1e200", "--y0", "1", "--z0-re", "0.5", "--z0-im", "0", "--t-max", "10",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 3 and proc.stderr == ""
+    outcome = json.loads((tmp_path / "o" / "outcome.json").read_text())
+    assert outcome["class"] == "integrator-failure"

@@ -81,8 +81,15 @@ RUNS = [
                  id="t_max-0"),
     pytest.param((6, 1.0, 2.0, (1.0, 1.0, 0.3, 0.2), 100.0, 1e-9, 1e-12, 0.7, 1e-10, 40),
                  id="max_steps"),
+    # 10 steps for 1001 stride samples: nearly all emission
+    pytest.param((0, 0.0, 0.0, (1.0, 2.0, 0.1, 0.0), 1000.0, 1e-9, 1e-12, 1.0, 1e-10),
+                 id="torus-t1000"),
     *_random_runs(2),
 ]
+# x * x overflows in the closed form, so row 0 holds NaN: the rows are rebuilt one
+# at a time.  Not in RUNS, whose cross-lane test compares with np.array_equal,
+# for which NaN never equals NaN; test_nonfinite_rows_lanes_agree compares bytes.
+NONFINITE_RUN = (1, 0.0, 0.0, (1e200, 1.0, 0.5, 0.0), 10.0, 1e-9, 1e-12, 0.01, 1e-10)
 
 
 @pytest.mark.parametrize("args", RUNS)
@@ -131,6 +138,8 @@ PINNED = {
     "inoue-spm-j1-0": "fa38f0be1fb7e754",
     "inoue-sp-j2-0": "52a76d35d803812e",
     "general-contraction": "6dedb4c2be13add1",
+    "torus-t1000": "242702865a5a265c",
+    "hyperelliptic-nonfinite": "2a220752ffe1f230",
 }
 
 
@@ -145,6 +154,18 @@ def _digest(result):
                                          for p in RUNS if p.id in PINNED])
 def test_reference_lane_bits_pinned(args, digest):
     assert _digest(_core_py.run_closed_flow(*args)) == digest
+
+
+def test_nonfinite_rows_bits_pinned():
+    result = _core_py.run_closed_flow(*NONFINITE_RUN)
+    assert np.isnan(result[2]).any()
+    assert _digest(result) == PINNED["hyperelliptic-nonfinite"]
+
+
+def test_nonfinite_rows_lanes_agree(c_run):
+    py, c = _core_py.run_closed_flow(*NONFINITE_RUN), c_run(*NONFINITE_RUN)
+    assert c[2].tobytes() == py[2].tobytes() and c[2].shape == py[2].shape
+    assert c[0] == py[0] and c[1] == py[1] and c[3:] == py[3:]
 
 
 def test_general_contraction_bits_pinned():
@@ -188,3 +209,88 @@ def test_sampling_grid_is_stride_multiples():
         5.0, 1e-9, 1e-12, 0.5, 1e-10)
     assert status == core.STATUS_REACHED_TMAX
     assert np.allclose(rows[:, 0], np.arange(0, 5.5, 0.5))
+
+
+def _hopf_rhs(x, y, zre, zim):
+    k11, k22, k12re, k12im = _core_py._hopf(0.7, 0.0, x, y, zre, zim)
+    return -k11, -k22, -k12re, -k12im
+
+
+def _odd_records(rng, stride):
+    """Steps whose samples fall before, inside and after them, so that ts is
+    clamped to t_end and theta to [0, 1]; ts == t with h < 0 gives theta = -0.0."""
+    records, k1 = [], 1
+    for r in range(60):
+        k0, k1 = k1, k1 + int(rng.integers(1, 6))
+        t = k0 * stride if r % 10 == 0 else k0 * stride + rng.normal(0.0, 0.3)
+        h = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 1)
+        g = sample_metric(rng)
+        t_end = t + abs(h) * rng.uniform(0.5, 1.5)
+        stages = rng.normal(0.0, 0.01, 28).tolist()
+        records.append((float(t), float(h), float(t_end), k1, g.x, g.y, g.z.real, g.z.imag,
+                        *stages))
+    return records
+
+
+@pytest.mark.parametrize("array_rhs", [_hopf_rhs, None], ids=["array-rhs", "scalar-rhs"])
+def test_array_pass_equals_one_at_a_time(array_rhs):
+    rng = np.random.default_rng(7)
+    records, state0, tail = _odd_records(rng, 0.1), (1.0, 2.0, 0.1, 0.2), (40.0, 1.0, 1.5, 0.3, 0.1)
+    rows = _core_py._rows(_hopf_rhs, array_rhs, state0, records, 0.1, tail)
+    assert np.isfinite(rows).all() and rows.shape == (records[-1][3] + 1, 9)
+    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail)
+    assert rows.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("args", RUNS)
+def test_array_pass_equals_one_at_a_time_on_recorded_steps(args, monkeypatch):
+    recorded = []
+    rows = _core_py._rows
+    monkeypatch.setattr(_core_py, "_rows", lambda *a: recorded.append(a) or rows(*a))
+    result = _core_py.run_closed_flow(*args)
+    rhs, _, state0, records, stride, tail = recorded[-1]
+    reference = _core_py._rows_one_at_a_time(rhs, state0, records, stride, tail)
+    assert result[2].tobytes() == reference.tobytes()
+
+
+def test_array_pass_falls_back_on_non_finite_values():
+    rng = np.random.default_rng(8)
+    records = _odd_records(rng, 0.1)
+    records[5] = (*records[5][:8], float("nan"), *records[5][9:])  # a NaN stage
+    state0 = (1.0, 2.0, 0.1, 0.2)
+    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, records, 0.1, None)
+    assert np.isnan(rows).any()
+    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, None)
+    assert rows.tobytes() == reference.tobytes()
+    # D = x*y - |z|^2 = 0 at a sample: Python's / raises where numpy returns inf
+    singular = [(0.0, 1.0, 1.0, 2, 1.0, 1.0, 1.0, 0.0, *[0.0] * 28)]
+    with pytest.raises(ZeroDivisionError):
+        _core_py._rows(_hopf_rhs, _hopf_rhs, state0, singular, 0.5, None)
+
+
+def test_sample_exception_comes_before_a_later_step_exception():
+    # the rhs raises at the state of the stride sample t = 1.0, and at every
+    # state past t ~ 6.2, which only the stages of a later step reach: the
+    # sample's exception comes first, as if emitted inside its step
+    start = (1.0, 1.0, 0.0, 0.0)
+    calls = []
+
+    def velocity(x, y, zre, zim):
+        calls.append(x)
+        return -0.01 * x, 0.0, 0.0, 0.0
+
+    x_sample = _core_py.run_flow(velocity, start, 10.0, 1e-9, 1e-12, 0.1, 1e-10)[2][10, 1]
+    assert calls.count(x_sample) == 1  # its own row only: no stage state is the sample's
+
+    def rhs(x, y, zre, zim, sample_raises=True):
+        if sample_raises and x == x_sample:
+            raise OverflowError("sample")
+        if x < 0.94:
+            raise ValueError("step")
+        return velocity(x, y, zre, zim)
+
+    with pytest.raises(ValueError, match="step"):
+        _core_py.run_flow(lambda *s: rhs(*s, sample_raises=False), start, 10.0,
+                          1e-9, 1e-12, 0.1, 1e-10)
+    with pytest.raises(OverflowError, match="sample"):
+        _core_py.run_flow(rhs, start, 10.0, 1e-9, 1e-12, 0.1, 1e-10)

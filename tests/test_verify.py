@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from hcflow import catalog, cli
+from hcflow.algebra import StructureConstants
 from hcflow.catalog import entry, sample_metric, sample_params
 from hcflow.curvature import curvature_bundle
 from hcflow.geometry import Geometry
-from hcflow.verify import CHUNK, verify_geometry
+from hcflow.verify import CHUNK, verify_geometry, verify_structure_constants
 
 from conftest import ALL_GEOMETRIES
 
@@ -79,3 +80,33 @@ def test_verify_cli_nan_text_report(monkeypatch, capsys):
     assert cli.main(["verify", "--geometry", "hopf", "--samples", "10", "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert "max_rel_error=non-finite" in out and "FAIL" in out
+
+
+def _jacobi_nan_on_third_draw(monkeypatch):
+    original, calls = StructureConstants.jacobi_violation, []
+
+    def jacobi_violation(self):
+        calls.append(self)
+        return float("nan") if len(calls) == 3 else original(self)
+
+    monkeypatch.setattr(StructureConstants, "jacobi_violation", jacobi_violation)
+
+
+def test_structure_constants_fail_closed_on_nan(monkeypatch):
+    # Python's max(0.0, nan) is 0.0, so a NaN after the first draw used to vanish
+    _jacobi_nan_on_third_draw(monkeypatch)
+    result = verify_structure_constants(Geometry.HOPF, 20, 1)
+    assert result["passed"] is False
+    assert result["violations"]["jacobi"] is None
+    assert result["violations"]["reality"] == 0.0
+
+
+def test_structure_constants_nan_in_cli_output(monkeypatch, capsys):
+    _jacobi_nan_on_third_draw(monkeypatch)
+    cli.main(["verify", "--geometry", "hopf", "--samples", "1", "--seed", "1", "--json"])
+    out = capsys.readouterr().out
+    assert "NaN" not in out
+    assert json.loads(out)["geometries"][0]["structure_constants"]["violations"]["jacobi"] is None
+    _jacobi_nan_on_third_draw(monkeypatch)
+    cli.main(["verify", "--geometry", "hopf", "--samples", "1", "--seed", "1"])
+    assert "jacobi=non-finite" in capsys.readouterr().out
