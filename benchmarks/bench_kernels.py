@@ -3,10 +3,13 @@
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times (a) raw closed-form tensor evaluations, which always run in Python,
-(b) the general contraction engine (``curvature_bundle``) per metric, called
-on one metric and on a stack of 100 (as ``hcflow verify`` calls it), and
-(c) full flow runs, for a short collapsing run and two long immortal runs,
-in each lane that is available.  Each flow line also gives the time per
+(b) the general contraction engine (``curvature_bundle``) and the catalog's
+closed form (``closed_form_K``) per metric, each called on one metric and on a
+stack of 100 (as ``hcflow verify`` calls them), (c) the four structure-constant
+hygiene checks per parameter draw, one draw per call and 20 stacked draws per
+call (as ``verify_structure_constants`` calls them), and (d) full flow runs,
+for a short collapsing run and two long immortal runs, in each lane that is
+available.  Each flow line also gives the time per
 integrator step (accepted plus rejected; both lanes take the same steps) and
 per emitted sample (output row), which separate the loop's overhead from its
 step count and from its emission of stride samples.  The torus run takes 10
@@ -18,7 +21,7 @@ import time
 
 import numpy as np
 
-from hcflow import _core_py, core
+from hcflow import _core_py, algebra, core
 from hcflow.catalog import entry, sample_metric, sample_params
 from hcflow.curvature import curvature_bundle
 from hcflow.geometry import Geometry
@@ -46,20 +49,34 @@ def time_kernel(mod, n):
     return (time.perf_counter() - t0) / (n * len(KERNEL_POINTS))
 
 
-def time_engine(stack, repeat):
-    """Seconds per metric of curvature_bundle on Inoue S0, `stack` metrics per call."""
-    rng = np.random.default_rng(0)
-    mu = entry(Geometry.INOUE_S0).structure_constants(sample_params(Geometry.INOUE_S0, rng))
-    metrics = [sample_metric(rng) for _ in range(stack)]
-    arg = metrics[0] if stack == 1 else metrics
-    calls = 2000 // stack
+def best_per_item(call, items, repeat):
+    """Seconds per item of ``call()``, which handles ``items`` items, best of
+    ``repeat`` rounds of about 2000 items each."""
+    calls = max(1, 2000 // items)
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         for _ in range(calls):
-            curvature_bundle(mu, arg)
+            call()
         best = min(best, time.perf_counter() - t0)
-    return best / (calls * stack)
+    return best / (calls * items)
+
+
+def inoue_case(stack):
+    """Inoue S0 descriptor, parameters, structure constants and ``stack`` metrics
+    (one metric, not a list, for a stack of 1)."""
+    rng = np.random.default_rng(0)
+    desc = entry(Geometry.INOUE_S0)
+    params = sample_params(Geometry.INOUE_S0, rng)
+    metrics = [sample_metric(rng) for _ in range(stack)]
+    return desc, params, desc.structure_constants(params), metrics[0] if stack == 1 else metrics
+
+
+def hygiene_mus(draws):
+    """Structure constants of ``draws`` distinct Hopf parameter draws."""
+    rng = np.random.default_rng(0)
+    desc = entry(Geometry.HOPF)
+    return [desc.structure_constants(sample_params(Geometry.HOPF, rng)) for _ in range(draws)]
 
 
 def time_flow(run_closed_flow, spec, repeat):
@@ -78,8 +95,21 @@ def main():
 
     print(f"python: closed_k {time_kernel(_core_py, 20000) * 1e9:8.0f} ns/eval")
     for stack in (1, 100):
-        print(f"engine: curvature_bundle, {stack:>3} per call "
-              f"{time_engine(stack, args.repeat) * 1e6:8.2f} us/metric")
+        desc, params, mu, g = inoue_case(stack)
+        engine = best_per_item(lambda: curvature_bundle(mu, g), stack, args.repeat)
+        closed = best_per_item(lambda: desc.closed_form_K(params, g), stack, args.repeat)
+        print(f"engine: curvature_bundle, {stack:>3} per call {engine * 1e6:8.2f} us/metric")
+        print(f"catalog: closed_form_K, {stack:>3} per call {closed * 1e6:9.2f} us/metric")
+    checks = [getattr(algebra, name) for name in (
+        "antisymmetry_violation", "reality_violation", "integrability_violation",
+        "jacobi_violation")]
+    draws = hygiene_mus(20)
+    stack = np.array([sc.mu for sc in draws])
+    one = best_per_item(lambda: [check(sc.mu) for sc in draws for check in checks],
+                        len(draws), args.repeat)
+    stacked = best_per_item(lambda: [check(stack) for check in checks], len(draws), args.repeat)
+    print(f"algebra: four hygiene checks, one draw per call {one * 1e6:8.2f} us/draw")
+    print(f"algebra: four hygiene checks, {len(draws)} draws per call {stacked * 1e6:8.2f} us/draw")
     lanes = [("python", _core_py.run_closed_flow)]
     if core.COMPILED:
         lanes.append(("C", core.run_closed_flow))

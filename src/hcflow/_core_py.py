@@ -184,6 +184,15 @@ def closed_k(geom: int, p1: float, p2: float, x: float, y: float,
     return _kernel(geom)(p1, p2, x, y, zre, zim)
 
 
+def closed_k_columns(geom: int, p1: float, p2: float, x, y, zre, zim):
+    """``closed_k`` on float64 arrays: the kernel runs once on ``_Floats``
+    columns, so each element has the bits of the scalar call where the scalar
+    call returns; where it would raise, the element is inf or NaN."""
+    columns = (np.asarray(c, dtype=float).view(_Floats) for c in (x, y, zre, zim))
+    with np.errstate(all="ignore"):
+        return _kernel(geom)(p1, p2, *columns)
+
+
 def closed_rhs(geom: int, p1: float, p2: float, state) -> tuple[float, float, float, float]:
     """Flow right-hand side (xdot, ydot, Re zdot, Im zdot) at one state."""
     k11, k22, k12re, k12im = closed_k(geom, p1, p2, state[0], state[1], state[2], state[3])

@@ -21,6 +21,37 @@ def conjugate_vector(v: np.ndarray) -> np.ndarray:
     return np.array([np.conj(v[2]), np.conj(v[3]), np.conj(v[0]), np.conj(v[1])])
 
 
+# The four hygiene checks take mu of shape (..., 4, 4, 4) and return the max
+# absolute violation per leading index, so one call checks a stack of
+# coefficient arrays; each slice has the bits of the one-array call, and a
+# NaN anywhere in a slice is that slice's result.
+
+def antisymmetry_violation(mu: np.ndarray) -> np.ndarray:
+    """Deviation from mu[a, b, c] = -mu[b, a, c]."""
+    return np.max(np.abs(mu + np.swapaxes(mu, -3, -2)), axis=(-3, -2, -1))
+
+
+def reality_violation(mu: np.ndarray) -> np.ndarray:
+    """Deviation from the bracket being the complexification of a real one:
+    conj(mu[a, b, C[c]]) against mu[C[a], C[b], c], C swapping Zi <-> conj Zi."""
+    C = list(_CONJ)
+    return np.max(np.abs(np.conj(mu[..., C]) - mu[..., C, :, :][..., C, :]),
+                  axis=(-3, -2, -1))
+
+
+def integrability_violation(mu: np.ndarray) -> np.ndarray:
+    """Antiholomorphic part of brackets of holomorphic vectors (must vanish)."""
+    return np.max(np.abs(mu[..., 0:2, 0:2, 2:4]), axis=(-3, -2, -1))
+
+
+def jacobi_violation(mu: np.ndarray) -> np.ndarray:
+    """Largest cyclic sum [[A, B], C] + [[B, C], A] + [[C, A], B] component."""
+    total = (np.einsum('...abd,...dce->...abce', mu, mu)
+             + np.einsum('...bcd,...dae->...abce', mu, mu)
+             + np.einsum('...cad,...dbe->...abce', mu, mu))
+    return np.max(np.abs(total), axis=(-4, -3, -2, -1))
+
+
 @dataclass(frozen=True)
 class StructureConstants:
     """Immutable bracket coefficients of a 4-dimensional complexified algebra."""
@@ -37,24 +68,16 @@ class StructureConstants:
     # -- invariant diagnostics (max absolute violations) --
 
     def antisymmetry_violation(self) -> float:
-        return float(np.max(np.abs(self.mu + np.swapaxes(self.mu, 0, 1))))
+        return float(antisymmetry_violation(self.mu))
 
     def reality_violation(self) -> float:
-        """Deviation from the bracket being the complexification of a real one:
-        conj(mu[a, b, C[c]]) against mu[C[a], C[b], c], C swapping Zi <-> conj Zi."""
-        C = list(_CONJ)
-        return float(np.max(np.abs(np.conj(self.mu[:, :, C]) - self.mu[C][:, C])))
+        return float(reality_violation(self.mu))
 
     def integrability_violation(self) -> float:
-        """Antiholomorphic part of brackets of holomorphic vectors (must vanish)."""
-        return float(np.max(np.abs(self.mu[0:2, 0:2, 2:4])))
+        return float(integrability_violation(self.mu))
 
     def jacobi_violation(self) -> float:
-        mu = self.mu
-        total = (np.einsum('abd,dce->abce', mu, mu)
-                 + np.einsum('bcd,dae->abce', mu, mu)
-                 + np.einsum('cad,dbe->abce', mu, mu))
-        return float(np.max(np.abs(total)))
+        return float(jacobi_violation(self.mu))
 
     def validate(self, tol: float = 1e-14) -> None:
         checks = {

@@ -208,11 +208,15 @@ def unnormalized_limit(traj: Trajectory) -> LimitDescriptor:
 # ---------------------------------------------------------------------------
 
 def _cond_max(name: str, values: np.ndarray, slack: float) -> dict:
-    """values must be <= slack * scale; reports the worst margin."""
+    """values must be finite and <= slack * scale; reports the worst margin
+    (None where it or the allowance is not finite)."""
     scale = 1.0 + float(np.max(np.abs(values))) if values.size else 1.0
     worst = float(np.max(values)) if values.size else 0.0
-    return {"condition": name, "passed": bool(worst <= slack * scale),
-            "worst": worst, "allowed": slack * scale}
+    allowed = slack * scale
+    finite = bool(np.isfinite(values).all()) and math.isfinite(allowed)
+    return {"condition": name, "passed": finite and worst <= allowed,
+            "worst": worst if math.isfinite(worst) else None,
+            "allowed": allowed if math.isfinite(allowed) else None}
 
 
 def monotonicity_report(geometry: Geometry, params: GeometryParams,
@@ -224,8 +228,10 @@ def monotonicity_report(geometry: Geometry, params: GeometryParams,
     """
     s = 10.0 * rel_tol
     xd, yd, ud, dd = traj.xdot, traj.ydot, traj.udot, traj.ddot
-    x0, y0 = float(traj.x[0]), float(traj.y[0])
-    d0 = x0 * y0 - float(traj.u[0])
+    # float64 scalars, with np.float_power for Python's float **: the same bits,
+    # but a huge metric's bounds overflow to inf (failing their checks), not raise
+    x0, y0 = traj.x[0], traj.y[0]
+    d0 = x0 * y0 - traj.u[0]
     checks: list[dict] = []
     g = geometry
     if g is Geometry.TORUS:
@@ -243,17 +249,18 @@ def monotonicity_report(geometry: Geometry, params: GeometryParams,
              Geometry.KODAIRA_PRIMARY, Geometry.KODAIRA_SECONDARY,
              Geometry.INOUE_S0, Geometry.INOUE_SPM_J1):
         checks.append(_cond_max("Ddot >= 0", -dd, s))
-    if g is Geometry.KODAIRA_PRIMARY:
-        bound = np.sqrt(2.0 * traj.t * y0**3 + d0**2)
-        checks.append(_cond_max("D(t) <= sqrt(2 t y0^3 + D0^2)", traj.d - bound, s))
-        bound = (2.0 * y0**2 / d0) * traj.t + x0
-        checks.append(_cond_max("x(t) <= (2 y0^2/D0) t + x0", traj.x - bound, s))
-    if g is Geometry.INOUE_SPM_J1:
-        checks.append(_cond_max("x(t) <= 3 t + x0", traj.x - (3.0 * traj.t + x0), s))
-        checks.append(_cond_max("xdot <= 3", xd - 3.0, s))
-    if g is Geometry.INOUE_SP_J2:
-        cap = 3.0 + 2.0 * y0**2 / d0
-        checks.append(_cond_max("xdot <= 3 + 2 y0^2/D0", xd - cap, s))
+    with np.errstate(all="ignore"):
+        if g is Geometry.KODAIRA_PRIMARY:
+            bound = np.sqrt(2.0 * traj.t * np.float_power(y0, 3) + np.float_power(d0, 2))
+            checks.append(_cond_max("D(t) <= sqrt(2 t y0^3 + D0^2)", traj.d - bound, s))
+            bound = (2.0 * np.float_power(y0, 2) / d0) * traj.t + x0
+            checks.append(_cond_max("x(t) <= (2 y0^2/D0) t + x0", traj.x - bound, s))
+        if g is Geometry.INOUE_SPM_J1:
+            checks.append(_cond_max("x(t) <= 3 t + x0", traj.x - (3.0 * traj.t + x0), s))
+            checks.append(_cond_max("xdot <= 3", xd - 3.0, s))
+        if g is Geometry.INOUE_SP_J2:
+            cap = 3.0 + 2.0 * np.float_power(y0, 2) / d0
+            checks.append(_cond_max("xdot <= 3 + 2 y0^2/D0", xd - cap, s))
     return {"geometry": geometry.value, "slack": s,
             "passed": all(c["passed"] for c in checks), "checks": checks}
 

@@ -12,6 +12,7 @@ closed forms here are certified against it by the verification suite.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -308,15 +309,31 @@ class GeometryDescriptor:
         self._check(params)
         return self._mu(params)
 
-    def closed_form_K(self, params: GeometryParams, g: HermitianMetric) -> np.ndarray:
-        """Flow tensor from the per-geometry closed-form table, as 2x2 Hermitian."""
+    def closed_form_K(self, params: GeometryParams,
+                      g: HermitianMetric | Sequence[HermitianMetric]) -> np.ndarray:
+        """Flow tensor from the per-geometry closed-form table, as 2x2 Hermitian.
+
+        Given a sequence of n metrics, each is checked in order, the kernel
+        runs once on their columns, and the result has shape (n, 2, 2); each
+        slice has the bits of the one-metric call.  A value that overflows is
+        inf or NaN, never an exception.
+        """
         self._check(params)
-        g.require_positive()
+        metrics = [g] if isinstance(g, HermitianMetric) else g
+        for h in metrics:
+            h.require_positive()
         p1, p2 = pack_params(params)
-        k11, k22, k12re, k12im = core.closed_k(
-            GEOMETRY_IDS[self.geometry], p1, p2, g.x, g.y, g.z.real, g.z.imag)
-        k12 = complex(k12re, k12im)
-        return np.array([[k11, k12], [np.conjugate(k12), k22]], dtype=complex)
+        x, y, zre, zim = np.array([(h.x, h.y, h.z.real, h.z.imag) for h in metrics],
+                                  dtype=float).reshape(-1, 4).T
+        k11, k22, k12re, k12im = core.closed_k_columns(
+            GEOMETRY_IDS[self.geometry], p1, p2, x, y, zre, zim)
+        # each part is set as complex(re, im) sets it; complex arithmetic can flip a zero's sign
+        K = np.zeros((len(metrics), 2, 2), dtype=complex)
+        K.real[:, 0, 0], K.real[:, 1, 1] = k11, k22
+        K.real[:, 0, 1] = K.real[:, 1, 0] = k12re
+        K.imag[:, 0, 1] = k12im
+        K.imag[:, 1, 0] = -k12im
+        return K[0] if isinstance(g, HermitianMetric) else K
 
     def appendix_tables(self, params: GeometryParams,
                         g: HermitianMetric) -> dict[str, np.ndarray] | None:

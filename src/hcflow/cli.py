@@ -9,7 +9,8 @@ sweep   run a grid of configs in parallel and summarize one row per run
 
 Exit codes: run returns 0 on a clean classification, 1 on bad input, 2 when
 the run is Unclassified, 3 on integrator failure; verify returns 0 iff all
-K agreements pass.  Log verbosity comes from the HCF_LOG environment variable
+K agreements pass, else 1, and 1 on bad input; list returns 1 on an unknown
+geometry.  Log verbosity comes from the HCF_LOG environment variable
 (debug, info, warning, error).
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 from .analysis import LIMIT_UNCLASSIFIED
 from .catalog import catalog_json
-from .geometry import Geometry, GeometryParams, InadmissibleParamsError
+from .geometry import Geometry, GeometryParams, InadmissibleParamsError, param_names
 from .integrate import (ENGINE_CLOSED_FORM, ENGINE_GENERAL, FlowConfig,
                         OUTCOME_DEGENERATE_INPUT, OUTCOME_FAILURE, Trajectory,
                         columns_csv, integrate)
@@ -50,6 +51,7 @@ _CONFIG_FIELDS = {"schema_version", "geometry", "params", "g0", "t_max", "engine
                   *_OPTIONAL_NUMBERS}
 _G0_FIELDS = {"x", "y", "z_re", "z_im"}
 _PARAM_JSON_NAMES = {"lambda": "lam", "a": "a", "b": "b", "epsilon": "epsilon"}
+_PARAM_USER_NAMES = {name: key for key, name in _PARAM_JSON_NAMES.items()}
 
 
 class ConfigError(ValueError):
@@ -92,7 +94,7 @@ def parse_config(doc: dict) -> FlowConfig:
             num = int(num)
         kwargs[name] = num
     try:
-        params = GeometryParams(geometry, **kwargs)
+        params = _geometry_params(geometry, kwargs, "'{}'")
     except InadmissibleParamsError as exc:
         raise ConfigError("$.params", str(exc)) from None
 
@@ -123,6 +125,19 @@ def parse_config(doc: dict) -> FlowConfig:
         return FlowConfig(params=params, g0=g0, t_max=t_max, **fields)
     except ValueError as exc:
         raise ConfigError("$", str(exc)) from None
+
+
+def _geometry_params(geometry: Geometry, kwargs: dict, spelling: str) -> GeometryParams:
+    """``GeometryParams(geometry, **kwargs)``; a missing or unused parameter is
+    named as the user writes it, ``spelling`` formatted with its config key
+    (``lambda`` for ``lam``)."""
+    used = param_names(geometry)
+    for name in (*used, *kwargs):
+        if (name in used) != (name in kwargs):
+            verb = "requires" if name in used else "does not take"
+            raise InadmissibleParamsError(
+                f"{geometry.value} {verb} parameter {spelling.format(_PARAM_USER_NAMES[name])}")
+    return GeometryParams(geometry, **kwargs)
 
 
 def _number(path: str, value) -> float:
@@ -178,7 +193,11 @@ def _plot_data_csv(traj: Trajectory) -> str:
 def cmd_list(args) -> int:
     entries = catalog_json()
     if args.geometry:
-        wanted = Geometry.from_name(args.geometry).value
+        try:
+            wanted = Geometry.from_name(args.geometry).value
+        except InadmissibleParamsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         entries = [e for e in entries if e["id"] == wanted]
     if args.json:
         print(_dump_json(entries), end="")
@@ -210,7 +229,7 @@ def _config_from_args(args) -> FlowConfig:
         value = getattr(args, cli_name)
         if value is not None:
             kwargs[name] = int(value) if name == "epsilon" else float(value)
-    params = GeometryParams(geometry, **kwargs)
+    params = _geometry_params(geometry, kwargs, "--{}")
     g0 = HermitianMetric(args.x0, args.y0, complex(args.z0_re, args.z0_im))
     fields = {name: getattr(args, name) for name in (*_OPTIONAL_NUMBERS, "engine")
               if getattr(args, name) is not None}
@@ -264,8 +283,16 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     geometries = None
-    if args.geometry:
-        geometries = [Geometry.from_name(args.geometry)]
+    try:
+        if args.samples < 0:
+            raise ValueError(f"--samples must be >= 0, got {args.samples}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if args.geometry:
+            geometries = [Geometry.from_name(args.geometry)]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     report = run_verification(geometries=geometries, samples=args.samples,
                               seed=args.seed, include_appendix=args.appendix)
     if args.json:

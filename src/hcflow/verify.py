@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from . import algebra
 from .catalog import entry, list_geometries, sample_metric, sample_params
 from .curvature import curvature_bundle, hermiticity_defect
 from .geometry import Geometry, GeometryParams
@@ -63,7 +64,7 @@ def verify_geometry(geometry: Geometry, samples: int, seed: int,
     worst = worst_herm = 0.0
     for metrics in _chunks(rng, samples):
         K = curvature_bundle(mu, metrics).K
-        closed = np.array([desc.closed_form_K(params, g) for g in metrics])
+        closed = desc.closed_form_K(params, metrics)
         # np.max propagates NaN, so one non-finite sample fails the geometry
         worst = float(np.max(_rel_matrix_error(K, closed), initial=worst))
         worst_herm = float(np.max(hermiticity_defect(K) / _scale(K), initial=worst_herm))
@@ -80,18 +81,23 @@ def verify_geometry(geometry: Geometry, samples: int, seed: int,
 
 def verify_structure_constants(geometry: Geometry, draws: int, seed: int,
                                tol: float = 1e-14) -> dict:
-    """Antisymmetry/reality/integrability/Jacobi hygiene over parameter draws."""
+    """Antisymmetry/reality/integrability/Jacobi hygiene over parameter draws.
+
+    The draws are made in seed order and repeats are dropped (the max over
+    equal parameters is the same), then each check runs once on the stack of
+    their structure constants.
+    """
     rng = np.random.default_rng(seed)
-    worst = {"antisymmetry": 0.0, "reality": 0.0, "integrability": 0.0, "jacobi": 0.0}
-    for _ in range(draws):
-        params = sample_params(geometry, rng)
-        mu = entry(geometry).structure_constants(params)
-        # np.maximum propagates NaN, which Python's max drops unless it comes first
-        for name, value in (("antisymmetry", mu.antisymmetry_violation()),
-                            ("reality", mu.reality_violation()),
-                            ("integrability", mu.integrability_violation()),
-                            ("jacobi", mu.jacobi_violation())):
-            worst[name] = float(np.maximum(worst[name], value))
+    desc = entry(geometry)
+    distinct = dict.fromkeys(sample_params(geometry, rng) for _ in range(draws))
+    mu = np.array([desc.structure_constants(p).mu for p in distinct],
+                  dtype=complex).reshape(-1, 4, 4, 4)
+    # np.max propagates NaN, which Python's max drops unless it comes first
+    worst = {name: float(np.max(check(mu), initial=0.0)) for name, check in (
+        ("antisymmetry", algebra.antisymmetry_violation),
+        ("reality", algebra.reality_violation),
+        ("integrability", algebra.integrability_violation),
+        ("jacobi", algebra.jacobi_violation))}
     return {"geometry": geometry.value, "draws": draws,
             "violations": {name: _finite(v) for name, v in worst.items()},
             "passed": all(v <= tol for v in worst.values())}
@@ -125,7 +131,7 @@ def appendix_diff(geometry: Geometry, samples: int, seed: int,
             worst[n] = np.maximum(worst[n], np.max(rel, axis=0))
         assembled = (tables["S"] - 0.5 * tables["Q1"] + 0.25 * tables["Q2"]
                      + 0.5 * tables["Q3"] - tables["Q4"])
-        closed = np.array([desc.closed_form_K(params, g) for g in metrics])
+        closed = desc.closed_form_K(params, metrics)
         worst_assembled = float(np.max(_rel_matrix_error(assembled, closed),
                                        initial=worst_assembled))
     component_report = {

@@ -180,6 +180,55 @@ def test_run_overflow_is_integrator_failure(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_run_huge_metric_fails_its_bound_without_a_traceback(tmp_path):
+    # D0**2 overflows; the bound is inf, so its check fails and reads null in analysis.json
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcflow.cli", "run", "--geometry", "kodaira-primary",
+         "--x0", "1e300", "--y0", "1", "--z0-re", "0.5", "--z0-im", "0", "--t-max", "10",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 2 and proc.stderr == ""
+    text = (tmp_path / "o" / "analysis.json").read_text()
+    assert "Infinity" not in text and "NaN" not in text
+    monotonicity = json.loads(text)["monotonicity"]
+    bound = next(c for c in monotonicity["checks"] if c["condition"].startswith("D(t) <="))
+    assert bound == {"condition": bound["condition"], "passed": False,
+                     "worst": None, "allowed": None}
+    assert monotonicity["passed"] is False
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("--geometry", "hopf"), "hopf requires parameter --lambda"),
+    (("--geometry", "torus", "--lambda", "1"), "torus does not take parameter --lambda"),
+    (("--geometry", "inoue-s0", "--a", "1"), "inoue-s0 requires parameter --b"),
+])
+def test_run_flag_names_missing_parameter_as_typed(tmp_path, capsys, argv, named):
+    assert run_cli("run", *argv, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == f"error: {named}\n"
+
+
+def test_config_names_missing_parameter_as_written(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", params={})
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        "error: config error at $.params: hopf requires parameter 'lambda'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--all", "--samples", "-3"),
+    ("verify", "--all", "--samples", "1", "--seed", "-1"),
+    ("verify", "--geometry", "nope"),
+    ("list", "--geometry", "nope"),
+])
+def test_bad_verify_and_list_input_exits_1_with_one_error_line(capsys, argv):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_parse_config_error_paths():
     with pytest.raises(ConfigError, match=r"\$\.schema_version"):
         parse_config({"schema_version": 99})

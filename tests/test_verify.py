@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from hcflow import catalog, cli
+from hcflow import algebra, catalog, cli
 from hcflow.algebra import StructureConstants
 from hcflow.catalog import entry, sample_metric, sample_params
 from hcflow.curvature import curvature_bundle
-from hcflow.geometry import Geometry
+from hcflow.geometry import Geometry, GeometryParams
+from hcflow.metric import HermitianMetric
 from hcflow.verify import CHUNK, verify_geometry, verify_structure_constants
 
 from conftest import ALL_GEOMETRIES
@@ -48,26 +49,100 @@ def test_stacked_bundle_equals_one_at_a_time_bitwise(geometry):
                 assert getattr(stacked, name)[i].tobytes() == getattr(one, name).tobytes(), name
 
 
-def _nan_on_third_call(monkeypatch):
-    original, calls = catalog.core.closed_k, []
+HYGIENE_CHECKS = ("antisymmetry_violation", "reality_violation",
+                  "integrability_violation", "jacobi_violation")
 
-    def closed_k(*args):
-        calls.append(args)
+
+def _perturbed_mus(geometry, rng, n):
+    """n structure constants of the geometry, each perturbed so that every check is nonzero."""
+    desc = entry(geometry)
+    return np.array([desc.structure_constants(sample_params(geometry, rng)).mu
+                     + 1e-3 * (rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4)))
+                     for _ in range(n)])
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_stacked_hygiene_checks_equal_one_at_a_time_bitwise(geometry):
+    rng = np.random.default_rng([12, list(Geometry).index(geometry)])
+    for n in (1, 2, 7, CHUNK + 1):
+        mus = _perturbed_mus(geometry, rng, n)
+        for name in HYGIENE_CHECKS:
+            stacked = getattr(algebra, name)(mus)
+            assert stacked.shape == (n,)
+            for i, mu in enumerate(mus):
+                one = getattr(StructureConstants(mu), name)()
+                assert stacked[i].tobytes() == np.float64(one).tobytes(), name
+
+
+def test_hygiene_checks_propagate_nan_in_one_slice():
+    mus = _perturbed_mus(Geometry.HOPF, np.random.default_rng(4), 3)
+    clean = {name: getattr(algebra, name)(mus) for name in HYGIENE_CHECKS}
+    mus[1, 0, 1, 2] = np.nan  # an integrability slot, so all four checks see it
+    for name in HYGIENE_CHECKS:
+        values = getattr(algebra, name)(mus)
+        assert np.isnan(values[1]), name
+        assert values[[0, 2]].tobytes() == clean[name][[0, 2]].tobytes(), name
+
+
+def _closed_form_K_one_at_a_time(geometry, params, g):
+    """The 2x2 closed form from one scalar kernel call (the reference)."""
+    p1, p2 = catalog.pack_params(params)
+    k11, k22, k12re, k12im = catalog.core.closed_k(
+        catalog.GEOMETRY_IDS[geometry], p1, p2, g.x, g.y, g.z.real, g.z.imag)
+    k12 = complex(k12re, k12im)
+    return np.array([[k11, k12], [np.conjugate(k12), k22]], dtype=complex)
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_stacked_closed_form_K_equals_one_at_a_time_bitwise(geometry):
+    rng = np.random.default_rng([13, list(Geometry).index(geometry)])
+    desc = entry(geometry)
+    params = sample_params(geometry, rng)
+    for n in (1, 2, 7, CHUNK + 1):
+        metrics = [sample_metric(rng) for _ in range(n)]
+        stacked = desc.closed_form_K(params, metrics)
+        assert stacked.shape == (n, 2, 2)
+        for i, g in enumerate(metrics):
+            one = _closed_form_K_one_at_a_time(geometry, params, g)
+            assert stacked[i].tobytes() == one.tobytes()
+            assert desc.closed_form_K(params, g).tobytes() == one.tobytes()
+
+
+def test_stacked_closed_form_K_propagates_nan_in_one_slice():
+    # d**2 overflows at x = 1e300, where the scalar kernel raises
+    desc, params = entry(Geometry.HOPF), GeometryParams(Geometry.HOPF, lam=0.5)
+    metrics = [HermitianMetric(1.0, 2.0, 0.5j), HermitianMetric(1e300, 1.0, 0.0),
+               HermitianMetric(3.0, 1.0, 0.25)]
+    with pytest.raises(OverflowError):
+        _closed_form_K_one_at_a_time(Geometry.HOPF, params, metrics[1])
+    K = desc.closed_form_K(params, metrics)
+    assert np.isnan(K[1]).any()
+    for i in (0, 2):
+        assert K[i].tobytes() == _closed_form_K_one_at_a_time(
+            Geometry.HOPF, params, metrics[i]).tobytes()
+
+
+def _nan_on_third_metric(monkeypatch):
+    original = catalog.core.closed_k_columns
+
+    def closed_k_columns(*args):
         k11, *rest = original(*args)
-        return (float("nan") if len(calls) == 3 else k11, *rest)
+        k11 = np.array(k11)
+        k11[2] = float("nan")
+        return (k11, *rest)
 
-    monkeypatch.setattr(catalog.core, "closed_k", closed_k)
+    monkeypatch.setattr(catalog.core, "closed_k_columns", closed_k_columns)
 
 
 def test_verify_fails_closed_on_nan(monkeypatch):
-    _nan_on_third_call(monkeypatch)
+    _nan_on_third_metric(monkeypatch)
     result = verify_geometry(Geometry.HOPF, 10, 1)
     assert result["passed"] is False
     assert result["max_rel_error"] is None
 
 
 def test_verify_cli_nan_exits_1_and_prints_null(monkeypatch, capsys):
-    _nan_on_third_call(monkeypatch)
+    _nan_on_third_metric(monkeypatch)
     assert cli.main(["verify", "--geometry", "hopf", "--samples", "10", "--seed", "1",
                      "--json"]) == 1
     out = capsys.readouterr().out
@@ -76,20 +151,21 @@ def test_verify_cli_nan_exits_1_and_prints_null(monkeypatch, capsys):
 
 
 def test_verify_cli_nan_text_report(monkeypatch, capsys):
-    _nan_on_third_call(monkeypatch)
+    _nan_on_third_metric(monkeypatch)
     assert cli.main(["verify", "--geometry", "hopf", "--samples", "10", "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert "max_rel_error=non-finite" in out and "FAIL" in out
 
 
 def _jacobi_nan_on_third_draw(monkeypatch):
-    original, calls = StructureConstants.jacobi_violation, []
+    original = algebra.jacobi_violation
 
-    def jacobi_violation(self):
-        calls.append(self)
-        return float("nan") if len(calls) == 3 else original(self)
+    def jacobi_violation(mu):
+        values = original(mu)
+        values[2] = float("nan")
+        return values
 
-    monkeypatch.setattr(StructureConstants, "jacobi_violation", jacobi_violation)
+    monkeypatch.setattr(algebra, "jacobi_violation", jacobi_violation)
 
 
 def test_structure_constants_fail_closed_on_nan(monkeypatch):
