@@ -4,8 +4,11 @@ Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times (a) raw closed-form tensor evaluations, which always run in Python,
 (b) the general contraction engine (``curvature_bundle``) and the catalog's
-closed form (``closed_form_K``) per metric, each called on one metric and on a
-stack of 100 (as ``hcflow verify`` calls them), (c) the four structure-constant
+closed form (``closed_form_K``) per metric, each called on one metric and on
+100 metric rows (as ``hcflow verify`` calls them), together with the cost of
+drawing the metrics (``sample_metric`` one at a time, ``sample_metrics`` 100
+per call) and of the engine's stacked matrix build (positivity check, the
+matrices A and their inverses, 100 per call), (c) the four structure-constant
 hygiene checks per parameter draw, one draw per call and 20 stacked draws per
 call (as ``verify_structure_constants`` calls them), and (d) full flow runs,
 for a short collapsing run and two long immortal runs, in each lane that is
@@ -21,10 +24,11 @@ import time
 
 import numpy as np
 
-from hcflow import _core_py, algebra, core
-from hcflow.catalog import entry, sample_metric, sample_params
+from hcflow import _core_py, algebra, core, curvature
+from hcflow.catalog import entry, sample_metric, sample_metrics, sample_params
 from hcflow.curvature import curvature_bundle
 from hcflow.geometry import Geometry
+from hcflow.metric import POSITIVITY_MARGIN
 
 KERNEL_POINTS = [
     (2, 0.7, 0.0, 1.0, 1.5, 0.3, -0.2),
@@ -64,12 +68,12 @@ def best_per_item(call, items, repeat):
 
 def inoue_case(stack):
     """Inoue S0 descriptor, parameters, structure constants and ``stack`` metrics
-    (one metric, not a list, for a stack of 1)."""
+    (one metric for a stack of 1, else their rows)."""
     rng = np.random.default_rng(0)
     desc = entry(Geometry.INOUE_S0)
     params = sample_params(Geometry.INOUE_S0, rng)
-    metrics = [sample_metric(rng) for _ in range(stack)]
-    return desc, params, desc.structure_constants(params), metrics[0] if stack == 1 else metrics
+    g = sample_metric(rng) if stack == 1 else sample_metrics(rng, stack)
+    return desc, params, desc.structure_constants(params), g
 
 
 def hygiene_mus(draws):
@@ -100,6 +104,14 @@ def main():
         closed = best_per_item(lambda: desc.closed_form_K(params, g), stack, args.repeat)
         print(f"engine: curvature_bundle, {stack:>3} per call {engine * 1e6:8.2f} us/metric")
         print(f"catalog: closed_form_K, {stack:>3} per call {closed * 1e6:9.2f} us/metric")
+    rng = np.random.default_rng(0)
+    one = best_per_item(lambda: [sample_metric(rng) for _ in range(100)], 100, args.repeat)
+    stacked = best_per_item(lambda: sample_metrics(rng, 100), 100, args.repeat)
+    rows = sample_metrics(rng, 100)
+    build = best_per_item(lambda: curvature._matrices(rows, POSITIVITY_MARGIN), 100, args.repeat)
+    print(f"catalog: sample_metric,   1 per call {one * 1e6:9.2f} us/metric")
+    print(f"catalog: sample_metrics, 100 per call {stacked * 1e6:8.2f} us/metric")
+    print(f"curvature: check, A and A^-1, 100 per call {build * 1e6:6.2f} us/metric")
     checks = [getattr(algebra, name) for name in (
         "antisymmetry_violation", "reality_violation", "integrability_violation",
         "jacobi_violation")]

@@ -193,12 +193,6 @@ def closed_k_columns(geom: int, p1: float, p2: float, x, y, zre, zim):
         return _kernel(geom)(p1, p2, *columns)
 
 
-def closed_rhs(geom: int, p1: float, p2: float, state) -> tuple[float, float, float, float]:
-    """Flow right-hand side (xdot, ydot, Re zdot, Im zdot) at one state."""
-    k11, k22, k12re, k12im = closed_k(geom, p1, p2, state[0], state[1], state[2], state[3])
-    return -k11, -k22, -k12re, -k12im
-
-
 def _monitor(x, y, zre, zim, inv_scale) -> float:
     """Positivity margin of a state, normalized by the initial metric scale.
 

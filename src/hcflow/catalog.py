@@ -21,7 +21,7 @@ import numpy as np
 from . import core
 from .algebra import StructureConstants, from_brackets
 from .geometry import Geometry, GeometryParams, InadmissibleParamsError, param_names
-from .metric import HermitianMetric
+from .metric import HermitianMetric, metric_rows, require_positive_rows
 
 GEOMETRY_IDS: dict[Geometry, int] = {g: i for i, g in enumerate(Geometry)}
 
@@ -310,25 +310,23 @@ class GeometryDescriptor:
         return self._mu(params)
 
     def closed_form_K(self, params: GeometryParams,
-                      g: HermitianMetric | Sequence[HermitianMetric]) -> np.ndarray:
+                      g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray) -> np.ndarray:
         """Flow tensor from the per-geometry closed-form table, as 2x2 Hermitian.
 
-        Given a sequence of n metrics, each is checked in order, the kernel
-        runs once on their columns, and the result has shape (n, 2, 2); each
-        slice has the bits of the one-metric call.  A value that overflows is
-        inf or NaN, never an exception.
+        Given n metrics, as a sequence or as rows (x, y, Re z, Im z) of shape
+        (n, 4), all are checked at once (the first degenerate one raises), the
+        kernel runs once on the columns, and the result has shape (n, 2, 2);
+        each slice has the bits of the one-metric call.  A value that
+        overflows is inf or NaN, never an exception.
         """
         self._check(params)
-        metrics = [g] if isinstance(g, HermitianMetric) else g
-        for h in metrics:
-            h.require_positive()
+        rows = metric_rows(g)
+        require_positive_rows(rows)
         p1, p2 = pack_params(params)
-        x, y, zre, zim = np.array([(h.x, h.y, h.z.real, h.z.imag) for h in metrics],
-                                  dtype=float).reshape(-1, 4).T
         k11, k22, k12re, k12im = core.closed_k_columns(
-            GEOMETRY_IDS[self.geometry], p1, p2, x, y, zre, zim)
+            GEOMETRY_IDS[self.geometry], p1, p2, *rows.T)
         # each part is set as complex(re, im) sets it; complex arithmetic can flip a zero's sign
-        K = np.zeros((len(metrics), 2, 2), dtype=complex)
+        K = np.zeros((len(rows), 2, 2), dtype=complex)
         K.real[:, 0, 0], K.real[:, 1, 1] = k11, k22
         K.real[:, 0, 1] = K.real[:, 1, 0] = k12re
         K.imag[:, 0, 1] = k12im
@@ -462,15 +460,34 @@ def catalog_json() -> list[dict]:
 # random sampling (verification suite)
 # ---------------------------------------------------------------------------
 
+def sample_metrics(rng: np.random.Generator, n: int,
+                   diag_range: tuple[float, float] = (0.1, 10.0),
+                   max_fill: float = 0.95) -> np.ndarray:
+    """n random valid metrics as rows (x, y, Re z, Im z) of shape (n, 4).
+
+    One draw of 4n uniforms, four per metric in order: log-uniform x and y,
+    |z|^2 uniform below max_fill*x*y, and the phase of z uniform.  Each row has
+    the bits of ``sample_metric`` called n times, which leaves the generator
+    in the same state.
+    """
+    lo, hi = math.log(diag_range[0]), math.log(diag_range[1])
+    u = rng.uniform(size=4 * n).reshape(n, 4)
+    # Generator.uniform(low, high) returns low + (high - low) * u for the unit
+    # draw u; for low = 0.0 that is high * u, bit for bit
+    x, y = np.exp(lo + (hi - lo) * u[:, :2]).T
+    r = np.sqrt(max_fill * x * y * u[:, 2])
+    phi = (2 * math.pi * u[:, 3]).tolist()
+    # math's libm cos and sin, which numpy's SIMD kernels need not match
+    return np.column_stack([x, y, r * np.array([math.cos(p) for p in phi]),
+                            r * np.array([math.sin(p) for p in phi])])
+
+
 def sample_metric(rng: np.random.Generator,
                   diag_range: tuple[float, float] = (0.1, 10.0),
                   max_fill: float = 0.95) -> HermitianMetric:
-    """Random valid metric: log-uniform diagonal, |z|^2 uniform below max_fill*x*y."""
-    lo, hi = math.log(diag_range[0]), math.log(diag_range[1])
-    x, y = np.exp(rng.uniform(lo, hi, size=2))
-    r = math.sqrt(rng.uniform(0.0, max_fill * x * y))
-    phi = rng.uniform(0.0, 2 * math.pi)
-    return HermitianMetric(float(x), float(y), complex(r * math.cos(phi), r * math.sin(phi)))
+    """Random valid metric: ``sample_metrics`` for one metric."""
+    x, y, z_re, z_im = sample_metrics(rng, 1, diag_range, max_fill)[0].tolist()
+    return HermitianMetric(x, y, complex(z_re, z_im))
 
 
 def sample_params(geometry: Geometry, rng: np.random.Generator) -> GeometryParams:

@@ -8,10 +8,10 @@ verify  engine-vs-closed-form agreement suite (plus report-only table diffs)
 sweep   run a grid of configs in parallel and summarize one row per run
 
 Exit codes: run returns 0 on a clean classification, 1 on bad input, 2 when
-the run is Unclassified, 3 on integrator failure; verify returns 0 iff all
-K agreements pass, else 1, and 1 on bad input; list returns 1 on an unknown
-geometry.  Log verbosity comes from the HCF_LOG environment variable
-(debug, info, warning, error).
+the run is unclassified or fails a monotonicity check, 3 on integrator
+failure; verify returns 0 iff all K agreements pass, else 1, and 1 on bad
+input; list returns 1 on an unknown geometry.  Log verbosity comes from the
+HCF_LOG environment variable (debug, info, warning, error).
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import LIMIT_UNCLASSIFIED
 from .catalog import catalog_json
 from .geometry import Geometry, GeometryParams, InadmissibleParamsError, param_names
 from .integrate import (ENGINE_CLOSED_FORM, ENGINE_GENERAL, FlowConfig,
@@ -254,7 +253,7 @@ def _execute_run(config: FlowConfig, out_dir: Path,
         return 1, report
     if outcome.outcome_class == OUTCOME_FAILURE:
         return 3, report
-    if report["classification"]["kind"] == LIMIT_UNCLASSIFIED:
+    if not report["clean"]:
         return 2, report
     return 0, report
 

@@ -7,8 +7,8 @@ stride sample inside its step; the Python lane evaluates them after its loop,
 as arrays with the same per-sample operations.  ``setup.py build_ext``
 puts the library next to this module, where ``COMPILED`` finds it.  Only
 ``run_closed_flow`` is compiled: one ctypes call costs more than a Python
-``closed_k``, so ``closed_k``, ``closed_k_columns``, ``closed_rhs``,
-``run_flow`` and the status codes always come from ``_core_py``.
+``closed_k``, so ``closed_k``, ``closed_k_columns``, ``run_flow`` and the
+status codes always come from ``_core_py``.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._core_py import (  # noqa: F401  (re-exported)
     STATUS_EXTINCT, STATUS_FAILURE, STATUS_REACHED_TMAX, closed_k, closed_k_columns,
-    closed_rhs, run_closed_flow, run_flow)
+    run_closed_flow, run_flow)
 
 LIBRARY = os.path.join(os.path.dirname(__file__), "_core_c" + EXTENSION_SUFFIXES[0])
 

@@ -12,8 +12,10 @@ conventions used throughout:
   and the conjugate slot k; the all-conjugate components are its complex
   conjugate.
 
-``curvature_bundle`` also takes a sequence of metrics.  It then runs the
-same contractions once over the stacked matrices ``A`` of shape (n, 2, 2):
+``curvature_bundle`` also takes a sequence of metrics, or n metrics as rows
+(x, y, Re z, Im z) of shape (n, 4) (see ``hcflow.metric``); a sequence is
+turned into rows first.  It then runs the same contractions once over the
+stacked matrices ``A`` of shape (n, 2, 2):
 every einsum carries a ``...`` prefix on its metric-dependent operands, so
 each metric-dependent result gains the same leading axis, and each slice
 has the bits of the one-metric call.
@@ -29,7 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StructureConstants
-from .metric import HermitianMetric, POSITIVITY_MARGIN
+from .metric import (HermitianMetric, POSITIVITY_MARGIN, metric_rows,
+                     require_positive_rows)
 
 
 @dataclass(frozen=True)
@@ -48,16 +51,23 @@ class CurvatureBundle:
     K: np.ndarray        # S - Q, the flow tensor
 
 
-def _matrices(g: HermitianMetric | Sequence[HermitianMetric],
+def _matrices(g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray,
               margin: float) -> tuple[np.ndarray, np.ndarray]:
-    """Metric matrix A (one metric) or stack (n, 2, 2) (a sequence), and B = A^-1."""
+    """Metric matrix A (one metric) or stack (n, 2, 2) (a sequence of metrics,
+    or rows (x, y, Re z, Im z)), and B = A^-1."""
     if isinstance(g, HermitianMetric):
         g.require_positive(margin)
         A = g.matrix()
     else:
-        for h in g:
-            h.require_positive(margin)
-        A = np.array([h.matrix() for h in g])
+        rows = metric_rows(g)
+        require_positive_rows(rows, margin)
+        x, y, zre, zim = rows.T
+        # set part by part, as HermitianMetric.matrix sets them: conj gives -0.0 where Im z = 0
+        A = np.zeros((len(rows), 2, 2), dtype=complex)
+        A.real[:, 0, 0], A.real[:, 1, 1] = x, y
+        A.real[:, 0, 1] = A.real[:, 1, 0] = zre
+        A.imag[:, 0, 1] = zim
+        A.imag[:, 1, 0] = -zim
     return A, np.linalg.inv(A)
 
 
@@ -163,12 +173,13 @@ def quadratic_terms(mu: StructureConstants, g: HermitianMetric,
 
 
 def curvature_bundle(mu: StructureConstants,
-                     g: HermitianMetric | Sequence[HermitianMetric],
+                     g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray,
                      margin: float = POSITIVITY_MARGIN) -> CurvatureBundle:
     """Compute Gamma, T, S, Q1..Q4, Q and K in one pass over shared intermediates.
 
-    Given a sequence of n metrics, each is checked in order and every field
-    but ``gamma_b`` gets a leading axis of length n.
+    Given n metrics, as a sequence or as rows (x, y, Re z, Im z) of shape
+    (n, 4), all are checked at once (the first degenerate one raises) and
+    every field but ``gamma_b`` gets a leading axis of length n.
     """
     A, B = _matrices(g, margin)
     m = mu.mu

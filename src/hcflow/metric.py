@@ -5,9 +5,14 @@ the positive diagonal entries, z the complex off-diagonal entry of the
 Hermitian 2x2 matrix [[x, z], [conj(z), y]].  The determinant D = x*y - |z|^2
 and the squared off-diagonal norm u = |z|^2 are always recomputed from
 (x, y, z), never cached.
+
+Stacked operations take n metrics as a float64 array of rows
+(x, y, Re z, Im z) of shape (n, 4); ``metric_rows`` turns one metric or a
+sequence of metrics into rows.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +83,30 @@ class HermitianMetric:
 
     def scaled(self, s: float) -> "HermitianMetric":
         return HermitianMetric(s * self.x, s * self.y, s * self.z)
+
+
+def metric_rows(g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray) -> np.ndarray:
+    """Rows (x, y, Re z, Im z) of shape (n, 4): one row for one metric, one
+    per metric of a sequence; an array is taken as rows already."""
+    if isinstance(g, np.ndarray):
+        rows = np.asarray(g, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise ValueError(f"metric rows must have shape (n, 4), got {rows.shape}")
+        return rows
+    metrics = [g] if isinstance(g, HermitianMetric) else g
+    return np.array([(h.x, h.y, h.z.real, h.z.imag) for h in metrics],
+                    dtype=float).reshape(-1, 4)
+
+
+def require_positive_rows(rows: np.ndarray, margin: float = POSITIVITY_MARGIN) -> None:
+    """``require_positive`` on every row at once, with its arithmetic; raises
+    its error for the first degenerate row."""
+    x, y, zre, zim = rows.T
+    with np.errstate(all="ignore"):  # a huge metric overflows to inf, as Python's floats do
+        ok = (x > 0) & (y > 0) & (x * y - (zre * zre + zim * zim) >= margin * x * y)
+    if not ok.all():
+        x, y, zre, zim = rows[np.argmin(ok)].tolist()
+        HermitianMetric(x, y, complex(zre, zim)).require_positive(margin)
 
 
 def metric_determinant(g: HermitianMetric) -> float:

@@ -11,7 +11,11 @@ from .integrate import FlowConfig, FlowOutcome, Trajectory
 
 
 def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) -> dict:
-    """Slopes, decay checks, invariant checks and the limit classification."""
+    """Slopes, decay checks, invariant checks and the limit classification.
+
+    ``clean`` is true when the limit is classified and every monotonicity
+    check passes.
+    """
     geometry = config.params.geometry
     params = config.params
     desc = entry(geometry)
@@ -46,7 +50,7 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) 
 
     if geometry is Geometry.HYPERELLIPTIC and len(traj):
         try:
-            report["decay_bound"] = verify_decay_bound(traj)
+            report["decay_bound"] = verify_decay_bound(traj, abs_tol=config.abs_tol)
         except DecayBoundViolation as exc:
             report["decay_bound"] = {"passed": False, "violation": str(exc)}
 
@@ -56,6 +60,7 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) 
         consistency["passed"] = consistency["max_rel_error"] <= 10 * config.rel_tol
         report["udot_consistency"] = consistency
 
-    classification_kind = report["classification"]["kind"]
-    report["clean"] = classification_kind != LIMIT_UNCLASSIFIED
+    # a frozen huge metric can be classified, but its explicit bounds fail
+    report["clean"] = (report["classification"]["kind"] != LIMIT_UNCLASSIFIED
+                       and report.get("monotonicity", {}).get("passed", True))
     return report

@@ -15,9 +15,10 @@ import time
 import numpy as np
 
 from . import algebra
-from .catalog import entry, list_geometries, sample_metric, sample_params
+from .catalog import entry, list_geometries, sample_metrics, sample_params
 from .curvature import curvature_bundle, hermiticity_defect
 from .geometry import Geometry, GeometryParams
+from .metric import HermitianMetric
 
 log = logging.getLogger("hcflow.verify")
 
@@ -43,9 +44,9 @@ def _rel_matrix_error(computed: np.ndarray, reference: np.ndarray) -> np.ndarray
 
 
 def _chunks(rng: np.random.Generator, samples: int):
-    """The sampled metrics, drawn in order, CHUNK at a time."""
+    """The sampled metrics as rows (x, y, Re z, Im z), drawn in order, CHUNK at a time."""
     for start in range(0, samples, CHUNK):
-        yield [sample_metric(rng) for _ in range(min(CHUNK, samples - start))]
+        yield sample_metrics(rng, min(CHUNK, samples - start))
 
 
 def _finite(value: float) -> float | None:
@@ -62,9 +63,9 @@ def verify_geometry(geometry: Geometry, samples: int, seed: int,
     desc = entry(geometry)
     mu = desc.structure_constants(params)
     worst = worst_herm = 0.0
-    for metrics in _chunks(rng, samples):
-        K = curvature_bundle(mu, metrics).K
-        closed = desc.closed_form_K(params, metrics)
+    for rows in _chunks(rng, samples):
+        K = curvature_bundle(mu, rows).K
+        closed = desc.closed_form_K(params, rows)
         # np.max propagates NaN, so one non-finite sample fails the geometry
         worst = float(np.max(_rel_matrix_error(K, closed), initial=worst))
         worst_herm = float(np.max(hermiticity_defect(K) / _scale(K), initial=worst_herm))
@@ -119,19 +120,20 @@ def appendix_diff(geometry: Geometry, samples: int, seed: int,
     names = ("S", "Q1", "Q2", "Q3", "Q4")
     worst: dict[str, np.ndarray] = {n: np.zeros((2, 2)) for n in names}
     worst_assembled = 0.0
-    for metrics in _chunks(rng, samples):
-        per_metric = [desc.appendix_tables(params, g) for g in metrics]
+    for rows in _chunks(rng, samples):
+        per_metric = [desc.appendix_tables(params, HermitianMetric(x, y, complex(z_re, z_im)))
+                      for x, y, z_re, z_im in rows.tolist()]
         if per_metric[0] is None:
             return {"geometry": geometry.value, "tables": None}
         tables = {n: np.array([t[n] for t in per_metric]) for n in names}
-        bundle = curvature_bundle(mu, metrics)
+        bundle = curvature_bundle(mu, rows)
         for n in names:
             computed = getattr(bundle, n)
             rel = np.abs(tables[n] - computed) / _scale(computed)[:, None, None]
             worst[n] = np.maximum(worst[n], np.max(rel, axis=0))
         assembled = (tables["S"] - 0.5 * tables["Q1"] + 0.25 * tables["Q2"]
                      + 0.5 * tables["Q3"] - tables["Q4"])
-        closed = desc.closed_form_K(params, metrics)
+        closed = desc.closed_form_K(params, rows)
         worst_assembled = float(np.max(_rel_matrix_error(assembled, closed),
                                        initial=worst_assembled))
     component_report = {

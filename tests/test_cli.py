@@ -198,6 +198,25 @@ def test_run_huge_metric_fails_its_bound_without_a_traceback(tmp_path):
     assert monotonicity["passed"] is False
 
 
+def test_frozen_huge_metric_run_is_not_clean(tmp_path):
+    # d*d overflows, so every K component is 0 and the flow never moves; the
+    # frozen run is classified a point but fails its explicit bounds
+    cfg = write_config(tmp_path / "base.json", geometry="kodaira-primary", params={},
+                       g0={"x": 1e300, "y": 1.0, "z_re": 0.5, "z_im": 0.0}, t_max=1000.0)
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 2
+    report = json.loads((tmp_path / "o" / "analysis.json").read_text())
+    assert report["classification"]["kind"] == "point"
+    assert report["monotonicity"]["passed"] is False
+    assert report["clean"] is False
+    (tmp_path / "grid.json").write_text(json.dumps({"points": [{}]}))
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(tmp_path / "sweep"), "--workers", "1",
+                   "--emit", "outcome-json") == 0
+    with open(tmp_path / "sweep" / "summary.csv", newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["classification"], row["exit_code"], row["status"]) == ("point", "2", "ok")
+
+
 @pytest.mark.parametrize("argv, named", [
     (("--geometry", "hopf"), "hopf requires parameter --lambda"),
     (("--geometry", "torus", "--lambda", "1"), "torus does not take parameter --lambda"),

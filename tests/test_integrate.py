@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
+from hcflow.analysis import classify_gh_limit
+from hcflow.catalog import LIMIT_POINT
 from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, MAX_SAMPLES,
@@ -208,3 +212,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match="b must be finite"):
         FlowConfig(params=GeometryParams(Geometry.INOUE_S0, a=1.0, b=float("nan")), g0=g0,
                    t_max=1.0)
+
+
+@pytest.mark.parametrize("y0", [0.5, 2.0, 30.0])
+def test_kodaira_primary_self_similar_solution(y0):
+    # with z0 = 0 the flow is x' = 2y/x, y' = -y^2/x^2, and x0 = sqrt(5 y0)
+    # starts it on the exact solution x0 (1+t)^(2/5), y0 (1+t)^(-1/5)
+    x0 = math.sqrt(5.0 * y0)
+    config = _config(Geometry.KODAIRA_PRIMARY, HermitianMetric(x0, y0, 0), 1000.0)
+    traj, outcome = integrate(config)
+    s = 1.0 + traj.t
+    error = max(np.max(np.abs(traj.x / (x0 * s ** 0.4) - 1.0)),
+                np.max(np.abs(traj.y / (y0 * s ** -0.2) - 1.0)))
+    assert error <= 1e-8  # 3.2e-9 measured, in 82 steps
+    limit = classify_gh_limit(Geometry.KODAIRA_PRIMARY, config.params, traj, outcome)
+    assert limit.kind == LIMIT_POINT

@@ -1,15 +1,17 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from hcflow import algebra, catalog, cli
+from hcflow import algebra, catalog, cli, curvature
 from hcflow.algebra import StructureConstants
-from hcflow.catalog import entry, sample_metric, sample_params
-from hcflow.curvature import curvature_bundle
+from hcflow.catalog import entry, sample_metric, sample_metrics, sample_params
+from hcflow.curvature import CurvatureBundle, curvature_bundle
 from hcflow.geometry import Geometry, GeometryParams
-from hcflow.metric import HermitianMetric
+from hcflow.metric import (POSITIVITY_MARGIN, DegenerateMetricError, HermitianMetric,
+                           metric_rows)
 from hcflow.verify import CHUNK, verify_geometry, verify_structure_constants
 
 from conftest import ALL_GEOMETRIES
@@ -43,10 +45,85 @@ def test_stacked_bundle_equals_one_at_a_time_bitwise(geometry):
         metrics = [sample_metric(rng) for _ in range(n)]
         stacked = curvature_bundle(mu, metrics)
         assert stacked.K.shape == (n, 2, 2)
+        from_rows = curvature_bundle(mu, metric_rows(metrics))
+        for name in CurvatureBundle.__dataclass_fields__:
+            assert getattr(from_rows, name).tobytes() == getattr(stacked, name).tobytes(), name
         for i, g in enumerate(metrics):
             one = curvature_bundle(mu, g)
             for name in BUNDLE_FIELDS:
                 assert getattr(stacked, name)[i].tobytes() == getattr(one, name).tobytes(), name
+
+
+def _sample_metric_one_draw_at_a_time(rng, diag_range=(0.1, 10.0), max_fill=0.95):
+    """The reference draw: four scalar Generator.uniform calls per metric."""
+    lo, hi = math.log(diag_range[0]), math.log(diag_range[1])
+    x, y = np.exp(rng.uniform(lo, hi, size=2))
+    r = math.sqrt(rng.uniform(0.0, max_fill * x * y))
+    phi = rng.uniform(0.0, 2 * math.pi)
+    return HermitianMetric(float(x), float(y), complex(r * math.cos(phi), r * math.sin(phi)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, CHUNK + 1])
+@pytest.mark.parametrize("kwargs", [{}, {"diag_range": (0.6, 1.5), "max_fill": 0.5}],
+                         ids=["default", "narrow"])
+def test_stacked_draw_equals_one_draw_at_a_time_bitwise(n, kwargs):
+    stacked_rng, one_rng = np.random.default_rng(14), np.random.default_rng(14)
+    rows = sample_metrics(stacked_rng, n, **kwargs)
+    expected = metric_rows([_sample_metric_one_draw_at_a_time(one_rng, **kwargs)
+                            for _ in range(n)])
+    assert rows.shape == (n, 4) and rows.tobytes() == expected.tobytes()
+    assert stacked_rng.bit_generator.state == one_rng.bit_generator.state
+    g = sample_metric(stacked_rng, **kwargs)
+    assert g == _sample_metric_one_draw_at_a_time(one_rng, **kwargs)
+
+
+def test_stacked_matrices_set_each_part_as_metric_matrix_does():
+    # conj(z) of an Im z = +-0.0 has the opposite zero
+    metrics = [HermitianMetric(2.0, 3.0, 0.5 + 0.25j), HermitianMetric(2.0, 3.0, 0.5),
+               HermitianMetric(2.0, 3.0, complex(-0.5, -0.0)), HermitianMetric(1.0, 1.0, 0.0)]
+    A, B = curvature._matrices(metric_rows(metrics), 0.0)
+    expected = np.array([h.matrix() for h in metrics])
+    assert A.tobytes() == expected.tobytes()
+    assert B.tobytes() == np.linalg.inv(expected).tobytes()
+    one, _ = curvature._matrices(metrics[1], 0.0)
+    assert one.tobytes() == metrics[1].matrix().tobytes()
+
+
+def _error_message(metric, margin=POSITIVITY_MARGIN):
+    with pytest.raises(DegenerateMetricError) as info:
+        metric.require_positive(margin)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("bad", [
+    HermitianMetric(1.0, 1.0, 1.0), HermitianMetric(-1.0, 2.0, 0.0),
+    HermitianMetric(1.0, float("nan"), 0.0), HermitianMetric(1.0, 1.0, 1j * (1 - 1e-13)),
+], ids=["singular", "negative", "nan", "inside-margin"])
+def test_degenerate_row_raises_require_positive_message(bad):
+    desc, params = entry(Geometry.HOPF), GeometryParams(Geometry.HOPF, lam=0.5)
+    mu = desc.structure_constants(params)
+    good = [HermitianMetric(2.0, 3.0, 0.5 + 0.25j), HermitianMetric(1.0, 2.0, 0.1j)]
+    # the first degenerate metric raises, not a later one
+    metrics = [good[0], bad, good[1], HermitianMetric(1.0, 1.0, 2.0)]
+    for g in (metrics, metric_rows(metrics)):
+        for call in (lambda: curvature_bundle(mu, g), lambda: desc.closed_form_K(params, g)):
+            with pytest.raises(DegenerateMetricError) as info:
+                call()
+            assert str(info.value) == _error_message(bad)
+
+
+def test_degenerate_row_message_carries_the_margin():
+    mu = entry(Geometry.TORUS).structure_constants(GeometryParams(Geometry.TORUS))
+    bad = HermitianMetric(1.0, 1.0, 0.8)  # D = 0.36 < 0.5 * x * y
+    with pytest.raises(DegenerateMetricError) as info:
+        curvature_bundle(mu, metric_rows([HermitianMetric(2.0, 3.0), bad]), margin=0.5)
+    assert str(info.value) == _error_message(bad, 0.5)
+
+
+def test_metric_rows_reject_other_shapes():
+    for shape in ((4,), (3, 3), (2, 4, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            metric_rows(np.ones(shape))
 
 
 HYGIENE_CHECKS = ("antisymmetry_violation", "reality_violation",
@@ -102,6 +179,7 @@ def test_stacked_closed_form_K_equals_one_at_a_time_bitwise(geometry):
         metrics = [sample_metric(rng) for _ in range(n)]
         stacked = desc.closed_form_K(params, metrics)
         assert stacked.shape == (n, 2, 2)
+        assert desc.closed_form_K(params, metric_rows(metrics)).tobytes() == stacked.tobytes()
         for i, g in enumerate(metrics):
             one = _closed_form_K_one_at_a_time(geometry, params, g)
             assert stacked[i].tobytes() == one.tobytes()
