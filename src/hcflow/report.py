@@ -50,7 +50,7 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) 
 
     if geometry is Geometry.HYPERELLIPTIC and len(traj):
         try:
-            report["decay_bound"] = verify_decay_bound(traj, abs_tol=config.abs_tol)
+            report["decay_bound"] = verify_decay_bound(traj)
         except DecayBoundViolation as exc:
             report["decay_bound"] = {"passed": False, "violation": str(exc)}
 

@@ -95,39 +95,6 @@ def test_decay_bound_violation_raises():
         verify_decay_bound(traj)
 
 
-def test_decay_bound_floor_skips_the_integrators_noise_level():
-    # u follows the bound, then levels off at abs_tol**2 as an integrated z does
-    t = np.linspace(0, 40, 401)
-    z = np.maximum(0.5 * np.exp(-t), 1e-12)
-    traj = synthetic_trajectory(t, x=np.ones_like(t), y=np.ones_like(t), z_re=z)
-    with pytest.raises(DecayBoundViolation):
-        verify_decay_bound(traj)
-    report = verify_decay_bound(traj, abs_tol=1e-12)
-    assert report["passed"] and report["floor"] == 8e-24
-    # the bound 0.25 exp(-2t) falls to 8e-24 at t = 25.9
-    assert report["checked_until"] == pytest.approx(25.8)
-
-
-def test_decay_bound_floor_keeps_violations_above_it():
-    t = np.linspace(0, 40, 200)
-    z = np.full_like(t, 0.5)
-    traj = synthetic_trajectory(t, x=np.ones_like(t), y=np.ones_like(t), z_re=z)
-    with pytest.raises(DecayBoundViolation, match=r"u\(0\.201005\)"):
-        verify_decay_bound(traj, abs_tol=1e-12)
-
-
-def test_decay_bound_passes_on_a_default_tolerance_hyperelliptic_run():
-    # u levels off near 1e-25 from t ~ 30 on, below the bound's floor
-    config = FlowConfig(params=GeometryParams(Geometry.HYPERELLIPTIC),
-                        g0=HermitianMetric(1, 1, 0.5), t_max=1000.0)
-    traj, outcome = integrate(config)
-    with pytest.raises(DecayBoundViolation):
-        verify_decay_bound(traj)
-    decay = analysis_report(config, traj, outcome)["decay_bound"]
-    assert decay["passed"] and decay["floor"] == 8.0 * config.abs_tol ** 2
-    assert 0 < decay["checked_until"] < 100
-
-
 def test_decay_bound_on_real_hyperelliptic_run():
     config = FlowConfig(params=GeometryParams(Geometry.HYPERELLIPTIC),
                         g0=HermitianMetric(1, 1, 0.5), t_max=20.0,
