@@ -10,7 +10,10 @@ drawing the metrics (``sample_metric`` one at a time, ``sample_metrics`` 100
 per call) and of the engine's stacked matrix build (positivity check, the
 matrices A and their inverses, 100 per call), (c) the four structure-constant
 hygiene checks per parameter draw, one draw per call and 20 stacked draws per
-call (as ``verify_structure_constants`` calls them), and (d) full flow runs,
+call (as ``verify_structure_constants`` calls them), (d) the CSV text of the
+two 1001-row tables of a t = 1000 run (``trajectory.csv``, 9 columns, and
+``plot_data.csv``, 4), written by ``columns_csv`` and by a per-cell ``%.17g``
+reference, per cell, and (e) full flow runs,
 for a short collapsing run and two long immortal runs, in each lane that is
 available.  Each flow line also gives the time per
 integrator step (accepted plus rejected; both lanes take the same steps) and
@@ -20,6 +23,7 @@ steps for 1001 samples, so its time is nearly all emission.  The compiled lane n
 C core built next to the package (``python setup.py build_ext --inplace``).
 """
 import argparse
+import math
 import time
 
 import numpy as np
@@ -28,6 +32,7 @@ from hcflow import _core_py, algebra, core, curvature
 from hcflow.catalog import entry, sample_metric, sample_metrics, sample_params
 from hcflow.curvature import curvature_bundle
 from hcflow.geometry import Geometry
+from hcflow.integrate import Trajectory, columns_csv
 from hcflow.metric import POSITIVITY_MARGIN
 
 KERNEL_POINTS = [
@@ -83,6 +88,22 @@ def hygiene_mus(draws):
     return [desc.structure_constants(sample_params(Geometry.HOPF, rng)) for _ in range(draws)]
 
 
+def csv_tables():
+    """(name, columns) of the two CSVs of the Inoue S0 t = 1000 run."""
+    geom, p1, p2, s0, t_max = FLOW_RUNS[3][1]
+    rows = _core_py.run_closed_flow(geom, p1, p2, s0, t_max, 1e-9, 1e-12, t_max / 1000, 1e-10)[2]
+    tr = Trajectory.from_rows(rows, "", None, math.nan)
+    return [("trajectory.csv", (tr.t, tr.x, tr.y, tr.z_re, tr.z_im, tr.d, tr.u, tr.xdot, tr.ydot)),
+            ("plot_data.csv", (tr.t, *tr.normalized))]
+
+
+def per_cell_csv(columns):
+    """The reference: one ``%.17g`` conversion per cell."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return (line * len(table)) % tuple(table.ravel().tolist())
+
+
 def time_flow(run_closed_flow, spec, repeat):
     """Seconds per run, integrator steps per run and rows emitted per run."""
     geom, p1, p2, s0, t_max = spec
@@ -122,6 +143,13 @@ def main():
     stacked = best_per_item(lambda: [check(stack) for check in checks], len(draws), args.repeat)
     print(f"algebra: four hygiene checks, one draw per call {one * 1e6:8.2f} us/draw")
     print(f"algebra: four hygiene checks, {len(draws)} draws per call {stacked * 1e6:8.2f} us/draw")
+    for name, columns in csv_tables():
+        cells = len(columns) * len(columns[0])
+        array = best_per_item(lambda: columns_csv("", columns), cells, args.repeat)
+        reference = best_per_item(lambda: per_cell_csv(columns), cells, args.repeat)
+        print(f"serialization: {name:<14} {len(columns[0])}x{len(columns)} columns_csv "
+              f"{array * 1e6:6.3f} us/cell, per-cell %.17g {reference * 1e6:6.3f} us/cell "
+              f"({reference / array:.1f}x)")
     lanes = [("python", _core_py.run_closed_flow)]
     if core.COMPILED:
         lanes.append(("C", core.run_closed_flow))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import io
 import json
@@ -173,8 +174,18 @@ def config_to_doc(config: FlowConfig) -> dict:
 
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def _cannot_write(out: str, exc: OSError) -> int:
+    print(f"error: cannot write --out {out}: {exc}", file=sys.stderr)
+    return 1
 
 
 def _dump_json(obj) -> str:
@@ -237,9 +248,9 @@ def _config_from_args(args) -> FlowConfig:
 
 def _execute_run(config: FlowConfig, out_dir: Path,
                  emit: tuple[str, ...]) -> tuple[int, dict]:
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the flow runs
     traj, outcome = integrate(config)
     report = analysis_report(config, traj, outcome)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if "trajectory-csv" in emit:
         _atomic_write(out_dir / "trajectory.csv", traj.to_csv())
     if "outcome-json" in emit:
@@ -269,7 +280,10 @@ def cmd_run(args) -> int:
     if bad:
         print(f"error: unknown emit target {sorted(bad)[0]!r}", file=sys.stderr)
         return 1
-    code, report = _execute_run(config, Path(args.out), emit)
+    try:
+        code, report = _execute_run(config, Path(args.out), emit)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     cls = report["classification"]
     summary = {"outcome": report["outcome_class"], "classification": cls["kind"]}
     if "circle_length" in cls:
@@ -376,7 +390,10 @@ def cmd_sweep(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     emit = tuple(args.emit.split(",")) if args.emit else DEFAULT_EMIT
 
     items = []

@@ -146,10 +146,13 @@ class Trajectory:
 
 
 def columns_csv(header: str, columns) -> str:
-    """CSV text of equal-length columns, every cell as %.17g (reads back exactly)."""
-    table = np.column_stack(columns)
-    line = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    return header + "\n" + (line * len(table)) % tuple(table.ravel().tolist())
+    """CSV text of equal-length columns, every cell exactly ``'%.17g' % v``
+    (reads back exactly).  ``_g17.csv_text`` produces the text with a few
+    array passes per 256 rows; only cells it cannot settle (non-finite,
+    extreme or near-tie values) go through per-cell ``%.17g``."""
+    from ._g17 import csv_text  # imported on first use, outside hcflow's import time
+
+    return csv_text(header, np.column_stack(columns))
 
 
 @dataclass(frozen=True)

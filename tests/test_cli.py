@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -215,6 +216,61 @@ def test_frozen_huge_metric_run_is_not_clean(tmp_path):
     with open(tmp_path / "sweep" / "summary.csv", newline="") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["classification"], row["exit_code"], row["status"]) == ("point", "2", "ok")
+
+
+# SHA-256 (first 16 hex digits) of trajectory.csv and plot_data.csv, recorded
+# with the per-cell %.17g formatting that the array formatter replaced: zero
+# cells (torus), 2-digit exponents (hyperelliptic u ~ 1e-25 at t = 1000), the
+# extinct tail row (Hopf) and 3-digit exponents with per-cell fallback
+# (the frozen 1e300 Kodaira metric)
+PINNED_CSV = {
+    "torus": (["--geometry", "torus", "--x0", "1", "--y0", "2", "--z0-re", "0.1",
+               "--z0-im", "0", "--t-max", "1000"], "5ab4b2f6124db7c0", "db0dbe0faaa73c6d"),
+    "hyperelliptic-t1000": (["--geometry", "hyperelliptic", "--x0", "1", "--y0", "2",
+                             "--z0-re", "0.3", "--z0-im", "0.2", "--t-max", "1000"],
+                            "7bbcd38e6cdfd92c", "250a09a8a6f1b74a"),
+    "hopf-collapse": (["--geometry", "hopf", "--lambda", "0.7", "--x0", "2", "--y0", "0.7",
+                       "--z0-re", "0.5", "--z0-im", "-0.3", "--t-max", "50"],
+                      "c1fb937977a092af", "0d68ed2d1a034e9a"),
+    "kodaira-frozen-1e300": (["--geometry", "kodaira-primary", "--x0", "1e300", "--y0", "1",
+                              "--z0-re", "0.5", "--z0-im", "0", "--t-max", "1000"],
+                             "2dd81397a6b029fc", "d9ad92f1c95f88ae"),
+}
+
+
+@pytest.mark.parametrize("argv, trajectory, plot_data", PINNED_CSV.values(),
+                         ids=PINNED_CSV.keys())
+def test_csv_bytes_pinned(tmp_path, argv, trajectory, plot_data):
+    run_cli("run", *argv, "--out", str(tmp_path), "--emit", "trajectory-csv,plot-data")
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+               for name in ("trajectory.csv", "plot_data.csv")]
+    assert digests == [trajectory, plot_data]
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_unusable_out_exits_1_with_one_error_line(tmp_path, capsys, under):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "sub" if under else blocker)
+    assert run_cli("run", "--geometry", "torus", "--t-max", "1", "--out", out) == 1
+    cfg = write_config(tmp_path / "base.json")
+    (tmp_path / "grid.json").write_text(json.dumps({"points": [{}]}))
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", out, "--workers", "1") == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()  # one line from run, one from sweep
+    assert len(lines) == 2
+    assert all(line.startswith(f"error: cannot write --out {out}: ") for line in lines)
+    assert captured.out == ""
+
+
+def test_atomic_write_removes_its_temporary_file_on_failure(tmp_path):
+    with pytest.raises(UnicodeEncodeError):  # the write itself fails
+        cli._atomic_write(tmp_path / "a.csv", "\ud800")
+    (tmp_path / "b.csv").mkdir()  # os.replace onto a directory fails
+    with pytest.raises(OSError):
+        cli._atomic_write(tmp_path / "b.csv", "text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv"]
 
 
 @pytest.mark.parametrize("argv, named", [

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hcflow import _g17
 from hcflow.analysis import classify_gh_limit
 from hcflow.catalog import LIMIT_POINT
 from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, MAX_SAMPLES,
                               OUTCOME_DEGENERATE_INPUT, OUTCOME_EXTINCT, OUTCOME_IMMORTAL,
-                              detect_extinction, integrate, rhs)
+                              TRAJECTORY_HEADER, columns_csv, detect_extinction, integrate,
+                              rhs)
 from hcflow.metric import HermitianMetric
 
 
@@ -185,6 +188,94 @@ def test_trajectory_csv_schema():
         expected = np.column_stack([tr.t, tr.x / w, tr.y / w,
                                     np.hypot(tr.z_re, tr.z_im) / w])
         assert np.array_equal(_cells(_plot_data_csv(tr)), expected)
+
+
+def _reference_csv(header, table):
+    """The oracle: one ``'%.17g' % v`` per cell."""
+    return header + "\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                                   for row in table.tolist())
+
+
+def _assert_matches_reference(values, n_cols):
+    table = np.asarray(values, dtype=np.float64).reshape(-1, n_cols)
+    assert columns_csv("h", table.T) == _reference_csv("h", table)
+
+
+def _tables(cells):
+    """Tables of 1-70 rows and 1-9 columns of ``cells``."""
+    return st.integers(1, 9).flatmap(lambda n_cols: st.lists(
+        st.lists(cells, min_size=n_cols, max_size=n_cols), min_size=1, max_size=70))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(st.integers(0, 2**64 - 1)))
+def test_columns_csv_matches_per_cell_format_on_raw_bit_patterns(rows):
+    table = np.array(rows, dtype=np.uint64).view(np.float64)
+    assert columns_csv("h", table.T) == _reference_csv("h", table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tables(st.floats(width=64)))
+def test_columns_csv_matches_per_cell_format_on_floats(rows):
+    table = np.array(rows, dtype=np.float64)
+    assert columns_csv("h", table.T) == _reference_csv("h", table)
+
+
+def _csv_edge_values():
+    big = np.finfo(np.float64).max
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, big, -big]
+    for k in range(-320, 309):
+        p = float(f"1e{k}")
+        edges += [p, -p, np.nextafter(p, 0.0), np.nextafter(p, math.inf)]
+    # the fixed/scientific switch at X = -5/-4 and 16/17, the decade roll-over
+    # of 17 nines, and 2- and 3-digit exponents
+    edges += [1.2345e-5, 1.2345e-4, 9.99999999999999999e-5, 1e16 - 2, 1e16 + 2, 1e17 - 16,
+              9.9999999999999999e16, 123456789012345678.0, 1e-99, 1e-100, 1e99, 1e100]
+    # exact 17-digit ties, which round half to even
+    edges += [1000000000000000.25, 1000000000000000.75, -1000000000000000.25, 0.5, 2.5]
+    return edges
+
+
+def test_columns_csv_matches_per_cell_format_on_edge_values():
+    edges = _csv_edge_values()
+    _assert_matches_reference(edges, 1)
+    _assert_matches_reference(edges[:len(edges) // 4 * 4], 4)
+    assert columns_csv("v", [np.array([1000000000000000.25, 1000000000000000.75])]) == \
+        "v\n1000000000000000.2\n1000000000000000.8\n"
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_columns_csv_is_exact_when_the_decade_guess_is_off(monkeypatch, shift):
+    # every cell's product then lies a decade out, which the formatter must
+    # detect (or, for a product rounding to 10**17, carry) rather than print
+    guess = _g17._decade
+    monkeypatch.setattr(_g17, "_decade", lambda a: guess(a) + shift)
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-1, 1, 500) * 10.0 ** rng.integers(-30, 30, 500)
+    _assert_matches_reference([*_csv_edge_values(), *values], 1)
+
+
+def test_columns_csv_matches_per_cell_format_on_ties_and_long_tables():
+    rng = np.random.default_rng(7)
+    ties = rng.integers(10**15, 10**16, 2000) + rng.choice([0.25, 0.5, 0.75], 2000)
+    _assert_matches_reference(ties, 4)
+    # more rows than one array pass takes, with every magnitude of a run
+    values = rng.uniform(-1, 1, 700 * 9) * 10.0 ** rng.integers(-60, 60, 700 * 9)
+    _assert_matches_reference(values, 9)
+
+
+def test_columns_csv_small_tables():
+    assert columns_csv("a,b", [np.zeros(0), np.zeros(0)]) == "a,b\n"
+    one_row = columns_csv("a,b", [np.array([0.1]), np.array([-0.0])])
+    assert one_row == "a,b\n0.10000000000000001,-0\n"
+    one_column = columns_csv("a", [np.array([1.0, 1e-5, 1e17])])
+    assert one_column == "a\n1\n1.0000000000000001e-05\n1e+17\n"
+
+
+def test_degenerate_input_writes_header_only_csvs():
+    traj, _ = integrate(_config(Geometry.TORUS, HermitianMetric(1, 1, 1.0), 1.0))
+    assert traj.to_csv() == TRAJECTORY_HEADER + "\n"
+    assert _plot_data_csv(traj) == "t,n_x,n_y,n_z_abs\n"
 
 
 def test_config_validation():
