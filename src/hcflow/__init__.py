@@ -4,15 +4,12 @@ finite-time-singularity detection and long-time-limit classification."""
 
 from .algebra import StructureConstants, from_brackets
 from .analysis import (LimitDescriptor, classify_gh_limit, linear_growth_rate,
-                       normalized_metric, verify_decay_bound)
+                       verify_decay_bound)
 from .catalog import GeometryDescriptor, entry, list_geometries, catalog_json
-from .curvature import (CurvatureBundle, christoffels, curvature_bundle,
-                        hcf_tensor, quadratic_terms, second_chern_ricci, torsion)
+from .curvature import CurvatureBundle, curvature_bundle
 from .geometry import Geometry, GeometryParams, InadmissibleParamsError
-from .integrate import (FlowConfig, FlowOutcome, Trajectory, detect_extinction,
-                        integrate, rhs)
-from .metric import (DegenerateMetricError, HermitianMetric, is_positive,
-                     metric_determinant, metric_inverse)
+from .integrate import FlowConfig, FlowOutcome, Trajectory, integrate, rhs
+from .metric import DegenerateMetricError, HermitianMetric
 
 __version__ = "0.1.0"
 
@@ -20,10 +17,7 @@ __all__ = [
     "CurvatureBundle", "DegenerateMetricError", "FlowConfig", "FlowOutcome",
     "Geometry", "GeometryDescriptor", "GeometryParams", "HermitianMetric",
     "InadmissibleParamsError", "LimitDescriptor", "StructureConstants",
-    "Trajectory", "catalog_json", "christoffels", "classify_gh_limit",
-    "curvature_bundle", "detect_extinction", "entry", "from_brackets",
-    "hcf_tensor", "integrate", "is_positive", "linear_growth_rate",
-    "list_geometries", "metric_determinant", "metric_inverse",
-    "normalized_metric", "quadratic_terms", "rhs", "second_chern_ricci",
-    "torsion", "verify_decay_bound",
+    "Trajectory", "catalog_json", "classify_gh_limit", "curvature_bundle",
+    "entry", "from_brackets", "integrate", "linear_growth_rate",
+    "list_geometries", "rhs", "verify_decay_bound",
 ]

@@ -65,31 +65,6 @@ class StructureConstants:
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
-    # -- invariant diagnostics (max absolute violations) --
-
-    def antisymmetry_violation(self) -> float:
-        return float(antisymmetry_violation(self.mu))
-
-    def reality_violation(self) -> float:
-        return float(reality_violation(self.mu))
-
-    def integrability_violation(self) -> float:
-        return float(integrability_violation(self.mu))
-
-    def jacobi_violation(self) -> float:
-        return float(jacobi_violation(self.mu))
-
-    def validate(self, tol: float = 1e-14) -> None:
-        checks = {
-            "antisymmetry": self.antisymmetry_violation(),
-            "reality": self.reality_violation(),
-            "integrability": self.integrability_violation(),
-            "jacobi": self.jacobi_violation(),
-        }
-        bad = {k: v for k, v in checks.items() if v > tol}
-        if bad:
-            raise ValueError(f"structure constants violate {bad} (tol {tol:g})")
-
 
 def from_brackets(b12=None, b11=None, b22=None, b12b=None) -> StructureConstants:
     """Assemble structure constants from the independent brackets.

@@ -68,13 +68,6 @@ class LimitDescriptor:
         return out
 
 
-def normalized_metric(g: HermitianMetric, t: float) -> HermitianMetric:
-    """The metric rescaled by 1/(1+t); the result may be degenerate by design."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return g.scaled(1.0 / (1.0 + t))
-
-
 def _line_fit(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Least-squares slope and intercept of v against t."""
     design = np.column_stack([t, np.ones_like(t)])

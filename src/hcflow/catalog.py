@@ -355,14 +355,6 @@ class GeometryDescriptor:
         with np.errstate(all="ignore"):
             return _udot(self.geometry, params, x, y, z_re, z_im)
 
-    def kaehler_locus(self, g: HermitianMetric) -> bool:
-        """Whether g is a Kaehler metric for this geometry."""
-        if self.geometry is Geometry.TORUS:
-            return True
-        if self.geometry is Geometry.HYPERELLIPTIC:
-            return g.z == 0
-        return False
-
     def expected_circle_length(self, params: GeometryParams) -> float | None:
         """Reference circumference of the collapsed-limit circle, when one exists."""
         if self.geometry is Geometry.INOUE_S0:

@@ -10,8 +10,10 @@ sweep   run a grid of configs in parallel and summarize one row per run
 Exit codes: run returns 0 on a clean classification, 1 on bad input, 2 when
 the run is unclassified or fails a monotonicity check, 3 on integrator
 failure; verify returns 0 iff all K agreements pass, else 1, and 1 on bad
-input; list returns 1 on an unknown geometry.  Log verbosity comes from the
-HCF_LOG environment variable (debug, info, warning, error).
+input; sweep returns 0 when every point has a row (a point's own failure is
+its status cell), 1 on bad input or an unusable --out, and 4 when a worker
+process died; list returns 1 on an unknown geometry.  Log verbosity comes
+from the HCF_LOG environment variable (debug, info, warning, error).
 """
 from __future__ import annotations
 
@@ -152,26 +154,6 @@ def _number(path: str, value) -> float:
     return num
 
 
-def config_to_doc(config: FlowConfig) -> dict:
-    params = {("lambda" if k == "lam" else k): v
-              for k, v in config.params.as_dict().items()}
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "geometry": config.params.geometry.value,
-        "params": params,
-        "g0": {"x": config.g0.x, "y": config.g0.y,
-               "z_re": config.g0.z.real, "z_im": config.g0.z.imag},
-        "t_max": config.t_max,
-        "rel_tol": config.rel_tol,
-        "abs_tol": config.abs_tol,
-        "engine": config.engine,
-        "degeneracy_threshold": config.degeneracy_threshold,
-    }
-    if config.sample_stride is not None:
-        doc["sample_stride"] = config.sample_stride
-    return doc
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_name(f".{path.name}.tmp")
     try:
@@ -194,6 +176,17 @@ def _dump_json(obj) -> str:
 
 def _plot_data_csv(traj: Trajectory) -> str:
     return columns_csv("t,n_x,n_y,n_z_abs", (traj.t, *traj.normalized))
+
+
+def _parse_emit(text: str | None) -> tuple[str, ...]:
+    """The targets of a comma list given to --emit, or the default ones."""
+    if not text:
+        return DEFAULT_EMIT
+    emit = tuple(text.split(","))
+    bad = set(emit) - set(EMIT_CHOICES)
+    if bad:
+        raise ValueError(f"unknown --emit target {sorted(bad)[0]!r}")
+    return emit
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +265,9 @@ def _execute_run(config: FlowConfig, out_dir: Path,
 def cmd_run(args) -> int:
     try:
         config = _config_from_args(args)
-    except (ConfigError, InadmissibleParamsError, ValueError) as exc:
+        emit = _parse_emit(args.emit)
+    except ValueError as exc:  # also ConfigError and InadmissibleParamsError
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    emit = tuple(args.emit.split(",")) if args.emit else DEFAULT_EMIT
-    bad = set(emit) - set(EMIT_CHOICES)
-    if bad:
-        print(f"error: unknown emit target {sorted(bad)[0]!r}", file=sys.stderr)
         return 1
     try:
         code, report = _execute_run(config, Path(args.out), emit)
@@ -332,8 +321,11 @@ def cmd_verify(args) -> int:
 def _apply_override(doc: dict, path: str, value) -> None:
     keys = path.split(".")
     node = doc
-    for key in keys[:-1]:
+    for depth, key in enumerate(keys[:-1], 1):
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError("$." + ".".join(keys[:depth]),
+                              f"the override {path!r} needs an object here")
     node[keys[-1]] = value
 
 
@@ -360,7 +352,9 @@ def _sweep_worker(item: tuple[int, dict, str, tuple[str, ...]]) -> tuple[int, di
     return index, row
 
 
-def _grid_points(grid_doc: dict) -> list[dict]:
+def _grid_points(grid_doc) -> list[dict]:
+    if not isinstance(grid_doc, dict):
+        raise ConfigError("$", "the grid must be a JSON object")
     if "points" in grid_doc:
         points = grid_doc["points"]
         if not isinstance(points, list) or not all(isinstance(p, dict) for p in points):
@@ -382,30 +376,36 @@ def _grid_points(grid_doc: dict) -> list[dict]:
 
 
 def cmd_sweep(args) -> int:
+    out_root = Path(args.out)
+    items = []
     try:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        emit = _parse_emit(args.emit)
         base = json.loads(Path(args.config).read_text())
+        if not isinstance(base, dict):
+            raise ConfigError("$", "the base config must be a JSON object")
         grid = json.loads(Path(args.grid).read_text())
         points = _grid_points(grid)
+        for i, overrides in enumerate(points):
+            doc = json.loads(json.dumps(base))
+            for path, value in overrides.items():
+                _apply_override(doc, path, value)
+            items.append((i, doc, str(out_root), emit))
     except (ValueError, OSError) as exc:  # ConfigError, bad JSON, oversized integers
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    out_root = Path(args.out)
     try:
         out_root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _cannot_write(args.out, exc)
-    emit = tuple(args.emit.split(",")) if args.emit else DEFAULT_EMIT
-
-    items = []
-    for i, overrides in enumerate(points):
-        doc = json.loads(json.dumps(base))
-        for path, value in overrides.items():
-            _apply_override(doc, path, value)
-        items.append((i, doc, str(out_root), emit))
 
     rows: dict[int, dict] = {}
-    if args.workers > 1 and len(items) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a forked pool starts all its workers at the first submit, so never ask
+    # for more than there are points or CPUs
+    workers = min(args.workers, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_worker, item) for item in items]
         for i, future in enumerate(futures):
             try:

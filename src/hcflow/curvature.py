@@ -12,7 +12,8 @@ conventions used throughout:
   and the conjugate slot k; the all-conjugate components are its complex
   conjugate.
 
-``curvature_bundle`` also takes a sequence of metrics, or n metrics as rows
+``curvature_bundle`` is the one entry point; each quantity is a field of its
+result.  It takes one metric, a sequence of metrics, or n metrics as rows
 (x, y, Re z, Im z) of shape (n, 4) (see ``hcflow.metric``); a sequence is
 turned into rows first.  It then runs the same contractions once over the
 stacked matrices ``A`` of shape (n, 2, 2):
@@ -22,6 +23,7 @@ has the bits of the one-metric call.
 
 This module is the reference oracle for the closed-form tensors in
 ``hcflow.catalog``: the two must agree for every geometry and metric.
+Independent cross-checks of its contractions live with the tests.
 """
 from __future__ import annotations
 
@@ -71,54 +73,6 @@ def _matrices(g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray,
     return A, np.linalg.inv(A)
 
 
-def christoffels(mu: StructureConstants, g: HermitianMetric,
-                 margin: float = POSITIVITY_MARGIN) -> tuple[np.ndarray, np.ndarray]:
-    """Chern-connection Christoffel symbols (holomorphic and mixed blocks)."""
-    A, B = _matrices(g, margin)
-    m = mu.mu
-    gamma_h = -np.einsum('js,ip,kjp->kis', B, A, m[0:2, 2:4, 2:4])
-    gamma_b = m[2:4, 0:2, 0:2].copy()
-    return gamma_h, gamma_b
-
-
-def torsion(mu: StructureConstants, g: HermitianMetric,
-            margin: float = POSITIVITY_MARGIN) -> np.ndarray:
-    """Chern torsion with lowered conjugate slot, T[i, j, k]."""
-    g.require_positive(margin)
-    A = g.matrix()
-    m = mu.mu
-    m_hbb = m[0:2, 2:4, 2:4]
-    return (-np.einsum('jp,ikp->ijk', A, m_hbb)
-            + np.einsum('ip,jkp->ijk', A, m_hbb)
-            - np.einsum('mk,ijm->ijk', A, m[0:2, 0:2, 0:2]))
-
-
-def second_chern_ricci(mu: StructureConstants, g: HermitianMetric,
-                       route: str = "christoffel",
-                       margin: float = POSITIVITY_MARGIN) -> np.ndarray:
-    """Second Chern-Ricci curvature S as a 2x2 Hermitian array.
-
-    route="christoffel" assembles S from the Christoffel symbols;
-    route="expanded" evaluates the fully expanded contraction of structure
-    constants.  Both must agree to machine precision (tested).
-    """
-    A, B = _matrices(g, margin)
-    m = mu.mu
-    m_hbb = m[0:2, 2:4, 2:4]
-    m_bhh = m[2:4, 0:2, 0:2]
-    m_hbh = m[0:2, 2:4, 0:2]
-    if route == "christoffel":
-        gamma_h = -np.einsum('js,ip,kjp->kis', B, A, m_hbb)
-        return _second_chern_ricci_from_gamma(A, B, m_bhh, m_hbh, m_hbb, gamma_h)
-    if route == "expanded":
-        e1 = np.einsum('lk,pj,vp,rq,kvq,lir->ij', B, A, B, A, m_hbb, m_bhh)
-        e2 = np.einsum('lk,pj,vr,iq,kvq,lrp->ij', B, A, B, A, m_hbb, m_bhh)
-        e3 = np.einsum('lk,pj,vp,iq,rvq,klr->ij', B, A, B, A, m_hbb, m_hbh)
-        e4 = np.einsum('lk,pj,klr,rip->ij', B, A, m_hbb, m_bhh)
-        return -(e1 - e2 - e3 + e4)
-    raise ValueError(f"unknown route {route!r}")
-
-
 def _second_chern_ricci_from_gamma(A, B, m_bhh, m_hbh, m_hbb, gamma_h) -> np.ndarray:
     t1 = np.einsum('...lk,...pj,lir,...krp->...ij', B, A, m_bhh, gamma_h)
     t2 = np.einsum('...lk,...pj,lrp,...kir->...ij', B, A, m_bhh, gamma_h)
@@ -135,41 +89,6 @@ def _quadratic_from_torsion(B: np.ndarray, T: np.ndarray):
     Q4 = 0.5 * (np.einsum('...lk,...qm,...mkl,...qji->...ij', B, B, T, Tc)
                 + np.einsum('...lk,...qm,...qlk,...mij->...ij', B, B, Tc, T))
     return Q1, Q2, Q3, Q4
-
-
-def quadratic_terms(mu: StructureConstants, g: HermitianMetric,
-                    route: str = "torsion",
-                    margin: float = POSITIVITY_MARGIN):
-    """The four torsion-quadratic tensors (Q1, Q2, Q3, Q4), each 2x2 Hermitian.
-
-    route="torsion" contracts the lowered torsion against itself (production
-    path); route="mu" expands each torsion factor in structure constants with
-    independent arithmetic, serving as a cross-check of the production path.
-    """
-    A, B = _matrices(g, margin)
-    if route == "torsion":
-        return _quadratic_from_torsion(B, torsion(mu, g, margin))
-    if route == "mu":
-        m = mu.mu
-        m_hbb = m[0:2, 2:4, 2:4]
-        m_hhh = m[0:2, 0:2, 0:2]
-        m_bhh = m[2:4, 0:2, 0:2]
-        m_bbb = m[2:4, 2:4, 2:4]
-        # holomorphic-slot factor F[i, k, q] and its conjugate G[j, l, m],
-        # each expanded term by term rather than conjugated from F
-        F = (-np.einsum('kp,iqp->ikq', A, m_hbb)
-             + np.einsum('ip,kqp->ikq', A, m_hbb)
-             - np.einsum('vq,ikv->ikq', A, m_hhh))
-        G = (-np.einsum('pl,jmp->jlm', A, m_bhh)
-             + np.einsum('pj,lmp->jlm', A, m_bhh)
-             - np.einsum('mv,jlv->jlm', A, m_bbb))
-        Q1 = np.einsum('lk,qm,ikq,jlm->ij', B, B, F, G)
-        Q2 = np.einsum('lk,qm,kmj,lqi->ij', B, B, F, G)
-        Q3 = np.einsum('lk,qm,ikl,jqm->ij', B, B, F, G)
-        Q4 = 0.5 * (np.einsum('lk,qm,mkl,qji->ij', B, B, F, G)
-                    + np.einsum('lk,qm,qlk,mij->ij', B, B, G, F))
-        return Q1, Q2, Q3, Q4
-    raise ValueError(f"unknown route {route!r}")
 
 
 def curvature_bundle(mu: StructureConstants,
@@ -198,12 +117,6 @@ def curvature_bundle(mu: StructureConstants,
     Q = 0.5 * Q1 - 0.25 * Q2 - 0.5 * Q3 + Q4
     return CurvatureBundle(gamma_h=gamma_h, gamma_b=gamma_b, torsion=T,
                            S=S, Q1=Q1, Q2=Q2, Q3=Q3, Q4=Q4, Q=Q, K=S - Q)
-
-
-def hcf_tensor(mu: StructureConstants, g: HermitianMetric,
-               margin: float = POSITIVITY_MARGIN) -> np.ndarray:
-    """Flow tensor K = S - (Q1/2 - Q2/4 - Q3/2 + Q4) as a 2x2 Hermitian array."""
-    return curvature_bundle(mu, g, margin).K
 
 
 def hermiticity_defect(M: np.ndarray) -> float | np.ndarray:

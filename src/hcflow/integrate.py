@@ -259,12 +259,3 @@ def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
     final = traj.final_metric() if len(traj) else None
     outcome = FlowOutcome(klass, t_est, final, reason, stats)
     return traj, outcome
-
-
-def detect_extinction(trajectory: Trajectory) -> float | None:
-    """Bracketed extinction time when the degeneracy stop fired, else None."""
-    if len(trajectory) == 0:
-        raise ValueError("empty trajectory")
-    if trajectory.stop_reason == OUTCOME_EXTINCT:
-        return trajectory.t_est
-    return None

@@ -45,10 +45,6 @@ class HermitianMetric:
         """Determinant x*y - |z|^2 of the metric matrix."""
         return self.x * self.y - self.u
 
-    def is_positive(self) -> bool:
-        """True iff the matrix [[x, z], [conj(z), y]] is positive definite."""
-        return self.x > 0 and self.det > 0
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", float(self.x))
         object.__setattr__(self, "y", float(self.y))
@@ -65,24 +61,6 @@ class HermitianMetric:
     def matrix(self) -> np.ndarray:
         """Metric as a 2x2 complex array; entry [i, j] pairs frame i with conjugate frame j."""
         return np.array([[self.x, self.z], [np.conj(self.z), self.y]], dtype=complex)
-
-    def inverse_components(self, margin: float = POSITIVITY_MARGIN) -> tuple[float, float, complex]:
-        """Inverse-metric components (y/D, x/D, -z/D).
-
-        Ordered as (first diagonal, second diagonal, off-diagonal), i.e. the
-        entries of the inverse matrix [[y, -z], [-conj(z), x]] / D.
-        """
-        self.require_positive(margin)
-        d = self.det
-        return self.y / d, self.x / d, -self.z / d
-
-    def inverse_matrix(self, margin: float = POSITIVITY_MARGIN) -> np.ndarray:
-        """Inverse of ``matrix()`` as a 2x2 complex array."""
-        i11, i22, i12 = self.inverse_components(margin)
-        return np.array([[i11, i12], [np.conj(i12), i22]], dtype=complex)
-
-    def scaled(self, s: float) -> "HermitianMetric":
-        return HermitianMetric(s * self.x, s * self.y, s * self.z)
 
 
 def metric_rows(g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray) -> np.ndarray:
@@ -107,18 +85,3 @@ def require_positive_rows(rows: np.ndarray, margin: float = POSITIVITY_MARGIN) -
     if not ok.all():
         x, y, zre, zim = rows[np.argmin(ok)].tolist()
         HermitianMetric(x, y, complex(zre, zim)).require_positive(margin)
-
-
-def metric_determinant(g: HermitianMetric) -> float:
-    """Determinant D = x*y - |z|^2."""
-    return g.det
-
-
-def metric_inverse(g: HermitianMetric) -> tuple[float, float, complex]:
-    """Inverse components (y/D, x/D, -z/D); raises DegenerateMetricError if D <= margin*x*y."""
-    return g.inverse_components()
-
-
-def is_positive(g: HermitianMetric) -> bool:
-    """Positive-definiteness test: x > 0 and x*y - |z|^2 > 0."""
-    return g.is_positive()

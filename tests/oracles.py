@@ -1,8 +1,10 @@
-"""Independent explicit-loop reimplementations used as test oracles.
+"""Independent reimplementations used as test oracles.
 
-These deliberately avoid einsum and any shared code path with
-hcflow.curvature: every contraction is an explicit nested loop, evaluated
-in a different association order.
+None shares a code path with hcflow.curvature.  The ``*_loops`` oracles
+avoid einsum: every contraction is an explicit nested loop, evaluated in a
+different association order.  ``second_chern_ricci_expanded`` and
+``quadratic_terms_mu`` use einsum, but expand their quantity in structure
+constants along a route of their own.
 """
 from __future__ import annotations
 
@@ -103,3 +105,39 @@ def hcf_tensor_loops(mu: np.ndarray, g: HermitianMetric) -> np.ndarray:
     s = second_chern_ricci_loops(mu, g)
     q1, q2, q3, q4 = quadratic_terms_loops(mu, g)
     return s - (0.5 * q1 - 0.25 * q2 - 0.5 * q3 + q4)
+
+
+def second_chern_ricci_expanded(mu: np.ndarray, g: HermitianMetric) -> np.ndarray:
+    """S by the fully expanded contraction of structure constants."""
+    A, B, m = _slots(mu, g)
+    m_hbb = m[0:2, 2:4, 2:4]
+    m_bhh = m[2:4, 0:2, 0:2]
+    m_hbh = m[0:2, 2:4, 0:2]
+    e1 = np.einsum('lk,pj,vp,rq,kvq,lir->ij', B, A, B, A, m_hbb, m_bhh)
+    e2 = np.einsum('lk,pj,vr,iq,kvq,lrp->ij', B, A, B, A, m_hbb, m_bhh)
+    e3 = np.einsum('lk,pj,vp,iq,rvq,klr->ij', B, A, B, A, m_hbb, m_hbh)
+    e4 = np.einsum('lk,pj,klr,rip->ij', B, A, m_hbb, m_bhh)
+    return -(e1 - e2 - e3 + e4)
+
+
+def quadratic_terms_mu(mu: np.ndarray, g: HermitianMetric):
+    """(Q1, Q2, Q3, Q4) with each torsion factor expanded in structure constants."""
+    A, B, m = _slots(mu, g)
+    m_hbb = m[0:2, 2:4, 2:4]
+    m_hhh = m[0:2, 0:2, 0:2]
+    m_bhh = m[2:4, 0:2, 0:2]
+    m_bbb = m[2:4, 2:4, 2:4]
+    # holomorphic-slot factor F[i, k, q] and its conjugate G[j, l, m],
+    # each expanded term by term rather than conjugated from F
+    F = (-np.einsum('kp,iqp->ikq', A, m_hbb)
+         + np.einsum('ip,kqp->ikq', A, m_hbb)
+         - np.einsum('vq,ikv->ikq', A, m_hhh))
+    G = (-np.einsum('pl,jmp->jlm', A, m_bhh)
+         + np.einsum('pj,lmp->jlm', A, m_bhh)
+         - np.einsum('mv,jlv->jlm', A, m_bbb))
+    Q1 = np.einsum('lk,qm,ikq,jlm->ij', B, B, F, G)
+    Q2 = np.einsum('lk,qm,kmj,lqi->ij', B, B, F, G)
+    Q3 = np.einsum('lk,qm,ikl,jqm->ij', B, B, F, G)
+    Q4 = 0.5 * (np.einsum('lk,qm,mkl,qji->ij', B, B, F, G)
+                + np.einsum('lk,qm,qlk,mij->ij', B, B, G, F))
+    return Q1, Q2, Q3, Q4

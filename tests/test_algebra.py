@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hcflow.algebra import (Z1, Z2, ZB1, ZB2, _CONJ, StructureConstants, conjugate_vector,
-                           from_brackets)
+from hcflow.algebra import (Z1, Z2, ZB1, ZB2, _CONJ, StructureConstants,
+                           antisymmetry_violation, conjugate_vector, from_brackets,
+                           integrability_violation, jacobi_violation, reality_violation)
 from hcflow.catalog import entry, sample_params
 from hcflow.geometry import Geometry, GeometryParams, InadmissibleParamsError
 
@@ -16,12 +17,11 @@ def test_catalog_hygiene_over_parameter_draws(geometry):
     rng = np.random.default_rng(7)
     for _ in range(20):
         params = sample_params(geometry, rng)
-        mu = entry(geometry).structure_constants(params)
-        assert mu.antisymmetry_violation() <= HYGIENE_TOL
-        assert mu.reality_violation() <= HYGIENE_TOL
-        assert mu.integrability_violation() <= HYGIENE_TOL
-        assert mu.jacobi_violation() <= HYGIENE_TOL
-        mu.validate(HYGIENE_TOL)
+        mu = entry(geometry).structure_constants(params).mu
+        assert antisymmetry_violation(mu) <= HYGIENE_TOL
+        assert reality_violation(mu) <= HYGIENE_TOL
+        assert integrability_violation(mu) <= HYGIENE_TOL
+        assert jacobi_violation(mu) <= HYGIENE_TOL
 
 
 def test_builder_fills_conjugate_brackets():
@@ -42,9 +42,7 @@ def test_inconsistent_self_bracket_fails_reality():
     # [Z1, conj Z1] must be anti-fixed by conjugation; a holomorphic-only
     # value violates that
     mu = from_brackets(b11=[1, 0, 0, 0])
-    assert mu.reality_violation() > 0.1
-    with pytest.raises(ValueError):
-        mu.validate()
+    assert reality_violation(mu.mu) > 0.1
 
 
 def test_shape_validation():
@@ -87,4 +85,4 @@ def test_reality_violation_equals_per_bracket_loop():
     algebras += [StructureConstants(rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4)))
                  for _ in range(20)]
     for mu in algebras:
-        assert mu.reality_violation() == _reality_violation_loop(mu)
+        assert reality_violation(mu.mu) == _reality_violation_loop(mu)

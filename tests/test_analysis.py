@@ -3,8 +3,7 @@ import pytest
 
 from hcflow.analysis import (DecayBoundViolation, LIMIT_FLAT_KAEHLER,
                              TrajectoryTooShortError, classify_gh_limit,
-                             linear_growth_rate, monotonicity_report,
-                             normalized_metric, udot_consistency,
+                             linear_growth_rate, monotonicity_report, udot_consistency,
                              unnormalized_limit, verify_decay_bound)
 from hcflow.catalog import (LIMIT_CIRCLE, LIMIT_COLLAPSE, LIMIT_KE_CURVE, LIMIT_POINT,
                             entry)
@@ -28,30 +27,6 @@ def synthetic_trajectory(t, x, y, z_re=None, z_im=None):
 
 def immortal_outcome():
     return FlowOutcome(OUTCOME_IMMORTAL, None, None, "reached t_max")
-
-
-# ---------------------------------------------------------------------------
-# normalized metric
-# ---------------------------------------------------------------------------
-
-def test_normalized_metric_basic():
-    g = normalized_metric(HermitianMetric(2, 2, 0), 1.0)
-    assert (g.x, g.y, g.z) == (1.0, 1.0, 0.0)
-
-
-def test_normalized_metric_linear_growth_limit():
-    # x = 2t with y fixed: the rescaled metric approaches diag(2, 0)
-    for t in (1e3, 1e6):
-        g = normalized_metric(HermitianMetric(2 * t, 1.0, 0), t)
-        assert g.x == pytest.approx(2.0, rel=2e-3 if t < 1e4 else 2e-6)
-        assert g.y == pytest.approx(0.0, abs=1e-2)
-    assert not normalized_metric(HermitianMetric(2e6, 1.0, 0), 1e6).is_positive() \
-        or normalized_metric(HermitianMetric(2e6, 1.0, 0), 1e6).det > 0
-
-
-def test_normalized_metric_rejects_negative_time():
-    with pytest.raises(ValueError):
-        normalized_metric(HermitianMetric(1, 1, 0), -1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -118,10 +118,8 @@ def test_hyperelliptic_kaehler_locus():
         k = desc.closed_form_K(params, g)
         diagonal = HermitianMetric(g.x, g.y, 0.0)
         assert np.max(np.abs(desc.closed_form_K(params, diagonal))) == 0.0
-        assert desc.kaehler_locus(diagonal)
         if abs(g.z) > 1e-6:
             assert np.max(np.abs(k)) > 0.0
-            assert not desc.kaehler_locus(g)
 
 
 def test_diagonal_metrics_have_diagonal_k():

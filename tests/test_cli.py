@@ -456,6 +456,7 @@ def _worker_dies_on_point_1(item):
 
 def test_sweep_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_sweep_worker", _worker_dies_on_point_1)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one CPU
     cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
                        t_max=1.0, sample_stride=0.5)
     (tmp_path / "grid.json").write_text(json.dumps({"points": [{"g0.x": x} for x in (1, 2, 3)]}))
@@ -502,6 +503,77 @@ def test_sweep_writes_one_column_per_name(tmp_path):
     assert torus["geometry"] == "torus" and torus["params"] == "{}" and torus["status"] == "ok"
     assert hopf["geometry"] == "hopf" and hopf["params"] == "" and hopf["status"] == "ok"
     assert unknown["geometry"] == "nowhere" and unknown["status"].startswith("error: ")
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each submit inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = cli.concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("workers, points, size", [
+    (64, 2, 2), (64, 5, 3), (2, 5, 2), (1, 5, None), (8, 1, None)])
+def test_sweep_pool_is_bounded_by_points_and_cpus(tmp_path, monkeypatch, workers, points, size):
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
+                       t_max=1.0, sample_stride=0.5)
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"points": [{"g0.x": 1.0 + i} for i in range(points)]}))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(out), "--workers", str(workers),
+                   "--emit", "outcome-json") == 0
+    assert _InlinePool.sizes == ([] if size is None else [size])
+    with open(out / "summary.csv", newline="") as f:
+        header, *rows = list(csv.reader(f))
+    assert [row[-1] for row in rows] == ["ok"] * points
+
+
+@pytest.mark.parametrize("base, grid, extra, named", [
+    ([1, 2], {"points": [{}]}, (), "$: the base config must be a JSON object"),
+    (None, ["points"], (), "$: the grid must be a JSON object"),
+    ({"g0": 5}, {"points": [{"g0.x": 2}]}, (), "$.g0: the override 'g0.x' needs an object"),
+    (None, {"points": [{}]}, ("--emit", "trajectory"), "unknown --emit target 'trajectory'"),
+    (None, {"points": [{}]}, ("--workers", "0"), "--workers must be >= 1, got 0"),
+    (None, {"points": [{}]}, ("--workers", "-3"), "--workers must be >= 1, got -3"),
+], ids=["array-config", "array-grid", "override-through-number", "emit", "workers-0",
+        "workers-negative"])
+def test_sweep_rejects_malformed_input(tmp_path, capsys, base, grid, extra, named):
+    cfg = write_config(tmp_path / "base.json")
+    if base is not None:
+        doc = json.loads(cfg.read_text())
+        cfg.write_text(json.dumps(dict(doc, **base) if isinstance(base, dict) else base))
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(out), *extra) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_run_rejects_unknown_emit_target_naming_the_flag(tmp_path, capsys):
+    assert run_cli("run", "--geometry", "torus", "--t-max", "1", "--emit", "trajectory",
+                   "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == "error: unknown --emit target 'trajectory'\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_non_finite_trajectory_writes_nothing_to_stderr(tmp_path):

@@ -3,9 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hcflow.catalog import entry, sample_metric, sample_params
-from hcflow.curvature import (christoffels, curvature_bundle, hcf_tensor,
-                              hermiticity_defect, quadratic_terms,
-                              second_chern_ricci, torsion)
+from hcflow.curvature import curvature_bundle, hermiticity_defect
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.metric import DegenerateMetricError, HermitianMetric
 
@@ -18,13 +16,19 @@ def _mu(geometry, **kwargs):
     return entry(geometry).structure_constants(params), params
 
 
+def _quadratic_terms(mu, g):
+    b = curvature_bundle(mu, g)
+    return b.Q1, b.Q2, b.Q3, b.Q4
+
+
 # ---------------------------------------------------------------------------
-# christoffels
+# Christoffel symbols
 # ---------------------------------------------------------------------------
 
 def test_christoffels_torus_vanish():
     mu, _ = _mu(Geometry.TORUS)
-    gh, gb = christoffels(mu, HermitianMetric(1.7, 0.4, 0.2 + 0.5j))
+    b = curvature_bundle(mu, HermitianMetric(1.7, 0.4, 0.2 + 0.5j))
+    gh, gb = b.gamma_h, b.gamma_b
     assert np.all(gh == 0) and np.all(gb == 0)
 
 
@@ -32,7 +36,7 @@ def test_christoffels_hyperelliptic_identity_metric():
     # the bracket of Z2 with conj(Z1) has an antiholomorphic part, so exactly
     # one holomorphic Christoffel survives at the identity metric
     mu, _ = _mu(Geometry.HYPERELLIPTIC)
-    gh, _ = christoffels(mu, HermitianMetric(1, 1, 0))
+    gh = curvature_bundle(mu, HermitianMetric(1, 1, 0)).gamma_h
     expected = np.zeros((2, 2, 2), dtype=complex)
     expected[1, 0, 0] = -1.0
     assert np.allclose(gh, expected, atol=1e-15)
@@ -40,7 +44,7 @@ def test_christoffels_hyperelliptic_identity_metric():
 
 def test_christoffels_hopf_identity_metric():
     mu, _ = _mu(Geometry.HOPF, lam=0.0)
-    gh, _ = christoffels(mu, HermitianMetric(1, 1, 0))
+    gh = curvature_bundle(mu, HermitianMetric(1, 1, 0)).gamma_h
     assert gh[1, 1, 0] == pytest.approx(0.0, abs=1e-15)   # no (2,2)->1 component
     assert gh[0, 1, 1] == pytest.approx(1.0)
     assert gh[1, 0, 1] == pytest.approx(-1.0)
@@ -52,7 +56,8 @@ def test_christoffels_match_bruteforce(geometry):
     rng = np.random.default_rng(5)
     for _ in range(10):
         g = sample_metric(rng)
-        gh, gb = christoffels(mu, g)
+        b = curvature_bundle(mu, g)
+        gh, gb = b.gamma_h, b.gamma_b
         ref = oracles.christoffels_loops(mu.mu, g)
         assert np.max(np.abs(gh - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
         assert np.all(gb == mu.mu[2:4, 0:2, 0:2])
@@ -64,7 +69,7 @@ def test_christoffels_match_bruteforce(geometry):
 
 def test_torsion_torus_vanishes():
     mu, _ = _mu(Geometry.TORUS)
-    assert np.all(torsion(mu, HermitianMetric(2, 3, 1j)) == 0)
+    assert np.all(curvature_bundle(mu, HermitianMetric(2, 3, 1j)).torsion == 0)
 
 
 @pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
@@ -73,7 +78,7 @@ def test_torsion_antisymmetric_and_matches_bruteforce(geometry):
     rng = np.random.default_rng(6)
     for _ in range(10):
         g = sample_metric(rng)
-        t = torsion(mu, g)
+        t = curvature_bundle(mu, g).torsion
         assert np.all(t[0, 0] == 0) and np.all(t[1, 1] == 0)
         assert np.max(np.abs(t + np.swapaxes(t, 0, 1))) <= 1e-14 * (1 + np.max(np.abs(t)))
         ref = oracles.torsion_loops(mu.mu, g)
@@ -83,7 +88,7 @@ def test_torsion_antisymmetric_and_matches_bruteforce(geometry):
 def test_torsion_kodaira_primary_identity_metric():
     mu, _ = _mu(Geometry.KODAIRA_PRIMARY)
     g = HermitianMetric(1, 1, 0)
-    assert np.allclose(torsion(mu, g), oracles.torsion_loops(mu.mu, g), atol=1e-15)
+    assert np.allclose(curvature_bundle(mu, g).torsion, oracles.torsion_loops(mu.mu, g), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +97,13 @@ def test_torsion_kodaira_primary_identity_metric():
 
 def test_s_torus_vanishes():
     mu, _ = _mu(Geometry.TORUS)
-    assert np.all(second_chern_ricci(mu, HermitianMetric(1, 2, 0.5)) == 0)
+    assert np.all(curvature_bundle(mu, HermitianMetric(1, 2, 0.5)).S == 0)
 
 
 def test_s_hyperelliptic_frozen_value():
     # S_11 = x^2 |z|^2 / D^2 = 4/25 at (x, y, z) = (2, 3, 1)
     mu, _ = _mu(Geometry.HYPERELLIPTIC)
-    s = second_chern_ricci(mu, HermitianMetric(2, 3, 1))
+    s = curvature_bundle(mu, HermitianMetric(2, 3, 1)).S
     assert s[0, 0].real == pytest.approx(4 / 25, rel=1e-13)
     assert s[1, 1].real == pytest.approx(6 / 25, rel=1e-13)
     assert s[0, 1] == pytest.approx(12 / 25, rel=1e-13)
@@ -106,7 +111,7 @@ def test_s_hyperelliptic_frozen_value():
 
 def test_s_hopf_identity_is_identity_matrix():
     mu, _ = _mu(Geometry.HOPF, lam=0.0)
-    s = second_chern_ricci(mu, HermitianMetric(1, 1, 0))
+    s = curvature_bundle(mu, HermitianMetric(1, 1, 0)).S
     assert np.allclose(s, np.eye(2), atol=1e-14)
 
 
@@ -116,8 +121,8 @@ def test_s_two_routes_agree(geometry):
     rng = np.random.default_rng(8)
     for _ in range(20):
         g = sample_metric(rng)
-        s1 = second_chern_ricci(mu, g, route="christoffel")
-        s2 = second_chern_ricci(mu, g, route="expanded")
+        s1 = curvature_bundle(mu, g).S
+        s2 = oracles.second_chern_ricci_expanded(mu.mu, g)
         ref = oracles.second_chern_ricci_loops(mu.mu, g)
         scale = 1 + np.max(np.abs(s1))
         assert np.max(np.abs(s1 - s2)) <= 1e-12 * scale
@@ -130,13 +135,13 @@ def test_s_two_routes_agree(geometry):
 
 def test_q_torus_vanishes():
     mu, _ = _mu(Geometry.TORUS)
-    for q in quadratic_terms(mu, HermitianMetric(1, 1, 0.2)):
+    for q in _quadratic_terms(mu, HermitianMetric(1, 1, 0.2)):
         assert np.all(q == 0)
 
 
 def test_q_hopf_identity_frozen_values():
     mu, _ = _mu(Geometry.HOPF, lam=0.0)
-    q1, q2, q3, q4 = quadratic_terms(mu, HermitianMetric(1, 1, 0))
+    q1, q2, q3, q4 = _quadratic_terms(mu, HermitianMetric(1, 1, 0))
     assert q1[0, 0].real == pytest.approx(1.0, rel=1e-13)
     assert q2[0, 0].real == pytest.approx(0.0, abs=1e-14)
     assert q3[0, 0].real == pytest.approx(1.0, rel=1e-13)
@@ -152,8 +157,8 @@ def test_q_dual_route_consistency(geometry):
     rng = np.random.default_rng(9)
     for _ in range(20):
         g = sample_metric(rng)
-        qt = quadratic_terms(mu, g, route="torsion")
-        qm = quadratic_terms(mu, g, route="mu")
+        qt = _quadratic_terms(mu, g)
+        qm = oracles.quadratic_terms_mu(mu.mu, g)
         ql = oracles.quadratic_terms_loops(mu.mu, g)
         for a, b, c in zip(qt, qm, ql):
             scale = 1 + np.max(np.abs(a))
@@ -167,7 +172,7 @@ def test_q1_q3_positive_semidefinite(geometry):
     rng = np.random.default_rng(10)
     for _ in range(20):
         g = sample_metric(rng)
-        q1, _, q3, _ = quadratic_terms(mu, g)
+        q1, _, q3, _ = _quadratic_terms(mu, g)
         for q in (q1, q3):
             herm = 0.5 * (q + q.conj().T)
             eig = np.linalg.eigvalsh(herm)
@@ -180,18 +185,18 @@ def test_q1_q3_positive_semidefinite(geometry):
 
 def test_k_torus_zero():
     mu, _ = _mu(Geometry.TORUS)
-    assert np.all(hcf_tensor(mu, HermitianMetric(3, 0.5, 1j)) == 0)
+    assert np.all(curvature_bundle(mu, HermitianMetric(3, 0.5, 1j)).K == 0)
 
 
 def test_k_hyperelliptic_diagonal_metric_zero():
     mu, _ = _mu(Geometry.HYPERELLIPTIC)
-    k = hcf_tensor(mu, HermitianMetric(1.3, 2.7, 0))
+    k = curvature_bundle(mu, HermitianMetric(1.3, 2.7, 0)).K
     assert np.max(np.abs(k)) <= 1e-14
 
 
 def test_k_hopf_invariant_ray_point():
     mu, _ = _mu(Geometry.HOPF, lam=0.0)
-    k = hcf_tensor(mu, HermitianMetric(1, 1.5, 0))
+    k = curvature_bundle(mu, HermitianMetric(1, 1.5, 0)).K
     assert k[0, 0].real == pytest.approx(4 / 9, rel=1e-12)
     assert k[1, 1].real == pytest.approx(2 / 3, rel=1e-12)
     assert abs(k[0, 1]) <= 1e-14
@@ -204,7 +209,7 @@ def test_k_hermitian_on_random_metrics(geometry):
     mu = entry(geometry).structure_constants(params)
     for _ in range(200):
         g = sample_metric(rng)
-        k = hcf_tensor(mu, g)
+        k = curvature_bundle(mu, g).K
         scale = 1 + np.max(np.abs(k))
         assert abs(k[0, 0].imag) <= 1e-12 * scale
         assert abs(k[1, 1].imag) <= 1e-12 * scale
@@ -233,8 +238,8 @@ def test_scaling_covariance_via_oracle(geometry):
     for _ in range(10):
         g = sample_metric(rng)
         s = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e2))))
-        gs = g.scaled(s)
-        k_engine = hcf_tensor(mu, gs)
+        gs = HermitianMetric(s * g.x, s * g.y, s * g.z)
+        k_engine = curvature_bundle(mu, gs).K
         k_closed = desc.closed_form_K(params, gs)
         scale = max(1.0, float(np.max(np.abs(k_closed))))
         assert np.max(np.abs(k_engine - k_closed)) <= 1e-9 * scale
@@ -243,7 +248,7 @@ def test_scaling_covariance_via_oracle(geometry):
 def test_degenerate_metric_rejected():
     mu, _ = _mu(Geometry.HOPF, lam=1.0)
     with pytest.raises(DegenerateMetricError):
-        hcf_tensor(mu, HermitianMetric(1, 1, 1.0))
+        curvature_bundle(mu, HermitianMetric(1, 1, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +271,7 @@ def test_property_engine_matches_closed_form(geometry, seed, g):
     params = params_for(geometry, seed=seed)
     desc = entry(geometry)
     mu = desc.structure_constants(params)
-    k = hcf_tensor(mu, g)
+    k = curvature_bundle(mu, g).K
     closed = desc.closed_form_K(params, g)
     scale = max(1.0, float(np.max(np.abs(closed))))
     assert np.max(np.abs(k - closed)) <= 1e-9 * scale

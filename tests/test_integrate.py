@@ -11,7 +11,7 @@ from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, MAX_SAMPLES,
                               OUTCOME_DEGENERATE_INPUT, OUTCOME_EXTINCT, OUTCOME_IMMORTAL,
-                              TRAJECTORY_HEADER, columns_csv, detect_extinction, integrate,
+                              TRAJECTORY_HEADER, columns_csv, integrate,
                               rhs)
 from hcflow.metric import HermitianMetric
 
@@ -59,7 +59,7 @@ def test_hopf_exact_solution_and_extinction_time():
     sel = traj.t <= 2.2
     assert np.max(np.abs(traj.x[sel] - (1 - 4 * traj.t[sel] / 9))) <= 1e-6
     assert np.max(np.abs(traj.y[sel] - 1.5 * traj.x[sel])) <= 1e-6
-    assert detect_extinction(traj) == outcome.t_est
+    assert traj.stop_reason == OUTCOME_EXTINCT and traj.t_est == outcome.t_est
 
 
 def test_hopf_lam1_extinction_time():
@@ -77,7 +77,7 @@ def test_torus_flow_is_stationary():
                 np.max(np.abs(traj.z_re - g0.z.real)),
                 np.max(np.abs(traj.z_im - g0.z.imag)))
     assert drift <= 1e-12
-    assert detect_extinction(traj) is None
+    assert traj.stop_reason == OUTCOME_IMMORTAL and traj.t_est is None
 
 
 def test_degenerate_initial_metric():

@@ -2,50 +2,50 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hcflow.metric import (DegenerateMetricError, HermitianMetric, is_positive,
-                           metric_determinant, metric_inverse)
+from hcflow.curvature import _matrices
+from hcflow.metric import POSITIVITY_MARGIN, DegenerateMetricError, HermitianMetric
 from oracles import det_cofactor
 
 
+def _inverse(g):
+    """B = A^-1, the inverse the contraction engine uses."""
+    return _matrices(g, POSITIVITY_MARGIN)[1]
+
+
 def test_determinant_identity():
-    assert metric_determinant(HermitianMetric(1, 1, 0)) == 1.0
+    assert HermitianMetric(1, 1, 0).det == 1.0
 
 
 def test_determinant_offdiagonal():
-    assert metric_determinant(HermitianMetric(2, 3, 1 + 1j)) == pytest.approx(4.0, abs=1e-15)
+    assert HermitianMetric(2, 3, 1 + 1j).det == pytest.approx(4.0, abs=1e-15)
 
 
 def test_determinant_hopf_ray_point():
-    assert metric_determinant(HermitianMetric(1, 1.5, 0)) == pytest.approx(1.5)
+    assert HermitianMetric(1, 1.5, 0).det == pytest.approx(1.5)
 
 
 def test_inverse_identity():
-    assert metric_inverse(HermitianMetric(1, 1, 0)) == (1.0, 1.0, 0.0)
+    b = _inverse(HermitianMetric(1, 1, 0))
+    assert (b[0, 0], b[1, 1], b[0, 1]) == (1.0, 1.0, 0.0)
 
 
 def test_inverse_real_offdiagonal():
-    i11, i22, i12 = metric_inverse(HermitianMetric(2, 3, 1))
-    assert i11 == pytest.approx(3 / 5)
-    assert i22 == pytest.approx(2 / 5)
-    assert i12 == pytest.approx(-1 / 5)
+    b = _inverse(HermitianMetric(2, 3, 1))
+    assert b[0, 0] == pytest.approx(3 / 5)
+    assert b[1, 1] == pytest.approx(2 / 5)
+    assert b[0, 1] == pytest.approx(-1 / 5)
 
 
 def test_inverse_near_degenerate_roundtrip():
     g = HermitianMetric(1, 1, 0.9)
-    prod = g.matrix() @ g.inverse_matrix()
+    prod = g.matrix() @ _inverse(g)
     assert np.max(np.abs(prod - np.eye(2))) < 1e-13
-
-
-def test_is_positive_cases():
-    assert is_positive(HermitianMetric(1, 1, 0))
-    assert not is_positive(HermitianMetric(1, 1, 1.0))   # boundary D = 0
-    assert not is_positive(HermitianMetric(-1, 1, 0))
 
 
 def test_degenerate_rejection():
     g = HermitianMetric(1, 1, 1.0)
     with pytest.raises(DegenerateMetricError):
-        metric_inverse(g)
+        _inverse(g)
     with pytest.raises(DegenerateMetricError):
         g.require_positive()
 
@@ -71,7 +71,7 @@ valid_metrics = _metric_strategy(1e-3, 1e3)
 
 @given(_metric_strategy(0.1, 10.0))
 def test_inverse_roundtrip_property(g):
-    prod = g.matrix() @ g.inverse_matrix()
+    prod = g.matrix() @ _inverse(g)
     assert np.max(np.abs(prod - np.eye(2))) <= 1e-13
 
 
@@ -79,8 +79,8 @@ def test_inverse_roundtrip_property(g):
 def test_inverse_roundtrip_property_wide_range(g):
     # over six decades of aspect ratio the product's own cancellation scale
     # |g| |g^-1| bounds the achievable accuracy, so normalize by it
-    prod = g.matrix() @ g.inverse_matrix()
-    scale = np.maximum(1.0, np.abs(g.matrix()) @ np.abs(g.inverse_matrix()))
+    prod = g.matrix() @ _inverse(g)
+    scale = np.maximum(1.0, np.abs(g.matrix()) @ np.abs(_inverse(g)))
     assert np.max(np.abs(prod - np.eye(2)) / scale) <= 1e-13
 
 
@@ -97,7 +97,7 @@ def test_derived_quantities_not_cached():
     g = HermitianMetric(2, 2, 1 + 1j)
     assert g.u == 2.0
     assert g.det == 2.0
-    assert g.scaled(2.0).det == 8.0
+    assert HermitianMetric(2 * g.x, 2 * g.y, 2 * g.z).det == 8.0
 
 
 def test_matrix_is_hermitian():

@@ -147,7 +147,7 @@ def test_stacked_hygiene_checks_equal_one_at_a_time_bitwise(geometry):
             stacked = getattr(algebra, name)(mus)
             assert stacked.shape == (n,)
             for i, mu in enumerate(mus):
-                one = getattr(StructureConstants(mu), name)()
+                one = getattr(algebra, name)(StructureConstants(mu).mu)
                 assert stacked[i].tobytes() == np.float64(one).tobytes(), name
 
 
