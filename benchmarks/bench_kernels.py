@@ -14,12 +14,15 @@ call (as ``verify_structure_constants`` calls them), (d) the CSV text of the
 two 1001-row tables of a t = 1000 run (``trajectory.csv``, 9 columns, and
 ``plot_data.csv``, 4), written by ``columns_csv`` and by a per-cell ``%.17g``
 reference, per cell, and (e) full flow runs,
-for a short collapsing run and two long immortal runs, in each lane that is
+for a short collapsing run and five long immortal runs, in each lane that is
 available.  Each flow line also gives the time per
 integrator step (accepted plus rejected; both lanes take the same steps) and
 per emitted sample (output row), which separate the loop's overhead from its
 step count and from its emission of stride samples.  The torus run takes 10
-steps for 1001 samples, so its time is nearly all emission.  The compiled lane needs the
+steps for 1001 samples, so its time is nearly all emission.  On the
+kodaira-secondary and hyperelliptic runs z decays exponentially; the
+log-polar state takes 163 and 41 steps there, where a Cartesian z took 23,027
+and 485.  The compiled lane needs the
 C core built next to the package (``python setup.py build_ext --inplace``).
 """
 import argparse
@@ -47,6 +50,9 @@ FLOW_RUNS = [
     ("torus t = 1000", (0, 0.0, 0.0, (1.0, 2.0, 0.1, 0.0), 1000.0)),
     ("properly-elliptic t = 1000", (3, 1.0, 0.0, (1.0, 1.0, 0.3, 0.2), 1000.0)),
     ("inoue-s0 t = 1000", (6, 1.0, 2.0, (1.0, 1.0, 0.3, 0.2), 1000.0)),
+    # z decays exponentially: the stiff tails of the (x, y, Re z, Im z) state
+    ("kodaira-secondary t = 1e4", (5, 1.0, 0.0, (1.0, 1.0, 0.3, 0.2), 1e4)),
+    ("hyperelliptic t = 1000", (1, 0.0, 0.0, (1.0, 1.0, 0.5, 0.0), 1000.0)),
 ]
 
 

@@ -8,7 +8,7 @@ from .analysis import (LimitDescriptor, classify_gh_limit, linear_growth_rate,
 from .catalog import GeometryDescriptor, entry, list_geometries, catalog_json
 from .curvature import CurvatureBundle, curvature_bundle
 from .geometry import Geometry, GeometryParams, InadmissibleParamsError
-from .integrate import FlowConfig, FlowOutcome, Trajectory, integrate, rhs
+from .integrate import FlowConfig, FlowOutcome, Trajectory, integrate
 from .metric import DegenerateMetricError, HermitianMetric
 
 __version__ = "0.1.0"
@@ -19,5 +19,5 @@ __all__ = [
     "InadmissibleParamsError", "LimitDescriptor", "StructureConstants",
     "Trajectory", "catalog_json", "classify_gh_limit", "curvature_bundle",
     "entry", "from_brackets", "integrate", "linear_growth_rate",
-    "list_geometries", "rhs", "verify_decay_bound",
+    "list_geometries", "verify_decay_bound",
 ]

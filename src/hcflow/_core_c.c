@@ -4,7 +4,9 @@
  * is a pow() call, min() and max() keep Python's argument order, and sums run left to right
  * from 0.0.  Build it as setup.py does, with -std=c99 -O2 -fno-builtin -ffp-contract=off:
  * gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.  Where Python
- * raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code.
+ * raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code; exp, cos
+ * and sin are plain libm calls, whose inf or NaN the Python lane takes where math raises.
+ * A run with z != 0 integrates the log-polar state (x, y, L = log |z|^2, theta = arg z).
  * This loop emits each stride sample inside its step; the Python lane records the steps and
  * evaluates their samples after its loop, as arrays with the same per-sample operations, so
  * a sample's error still comes before any later step's. */
@@ -46,37 +48,49 @@ static double dv(double x, double y, int *err) {
 }
 #define PW(x, y) pw(x, y, &err)
 #define DV(x, y) dv(x, y, &err)
+/* log of float64's smallest normal number (_core_py._L_MIN) */
+static const double L_MIN = -708.3964185322641;
+
+/* K11, K22 and w = K12 / z at |z|^2 = u, for the entries whose K12 is w * z (ids 0-6). */
+static int closed_w(int geom, double p1, double p2, double x, double y, double u, double *k) {
+    int err = 0;
+    double d = x * y - u, d2 = d * d;
+    double c = 1.0 + p1 * p1, bb = p2 * p2 + 9 * p1 * p1;  /* bb: Inoue S0, (a, b) = (p1, p2) */
+    switch (geom) {
+    case 0: k[0] = k[1] = k[2] = 0.0; break;  /* torus */
+    case 1:  /* hyperelliptic */
+        k[0] = DV(x * x * u, d2), k[1] = DV(u * u, d2);
+        k[2] = DV(x * x * y, d2); break;
+    case 2:  /* hopf */
+        k[0] = DV(c * PW(x, 4) + u * (2 * x * x + u), d2);
+        k[1] = DV(c * x * x * u + 2 * d2 + u * (y * y + 2 * u) - 2 * c * x * x * d, d2);
+        k[2] = DV(x * (p1 * p1 * x * x + PW(x + y, 2)), d2); break;
+    case 3:  /* properly elliptic */
+        k[0] = DV(c * y * y * u - 2 * d2 + u * (x * x - 2 * u) - 2 * c * y * y * d, d2);
+        k[1] = DV(p1 * p1 * PW(y, 4) + PW(y * y - u, 2), d2);
+        k[2] = DV(y * (p1 * p1 * y * y + PW(x - y, 2)), d2); break;
+    case 4:  /* primary Kodaira */
+        k[0] = DV(y * y * u - 2 * y * y * d, d2), k[1] = DV(PW(y, 4), d2);
+        k[2] = DV(PW(y, 3), d2); break;
+    case 5:  /* secondary Kodaira (tensor independent of epsilon) */
+        k[0] = DV(u * (x * x + y * y) - 2 * y * y * d, d2), k[1] = DV(PW(y, 4) + u * u, d2);
+        k[2] = DV(y * (x * x + y * y), d2); break;
+    case 6:  /* Inoue S0 */
+        k[0] = DV(x * x * u * bb, d2);
+        k[1] = DV((p1 * p1 + p2 * p2) * u * u + 16 * p1 * p1 * x * y * u
+                  - 8 * p1 * p1 * x * x * y * y, d2);
+        k[2] = DV(x * x * y * bb, d2); break;
+    }
+    return err;
+}
 
 /* Closed-form flow tensor (K11, K22, Re K12, Im K12) at state s; returns 0 or an ERR_ code. */
 int hcf_closed_k(int geom, double p1, double p2, const double *s, double *k) {
     int err = 0;
     double x = s[0], y = s[1], zre = s[2], zim = s[3];
     double u = zre * zre + zim * zim, d = x * y - u, d2 = d * d, w, q2 = zim * zim;
-    double c = 1.0 + p1 * p1, bb = p2 * p2 + 9 * p1 * p1;  /* bb: Inoue S0, (a, b) = (p1, p2) */
     switch (geom) {
-    case 0: k[0] = k[1] = k[2] = k[3] = 0.0; return 0;  /* torus */
-    case 1:  /* hyperelliptic */
-        k[0] = DV(x * x * u, d2), k[1] = DV(u * u, d2);
-        w = DV(x * x * y, d2); break;
-    case 2:  /* hopf */
-        k[0] = DV(c * PW(x, 4) + u * (2 * x * x + u), d2);
-        k[1] = DV(c * x * x * u + 2 * d2 + u * (y * y + 2 * u) - 2 * c * x * x * d, d2);
-        w = DV(x * (p1 * p1 * x * x + PW(x + y, 2)), d2); break;
-    case 3:  /* properly elliptic */
-        k[0] = DV(c * y * y * u - 2 * d2 + u * (x * x - 2 * u) - 2 * c * y * y * d, d2);
-        k[1] = DV(p1 * p1 * PW(y, 4) + PW(y * y - u, 2), d2);
-        w = DV(y * (p1 * p1 * y * y + PW(x - y, 2)), d2); break;
-    case 4:  /* primary Kodaira */
-        k[0] = DV(y * y * u - 2 * y * y * d, d2), k[1] = DV(PW(y, 4), d2);
-        w = DV(PW(y, 3), d2); break;
-    case 5:  /* secondary Kodaira (tensor independent of epsilon) */
-        k[0] = DV(u * (x * x + y * y) - 2 * y * y * d, d2), k[1] = DV(PW(y, 4) + u * u, d2);
-        w = DV(y * (x * x + y * y), d2); break;
-    case 6:  /* Inoue S0 */
-        k[0] = DV(x * x * u * bb, d2);
-        k[1] = DV((p1 * p1 + p2 * p2) * u * u + 16 * p1 * p1 * x * y * u
-                  - 8 * p1 * p1 * x * x * y * y, d2);
-        w = DV(x * x * y * bb, d2); break;
+    case 0: k[0] = k[1] = k[2] = k[3] = 0.0; return 0;  /* torus: +0.0, which w * z would sign */
     case 7:  /* Inoue S+- (first complex structure) */
         k[0] = -3.0 + DV(4 * u * q2, d2), k[1] = DV(4 * y * y * q2, d2);
         k[2] = DV(4 * y * zre * q2, d2);
@@ -88,33 +102,81 @@ int hcf_closed_k(int geom, double p1, double p2, const double *s, double *k) {
         k[2] = DV(4 * y * zre * q2 + PW(y, 3) * zre, d2);
         k[3] = DV(4 * y * zim * (x * y - zre * zre) + PW(y, 3) * zim, d2);
         return err;
-    default: return ERR_GEOMETRY;
     }
+    if (geom < 0 || geom > 8) return ERR_GEOMETRY;
+    err = closed_w(geom, p1, p2, x, y, u, k);
+    w = k[2];
     k[2] = w * zre;
     k[3] = w * zim;
     return err;
 }
 
-typedef struct { int geom; double p1, p2, *rows; long cap, n; } Run;  /* kernel + row buffer */
+/* (K11, K22, Re phi, Im phi) with phi = K12 / z, at |z|^2 = u and arg z = th; no division
+ * by z, so it holds at u = 0 too.  Returns 0 or an ERR_ code. */
+int hcf_closed_phi(int geom, double p1, double p2, double x, double y, double u, double th,
+                   double *k) {
+    int err = 0;
+    double s, c, d, d2, s2, q2;
+    if (geom < 0 || geom > 8) return ERR_GEOMETRY;
+    if (geom < 7) {  /* phi = w is real */
+        k[3] = 0.0;
+        return closed_w(geom, p1, p2, x, y, u, k);
+    }
+    s = sin(th), c = cos(th), d = x * y - u, d2 = d * d, s2 = s * s, q2 = u * s2;
+    if (geom == 7) {  /* Inoue S+- (first complex structure) */
+        k[0] = -3.0 + DV(4 * u * q2, d2), k[1] = DV(4 * y * y * q2, d2);
+        k[2] = DV(4 * y * (x * y * s2), d2);
+    } else {  /* Inoue S+ (second complex structure) */
+        k[0] = -3.0 + DV(4 * u * q2 - 2 * y * y * d + y * y * u, d2);
+        k[1] = DV(y * y * (4 * q2 + y * y), d2);
+        k[2] = DV(4 * y * (x * y * s2) + PW(y, 3), d2);
+    }
+    k[3] = DV(4 * y * (s * c * d), d2);
+    return err;
+}
 
-static int rhs(const Run *r, const double *s, double *f) {
+/* Kernel and row buffer of one run; polar: the state is (x, y, L = log |z|^2, theta = arg z). */
+typedef struct { int geom, polar; double p1, p2, *rows; long cap, n; } Run;
+
+/* The velocity -K at the Cartesian state s. */
+static int cartesian_rhs(const Run *r, const double *s, double *f) {
     int err = hcf_closed_k(r->geom, r->p1, r->p2, s, f);
+    for (int c = 0; c < 4; c++) f[c] = -f[c];
+    return err;
+}
+/* The velocity of the integrated state; log-polar: L' = -2 Re phi, theta' = -Im phi. */
+static int rhs(const Run *r, const double *s, double *f) {
+    int err;
+    if (!r->polar) return cartesian_rhs(r, s, f);
+    err = hcf_closed_phi(r->geom, r->p1, r->p2, s[0], s[1], exp(s[2]), s[3], f);
+    f[2] = 2.0 * f[2];
     for (int c = 0; c < 4; c++) f[c] = -f[c];
     return err;
 }
 static int finite4(const double *v) {
     return isfinite(v[0]) && isfinite(v[1]) && isfinite(v[2]) && isfinite(v[3]);
 }
-/* Append the row (t, s, rhs(s)). */
-static int emit(Run *r, double t, const double *s) {
+/* Append the row (t, s, -K(s)) of the Cartesian state s. */
+static int emit_row(Run *r, double t, const double *s) {
     if (r->n == r->cap) return ERR_BUFFER;
     double *row = r->rows + 9 * r->n++;
     row[0] = t;
     memcpy(row + 1, s, 4 * sizeof *s);
-    return rhs(r, s, row + 5);
+    return cartesian_rhs(r, s, row + 5);
 }
-static double monitor(const double *s, const double *inv_scale) {
-    double d = s[0] * s[1] - (s[2] * s[2] + s[3] * s[3]);
+/* Append the row of the integrated state s: z = exp(L / 2) (cos theta, sin theta) for a
+ * log-polar s, and z = 0 where exp(L) is below the normal range (L < L_MIN). */
+static int emit(Run *r, double t, const double *s) {
+    double c[4] = {s[0], s[1], 0.0, 0.0}, rr;
+    if (!r->polar) return emit_row(r, t, s);
+    if (!(s[2] < L_MIN)) {
+        rr = exp(0.5 * s[2]);
+        c[2] = rr * cos(s[3]), c[3] = rr * sin(s[3]);
+    }
+    return emit_row(r, t, c);
+}
+static double monitor(const Run *r, const double *s, const double *inv_scale) {
+    double d = s[0] * s[1] - (r->polar ? exp(s[2]) : s[2] * s[2] + s[3] * s[3]);
     return pmin(pmin(s[0] * inv_scale[0], s[1] * inv_scale[1]), d * inv_scale[2]);
 }
 static double rms(const double *v, const double *scale, int *err) {
@@ -163,24 +225,28 @@ static void dense_eval(const double *y0, double q[4][4], double th, double *out)
 #define CHECK(call) do { if ((status = (call)) != 0) goto done; } while (0)
 #define FINISH(st, m) do { status = (st); out[4] = (m); goto done; } while (0)
 
-/* _core_py.run_closed_flow.  Rows go to rows[cap][9]; out receives (row count,
- * accepted, rejected, t_est or NaN for None, final monitor).  Returns a STATUS_
- * code of _core_py or an ERR_ code. */
+/* _core_py.run_closed_flow.  state0 is (x, y, Re z, Im z, L, theta), the last two from
+ * _core_py.log_polar; a run with z != 0 integrates (x, y, L, theta).  Rows go to
+ * rows[cap][9]; out receives (row count, accepted, rejected, t_est or NaN for None, final
+ * monitor).  Returns a STATUS_ code of _core_py or an ERR_ code. */
 int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, double t_max,
                         double rel_tol, double abs_tol, double stride, double threshold,
                         long max_steps, double *rows, long cap, double *out) {
-    Run r = {geom, p1, p2, rows, cap, 0};
+    Run r = {geom, !(state0[2] == 0.0 && state0[3] == 0.0), p1, p2, rows, cap, 0};
     double y0[4], y1[4], ys[4], y_end[4], k[7][4], q[4][4], inv_scale[3], m_hist[12];
     double h, t = 0.0, err = 0.0, err_prev = 1.0, t_end, m1, lo, hi, mid, ts;
     long n_acc = 0, n_rej = 0, next_sample = 1;
     int status = 0, n_hist = 1, bad, extinct, have_q, decreasing;
 
-    memcpy(y0, state0, sizeof y0);
     out[3] = NAN;
-    for (int c = 0; c < 3; c++) inv_scale[c] = dv(1.0, c < 2 ? y0[c] : y0[0] * y0[1], &status);
+    if (geom < 0 || geom > 8) { status = ERR_GEOMETRY; goto done; }
+    memcpy(y0, state0, sizeof y0);
+    if (r.polar) y0[2] = state0[4], y0[3] = state0[5];
+    for (int c = 0; c < 3; c++)
+        inv_scale[c] = dv(1.0, c < 2 ? state0[c] : state0[0] * state0[1], &status);
     if (status) goto done;
-    m_hist[0] = monitor(y0, inv_scale);
-    CHECK(emit(&r, 0.0, y0));
+    m_hist[0] = monitor(&r, y0, inv_scale);
+    CHECK(emit_row(&r, 0.0, state0));
     if (t_max <= 0.0) FINISH(REACHED_TMAX, m_hist[0]);
     CHECK(rhs(&r, y0, k[0]));
     if (!finite4(k[0])) FINISH(FAILURE, m_hist[0]);
@@ -220,7 +286,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
         if (bad || !isfinite(err)) { n_rej++; h *= 0.25; continue; }
         if (err > 1.0) { n_rej++; h *= pmin(0.7, pmax(0.1, SAFETY * pow(err, -0.2))); continue; }
         n_acc++;
-        m1 = monitor(y1, inv_scale);
+        m1 = monitor(&r, y1, inv_scale);
         t_end = t + h;
         have_q = extinct = m1 < threshold;
         if (extinct) {  /* locate the crossing of the positivity floor inside this step */
@@ -229,7 +295,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
             for (int i = 0; i < 60; i++) {
                 mid = 0.5 * (lo + hi);
                 dense_eval(y0, q, mid, ys);
-                if (monitor(ys, inv_scale) < threshold) hi = mid; else lo = mid;
+                if (monitor(&r, ys, inv_scale) < threshold) hi = mid; else lo = mid;
             }
             t_end = t + hi * h;
             dense_eval(y0, q, hi, y_end);
@@ -244,7 +310,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
         if (extinct) {
             out[3] = t_end;
             if (rows[9 * (r.n - 1)] < t_end - 1e-15) CHECK(emit(&r, t_end, y_end));
-            FINISH(EXTINCT, monitor(y_end, inv_scale));
+            FINISH(EXTINCT, monitor(&r, y_end, inv_scale));
         }
         if (n_hist == 12) { memmove(m_hist, m_hist + 1, 11 * sizeof *m_hist); n_hist = 11; }
         m_hist[n_hist++] = m1;

@@ -5,8 +5,17 @@ operation for operation and must give the same bits, so change the arithmetic
 here only together with the C, and keep every sum an explicit left-to-right
 one.  ``hcflow.core`` picks the C loop when it is built.
 
-Each geometry's closed form is one function in ``_KERNELS``, and
-``run_closed_flow`` binds it and ``(p1, p2)`` once per run.  The RK5(4) loop
+Each geometry's closed form is one function: for the seven entries whose K12
+is w * z, a function of (x, y, u = |z|^2) giving (K11, K22, w), which
+``_times_z`` makes the Cartesian kernel; the two Inoue S+- entries have a
+Cartesian kernel and a log-polar one.  ``run_closed_flow`` binds them and
+``(p1, p2)`` once per run.  A run with z0 != 0 integrates (x, y, L, theta),
+L = log |z|^2 and theta = arg z, by ``_polar_rhs``: an exponentially decaying
+z, which in (x, y, Re z, Im z) sits at ``abs_tol`` noise where stability caps
+the step, is a linearly decaying L.  exp, cos and sin are math's, libm's bits
+as in C; where math raises (exp overflows, cos or sin of an infinity) the
+lanes take C's inf or NaN.  A run with z0 = 0 integrates (x, y, Re z, Im z),
+in which z stays 0.  The RK5(4) loop
 keeps the state and the seven stages in scalar locals and writes the stage
 sums and the error norm out term by term.  That removes interpreter overhead,
 not arithmetic: the operations and their order are those of a loop over the
@@ -18,10 +27,11 @@ The loop only records the steps that cover stride samples.  After it,
 operations in the same order: the dense-output coefficients (their zero-weight
 terms included), the interpolant, and the derivatives, for which the kernel
 runs once on float64 arrays whose ``**`` is ``np.float_power`` (libm ``pow``,
-as Python's float ``**``).  The C loop still emits each sample inside its
-step; the bits are equal.  Where a value is non-finite, ``_rows`` rebuilds the
-rows one sample at a time with the scalar code, which raises where that code
-raises.
+as Python's float ``**``); a log-polar sample becomes Cartesian first
+(``_to_cartesian``), by math's exp, cos and sin per element.  The C loop
+still emits each sample inside its step; the bits are equal.  Where a value is
+non-finite, ``_rows`` rebuilds the rows one sample at a time with the scalar
+code, which raises where that code raises.
 
 Geometry ids (shared with the compiled core):
 0 torus, 1 hyperelliptic, 2 hopf, 3 properly-elliptic, 4 kodaira-primary,
@@ -32,6 +42,7 @@ Parameter packing: p1 = lam (hopf, properly-elliptic), p1 = epsilon
 from __future__ import annotations
 
 import math
+from math import cos, exp, inf, sin
 
 import numpy as np
 
@@ -61,6 +72,10 @@ _P = (
     (_P60, _P61, _P62, _P63) = _P
 _P_ROWS = np.array(_P)  # the same coefficients, one row per stage, for the array pass
 
+#: log of float64's smallest normal number: a log-polar state with L below it
+#: is emitted with z = 0, since u = exp(L) has no normal float64 value
+_L_MIN = -708.3964185322641
+
 STATUS_REACHED_TMAX = 0
 STATUS_EXTINCT = 1
 STATUS_FAILURE = 2
@@ -72,64 +87,61 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-def _torus(p1, p2, x, y, zre, zim):
-    return 0.0, 0.0, 0.0, 0.0
+# The seven entries whose K12 is w * z: (p1, p2, x, y, u = |z|^2) -> (K11, K22, w).
+# ``_times_z`` makes each the Cartesian kernel; the log-polar rhs reads w as phi.
+
+def _torus(p1, p2, x, y, u):
+    return 0.0, 0.0, 0.0
 
 
-def _hyperelliptic(p1, p2, x, y, zre, zim):
-    u = zre * zre + zim * zim
+def _hyperelliptic(p1, p2, x, y, u):
     d = x * y - u
     d2 = d * d
     k11 = x * x * u / d2
     k22 = u * u / d2
     w = x * x * y / d2
-    return k11, k22, w * zre, w * zim
+    return k11, k22, w
 
 
-def _hopf(p1, p2, x, y, zre, zim):
-    u = zre * zre + zim * zim
+def _hopf(p1, p2, x, y, u):
     d = x * y - u
     d2 = d * d
     c = 1.0 + p1 * p1
     k11 = (c * x**4 + u * (2 * x * x + u)) / d2
     k22 = (c * x * x * u + 2 * d2 + u * (y * y + 2 * u) - 2 * c * x * x * d) / d2
     w = x * (p1 * p1 * x * x + (x + y) ** 2) / d2
-    return k11, k22, w * zre, w * zim
+    return k11, k22, w
 
 
-def _properly_elliptic(p1, p2, x, y, zre, zim):
-    u = zre * zre + zim * zim
+def _properly_elliptic(p1, p2, x, y, u):
     d = x * y - u
     d2 = d * d
     c = 1.0 + p1 * p1
     k11 = (c * y * y * u - 2 * d2 + u * (x * x - 2 * u) - 2 * c * y * y * d) / d2
     k22 = (p1 * p1 * y**4 + (y * y - u) ** 2) / d2
     w = y * (p1 * p1 * y * y + (x - y) ** 2) / d2
-    return k11, k22, w * zre, w * zim
+    return k11, k22, w
 
 
-def _kodaira_primary(p1, p2, x, y, zre, zim):
-    u = zre * zre + zim * zim
+def _kodaira_primary(p1, p2, x, y, u):
     d = x * y - u
     d2 = d * d
     k11 = (y * y * u - 2 * y * y * d) / d2
     k22 = y**4 / d2
     w = y**3 / d2
-    return k11, k22, w * zre, w * zim
+    return k11, k22, w
 
 
-def _kodaira_secondary(p1, p2, x, y, zre, zim):  # the tensor is independent of epsilon
-    u = zre * zre + zim * zim
+def _kodaira_secondary(p1, p2, x, y, u):  # the tensor is independent of epsilon
     d = x * y - u
     d2 = d * d
     k11 = (u * (x * x + y * y) - 2 * y * y * d) / d2
     k22 = (y**4 + u * u) / d2
     w = y * (x * x + y * y) / d2
-    return k11, k22, w * zre, w * zim
+    return k11, k22, w
 
 
-def _inoue_s0(a, b, x, y, zre, zim):
-    u = zre * zre + zim * zim
+def _inoue_s0(a, b, x, y, u):
     d = x * y - u
     d2 = d * d
     bb = b * b + 9 * a * a
@@ -137,8 +149,21 @@ def _inoue_s0(a, b, x, y, zre, zim):
     k22 = ((a * a + b * b) * u * u + 16 * a * a * x * y * u
            - 8 * a * a * x * x * y * y) / d2
     w = x * x * y * bb / d2
-    return k11, k22, w * zre, w * zim
+    return k11, k22, w
 
+
+def _times_z(kernel):
+    """The Cartesian kernel of a kernel whose K12 is w * z."""
+    def cartesian(p1, p2, x, y, zre, zim):
+        k11, k22, w = kernel(p1, p2, x, y, zre * zre + zim * zim)
+        return k11, k22, w * zre, w * zim
+    return cartesian
+
+
+# The Inoue S+- J1 and S+ J2 entries: K12 is not w * z, and K11, K22 and
+# phi = K12 / z depend on arg z.  Each has a Cartesian kernel and a log-polar
+# one, (p1, p2, x, y, u, theta) -> (K11, K22, Re phi, Im phi), which has no
+# division by z.
 
 def _inoue_spm_j1(p1, p2, x, y, zre, zim):  # Inoue S+- (first complex structure)
     u = zre * zre + zim * zim
@@ -150,6 +175,17 @@ def _inoue_spm_j1(p1, p2, x, y, zre, zim):  # Inoue S+- (first complex structure
     k12re = 4 * y * zre * q2 / d2
     k12im = 4 * y * zim * (x * y - zre * zre) / d2
     return k11, k22, k12re, k12im
+
+
+def _inoue_spm_j1_polar(p1, p2, x, y, u, theta):
+    s, c = _libm(sin, theta), _libm(cos, theta)
+    d = x * y - u
+    d2 = d * d
+    s2 = s * s
+    q2 = u * s2  # (Im z)^2
+    k11 = -3.0 + 4 * u * q2 / d2
+    k22 = 4 * y * y * q2 / d2
+    return k11, k22, 4 * y * (x * y * s2) / d2, 4 * y * (s * c * d) / d2
 
 
 def _inoue_sp_j2(p1, p2, x, y, zre, zim):  # Inoue S+ (second complex structure)
@@ -164,9 +200,25 @@ def _inoue_sp_j2(p1, p2, x, y, zre, zim):  # Inoue S+ (second complex structure)
     return k11, k22, k12re, k12im
 
 
-# the closed form of each geometry id: (p1, p2, x, y, zre, zim) -> (K11, K22, Re K12, Im K12)
-_KERNELS = {0: _torus, 1: _hyperelliptic, 2: _hopf, 3: _properly_elliptic, 4: _kodaira_primary,
-            5: _kodaira_secondary, 6: _inoue_s0, 7: _inoue_spm_j1, 8: _inoue_sp_j2}
+def _inoue_sp_j2_polar(p1, p2, x, y, u, theta):
+    s, c = _libm(sin, theta), _libm(cos, theta)
+    d = x * y - u
+    d2 = d * d
+    s2 = s * s
+    q2 = u * s2
+    k11 = -3.0 + (4 * u * q2 - 2 * y * y * d + y * y * u) / d2
+    k22 = y * y * (4 * q2 + y * y) / d2
+    return k11, k22, (4 * y * (x * y * s2) + y**3) / d2, 4 * y * (s * c * d) / d2
+
+
+# the closed form of each geometry id: (p1, p2, x, y, zre, zim) -> (K11, K22, Re K12, Im K12);
+# the torus keeps its +0.0 K12, which w * z would sign
+_W_KERNELS = {0: _torus, 1: _hyperelliptic, 2: _hopf, 3: _properly_elliptic,
+              4: _kodaira_primary, 5: _kodaira_secondary, 6: _inoue_s0}
+_KERNELS = {0: lambda p1, p2, x, y, zre, zim: (0.0, 0.0, 0.0, 0.0),
+            **{geom: _times_z(kernel) for geom, kernel in _W_KERNELS.items() if geom},
+            7: _inoue_spm_j1, 8: _inoue_sp_j2}
+_POLAR_KERNELS = {7: _inoue_spm_j1_polar, 8: _inoue_sp_j2_polar}
 
 
 def _kernel(geom: int):
@@ -207,14 +259,53 @@ def _monitor(x, y, zre, zim, inv_scale) -> float:
     return min(mx, my, md)
 
 
+def _polar_monitor(x, y, L, theta, inv_scale) -> float:
+    """``_monitor`` of a log-polar state, at |z|^2 = exp(L)."""
+    d = x * y - _libm(exp, L)
+    mx = x * inv_scale[0]
+    my = y * inv_scale[1]
+    md = d * inv_scale[2]
+    return min(mx, my, md)
+
+
+def _libm(fn, v):
+    """``fn(v)`` for math's exp, cos or sin, with C's libm result where math
+    raises: inf where exp overflows, NaN (as ``v - v``) at an infinite v."""
+    try:
+        return fn(v)
+    except OverflowError:
+        return inf
+    except ValueError:
+        return v - v
+
+
+def _to_cartesian(x, y, L, theta):
+    """The state (x, y, Re z, Im z) of a log-polar state: z = exp(L / 2) (cos theta,
+    sin theta), and z = 0 where u = exp(L) is below float64's normal range."""
+    if L < _L_MIN:
+        return x, y, 0.0, 0.0
+    r = _libm(exp, 0.5 * L)
+    return x, y, r * _libm(cos, theta), r * _libm(sin, theta)
+
+
+def log_polar(zre: float, zim: float) -> tuple[float, float]:
+    """(L, theta) = (log |z|^2, arg z) of z != 0.  ``hypot`` scales, so a z
+    whose square underflows still gets a finite L.  Both lanes start from it."""
+    return 2.0 * math.log(math.hypot(zre, zim)), math.atan2(zim, zre)
+
+
 def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
-             stride: float, threshold: float, max_steps: int = 1_000_000, array_rhs=None):
+             stride: float, threshold: float, max_steps: int = 1_000_000, array_rhs=None,
+             polar_rhs=None):
     """Adaptive RK5(4) integration of ``state' = rhs(*state)`` with collapse stopping.
 
     ``rhs(x, y, zre, zim)`` returns (xdot, ydot, Re zdot, Im zdot).  Returns
     ``(status, t_est, samples, n_accept, n_reject, m_final)`` where
     ``samples`` is a float64 array with rows (t, x, y, zre, zim, xdot, ydot,
     zredot, zimdot) emitted at multiples of ``stride`` plus the terminal point.
+    With ``polar_rhs``, the loop integrates the log-polar state (x, y, L,
+    theta) by ``polar_rhs`` from ``log_polar`` of z0 instead, and the rows
+    hold its Cartesian state (row 0 the exact ``state0``) and ``rhs`` there.
 
     The loop only records the accepted steps that cover stride samples;
     ``_rows`` evaluates all samples after it (see there).  ``array_rhs``, if
@@ -225,20 +316,25 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
     """
     x, y, zr, zi = state = tuple(float(v) for v in state0)
     inv_scale = (1.0 / x, 1.0 / y, 1.0 / (x * y))
+    polar = polar_rhs is not None
+    if polar:
+        start, step_rhs, monitor = (x, y, *log_polar(zr, zi)), polar_rhs, _polar_monitor
+    else:
+        start, step_rhs, monitor = state, rhs, _monitor
     records: list[tuple] = []
     try:
         status, t_est, tail, n_acc, n_rej, m_final = _integrate(
-            rhs, state, inv_scale, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
-            records)
+            step_rhs, monitor, start, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
+            max_steps, records)
     except Exception:
-        _rows(rhs, array_rhs, state, records, stride, None)
+        _rows(rhs, array_rhs, state, records, stride, None, polar)
         raise
-    rows = _rows(rhs, array_rhs, state, records, stride, tail)
+    rows = _rows(rhs, array_rhs, state, records, stride, tail, polar)
     return status, t_est, rows, n_acc, n_rej, m_final
 
 
-def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
-               records):
+def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
+               max_steps, records):
     """The RK5(4) loop of ``run_flow``; returns ``(status, t_est, tail, n_acc, n_rej, m_final)``.
 
     Each accepted step that covers stride samples appends to ``records`` one
@@ -247,9 +343,10 @@ def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshol
     from where the step before it stopped.  ``tail`` is None or the
     ``(t, x, y, zr, zi)`` of the final row.
 
-    The state is (x, y, zr, zi) and stage s is (dxs, dys, drs, dis).  Each
-    ``h * a_sj`` is computed once per step, which is exact: Python evaluates
-    ``h * a * k`` as ``(h * a) * k``.
+    The state is (x, y, zr, zi), which for a log-polar run hold (x, y, L,
+    theta), and stage s is (dxs, dys, drs, dis).  ``monitor`` is the
+    positivity margin of a state.  Each ``h * a_sj`` is computed once per
+    step, which is exact: Python evaluates ``h * a * k`` as ``(h * a) * k``.
     """
     isfinite = math.isfinite
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
@@ -257,7 +354,7 @@ def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshol
     e0, e1, e2, e3, e4, e5, e6 = _E
     x, y, zr, zi = state0
 
-    m0 = _monitor(x, y, zr, zi, inv_scale)
+    m0 = monitor(x, y, zr, zi, inv_scale)
     next_sample = 1  # samples at k*stride, k >= 1; k = 0 is row 0
     if t_max <= 0.0:
         return STATUS_REACHED_TMAX, None, None, 0, 0, m0
@@ -364,7 +461,7 @@ def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshol
         # accepted
         n_acc += 1
         t1 = t + h
-        m1 = _monitor(x1, y1, zr1, zi1, inv_scale)
+        m1 = monitor(x1, y1, zr1, zi1, inv_scale)
 
         extinct = m1 < threshold
         t_end = t1
@@ -378,7 +475,7 @@ def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshol
             lo, hi = 0.0, 1.0
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if _monitor(*_dense_eval(state, qmat, mid), inv_scale) < threshold:
+                if monitor(*_dense_eval(state, qmat, mid), inv_scale) < threshold:
                     hi = mid
                 else:
                     lo = mid
@@ -398,7 +495,7 @@ def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshol
 
         if extinct:
             tail = (t_end, *y_end) if _last_time(records, stride) < t_end - 1e-15 else None
-            return STATUS_EXTINCT, t_end, tail, n_acc, n_rej, _monitor(*y_end, inv_scale)
+            return STATUS_EXTINCT, t_end, tail, n_acc, n_rej, monitor(*y_end, inv_scale)
 
         m_hist.append(m1)
         if len(m_hist) > 12:
@@ -428,18 +525,21 @@ def _last_time(records, stride) -> float:
     return t_end if ts > t_end else ts
 
 
-def _rows(rhs, array_rhs, state0, records, stride, tail):
+def _rows(rhs, array_rhs, state0, records, stride, tail, polar=False):
     """The output rows: row 0 at ``state0``, the recorded stride samples, and ``tail``.
 
     One array pass repeats, per sample, the operations ``_rows_one_at_a_time``
     performs: ``ts = k * stride`` clamped to the step's end, ``theta`` clamped
     as ``min(max(theta, 0.0), 1.0)`` (whose argument order fixes -0.0 and NaN),
     the 0.0-started left-to-right coefficient sums times ``h`` and the dense
-    output, with ``np.float_power`` for each ``**``.  On finite values every
-    operation rounds as Python's float operation does, so the bits are equal.
-    If any value is non-finite, the rows are rebuilt one at a time instead:
-    that gives the reference's NaNs, and raises where the reference raises
-    (Python's ``**`` and ``/`` raise where numpy returns inf or NaN).
+    output, with ``np.float_power`` for each ``**``.  For a ``polar`` run, the
+    samples and ``tail`` are log-polar and ``_to_cartesian`` maps them, with
+    math's per-element exp, cos and sin (numpy's SIMD ones may round
+    otherwise).  On finite values every operation rounds as Python's float
+    operation does, so the bits are equal.  If any value is non-finite, the
+    rows are rebuilt one at a time instead: that gives the reference's NaNs,
+    and raises where the reference raises (Python's ``**`` and ``/`` raise
+    where numpy returns inf or NaN).
     """
     n = records[-1][3] if records else 1  # row 0 and the samples k = 1 .. n - 1
     rows = np.empty((n + (tail is not None), 9))
@@ -468,6 +568,18 @@ def _rows(rhs, array_rhs, state0, records, stride, tail):
                 acc = acc + q[:, :, j] * power[:, None]
             rows[1:n, 0] = ts
             rows[1:n, 1:5] = step[:, 4:8] + acc
+        if polar and len(rows) > 1:
+            L, angle = rows[1:, 3], rows[1:, 4]
+            try:
+                r = _map(exp, 0.5 * L)
+                if (angle == angle[0]).all():  # theta' = 0 on the w * z entries
+                    zre, zim = r * cos(angle[0]), r * sin(angle[0])
+                else:
+                    zre, zim = r * _map(cos, angle), r * _map(sin, angle)
+            except (OverflowError, ValueError):
+                return _rows_one_at_a_time(rhs, state0, records, stride, tail, polar)
+            flush = L < _L_MIN
+            rows[1:, 3], rows[1:, 4] = np.where(flush, 0.0, zre), np.where(flush, 0.0, zim)
         if np.isfinite(rows[:, :5]).all():
             if array_rhs is None:
                 rows[:, 5:] = [rhs(*s) for s in rows[:, 1:5].tolist()]
@@ -477,11 +589,17 @@ def _rows(rhs, array_rhs, state0, records, stride, tail):
                     rows[:, 5 + c] = value
             if np.isfinite(rows[:, 5:]).all():
                 return rows
-    return _rows_one_at_a_time(rhs, state0, records, stride, tail)
+    return _rows_one_at_a_time(rhs, state0, records, stride, tail, polar)
 
 
-def _rows_one_at_a_time(rhs, state0, records, stride, tail):
+def _map(fn, values):
+    """``fn`` (math's exp, cos or sin: libm's bits) on each element of a float64 array."""
+    return np.fromiter(map(fn, values.tolist()), float, len(values))
+
+
+def _rows_one_at_a_time(rhs, state0, records, stride, tail, polar=False):
     """``_rows`` by scalar operations, one interpreted sample at a time (the reference)."""
+    cartesian = _to_cartesian if polar else lambda *s: s
     rows = [(0.0, *state0, *rhs(*state0))]
     k = 1
     for t, h, t_end, k1, x, y, zr, zi, *stages in records:
@@ -491,11 +609,12 @@ def _rows_one_at_a_time(rhs, state0, records, stride, tail):
             if ts > t_end:
                 ts = t_end
             theta = (ts - t) / h
-            s = _dense_eval((x, y, zr, zi), qmat, min(max(theta, 0.0), 1.0))
+            s = cartesian(*_dense_eval((x, y, zr, zi), qmat, min(max(theta, 0.0), 1.0)))
             rows.append((ts, *s, *rhs(*s)))
         k = k1
     if tail is not None:
-        rows.append((*tail, *rhs(*tail[1:])))
+        s = cartesian(*tail[1:])
+        rows.append((tail[0], *s, *rhs(*s)))
     return np.array(rows, dtype=float)
 
 
@@ -513,17 +632,50 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
                     threshold: float, max_steps: int = 1_000_000):
     """Closed-form-kernel flow run (signature shared with the compiled core).
 
-    The kernel also runs once on the float64 columns of all rows (``_Floats``),
-    so each closed form has one definition for both uses.
+    A run with z0 != 0 integrates the log-polar state (see ``_polar_rhs``);
+    one with z0 = 0, which stays 0, integrates (x, y, Re z, Im z).  The rows
+    are Cartesian either way: the kernel runs once on the float64 columns of
+    all rows (``_Floats``), so each closed form has one definition for both
+    uses.
     """
-    kernel = _kernel(geom)
+    if geom not in _KERNELS:
+        raise ValueError(f"unknown geometry id {geom}")
+    kernel = _KERNELS[geom]
 
     def rhs(x, y, zre, zim):
         k11, k22, k12re, k12im = kernel(p1, p2, x, y, zre, zim)
         return -k11, -k22, -k12re, -k12im
 
+    polar_rhs = None if state0[2] == 0.0 and state0[3] == 0.0 else _polar_rhs(geom, p1, p2)
     return run_flow(rhs, state0, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
-                    array_rhs=rhs)
+                    array_rhs=rhs, polar_rhs=polar_rhs)
+
+
+def _polar_rhs(geom: int, p1: float, p2: float):
+    """The velocity (xdot, ydot, Ldot, thetadot) of the log-polar state (x, y,
+    L = log |z|^2, theta = arg z): with phi = K12 / z, L' = -2 Re phi and
+    theta' = -Im phi.  u = exp(L) is inf where exp overflows, as in C."""
+    w_kernel = _W_KERNELS.get(geom)
+    if w_kernel is not None:
+        def rhs(x, y, L, theta):  # phi = w is real: theta stays
+            try:
+                u = exp(L)
+            except OverflowError:
+                u = inf
+            k11, k22, w = w_kernel(p1, p2, x, y, u)
+            return -k11, -k22, -2.0 * w, -0.0
+        return rhs
+
+    kernel = _POLAR_KERNELS[geom]
+
+    def rhs(x, y, L, theta):
+        try:
+            u = exp(L)
+        except OverflowError:
+            u = inf
+        k11, k22, phi_re, phi_im = kernel(p1, p2, x, y, u, theta)
+        return -k11, -k22, -2.0 * phi_re, -phi_im
+    return rhs
 
 
 def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:

@@ -116,9 +116,11 @@ def verify_decay_bound(traj: Trajectory, slack: float = 1e-6) -> dict:
 
     exponent = None
     if u0 > 0:
-        # log-linear fit over the tail, above the floating-point noise floor
-        sel = (traj.t >= 0.5 * traj.t[-1]) & (u > 1e-280)
-        if sel.sum() >= 4:
+        # log-linear fit over the later half of the samples above the floor
+        # of float64 (u is emitted as 0 once it leaves the normal range)
+        above = np.nonzero(u > 1e-280)[0]
+        sel = above[len(above) // 2:]
+        if sel.size >= 4:
             exponent = float(_line_fit(traj.t[sel], np.log(u[sel]))[0])
     gf = traj.final_metric()
     return {

@@ -2,13 +2,15 @@
 
 ``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
 ``run_closed_flow`` operation for operation and gives the same bits, so the
-lane changes only speed and ``stats.compiled_core``.  The C loop emits each
-stride sample inside its step; the Python lane evaluates them after its loop,
-as arrays with the same per-sample operations.  ``setup.py build_ext``
-puts the library next to this module, where ``COMPILED`` finds it.  Only
-``run_closed_flow`` is compiled: one ctypes call costs more than a Python
-``closed_k``, so ``closed_k``, ``closed_k_columns``, ``run_flow`` and the
-status codes always come from ``_core_py``.
+lane changes only speed and ``stats.compiled_core``.  Both integrate a run
+with z0 != 0 in the log-polar state (x, y, log |z|^2, arg z), from the
+``log_polar`` start that the binding computes in Python, and emit Cartesian
+rows.  The C loop emits each stride sample inside its step; the Python lane
+evaluates them after its loop, as arrays with the same per-sample operations.
+``setup.py build_ext`` puts the library next to this module, where
+``COMPILED`` finds it.  Only ``run_closed_flow`` is compiled: one ctypes call
+costs more than a Python ``closed_k``, so ``closed_k``, ``closed_k_columns``,
+``run_flow`` and the status codes always come from ``_core_py``.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
+from . import _core_py
 from ._core_py import (  # noqa: F401  (re-exported)
     STATUS_EXTINCT, STATUS_FAILURE, STATUS_REACHED_TMAX, closed_k, closed_k_columns,
     run_closed_flow, run_flow)
@@ -33,7 +36,7 @@ def bind(path: str):
 
     fn = ctypes.CDLL(path).hcf_run_closed_flow
     dbl, long_ = ctypes.c_double, ctypes.c_long
-    fn.argtypes = [ctypes.c_int, dbl, dbl, vector(4), dbl, dbl, dbl, dbl, dbl, long_,
+    fn.argtypes = [ctypes.c_int, dbl, dbl, vector(6), dbl, dbl, dbl, dbl, dbl, long_,
                    np.ctypeslib.ndpointer(np.float64, 2, None, "C_CONTIGUOUS"), long_, vector(5)]
     fn.restype = ctypes.c_int
 
@@ -42,7 +45,9 @@ def bind(path: str):
         # samples up to the emission tolerance past t_max, plus t = 0 and the end point
         cap = int((max(t_max, 0.0) * (1 + 1e-12) + 1e-12) / stride) + 3
         rows, out = np.empty((cap, 9)), np.empty(5)
-        status = fn(geom, p1, p2, np.array(state0, dtype=float), t_max, rel_tol, abs_tol,
+        x, y, zre, zim = (float(v) for v in state0)
+        polar = (0.0, 0.0) if zre == 0.0 and zim == 0.0 else _core_py.log_polar(zre, zim)
+        status = fn(geom, p1, p2, np.array([x, y, zre, zim, *polar]), t_max, rel_tol, abs_tol,
                     stride, threshold, max_steps, rows, cap, out)
         if status > STATUS_FAILURE:  # where _core_py raises
             raise {3: OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)),

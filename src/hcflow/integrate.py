@@ -1,9 +1,14 @@
 """Flow integration: evolve a metric by minus its flow tensor until t_max,
 collapse, or failure.
 
-The state is the 4-real vector (x, y, Re z, Im z).  Extinction is detected by
-a positivity monitor, the minimum of x, y and the determinant normalized by
-the corresponding powers of the initial scale; when it crosses the configured
+A closed-form run with z0 != 0 integrates the 4-real state (x, y, L, theta),
+L = log |z|^2 and theta = arg z, so that an exponentially decaying z is a
+linearly decaying L rather than a stiff tail; its rows hold the Cartesian
+(x, y, Re z, Im z), with z = 0 once |z|^2 is below float64's normal range.
+A run with z0 = 0, where z stays 0, and every general-contraction run
+integrate (x, y, Re z, Im z).  Extinction is detected by a positivity
+monitor, the minimum of x, y and the determinant normalized by the
+corresponding powers of the initial scale; when it crosses the configured
 floor, the crossing time is bracketed inside the last accepted step by
 bisection on the dense output.  Note the ratio D/(x*y) itself is useless as a
 stopping quantity: on collapsing solutions x and y shrink jointly, so the
@@ -182,15 +187,6 @@ class FlowOutcome:
             "diagnostics": self.diagnostics,
             "stats": self.stats,
         }
-
-
-def rhs(params: GeometryParams, g: HermitianMetric) -> tuple[float, float, complex]:
-    """Flow velocity (xdot, ydot, zdot) of the metric g (closed-form tensors)."""
-    g.require_positive()
-    p1, p2 = pack_params(params)
-    k11, k22, k12re, k12im = core.closed_k(
-        GEOMETRY_IDS[params.geometry], p1, p2, g.x, g.y, g.z.real, g.z.imag)
-    return -k11, -k22, complex(-k12re, -k12im)
 
 
 def _general_rhs(params: GeometryParams):

@@ -82,6 +82,17 @@ def test_decay_bound_on_real_hyperelliptic_run():
     assert report["measured_exponent"] == pytest.approx(-2.0, rel=0.05)
 
 
+def test_decay_bound_at_default_tolerance_to_t1000():
+    # u leaves float64's normal range near t = 350 and is emitted as 0; the
+    # exponent is fitted where it is still resolved, not over a noise plateau
+    config = FlowConfig(params=GeometryParams(Geometry.HYPERELLIPTIC),
+                        g0=HermitianMetric(1, 1, 0.5), t_max=1000.0, abs_tol=1e-12)
+    traj, _ = integrate(config)
+    report = verify_decay_bound(traj)
+    assert report["passed"]
+    assert report["measured_exponent"] <= report["bound_exponent"]
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------

@@ -218,20 +218,21 @@ def test_frozen_huge_metric_run_is_not_clean(tmp_path):
     assert (row["classification"], row["exit_code"], row["status"]) == ("point", "2", "ok")
 
 
-# SHA-256 (first 16 hex digits) of trajectory.csv and plot_data.csv, recorded
-# with the per-cell %.17g formatting that the array formatter replaced: zero
-# cells (torus), 2-digit exponents (hyperelliptic u ~ 1e-25 at t = 1000), the
-# extinct tail row (Hopf) and 3-digit exponents with per-cell fallback
+# SHA-256 (first 16 hex digits) of trajectory.csv and plot_data.csv, equal to
+# those of per-cell %.17g formatting: zero cells (torus), u from O(1) through
+# 3-digit exponents with per-cell fallback below 1e-275 down to 3.5e-308, then
+# z = u = 0 once u leaves float64's normal range (hyperelliptic to t = 1000),
+# the extinct tail row (Hopf) and 3-digit exponents with per-cell fallback
 # (the frozen 1e300 Kodaira metric)
 PINNED_CSV = {
     "torus": (["--geometry", "torus", "--x0", "1", "--y0", "2", "--z0-re", "0.1",
-               "--z0-im", "0", "--t-max", "1000"], "5ab4b2f6124db7c0", "db0dbe0faaa73c6d"),
+               "--z0-im", "0", "--t-max", "1000"], "326741acdedae4ef", "ac978c0130b2326d"),
     "hyperelliptic-t1000": (["--geometry", "hyperelliptic", "--x0", "1", "--y0", "2",
                              "--z0-re", "0.3", "--z0-im", "0.2", "--t-max", "1000"],
-                            "7bbcd38e6cdfd92c", "250a09a8a6f1b74a"),
+                            "3ca0963437069b89", "ccb7a3523425cce9"),
     "hopf-collapse": (["--geometry", "hopf", "--lambda", "0.7", "--x0", "2", "--y0", "0.7",
                        "--z0-re", "0.5", "--z0-im", "-0.3", "--t-max", "50"],
-                      "c1fb937977a092af", "0d68ed2d1a034e9a"),
+                      "a3012d27f3c95a47", "0db63e84c109072f"),
     "kodaira-frozen-1e300": (["--geometry", "kodaira-primary", "--x0", "1e300", "--y0", "1",
                               "--z0-re", "0.5", "--z0-im", "0", "--t-max", "1000"],
                              "2dd81397a6b029fc", "d9ad92f1c95f88ae"),

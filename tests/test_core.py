@@ -6,6 +6,7 @@ lanes.
 """
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -92,6 +93,79 @@ RUNS = [
 NONFINITE_RUN = (1, 0.0, 0.0, (1e200, 1.0, 0.5, 0.0), 10.0, 1e-9, 1e-12, 0.01, 1e-10)
 
 
+def _closed_phi(geom, p1, p2, x, y, u, theta):
+    """(K11, K22, Re phi, Im phi), phi = K12 / z, at |z|^2 = u and arg z = theta:
+    the log-polar kernels of ``_core_py`` by geometry id, as ``hcf_closed_phi``."""
+    if geom in _core_py._W_KERNELS:
+        return (*_core_py._W_KERNELS[geom](p1, p2, x, y, u), 0.0)
+    return _core_py._POLAR_KERNELS[geom](p1, p2, x, y, u, theta)
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_closed_phi_lanes_agree_pointwise(geometry, c_library):
+    fn = ctypes.CDLL(c_library).hcf_closed_phi
+    dbl = ctypes.c_double
+    fn.argtypes = [ctypes.c_int, dbl, dbl, dbl, dbl, dbl, dbl, ctypes.POINTER(dbl)]
+    fn.restype = ctypes.c_int
+    rng = np.random.default_rng(32)
+    gid = GEOMETRY_IDS[geometry]
+    for i in range(200):
+        p1, p2 = pack_params(sample_params(geometry, rng))
+        g = sample_metric(rng)
+        u = 0.0 if i % 10 == 0 else g.u  # z = 0, where phi is still defined
+        k = (dbl * 4)()
+        assert fn(gid, p1, p2, g.x, g.y, u, np.angle(g.z), k) == 0
+        assert tuple(k) == _closed_phi(gid, p1, p2, g.x, g.y, u, np.angle(g.z))
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_closed_phi_is_k12_over_z(geometry):
+    # the log-polar kernel restates K11 and K22 and gives phi = K12 / z
+    rng = np.random.default_rng(33)
+    gid = GEOMETRY_IDS[geometry]
+    for _ in range(200):
+        p1, p2 = pack_params(sample_params(geometry, rng))
+        g = sample_metric(rng)
+        k11, k22, k12re, k12im = _core_py.closed_k(gid, p1, p2, g.x, g.y, g.z.real, g.z.imag)
+        p11, p22, phi_re, phi_im = _closed_phi(gid, p1, p2, g.x, g.y, g.u, np.angle(g.z))
+        scale = max(abs(k11), abs(k22), abs(complex(k12re, k12im)), 1e-300)
+        assert abs(p11 - k11) <= 1e-12 * scale and abs(p22 - k22) <= 1e-12 * scale
+        assert abs(complex(phi_re, phi_im) * g.z - complex(k12re, k12im)) <= 1e-12 * scale
+        assert math.isfinite(_closed_phi(gid, p1, p2, g.x, g.y, 0.0, 1.0)[2])
+
+
+def test_log_polar_start_of_an_underflowing_z0():
+    # |z0|^2 underflows to 0, but hypot keeps L0 finite; row 0 keeps z0 exactly
+    L, theta = _core_py.log_polar(3e-170, -4e-170)
+    assert L == pytest.approx(2 * math.log(5e-170)) and theta == math.atan2(-4.0, 3.0)
+    status, _, rows, *_ = _core_py.run_closed_flow(
+        5, 1.0, 0.0, (1.0, 1.0, 3e-170, -4e-170), 10.0, 1e-9, 1e-12, 1.0, 1e-10)
+    assert status == _core_py.STATUS_REACHED_TMAX and np.isfinite(rows).all()
+    assert tuple(rows[0, 3:5]) == (3e-170, -4e-170)
+    assert (rows[1:, 3:5] == 0.0).all()  # u is below float64's normal range: emitted as 0
+
+
+# Kodaira-secondary z decays exponentially; integrated in (x, y, Re z, Im z),
+# its tail at abs_tol noise capped the step by stability, and the runs took
+# 362,283 and 23,027 steps.  Their final (x, y) in that state:
+STIFF_TAIL = [
+    pytest.param((5, 1.0, 0.0, (0.01, 0.01, 0.003, 0.002), 1000.0, 1e-9, 1e-12, 1.0, 1e-10),
+                 (1.865273129756654, 0.0006958474611856232), id="small-g0-t1000"),
+    pytest.param((5, 1.0, 0.0, (1.0, 1.0, 0.3, 0.2), 1e4, 1e-9, 1e-12, 10.0, 1e-10),
+                 (74.25836350402838, 0.11028401712821087), id="t1e4"),
+]
+
+
+@pytest.mark.parametrize("lane", ["python", "c"])
+@pytest.mark.parametrize("args,xy", STIFF_TAIL)
+def test_stiff_tail_takes_few_steps(args, xy, lane, request):
+    run = _core_py.run_closed_flow if lane == "python" else request.getfixturevalue("c_run")
+    status, _, rows, n_acc, _, _ = run(*args)
+    assert status == _core_py.STATUS_REACHED_TMAX and rows[-1, 0] == args[4]
+    assert n_acc <= 1000  # 192 and 163 measured
+    np.testing.assert_allclose(rows[-1, 1:3], xy, rtol=1e-7, atol=0.0)
+
+
 @pytest.mark.parametrize("args", RUNS)
 def test_run_flow_lanes_agree(args, c_run):
     py = _core_py.run_closed_flow(*args)
@@ -106,7 +180,10 @@ def test_run_flow_lanes_agree(args, c_run):
     ((1, 0.0, 0.0, (1.0, 1.0, 1.0, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), ZeroDivisionError),
     ((9, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), ValueError),
     ((-1, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), ValueError),
-], ids=["overflow", "zero-division", "unknown-geometry", "negative-geometry"])
+    ((2, 0.0, 0.0, (1e100, 1.0, 0.3, 0.0), 1.0, 1e-9, 1e-12, 0.1, 1e-10), OverflowError),
+    ((9, 0.0, 0.0, (1.0, 1.0, 0.3, 0.2), 1.0, 1e-9, 1e-12, 0.1, 1e-10), ValueError),
+], ids=["overflow", "zero-division", "unknown-geometry", "negative-geometry", "overflow-polar",
+        "unknown-geometry-polar"])
 def test_run_flow_lanes_raise_alike(args, error, c_run):
     with pytest.raises(error):
         _core_py.run_closed_flow(*args)
@@ -127,18 +204,18 @@ def test_closed_k_rejects_unknown_geometry():
 PINNED = {
     "hopf-diagonal": "3e16101eeb0a86df",
     "t_max-0": "e62e3d52f568f3e8",
-    "max_steps": "5bf54dc2b76bfa33",
+    "max_steps": "688055b08f6da6f6",
     "torus-0": "6c464fad42854b98",
-    "hyperelliptic-0": "03a4f143d18ed58d",
-    "hopf-0": "d329a048d498ef40",
-    "properly-elliptic-0": "e8b0a6cc4224e5bd",
-    "kodaira-primary-0": "0bcd981c0a3a9664",
-    "kodaira-secondary-0": "07aaa3054410809e",
-    "inoue-s0-0": "cfcef035b975c8cc",
-    "inoue-spm-j1-0": "fa38f0be1fb7e754",
-    "inoue-sp-j2-0": "52a76d35d803812e",
+    "hyperelliptic-0": "5ab9788973b8ab35",
+    "hopf-0": "3b00c42d4883358f",
+    "properly-elliptic-0": "1962c1a509bc831e",
+    "kodaira-primary-0": "5ec9eb3cceff7135",
+    "kodaira-secondary-0": "fccc231b32906063",
+    "inoue-s0-0": "661090ad0fd97053",
+    "inoue-spm-j1-0": "2e32511c292692ed",
+    "inoue-sp-j2-0": "549704dfb9f5ce9b",
     "general-contraction": "6dedb4c2be13add1",
-    "torus-t1000": "242702865a5a265c",
+    "torus-t1000": "4a337948e0178c6a",
     "hyperelliptic-nonfinite": "2a220752ffe1f230",
 }
 
@@ -212,7 +289,7 @@ def test_sampling_grid_is_stride_multiples():
 
 
 def _hopf_rhs(x, y, zre, zim):
-    k11, k22, k12re, k12im = _core_py._hopf(0.7, 0.0, x, y, zre, zim)
+    k11, k22, k12re, k12im = _core_py.closed_k(2, 0.7, 0.0, x, y, zre, zim)
     return -k11, -k22, -k12re, -k12im
 
 
@@ -242,14 +319,33 @@ def test_array_pass_equals_one_at_a_time(array_rhs):
     assert rows.tobytes() == reference.tobytes()
 
 
+def test_log_polar_array_pass_equals_one_at_a_time():
+    # states (x, y, L, theta), with L on both sides of the flush to z = 0
+    rng = np.random.default_rng(9)
+    records = [(*r[:6], float(rng.uniform(-800.0, 0.0)), float(rng.uniform(-4.0, 4.0)), *r[8:])
+               for r in _odd_records(rng, 0.1)]
+    state0, tail = (1.0, 2.0, 0.1, 0.2), (40.0, 1.0, 1.5, -750.0, 0.3)
+    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, records, 0.1, tail, True)
+    assert np.isfinite(rows).all() and (rows[1:, 3] == 0.0).any() and (rows[1:, 3] != 0.0).any()
+    assert tuple(rows[-1, 3:5]) == (0.0, 0.0) and tuple(rows[0, 1:5]) == state0
+    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail, True)
+    assert rows.tobytes() == reference.tobytes()
+    # an infinite theta: math's cos raises where C's libm returns NaN, as the rows do
+    records[3] = (*records[3][:6], -1.0, math.inf, *records[3][8:])
+    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, records, 0.1, tail, True)
+    assert np.isnan(rows).any()
+    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail, True)
+    assert rows.tobytes() == reference.tobytes()
+
+
 @pytest.mark.parametrize("args", RUNS)
 def test_array_pass_equals_one_at_a_time_on_recorded_steps(args, monkeypatch):
     recorded = []
     rows = _core_py._rows
     monkeypatch.setattr(_core_py, "_rows", lambda *a: recorded.append(a) or rows(*a))
     result = _core_py.run_closed_flow(*args)
-    rhs, _, state0, records, stride, tail = recorded[-1]
-    reference = _core_py._rows_one_at_a_time(rhs, state0, records, stride, tail)
+    rhs, _, state0, records, stride, tail, polar = recorded[-1]
+    reference = _core_py._rows_one_at_a_time(rhs, state0, records, stride, tail, polar)
     assert result[2].tobytes() == reference.tobytes()
 
 

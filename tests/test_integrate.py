@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcflow import _g17
+from hcflow import _g17, core
 from hcflow.analysis import classify_gh_limit
-from hcflow.catalog import LIMIT_POINT
+from hcflow.catalog import GEOMETRY_IDS, LIMIT_POINT, pack_params
 from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, MAX_SAMPLES,
                               OUTCOME_DEGENERATE_INPUT, OUTCOME_EXTINCT, OUTCOME_IMMORTAL,
-                              TRAJECTORY_HEADER, columns_csv, integrate,
-                              rhs)
+                              TRAJECTORY_HEADER, columns_csv, integrate)
 from hcflow.metric import HermitianMetric
 
 
@@ -26,23 +25,30 @@ def _config(geometry, g0, t_max, **kwargs):
 # right-hand side
 # ---------------------------------------------------------------------------
 
+def _velocity(params: GeometryParams, g: HermitianMetric) -> tuple[float, float, complex]:
+    """Flow velocity (xdot, ydot, zdot) = -K of the metric g, from ``core.closed_k``."""
+    k11, k22, k12re, k12im = core.closed_k(
+        GEOMETRY_IDS[params.geometry], *pack_params(params), g.x, g.y, g.z.real, g.z.imag)
+    return -k11, -k22, complex(-k12re, -k12im)
+
+
 def test_rhs_hopf_invariant_ray():
-    xdot, ydot, zdot = rhs(GeometryParams(Geometry.HOPF, lam=0.0),
-                           HermitianMetric(1, 1.5, 0))
+    xdot, ydot, zdot = _velocity(GeometryParams(Geometry.HOPF, lam=0.0),
+                                 HermitianMetric(1, 1.5, 0))
     assert xdot == pytest.approx(-4 / 9)
     assert ydot == pytest.approx(-2 / 3)
     assert zdot == 0
 
 
 def test_rhs_kodaira_primary_identity():
-    xdot, ydot, zdot = rhs(GeometryParams(Geometry.KODAIRA_PRIMARY),
-                           HermitianMetric(1, 1, 0))
+    xdot, ydot, zdot = _velocity(GeometryParams(Geometry.KODAIRA_PRIMARY),
+                                 HermitianMetric(1, 1, 0))
     assert (xdot, ydot, zdot) == (2.0, -1.0, 0.0)
 
 
 def test_rhs_inoue_s0_identity():
-    xdot, ydot, zdot = rhs(GeometryParams(Geometry.INOUE_S0, a=1.0, b=1.0),
-                           HermitianMetric(1, 1, 0))
+    xdot, ydot, zdot = _velocity(GeometryParams(Geometry.INOUE_S0, a=1.0, b=1.0),
+                                 HermitianMetric(1, 1, 0))
     assert (xdot, ydot, zdot) == (0.0, 8.0, 0.0)
 
 
@@ -262,6 +268,17 @@ def test_columns_csv_matches_per_cell_format_on_ties_and_long_tables():
     # more rows than one array pass takes, with every magnitude of a run
     values = rng.uniform(-1, 1, 700 * 9) * 10.0 ** rng.integers(-60, 60, 700 * 9)
     _assert_matches_reference(values, 9)
+
+
+def test_columns_csv_matches_per_cell_format_on_log_polar_tails():
+    # a decaying run's u = exp(L) and z = exp(L / 2) (cos, sin) columns: O(1)
+    # through 3-digit exponents and subnormals (per-cell fallback) down to 0
+    L = np.linspace(0.0, -1600.0, 1001).tolist()
+    u = np.array([math.exp(v) for v in L])
+    r = np.array([math.exp(0.5 * v) for v in L])
+    assert u[-1] == 0.0 and (u[(u > 0) & (u < 2.2250738585072014e-308)]).size > 0
+    table = np.column_stack([u, r * math.cos(2.0), r * math.sin(2.0), -u])
+    assert columns_csv("h", table.T) == _reference_csv("h", table)
 
 
 def test_columns_csv_small_tables():
