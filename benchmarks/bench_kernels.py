@@ -14,8 +14,8 @@ call (as ``verify_structure_constants`` calls them), (d) the CSV text of the
 two 1001-row tables of a t = 1000 run (``trajectory.csv``, 9 columns, and
 ``plot_data.csv``, 4), written by ``columns_csv`` and by a per-cell ``%.17g``
 reference, per cell, and (e) full flow runs,
-for a short collapsing run and five long immortal runs, in each lane that is
-available.  Each flow line also gives the time per
+for two short collapsing runs (one from z0 = 0) and five long immortal runs,
+in each lane that is available.  Each flow line also gives the time per
 integrator step (accepted plus rejected; both lanes take the same steps) and
 per emitted sample (output row), which separate the loop's overhead from its
 step count and from its emission of stride samples.  The torus run takes 10
@@ -47,6 +47,8 @@ KERNEL_POINTS = [
 
 FLOW_RUNS = [
     ("hopf collapse (t ~ 2.8)", (2, 0.7, 0.0, (2.0, 0.7, 0.5, -0.3), 50.0)),
+    # z0 = 0: the log-polar state starts at L = -inf, and z stays 0
+    ("hopf z0 = 0 collapse", (2, 0.7, 0.0, (2.0, 0.7, 0.0, 0.0), 50.0)),
     ("torus t = 1000", (0, 0.0, 0.0, (1.0, 2.0, 0.1, 0.0), 1000.0)),
     ("properly-elliptic t = 1000", (3, 1.0, 0.0, (1.0, 1.0, 0.3, 0.2), 1000.0)),
     ("inoue-s0 t = 1000", (6, 1.0, 2.0, (1.0, 1.0, 0.3, 0.2), 1000.0)),
@@ -96,7 +98,7 @@ def hygiene_mus(draws):
 
 def csv_tables():
     """(name, columns) of the two CSVs of the Inoue S0 t = 1000 run."""
-    geom, p1, p2, s0, t_max = FLOW_RUNS[3][1]
+    geom, p1, p2, s0, t_max = dict(FLOW_RUNS)["inoue-s0 t = 1000"]
     rows = _core_py.run_closed_flow(geom, p1, p2, s0, t_max, 1e-9, 1e-12, t_max / 1000, 1e-10)[2]
     tr = Trajectory.from_rows(rows, "", None, math.nan)
     return [("trajectory.csv", (tr.t, tr.x, tr.y, tr.z_re, tr.z_im, tr.d, tr.u, tr.xdot, tr.ydot)),

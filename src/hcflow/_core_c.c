@@ -6,10 +6,11 @@
  * gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.  Where Python
  * raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code; exp, cos
  * and sin are plain libm calls, whose inf or NaN the Python lane takes where math raises.
- * A run with z != 0 integrates the log-polar state (x, y, L = log |z|^2, theta = arg z).
- * This loop emits each stride sample inside its step; the Python lane records the steps and
- * evaluates their samples after its loop, as arrays with the same per-sample operations, so
- * a sample's error still comes before any later step's. */
+ * The loop integrates the log-polar state (x, y, L = log |z|^2, theta = arg z), from
+ * L = -inf at z = 0, skips the tableau's zero weights and tests the six new stages of a step
+ * once, as _core_py does.  It emits each stride sample inside its step; the Python lane
+ * records the steps and evaluates their samples after its loop, as arrays with the same
+ * per-sample operations, so a sample's error still comes before any later step's. */
 #include <math.h>
 #include <string.h>
 
@@ -135,20 +136,12 @@ int hcf_closed_phi(int geom, double p1, double p2, double x, double y, double u,
     return err;
 }
 
-/* Kernel and row buffer of one run; polar: the state is (x, y, L = log |z|^2, theta = arg z). */
-typedef struct { int geom, polar; double p1, p2, *rows; long cap, n; } Run;
+/* Kernel and row buffer of one run, and the last emitted theta (its bits) with its cos and sin. */
+typedef struct { int geom; double p1, p2, *rows; long cap, n; double th, cos_th, sin_th; } Run;
 
-/* The velocity -K at the Cartesian state s. */
-static int cartesian_rhs(const Run *r, const double *s, double *f) {
-    int err = hcf_closed_k(r->geom, r->p1, r->p2, s, f);
-    for (int c = 0; c < 4; c++) f[c] = -f[c];
-    return err;
-}
-/* The velocity of the integrated state; log-polar: L' = -2 Re phi, theta' = -Im phi. */
+/* The velocity of the state (x, y, L, theta): L' = -2 Re phi, theta' = -Im phi. */
 static int rhs(const Run *r, const double *s, double *f) {
-    int err;
-    if (!r->polar) return cartesian_rhs(r, s, f);
-    err = hcf_closed_phi(r->geom, r->p1, r->p2, s[0], s[1], exp(s[2]), s[3], f);
+    int err = hcf_closed_phi(r->geom, r->p1, r->p2, s[0], s[1], exp(s[2]), s[3], f);
     f[2] = 2.0 * f[2];
     for (int c = 0; c < 4; c++) f[c] = -f[c];
     return err;
@@ -156,32 +149,39 @@ static int rhs(const Run *r, const double *s, double *f) {
 static int finite4(const double *v) {
     return isfinite(v[0]) && isfinite(v[1]) && isfinite(v[2]) && isfinite(v[3]);
 }
-/* Append the row (t, s, -K(s)) of the Cartesian state s. */
-static int emit_row(Run *r, double t, const double *s) {
+/* Append the row (t, z, -K(z)) of the Cartesian state z. */
+static int emit_row(Run *r, double t, const double *z) {
     if (r->n == r->cap) return ERR_BUFFER;
     double *row = r->rows + 9 * r->n++;
+    int err;
     row[0] = t;
-    memcpy(row + 1, s, 4 * sizeof *s);
-    return cartesian_rhs(r, s, row + 5);
+    memcpy(row + 1, z, 4 * sizeof *z);
+    err = hcf_closed_k(r->geom, r->p1, r->p2, z, row + 5);
+    for (int c = 5; c < 9; c++) row[c] = -row[c];
+    return err;
 }
-/* Append the row of the integrated state s: z = exp(L / 2) (cos theta, sin theta) for a
- * log-polar s, and z = 0 where exp(L) is below the normal range (L < L_MIN). */
+/* Append the row of the state s: z = exp(L / 2) (cos theta, sin theta), and z = 0 where
+ * exp(L) is below the normal range (L < L_MIN).  cos and sin are recomputed only when theta's
+ * bits change (theta stays on the w * z entries); memcmp, not ==, so -0.0 keeps sin(-0.0). */
 static int emit(Run *r, double t, const double *s) {
-    double c[4] = {s[0], s[1], 0.0, 0.0}, rr;
-    if (!r->polar) return emit_row(r, t, s);
+    double z[4] = {s[0], s[1], 0.0, 0.0}, rr;
     if (!(s[2] < L_MIN)) {
+        if (memcmp(&s[3], &r->th, sizeof r->th) != 0)
+            r->th = s[3], r->cos_th = cos(s[3]), r->sin_th = sin(s[3]);
         rr = exp(0.5 * s[2]);
-        c[2] = rr * cos(s[3]), c[3] = rr * sin(s[3]);
+        z[2] = rr * r->cos_th, z[3] = rr * r->sin_th;
     }
-    return emit_row(r, t, c);
+    return emit_row(r, t, z);
 }
-static double monitor(const Run *r, const double *s, const double *inv_scale) {
-    double d = s[0] * s[1] - (r->polar ? exp(s[2]) : s[2] * s[2] + s[3] * s[3]);
+static double monitor(const double *s, const double *inv_scale) {
+    double d = s[0] * s[1] - exp(s[2]);
     return pmin(pmin(s[0] * inv_scale[0], s[1] * inv_scale[1]), d * inv_scale[2]);
 }
+/* Skips a component whose scale is infinite (L = -inf), as _core_py._rms does. */
 static double rms(const double *v, const double *scale, int *err) {
     double acc = 0.0;
-    for (int c = 0; c < 4; c++) acc += pw(v[c] / scale[c], 2, err);
+    for (int c = 0; c < 4; c++)
+        if (!isinf(scale[c])) acc += pw(v[c] / scale[c], 2, err);
     return sqrt(acc / 4.0);
 }
 
@@ -209,7 +209,8 @@ static void dense_coefficients(double k[7][4], double h, double q[4][4]) {
     for (int c = 0; c < 4; c++)
         for (int j = 0; j < 4; j++) {
             double acc = 0.0;
-            for (int s = 0; s < 7; s++) acc += k[s][c] * P[s][j];
+            for (int s = 0; s < 7; s++)
+                if (P[s][j] != 0.0) acc += k[s][c] * P[s][j];
             q[c][j] = acc * h;
         }
 }
@@ -226,58 +227,55 @@ static void dense_eval(const double *y0, double q[4][4], double th, double *out)
 #define FINISH(st, m) do { status = (st); out[4] = (m); goto done; } while (0)
 
 /* _core_py.run_closed_flow.  state0 is (x, y, Re z, Im z, L, theta), the last two from
- * _core_py.log_polar; a run with z != 0 integrates (x, y, L, theta).  Rows go to
+ * _core_py.log_polar; the loop integrates (x, y, L, theta).  Rows go to
  * rows[cap][9]; out receives (row count, accepted, rejected, t_est or NaN for None, final
  * monitor).  Returns a STATUS_ code of _core_py or an ERR_ code. */
 int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, double t_max,
                         double rel_tol, double abs_tol, double stride, double threshold,
                         long max_steps, double *rows, long cap, double *out) {
-    Run r = {geom, !(state0[2] == 0.0 && state0[3] == 0.0), p1, p2, rows, cap, 0};
-    double y0[4], y1[4], ys[4], y_end[4], k[7][4], q[4][4], inv_scale[3], m_hist[12];
-    double h, t = 0.0, err = 0.0, err_prev = 1.0, t_end, m1, lo, hi, mid, ts;
-    long n_acc = 0, n_rej = 0, next_sample = 1;
-    int status = 0, n_hist = 1, bad, extinct, have_q, decreasing;
+    Run r = {geom, p1, p2, rows, cap, 0, state0[5], cos(state0[5]), sin(state0[5])};
+    double y0[4] = {state0[0], state0[1], state0[4], state0[5]}, y1[4], ys[4], y_end[4], k[7][4];
+    double q[4][4], inv_scale[3], h, t = 0.0, err = 0.0, err_prev = 1.0, t_end, m_last, m1;
+    double lo, hi, mid, ts;
+    long n_acc = 0, n_rej = 0, n_dec = 0, next_sample = 1;  /* n_dec: see _core_py._integrate */
+    int status = 0, bad, extinct, have_q;
 
     out[3] = NAN;
     if (geom < 0 || geom > 8) { status = ERR_GEOMETRY; goto done; }
-    memcpy(y0, state0, sizeof y0);
-    if (r.polar) y0[2] = state0[4], y0[3] = state0[5];
     for (int c = 0; c < 3; c++)
         inv_scale[c] = dv(1.0, c < 2 ? state0[c] : state0[0] * state0[1], &status);
     if (status) goto done;
-    m_hist[0] = monitor(&r, y0, inv_scale);
+    m_last = monitor(y0, inv_scale);
     CHECK(emit_row(&r, 0.0, state0));
-    if (t_max <= 0.0) FINISH(REACHED_TMAX, m_hist[0]);
+    if (t_max <= 0.0) FINISH(REACHED_TMAX, m_last);
     CHECK(rhs(&r, y0, k[0]));
-    if (!finite4(k[0])) FINISH(FAILURE, m_hist[0]);
+    if (!finite4(k[0])) FINISH(FAILURE, m_last);
     CHECK(initial_step(&r, y0, k[0], t_max, rel_tol, abs_tol, &h));
     while (t < t_max) {
         h = pmin(h, t_max - t);
-        if (h < 1e-14 * fabs(t) + 1e-200) {  /* extinct only if the monitor is tiny, shrinking */
-            decreasing = n_hist >= 11;
-            for (int i = n_hist - 11; decreasing && i < n_hist - 1; i++)
-                decreasing = m_hist[i] > m_hist[i + 1];
-            if (!(m_hist[n_hist - 1] < 1e-6 && decreasing)) FINISH(FAILURE, m_hist[n_hist - 1]);
+        if (h < 1e-14 * fabs(t) + 1e-200) {  /* extinct if the last 11 monitors shrink to tiny */
+            if (!(m_last < 1e-6 && n_dec >= 10)) FINISH(FAILURE, m_last);
             out[3] = t;
             CHECK(emit(&r, t, y0));
-            FINISH(EXTINCT, m_hist[n_hist - 1]);
+            FINISH(EXTINCT, m_last);
         }
-        if (n_acc + n_rej >= max_steps) FINISH(FAILURE, m_hist[n_hist - 1]);
-        bad = 0;  /* seven stages, first-same-as-last: k[0] holds rhs(y0) */
-        for (int s = 1; s < 7 && !bad; s++) {
+        if (n_acc + n_rej >= max_steps) FINISH(FAILURE, m_last);
+        for (int s = 1; s < 7; s++) {  /* six new stages, first-same-as-last: k[0] holds rhs(y0) */
             memcpy(ys, y0, sizeof ys);
             for (int j = 0; j < s; j++)
                 if (A[s][j] != 0.0)
                     for (int c = 0; c < 4; c++) ys[c] += h * A[s][j] * k[j][c];
-            CHECK(rhs(&r, ys, k[s]));  /* a non-finite k[s] is recomputed before any use */
-            bad = !finite4(k[s]);
+            CHECK(rhs(&r, ys, k[s]));
         }
+        bad = 0;
+        for (int s = 1; s < 7; s++) bad = bad || !finite4(k[s]);
         if (!bad) {
             memcpy(y1, ys, sizeof y1);  /* stage 7 state: the 5th-order solution */
             err = 0.0;
             for (int c = 0; c < 4; c++) {
                 double e = 0.0;
-                for (int s = 0; s < 7; s++) e += E[s] * k[s][c];
+                for (int s = 0; s < 7; s++)
+                    if (E[s] != 0.0) e += E[s] * k[s][c];
                 err += pw(e * h / (abs_tol + rel_tol * pmax(fabs(y0[c]), fabs(y1[c]))), 2, &status);
             }
             if (status) goto done;
@@ -286,7 +284,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
         if (bad || !isfinite(err)) { n_rej++; h *= 0.25; continue; }
         if (err > 1.0) { n_rej++; h *= pmin(0.7, pmax(0.1, SAFETY * pow(err, -0.2))); continue; }
         n_acc++;
-        m1 = monitor(&r, y1, inv_scale);
+        m1 = monitor(y1, inv_scale);
         t_end = t + h;
         have_q = extinct = m1 < threshold;
         if (extinct) {  /* locate the crossing of the positivity floor inside this step */
@@ -295,7 +293,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
             for (int i = 0; i < 60; i++) {
                 mid = 0.5 * (lo + hi);
                 dense_eval(y0, q, mid, ys);
-                if (monitor(&r, ys, inv_scale) < threshold) hi = mid; else lo = mid;
+                if (monitor(ys, inv_scale) < threshold) hi = mid; else lo = mid;
             }
             t_end = t + hi * h;
             dense_eval(y0, q, hi, y_end);
@@ -310,10 +308,10 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
         if (extinct) {
             out[3] = t_end;
             if (rows[9 * (r.n - 1)] < t_end - 1e-15) CHECK(emit(&r, t_end, y_end));
-            FINISH(EXTINCT, monitor(&r, y_end, inv_scale));
+            FINISH(EXTINCT, monitor(y_end, inv_scale));
         }
-        if (n_hist == 12) { memmove(m_hist, m_hist + 1, 11 * sizeof *m_hist); n_hist = 11; }
-        m_hist[n_hist++] = m1;
+        n_dec = m_last > m1 ? n_dec + 1 : 0;  /* a NaN resets it */
+        m_last = m1;
         t += h;
         memcpy(y0, y1, sizeof y0);
         memcpy(k[0], k[6], sizeof k[0]);
@@ -322,7 +320,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
         err_prev = pmax(err, 1e-10);
     }
     if (rows[9 * (r.n - 1)] < t_max - 1e-15) CHECK(emit(&r, t_max, y0));
-    FINISH(REACHED_TMAX, m_hist[n_hist - 1]);
+    FINISH(REACHED_TMAX, m_last);
 done:
     out[0] = r.n, out[1] = n_acc, out[2] = n_rej;
     return status;

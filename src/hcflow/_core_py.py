@@ -9,29 +9,33 @@ Each geometry's closed form is one function: for the seven entries whose K12
 is w * z, a function of (x, y, u = |z|^2) giving (K11, K22, w), which
 ``_times_z`` makes the Cartesian kernel; the two Inoue S+- entries have a
 Cartesian kernel and a log-polar one.  ``run_closed_flow`` binds them and
-``(p1, p2)`` once per run.  A run with z0 != 0 integrates (x, y, L, theta),
-L = log |z|^2 and theta = arg z, by ``_polar_rhs``: an exponentially decaying
-z, which in (x, y, Re z, Im z) sits at ``abs_tol`` noise where stability caps
-the step, is a linearly decaying L.  exp, cos and sin are math's, libm's bits
-as in C; where math raises (exp overflows, cos or sin of an infinity) the
-lanes take C's inf or NaN.  A run with z0 = 0 integrates (x, y, Re z, Im z),
-in which z stays 0.  The RK5(4) loop
-keeps the state and the seven stages in scalar locals and writes the stage
-sums and the error norm out term by term.  That removes interpreter overhead,
-not arithmetic: the operations and their order are those of a loop over the
-tableau, with the ``0.0 +`` starts (a torus stage is -0.0, and ``0.0 + -0.0``
-is 0.0), the zero-weight terms and every ``**`` kept.
+``(p1, p2)`` once per run, and integrates (x, y, L, theta), L = log |z|^2 and
+theta = arg z, by ``_polar_rhs``: an exponentially decaying z, which in
+(x, y, Re z, Im z) sits at ``abs_tol`` noise where stability caps the step,
+is a linearly decaying L.  z0 = 0 starts at L = -inf, theta = 0, and IEEE
+arithmetic keeps it there exactly: exp(-inf) = 0, -inf + finite = -inf, and
+the error norm's L term is finite / inf = 0, the (x, y, Re z, Im z) run's
+term.  The one rule this adds: ``_rms`` skips a component whose scale is
+infinite.  exp, cos and sin are math's, libm's bits as in C; where math
+raises (exp overflows, cos or sin of an infinity) the lanes take C's inf or
+NaN.  The RK5(4) loop keeps the state and the seven stages in scalar locals
+and writes the stage sums and the error norm out term by term.  That removes
+interpreter overhead, not arithmetic: the operations and their order are
+those of a loop over the tableau's nonzero weights, with the ``0.0 +``
+starts (a torus stage is -0.0, and ``0.0 + -0.0`` is 0.0) and every ``**``
+kept.  A zero-weight term adds +-0.0 to a 0.0-started sum of finite values,
+which changes no bit, so neither lane has one.
 
 The loop only records the steps that cover stride samples.  After it,
 ``_rows`` evaluates all samples in one array pass with the same per-sample
-operations in the same order: the dense-output coefficients (their zero-weight
-terms included), the interpolant, and the derivatives, for which the kernel
-runs once on float64 arrays whose ``**`` is ``np.float_power`` (libm ``pow``,
-as Python's float ``**``); a log-polar sample becomes Cartesian first
-(``_to_cartesian``), by math's exp, cos and sin per element.  The C loop
-still emits each sample inside its step; the bits are equal.  Where a value is
-non-finite, ``_rows`` rebuilds the rows one sample at a time with the scalar
-code, which raises where that code raises.
+operations in the same order: the dense-output coefficients, the
+interpolant, and the derivatives, for which the kernel runs once on float64
+arrays whose ``**`` is ``np.float_power`` (libm ``pow``, as Python's float
+``**``); a log-polar sample becomes Cartesian first (``_to_cartesian``), by
+math's exp, cos and sin per element.  The C loop still emits each sample
+inside its step; the bits are equal.  Where a value is non-finite, ``_rows``
+rebuilds the rows one sample at a time with the scalar code, which raises
+where that code raises.
 
 Geometry ids (shared with the compiled core):
 0 torus, 1 hyperelliptic, 2 hopf, 3 properly-elliptic, 4 kodaira-primary,
@@ -67,9 +71,6 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-(_P00, _P01, _P02, _P03), (_P10, _P11, _P12, _P13), (_P20, _P21, _P22, _P23), \
-    (_P30, _P31, _P32, _P33), (_P40, _P41, _P42, _P43), (_P50, _P51, _P52, _P53), \
-    (_P60, _P61, _P62, _P63) = _P
 _P_ROWS = np.array(_P)  # the same coefficients, one row per stage, for the array pass
 
 #: log of float64's smallest normal number: a log-polar state with L below it
@@ -289,9 +290,13 @@ def _to_cartesian(x, y, L, theta):
 
 
 def log_polar(zre: float, zim: float) -> tuple[float, float]:
-    """(L, theta) = (log |z|^2, arg z) of z != 0.  ``hypot`` scales, so a z
-    whose square underflows still gets a finite L.  Both lanes start from it."""
-    return 2.0 * math.log(math.hypot(zre, zim)), math.atan2(zim, zre)
+    """(L, theta) = (log |z|^2, arg z), and (-inf, 0.0) at z = 0 of either
+    zero sign (``atan2`` gives pi for -0.0).  ``hypot`` scales, so a z whose
+    square underflows still gets a finite L.  Both lanes start from it."""
+    r = math.hypot(zre, zim)
+    if r == 0.0:
+        return -inf, 0.0
+    return 2.0 * math.log(r), math.atan2(zim, zre)
 
 
 def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
@@ -304,8 +309,9 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
     ``samples`` is a float64 array with rows (t, x, y, zre, zim, xdot, ydot,
     zredot, zimdot) emitted at multiples of ``stride`` plus the terminal point.
     With ``polar_rhs``, the loop integrates the log-polar state (x, y, L,
-    theta) by ``polar_rhs`` from ``log_polar`` of z0 instead, and the rows
-    hold its Cartesian state (row 0 the exact ``state0``) and ``rhs`` there.
+    theta) by ``polar_rhs`` from ``log_polar`` of z0 instead (L = -inf at
+    z0 = 0), and the rows hold its Cartesian state (row 0 the exact
+    ``state0``) and ``rhs`` there.
 
     The loop only records the accepted steps that cover stride samples;
     ``_rows`` evaluates all samples after it (see there).  ``array_rhs``, if
@@ -347,27 +353,29 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
     theta), and stage s is (dxs, dys, drs, dis).  ``monitor`` is the
     positivity margin of a state.  Each ``h * a_sj`` is computed once per
     step, which is exact: Python evaluates ``h * a * k`` as ``(h * a) * k``.
+    Every attempted step evaluates its six new stages, so ``rhs`` is called
+    ``2 + 6 * (n_acc + n_rej)`` times, counting the initial step's two.
     """
     isfinite = math.isfinite
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
-        (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = _A[1:]
-    e0, e1, e2, e3, e4, e5, e6 = _E
+        (a50, a51, a52, a53, a54), (a60, _, a62, a63, a64, a65) = _A[1:]
+    e0, _, e2, e3, e4, e5, e6 = _E  # a61 and e1 are 0.0
     x, y, zr, zi = state0
 
-    m0 = monitor(x, y, zr, zi, inv_scale)
+    m_last = monitor(x, y, zr, zi, inv_scale)
+    n_dec = 0  # how many monitors in a row strictly decrease into m_last
     next_sample = 1  # samples at k*stride, k >= 1; k = 0 is row 0
     if t_max <= 0.0:
-        return STATUS_REACHED_TMAX, None, None, 0, 0, m0
+        return STATUS_REACHED_TMAX, None, None, 0, 0, m_last
 
     dx0, dy0, dr0, di0 = f0 = rhs(x, y, zr, zi)
     if not all(map(isfinite, f0)):
-        return STATUS_FAILURE, None, None, 0, 0, m0
+        return STATUS_FAILURE, None, None, 0, 0, m_last
 
     h = _initial_step(rhs, (x, y, zr, zi), f0, t_max, rel_tol, abs_tol)
     t = 0.0
     err_prev = 1.0
     n_acc = n_rej = 0
-    m_hist: list[float] = [m0]
 
     while t < t_max:
         h = min(h, t_max - t)
@@ -376,75 +384,58 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
         # arbitrarily small first steps; max_steps guards against stalls
         if h < 1e-14 * abs(t) + 1e-200:
             # step-size underflow: extinction only when the positivity margin
-            # is already tiny and has been shrinking, otherwise a failure
-            m_last = m_hist[-1]
-            decreasing = len(m_hist) >= 11 and all(
-                m_hist[i] > m_hist[i + 1] for i in range(len(m_hist) - 11, len(m_hist) - 1))
-            if m_last < 1e-6 and decreasing:
+            # is already tiny and the last 11 monitors strictly decrease,
+            # otherwise a failure
+            if m_last < 1e-6 and n_dec >= 10:
                 return STATUS_EXTINCT, t, (t, x, y, zr, zi), n_acc, n_rej, m_last
             return STATUS_FAILURE, None, None, n_acc, n_rej, m_last
         if n_acc + n_rej >= max_steps:
-            return STATUS_FAILURE, None, None, n_acc, n_rej, m_hist[-1]
+            return STATUS_FAILURE, None, None, n_acc, n_rej, m_last
 
-        # six new stages (first-same-as-last: stage 0 holds rhs(state)); a step
-        # with a non-finite stage is rejected before the next stage is evaluated
+        # six new stages (first-same-as-last: stage 0 holds rhs(state))
         h10 = h * a10
         dx1, dy1, dr1, di1 = rhs(x + h10 * dx0, y + h10 * dy0, zr + h10 * dr0, zi + h10 * di0)
-        if not (isfinite(dx1) and isfinite(dy1) and isfinite(dr1) and isfinite(di1)):
-            n_rej += 1
-            h *= 0.25
-            continue
         h20, h21 = h * a20, h * a21
         dx2, dy2, dr2, di2 = rhs(x + h20 * dx0 + h21 * dx1, y + h20 * dy0 + h21 * dy1,
                                  zr + h20 * dr0 + h21 * dr1, zi + h20 * di0 + h21 * di1)
-        if not (isfinite(dx2) and isfinite(dy2) and isfinite(dr2) and isfinite(di2)):
-            n_rej += 1
-            h *= 0.25
-            continue
         h30, h31, h32 = h * a30, h * a31, h * a32
         dx3, dy3, dr3, di3 = rhs(x + h30 * dx0 + h31 * dx1 + h32 * dx2,
                                  y + h30 * dy0 + h31 * dy1 + h32 * dy2,
                                  zr + h30 * dr0 + h31 * dr1 + h32 * dr2,
                                  zi + h30 * di0 + h31 * di1 + h32 * di2)
-        if not (isfinite(dx3) and isfinite(dy3) and isfinite(dr3) and isfinite(di3)):
-            n_rej += 1
-            h *= 0.25
-            continue
         h40, h41, h42, h43 = h * a40, h * a41, h * a42, h * a43
         dx4, dy4, dr4, di4 = rhs(x + h40 * dx0 + h41 * dx1 + h42 * dx2 + h43 * dx3,
                                  y + h40 * dy0 + h41 * dy1 + h42 * dy2 + h43 * dy3,
                                  zr + h40 * dr0 + h41 * dr1 + h42 * dr2 + h43 * dr3,
                                  zi + h40 * di0 + h41 * di1 + h42 * di2 + h43 * di3)
-        if not (isfinite(dx4) and isfinite(dy4) and isfinite(dr4) and isfinite(di4)):
-            n_rej += 1
-            h *= 0.25
-            continue
         h50, h51, h52, h53, h54 = h * a50, h * a51, h * a52, h * a53, h * a54
         dx5, dy5, dr5, di5 = rhs(x + h50 * dx0 + h51 * dx1 + h52 * dx2 + h53 * dx3 + h54 * dx4,
                                  y + h50 * dy0 + h51 * dy1 + h52 * dy2 + h53 * dy3 + h54 * dy4,
                                  zr + h50 * dr0 + h51 * dr1 + h52 * dr2 + h53 * dr3 + h54 * dr4,
                                  zi + h50 * di0 + h51 * di1 + h52 * di2 + h53 * di3 + h54 * di4)
-        if not (isfinite(dx5) and isfinite(dy5) and isfinite(dr5) and isfinite(di5)):
-            n_rej += 1
-            h *= 0.25
-            continue
-        # the last stage's state is the 5th-order solution (FSAL); a61 is 0.0
+        # the last stage's state is the 5th-order solution (FSAL)
         h60, h62, h63, h64, h65 = h * a60, h * a62, h * a63, h * a64, h * a65
         x1 = x + h60 * dx0 + h62 * dx2 + h63 * dx3 + h64 * dx4 + h65 * dx5
         y1 = y + h60 * dy0 + h62 * dy2 + h63 * dy3 + h64 * dy4 + h65 * dy5
         zr1 = zr + h60 * dr0 + h62 * dr2 + h63 * dr3 + h64 * dr4 + h65 * dr5
         zi1 = zi + h60 * di0 + h62 * di2 + h63 * di3 + h64 * di4 + h65 * di5
         dx6, dy6, dr6, di6 = rhs(x1, y1, zr1, zi1)
-        if not (isfinite(dx6) and isfinite(dy6) and isfinite(dr6) and isfinite(di6)):
+        # a step with a non-finite stage is rejected
+        if not (isfinite(dx1) and isfinite(dy1) and isfinite(dr1) and isfinite(di1)
+                and isfinite(dx2) and isfinite(dy2) and isfinite(dr2) and isfinite(di2)
+                and isfinite(dx3) and isfinite(dy3) and isfinite(dr3) and isfinite(di3)
+                and isfinite(dx4) and isfinite(dy4) and isfinite(dr4) and isfinite(di4)
+                and isfinite(dx5) and isfinite(dy5) and isfinite(dr5) and isfinite(di5)
+                and isfinite(dx6) and isfinite(dy6) and isfinite(dr6) and isfinite(di6)):
             n_rej += 1
             h *= 0.25
             continue
 
         # error norm: per component, the 0.0-started sum of E_s * stage s, times h
-        ex = (0.0 + e0 * dx0 + e1 * dx1 + e2 * dx2 + e3 * dx3 + e4 * dx4 + e5 * dx5 + e6 * dx6) * h
-        ey = (0.0 + e0 * dy0 + e1 * dy1 + e2 * dy2 + e3 * dy3 + e4 * dy4 + e5 * dy5 + e6 * dy6) * h
-        er = (0.0 + e0 * dr0 + e1 * dr1 + e2 * dr2 + e3 * dr3 + e4 * dr4 + e5 * dr5 + e6 * dr6) * h
-        ei = (0.0 + e0 * di0 + e1 * di1 + e2 * di2 + e3 * di3 + e4 * di4 + e5 * di5 + e6 * di6) * h
+        ex = (0.0 + e0 * dx0 + e2 * dx2 + e3 * dx3 + e4 * dx4 + e5 * dx5 + e6 * dx6) * h
+        ey = (0.0 + e0 * dy0 + e2 * dy2 + e3 * dy3 + e4 * dy4 + e5 * dy5 + e6 * dy6) * h
+        er = (0.0 + e0 * dr0 + e2 * dr2 + e3 * dr3 + e4 * dr4 + e5 * dr5 + e6 * dr6) * h
+        ei = (0.0 + e0 * di0 + e2 * di2 + e3 * di3 + e4 * di4 + e5 * di5 + e6 * di6) * h
         err = math.sqrt((0.0 + (ex / (abs_tol + rel_tol * max(abs(x), abs(x1)))) ** 2
                          + (ey / (abs_tol + rel_tol * max(abs(y), abs(y1)))) ** 2
                          + (er / (abs_tol + rel_tol * max(abs(zr), abs(zr1)))) ** 2
@@ -497,9 +488,8 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
             tail = (t_end, *y_end) if _last_time(records, stride) < t_end - 1e-15 else None
             return STATUS_EXTINCT, t_end, tail, n_acc, n_rej, monitor(*y_end, inv_scale)
 
-        m_hist.append(m1)
-        if len(m_hist) > 12:
-            del m_hist[0]
+        n_dec = n_dec + 1 if m_last > m1 else 0  # a NaN resets it
+        m_last = m1
         t = t1
         x, y, zr, zi = x1, y1, zr1, zi1
         dx0, dy0, dr0, di0 = dx6, dy6, dr6, di6
@@ -513,7 +503,7 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
         err_prev = max(err, 1e-10)
 
     tail = (t_max, x, y, zr, zi) if _last_time(records, stride) < t_max - 1e-15 else None
-    return STATUS_REACHED_TMAX, None, tail, n_acc, n_rej, m_hist[-1]
+    return STATUS_REACHED_TMAX, None, tail, n_acc, n_rej, m_last
 
 
 def _last_time(records, stride) -> float:
@@ -551,8 +541,8 @@ def _rows(rhs, array_rhs, state0, records, stride, tail, polar=False):
             rec = np.array(records, dtype=float)
             stages = rec[:, 8:].reshape(-1, 4, 7)  # (record, component, stage)
             q = 0.0 + stages[:, :, 0, None] * _P_ROWS[0]
-            for s in range(1, 7):
-                q = q + stages[:, :, s, None] * _P_ROWS[s]
+            for s in range(2, 7):  # the nonzero weights: none of stage 1, none of 2-6 on theta
+                q[:, :, 1:] += stages[:, :, s, None] * _P_ROWS[s, 1:]
             q = q * rec[:, 1, None, None]  # (record, component, power of theta)
             k = np.arange(1.0, n)
             i = np.searchsorted(rec[:, 3], k, side="right")  # each sample's record
@@ -572,7 +562,8 @@ def _rows(rhs, array_rhs, state0, records, stride, tail, polar=False):
             L, angle = rows[1:, 3], rows[1:, 4]
             try:
                 r = _map(exp, 0.5 * L)
-                if (angle == angle[0]).all():  # theta' = 0 on the w * z entries
+                bits = angle.view(np.int64)  # bits, not ==: sin(-0.0) is -0.0
+                if (bits == bits[0]).all():  # theta' = 0 on the w * z entries
                     zre, zim = r * cos(angle[0]), r * sin(angle[0])
                 else:
                     zre, zim = r * _map(cos, angle), r * _map(sin, angle)
@@ -632,11 +623,10 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
                     threshold: float, max_steps: int = 1_000_000):
     """Closed-form-kernel flow run (signature shared with the compiled core).
 
-    A run with z0 != 0 integrates the log-polar state (see ``_polar_rhs``);
-    one with z0 = 0, which stays 0, integrates (x, y, Re z, Im z).  The rows
-    are Cartesian either way: the kernel runs once on the float64 columns of
-    all rows (``_Floats``), so each closed form has one definition for both
-    uses.
+    The run integrates the log-polar state (see ``_polar_rhs``), from
+    ``log_polar`` of z0.  The rows are Cartesian: the kernel runs once on the
+    float64 columns of all rows (``_Floats``), so each closed form has one
+    definition for both uses.
     """
     if geom not in _KERNELS:
         raise ValueError(f"unknown geometry id {geom}")
@@ -646,9 +636,8 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
         k11, k22, k12re, k12im = kernel(p1, p2, x, y, zre, zim)
         return -k11, -k22, -k12re, -k12im
 
-    polar_rhs = None if state0[2] == 0.0 and state0[3] == 0.0 else _polar_rhs(geom, p1, p2)
     return run_flow(rhs, state0, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
-                    array_rhs=rhs, polar_rhs=polar_rhs)
+                    array_rhs=rhs, polar_rhs=_polar_rhs(geom, p1, p2))
 
 
 def _polar_rhs(geom: int, p1: float, p2: float):
@@ -698,7 +687,8 @@ def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:
 
 
 def _rms(v, scale) -> float:
-    """Root mean square of v / scale.
+    """Root mean square of v / scale, skipping a component whose scale is
+    infinite (L = -inf of z = 0; its term would be NaN, not the 0 of z = 0).
 
     Sums run left to right from 0.0, here and in ``_dense_eval``: ``sum()``
     compensates its rounding from Python 3.12 on, which neither older Pythons
@@ -706,22 +696,26 @@ def _rms(v, scale) -> float:
     """
     acc = 0.0
     for c in range(4):
-        acc += (v[c] / scale[c]) ** 2
+        if scale[c] != inf:
+            acc += (v[c] / scale[c]) ** 2
     return math.sqrt(acc / 4.0)
 
 
 def _dense_coefficients(h, *components):
     """Per-step interpolation coefficients: for each state component's seven
-    stages, one 0.0-started sum per power of the step fraction, times h."""
-    return [((0.0 + k0 * _P00 + k1 * _P10 + k2 * _P20 + k3 * _P30 + k4 * _P40 + k5 * _P50
-              + k6 * _P60) * h,
-             (0.0 + k0 * _P01 + k1 * _P11 + k2 * _P21 + k3 * _P31 + k4 * _P41 + k5 * _P51
-              + k6 * _P61) * h,
-             (0.0 + k0 * _P02 + k1 * _P12 + k2 * _P22 + k3 * _P32 + k4 * _P42 + k5 * _P52
-              + k6 * _P62) * h,
-             (0.0 + k0 * _P03 + k1 * _P13 + k2 * _P23 + k3 * _P33 + k4 * _P43 + k5 * _P53
-              + k6 * _P63) * h)
-            for k0, k1, k2, k3, k4, k5, k6 in components]
+    stages, one 0.0-started sum per power of the step fraction over its
+    nonzero weights, times h."""
+    coefficients = []
+    for k in components:
+        q = []
+        for j in range(4):
+            acc = 0.0
+            for s in range(7):
+                if _P[s][j] != 0.0:
+                    acc += k[s] * _P[s][j]
+            q.append(acc * h)
+        coefficients.append(q)
+    return coefficients
 
 
 def _dense_eval(y0, qmat, theta):

@@ -2,11 +2,11 @@
 
 ``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
 ``run_closed_flow`` operation for operation and gives the same bits, so the
-lane changes only speed and ``stats.compiled_core``.  Both integrate a run
-with z0 != 0 in the log-polar state (x, y, log |z|^2, arg z), from the
-``log_polar`` start that the binding computes in Python, and emit Cartesian
-rows.  The C loop emits each stride sample inside its step; the Python lane
-evaluates them after its loop, as arrays with the same per-sample operations.
+lane changes only speed and ``stats.compiled_core``.  Both integrate the
+log-polar state (x, y, log |z|^2, arg z), from the ``log_polar`` start that
+the binding computes in Python, and emit Cartesian rows.  The C loop emits
+each stride sample inside its step; the Python lane evaluates them after its
+loop, as arrays with the same per-sample operations.
 ``setup.py build_ext`` puts the library next to this module, where
 ``COMPILED`` finds it.  Only ``run_closed_flow`` is compiled: one ctypes call
 costs more than a Python ``closed_k``, so ``closed_k``, ``closed_k_columns``,
@@ -46,9 +46,9 @@ def bind(path: str):
         cap = int((max(t_max, 0.0) * (1 + 1e-12) + 1e-12) / stride) + 3
         rows, out = np.empty((cap, 9)), np.empty(5)
         x, y, zre, zim = (float(v) for v in state0)
-        polar = (0.0, 0.0) if zre == 0.0 and zim == 0.0 else _core_py.log_polar(zre, zim)
-        status = fn(geom, p1, p2, np.array([x, y, zre, zim, *polar]), t_max, rel_tol, abs_tol,
-                    stride, threshold, max_steps, rows, cap, out)
+        start = np.array([x, y, zre, zim, *_core_py.log_polar(zre, zim)])
+        status = fn(geom, p1, p2, start, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
+                    rows, cap, out)
         if status > STATUS_FAILURE:  # where _core_py raises
             raise {3: OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)),
                    4: ZeroDivisionError("float division by zero"),

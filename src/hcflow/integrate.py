@@ -1,12 +1,12 @@
 """Flow integration: evolve a metric by minus its flow tensor until t_max,
 collapse, or failure.
 
-A closed-form run with z0 != 0 integrates the 4-real state (x, y, L, theta),
-L = log |z|^2 and theta = arg z, so that an exponentially decaying z is a
-linearly decaying L rather than a stiff tail; its rows hold the Cartesian
-(x, y, Re z, Im z), with z = 0 once |z|^2 is below float64's normal range.
-A run with z0 = 0, where z stays 0, and every general-contraction run
-integrate (x, y, Re z, Im z).  Extinction is detected by a positivity
+A closed-form run integrates the 4-real state (x, y, L, theta), L = log |z|^2
+and theta = arg z, so that an exponentially decaying z is a linearly
+decaying L rather than a stiff tail (z0 = 0 starts at L = -inf, where z
+stays 0); its rows hold the Cartesian (x, y, Re z, Im z), with z = 0 once
+|z|^2 is below float64's normal range.  Every general-contraction run
+integrates (x, y, Re z, Im z).  Extinction is detected by a positivity
 monitor, the minimum of x, y and the determinant normalized by the
 corresponding powers of the initial scale; when it crosses the configured
 floor, the crossing time is bracketed inside the last accepted step by
@@ -234,10 +234,11 @@ def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
                 _general_rhs(config.params), state0, config.t_max,
                 config.rel_tol, config.abs_tol, config.stride,
                 config.degeneracy_threshold, config.max_steps)
-    except OverflowError as exc:
-        # a float ** overflows on huge metrics (e.g. x**4 in the closed forms);
-        # Python raises there, and the compiled loop raises alike
-        return _no_samples(OUTCOME_FAILURE, f"OverflowError: {exc}")
+    except (OverflowError, ZeroDivisionError) as exc:
+        # a float ** overflows on huge metrics (e.g. x**4 in the closed forms),
+        # or a closed form divides by D**2 = 0 (a collapse bisected to D = 0 under
+        # a tiny threshold); Python raises there, and the compiled loop raises alike
+        return _no_samples(OUTCOME_FAILURE, f"{type(exc).__name__}: {exc}")
 
     if status == core.STATUS_REACHED_TMAX:
         klass, reason = OUTCOME_IMMORTAL, "reached t_max"

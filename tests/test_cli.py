@@ -181,6 +181,19 @@ def test_run_overflow_is_integrator_failure(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_run_division_by_zero_is_integrator_failure(tmp_path, capsys):
+    # under a tiny threshold the collapse bisection lands on D = 0 exactly, where
+    # the tail row's closed form divides by D**2: a failed run, not a crash
+    out = tmp_path / "o"
+    code = run_cli("run", "--geometry", "hopf", "--lambda", "0.7", "--x0", "2", "--y0", "0.7",
+                   "--t-max", "50", "--degeneracy-threshold", "1e-60", "--out", str(out))
+    assert code == 3
+    outcome = json.loads((out / "outcome.json").read_text())
+    assert outcome["class"] == "integrator-failure"
+    assert outcome["diagnostics"] == "ZeroDivisionError: float division by zero"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_run_huge_metric_fails_its_bound_without_a_traceback(tmp_path):
     # D0**2 overflows; the bound is inf, so its check fails and reads null in analysis.json
     proc = subprocess.run(

@@ -85,11 +85,17 @@ RUNS = [
     # 10 steps for 1001 stride samples: nearly all emission
     pytest.param((0, 0.0, 0.0, (1.0, 2.0, 0.1, 0.0), 1000.0, 1e-9, 1e-12, 1.0, 1e-10),
                  id="torus-t1000"),
+    # step-size underflow while the monitor (6.4e-27) is still above the threshold:
+    # extinct by the underflow rule, after 307 accepted and 70 rejected steps
+    pytest.param((2, 0.7, 0.0, (2.0, 0.7, 0.5, -0.3), 50.0, 1e-9, 1e-12, 0.5, 1e-30),
+                 id="hopf-step-underflow"),
+    # z0 = 0 with a -0.0 real part: L0 = -inf and theta0 = 0, not atan2's pi
+    pytest.param((8, 0.0, 0.0, (1.0, 1.0, -0.0, 0.0), 100.0, 1e-9, 1e-12, 0.1, 1e-10),
+                 id="inoue-sp-j2-negative-zero-z0"),
     *_random_runs(2),
 ]
 # x * x overflows in the closed form, so row 0 holds NaN: the rows are rebuilt one
-# at a time.  Not in RUNS, whose cross-lane test compares with np.array_equal,
-# for which NaN never equals NaN; test_nonfinite_rows_lanes_agree compares bytes.
+# at a time.  Kept apart from RUNS: its tests also require the NaN rows.
 NONFINITE_RUN = (1, 0.0, 0.0, (1e200, 1.0, 0.5, 0.0), 10.0, 1e-9, 1e-12, 0.01, 1e-10)
 
 
@@ -134,6 +140,25 @@ def test_closed_phi_is_k12_over_z(geometry):
         assert math.isfinite(_closed_phi(gid, p1, p2, g.x, g.y, 0.0, 1.0)[2])
 
 
+@pytest.mark.parametrize("z0", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
+                         ids=["+0+0", "-0+0", "+0-0", "-0-0"])
+def test_z0_zero_starts_at_minus_inf_and_keeps_the_cartesian_bits(z0):
+    # L0 = -inf stays -inf, and every row, count and monitor equals the run of
+    # the same closed form in (x, y, Re z, Im z), in which z stays 0
+    assert _core_py.log_polar(*z0) == (-math.inf, 0.0)
+    for geom in range(9):
+        p1, p2 = (1.0, 2.0) if geom == 6 else (0.7, 0.0)
+        args = ((2.0, 0.7, *z0), 37.3, 1e-9, 1e-12, 0.0373, 1e-10)
+
+        def rhs(x, y, zre, zim):
+            return tuple(-k for k in _core_py.closed_k(geom, p1, p2, x, y, zre, zim))
+
+        polar = _core_py.run_closed_flow(geom, p1, p2, *args)
+        cartesian = _core_py.run_flow(rhs, *args)
+        assert polar[2].tobytes() == cartesian[2].tobytes()
+        assert polar[:2] == cartesian[:2] and polar[3:] == cartesian[3:]
+
+
 def test_log_polar_start_of_an_underflowing_z0():
     # |z0|^2 underflows to 0, but hypot keeps L0 finite; row 0 keeps z0 exactly
     L, theta = _core_py.log_polar(3e-170, -4e-170)
@@ -172,7 +197,9 @@ def test_run_flow_lanes_agree(args, c_run):
     c = c_run(*args)
     assert c[0] == py[0] and c[1] == py[1] and c[3:] == py[3:]
     assert [type(v) for v in c] == [type(v) for v in py]
-    assert c[2].dtype == py[2].dtype and np.array_equal(c[2], py[2])
+    # bytes, not np.array_equal: -0.0 == 0.0, but the CSV prints -0 and 0
+    assert c[2].dtype == py[2].dtype and c[2].shape == py[2].shape
+    assert c[2].tobytes() == py[2].tobytes()
 
 
 @pytest.mark.parametrize("args,error", [
@@ -216,6 +243,8 @@ PINNED = {
     "inoue-sp-j2-0": "549704dfb9f5ce9b",
     "general-contraction": "6dedb4c2be13add1",
     "torus-t1000": "4a337948e0178c6a",
+    "hopf-step-underflow": "d4ef93dfc2141c0c",
+    "inoue-sp-j2-negative-zero-z0": "72414499c7d9d429",
     "hyperelliptic-nonfinite": "2a220752ffe1f230",
 }
 
@@ -280,6 +309,26 @@ def test_failure_disambiguation_on_step_underflow():
     assert t_est is None
 
 
+def test_loop_evaluates_six_stages_per_attempted_step():
+    # every attempted step, rejected or not, evaluates its six new stages once:
+    # rhs runs 2 + 6 * (n_acc + n_rej) times (the initial step takes 2)
+    calls = []
+
+    def rhs(x, y, zre, zim):
+        calls.append(x)
+        if x < 0.5:
+            return (float("nan"),) * 4
+        return (-1.0, 0.0, 0.0, 0.0)
+
+    def array_rhs(x, y, zre, zim):  # the rows' derivatives, not counted
+        return -1.0 + 0.0 * x, 0.0 * x, 0.0 * x, 0.0 * x
+
+    status, _, _, n_acc, n_rej, _ = _core_py.run_flow(
+        rhs, (1.0, 1.0, 0.0, 0.0), 10.0, 1e-9, 1e-12, 0.1, 1e-10, array_rhs=array_rhs)
+    assert status == _core_py.STATUS_FAILURE and n_rej > 0
+    assert len(calls) == 2 + 6 * (n_acc + n_rej)
+
+
 def test_sampling_grid_is_stride_multiples():
     status, _, rows, *_ = core.run_closed_flow(
         GEOMETRY_IDS[Geometry.TORUS], 0, 0, (1.0, 2.0, 0.1, 0.0),
@@ -329,6 +378,13 @@ def test_log_polar_array_pass_equals_one_at_a_time():
     assert np.isfinite(rows).all() and (rows[1:, 3] == 0.0).any() and (rows[1:, 3] != 0.0).any()
     assert tuple(rows[-1, 3:5]) == (0.0, 0.0) and tuple(rows[0, 1:5]) == state0
     reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail, True)
+    assert rows.tobytes() == reference.tobytes()
+    # theta 0.0 on every sample and -0.0 at the tail: equal as floats, but sin(-0.0) is -0.0
+    flat = [(*r[:7], 0.0, *r[8:29], *[0.0] * 7) for r in records]
+    signed_tail = (40.0, 1.0, 1.5, 0.3, -0.0)
+    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, flat, 0.1, signed_tail, True)
+    assert math.copysign(1.0, rows[-1, 4]) == -1.0
+    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, flat, 0.1, signed_tail, True)
     assert rows.tobytes() == reference.tobytes()
     # an infinite theta: math's cos raises where C's libm returns NaN, as the rows do
     records[3] = (*records[3][:6], -1.0, math.inf, *records[3][8:])
