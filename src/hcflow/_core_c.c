@@ -298,7 +298,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
             t_end = t + hi * h;
             dense_eval(y0, q, hi, y_end);
         }
-        while (next_sample * stride <= t_end + 1e-12 * pmax(1.0, t_end)) {
+        while (next_sample * stride <= t_end + 1e-12 * pmax(stride, t_end)) {
             ts = pmin(next_sample * stride, t_end);
             if (!have_q) dense_coefficients(k, h, q), have_q = 1;
             dense_eval(y0, q, pmin(pmax((ts - t) / h, 0.0), 1.0), ys);

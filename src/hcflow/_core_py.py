@@ -81,6 +81,9 @@ STATUS_REACHED_TMAX = 0
 STATUS_EXTINCT = 1
 STATUS_FAILURE = 2
 
+#: Attempted steps after which a run stops as a failure (a stall guard).
+MAX_STEPS = 1_000_000
+
 _SAFETY = 0.9
 _ALPHA = 0.17  # error exponent of the PI controller
 _BETA = 0.04  # memory exponent of the PI controller
@@ -223,12 +226,11 @@ _POLAR_KERNELS = {7: _inoue_spm_j1_polar, 8: _inoue_sp_j2_polar}
 
 
 def _kernel(geom: int):
-    """The closed form of geometry id ``geom``; for an unknown id, one that raises ValueError."""
-    kernel = _KERNELS.get(geom)
-    if kernel is None:
-        def kernel(*_):
-            raise ValueError(f"unknown geometry id {geom}")
-    return kernel
+    """The closed form of geometry id ``geom``; ValueError for an unknown id."""
+    try:
+        return _KERNELS[geom]
+    except KeyError:
+        raise ValueError(f"unknown geometry id {geom}") from None
 
 
 def closed_k(geom: int, p1: float, p2: float, x: float, y: float,
@@ -300,7 +302,7 @@ def log_polar(zre: float, zim: float) -> tuple[float, float]:
 
 
 def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
-             stride: float, threshold: float, max_steps: int = 1_000_000, array_rhs=None,
+             stride: float, threshold: float, max_steps: int = MAX_STEPS, array_rhs=None,
              polar_rhs=None):
     """Adaptive RK5(4) integration of ``state' = rhs(*state)`` with collapse stopping.
 
@@ -365,6 +367,7 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
     m_last = monitor(x, y, zr, zi, inv_scale)
     n_dec = 0  # how many monitors in a row strictly decrease into m_last
     next_sample = 1  # samples at k*stride, k >= 1; k = 0 is row 0
+    t_last = 0.0  # time of the last recorded row, row 0 at first
     if t_max <= 0.0:
         return STATUS_REACHED_TMAX, None, None, 0, 0, m_last
 
@@ -474,8 +477,9 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
             t_end = t + theta_star * h
             y_end = _dense_eval(state, qmat, theta_star)
 
-        # record the stride samples covered by [t, t_end]; _rows evaluates them
-        t_cut = t_end + 1e-12 * max(1.0, t_end)
+        # record the stride samples covered by [t, t_end]; _rows evaluates them.  The
+        # tolerance is relative, so a tiny t_max gets no samples past it
+        t_cut = t_end + 1e-12 * max(stride, t_end)
         if next_sample * stride <= t_cut:
             next_sample += 1
             while next_sample * stride <= t_cut:
@@ -483,9 +487,10 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
             records.append((t, h, t_end, next_sample, x, y, zr, zi,
                             dx0, dx1, dx2, dx3, dx4, dx5, dx6, dy0, dy1, dy2, dy3, dy4, dy5, dy6,
                             dr0, dr1, dr2, dr3, dr4, dr5, dr6, di0, di1, di2, di3, di4, di5, di6))
+            t_last = min((next_sample - 1) * stride, t_end)
 
         if extinct:
-            tail = (t_end, *y_end) if _last_time(records, stride) < t_end - 1e-15 else None
+            tail = (t_end, *y_end) if t_last < t_end - 1e-15 else None
             return STATUS_EXTINCT, t_end, tail, n_acc, n_rej, monitor(*y_end, inv_scale)
 
         n_dec = n_dec + 1 if m_last > m1 else 0  # a NaN resets it
@@ -502,17 +507,8 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
         h *= factor
         err_prev = max(err, 1e-10)
 
-    tail = (t_max, x, y, zr, zi) if _last_time(records, stride) < t_max - 1e-15 else None
+    tail = (t_max, x, y, zr, zi) if t_last < t_max - 1e-15 else None
     return STATUS_REACHED_TMAX, None, tail, n_acc, n_rej, m_last
-
-
-def _last_time(records, stride) -> float:
-    """Time of the last recorded stride sample, or row 0's 0.0."""
-    if not records:
-        return 0.0
-    t_end, k1 = records[-1][2:4]
-    ts = (k1 - 1) * stride
-    return t_end if ts > t_end else ts
 
 
 def _rows(rhs, array_rhs, state0, records, stride, tail, polar=False):
@@ -620,7 +616,7 @@ class _Floats(np.ndarray):
 
 def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
                     rel_tol: float, abs_tol: float, stride: float,
-                    threshold: float, max_steps: int = 1_000_000):
+                    threshold: float, max_steps: int = MAX_STEPS):
     """Closed-form-kernel flow run (signature shared with the compiled core).
 
     The run integrates the log-polar state (see ``_polar_rhs``), from
@@ -628,9 +624,7 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
     float64 columns of all rows (``_Floats``), so each closed form has one
     definition for both uses.
     """
-    if geom not in _KERNELS:
-        raise ValueError(f"unknown geometry id {geom}")
-    kernel = _KERNELS[geom]
+    kernel = _kernel(geom)
 
     def rhs(x, y, zre, zim):
         k11, k22, k12re, k12im = kernel(p1, p2, x, y, zre, zim)

@@ -33,6 +33,10 @@ ZERO_LEVEL = 1e-9
 DECAY_EXPONENT = -0.3
 #: Immortal runs shorter than this cannot be classified.
 MIN_CLASSIFIABLE_T = 500.0
+#: Tail fraction of the run over which growth rates are fitted.
+GROWTH_WINDOW = 0.5
+#: Relative allowance of the decay bound on u.
+DECAY_SLACK = 1e-6
 
 
 class TrajectoryTooShortError(ValueError):
@@ -75,8 +79,7 @@ def _line_fit(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     return slope, intercept
 
 
-def linear_growth_rate(traj: Trajectory, component: str,
-                       window_frac: float = 0.5) -> tuple[float, float]:
+def linear_growth_rate(traj: Trajectory, component: str) -> tuple[float, float]:
     """Least-squares slope of x or y over the final window, with max relative
     deviation of the data from the affine fit."""
     if component not in ("x", "y"):
@@ -87,7 +90,7 @@ def linear_growth_rate(traj: Trajectory, component: str,
             f"{traj.t[-1] if len(traj) else 0.0}")
     v = traj.x if component == "x" else traj.y
     t = traj.t
-    sel = t >= (1.0 - window_frac) * t[-1]
+    sel = t >= (1.0 - GROWTH_WINDOW) * t[-1]
     tt, vv = t[sel], v[sel]
     slope, intercept = _line_fit(tt, vv)
     fit = slope * tt + intercept
@@ -96,8 +99,8 @@ def linear_growth_rate(traj: Trajectory, component: str,
     return float(slope), residual
 
 
-def verify_decay_bound(traj: Trajectory, slack: float = 1e-6) -> dict:
-    """Check u(t) <= u(0) * exp(-2 t / y(0)) * (1 + slack) at every sample.
+def verify_decay_bound(traj: Trajectory) -> dict:
+    """Check u(t) <= u(0) * exp(-2 t / y(0)) * (1 + DECAY_SLACK) at every sample.
 
     Returns a report with the measured tail decay exponent and the limiting
     diagonal metric; raises DecayBoundViolation when the bound fails.
@@ -107,7 +110,7 @@ def verify_decay_bound(traj: Trajectory, slack: float = 1e-6) -> dict:
         raise TrajectoryTooShortError("empty trajectory")
     u = traj.u
     u0, y0 = float(u[0]), float(traj.y[0])
-    bound = u0 * np.exp(-2.0 * traj.t / y0) * (1.0 + slack)
+    bound = u0 * np.exp(-2.0 * traj.t / y0) * (1.0 + DECAY_SLACK)
     bad = np.nonzero(u > bound)[0]
     if bad.size:
         i = int(bad[0])

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import core
 from .algebra import StructureConstants, from_brackets
-from .geometry import Geometry, GeometryParams, InadmissibleParamsError, param_names
+from .geometry import (PARAMETERS, Geometry, GeometryParams, InadmissibleParamsError,
+                       param_names)
 from .metric import HermitianMetric, metric_rows, require_positive_rows
 
 GEOMETRY_IDS: dict[Geometry, int] = {g: i for i, g in enumerate(Geometry)}
@@ -35,15 +36,10 @@ LIMIT_COLLAPSE = "finite-time-collapse"
 
 
 def pack_params(params: GeometryParams) -> tuple[float, float]:
-    """Pack the geometry parameters into the (p1, p2) floats the kernels take."""
-    g = params.geometry
-    if g in (Geometry.HOPF, Geometry.PROPERLY_ELLIPTIC):
-        return float(params.lam), 0.0
-    if g is Geometry.KODAIRA_SECONDARY:
-        return float(params.epsilon), 0.0
-    if g is Geometry.INOUE_S0:
-        return float(params.a), float(params.b)
-    return 0.0, 0.0
+    """Pack the geometry parameters into the (p1, p2) floats the kernels take:
+    the used ones in declared order, then zeros."""
+    p1, p2, *_ = (*map(float, params.as_dict().values()), 0.0, 0.0)
+    return p1, p2
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +120,8 @@ def _udot(geometry: Geometry, params: GeometryParams, x: np.ndarray, y: np.ndarr
     if geometry is Geometry.KODAIRA_SECONDARY:
         return -2 * y * u * (x * x + y * y) / d2
     if geometry is Geometry.INOUE_S0:
-        return -2 * (9 * params.a ** 2 + params.b ** 2) * x * x * y * u / d2
+        a2, b2 = np.float_power((params.a, params.b), 2)  # Python's ** raises on overflow
+        return -2 * (9 * a2 + b2) * x * x * y * u / d2
     im2 = np.float_power(z_im, 2)
     if geometry is Geometry.INOUE_SPM_J1:
         return -8 * x * y * y * im2 / d2
@@ -370,16 +367,8 @@ class GeometryDescriptor:
         return None
 
     def param_schema(self) -> list[dict]:
-        schema = []
-        for name in param_names(self.geometry):
-            constraint = {
-                "lam": "any real",
-                "a": "real, nonzero",
-                "b": "any real",
-                "epsilon": "+1 or -1",
-            }[name]
-            schema.append({"name": name, "constraint": constraint})
-        return schema
+        return [{"name": PARAMETERS[name].user_name, "constraint": PARAMETERS[name].constraint}
+                for name in param_names(self.geometry)]
 
     def describe(self) -> dict:
         """JSON-ready catalog entry (id, group, parameter schema, expected labels)."""

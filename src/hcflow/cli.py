@@ -30,7 +30,8 @@ import sys
 from pathlib import Path
 
 from .catalog import catalog_json
-from .geometry import Geometry, GeometryParams, InadmissibleParamsError, param_names
+from .geometry import (PARAMETERS, Geometry, GeometryParams, InadmissibleParamsError,
+                       param_names)
 from .integrate import (ENGINE_CLOSED_FORM, ENGINE_GENERAL, FlowConfig,
                         OUTCOME_DEGENERATE_INPUT, OUTCOME_FAILURE, Trajectory,
                         columns_csv, integrate)
@@ -52,8 +53,7 @@ _OPTIONAL_NUMBERS = ("rel_tol", "abs_tol", "sample_stride", "degeneracy_threshol
 _CONFIG_FIELDS = {"schema_version", "geometry", "params", "g0", "t_max", "engine",
                   *_OPTIONAL_NUMBERS}
 _G0_FIELDS = {"x", "y", "z_re", "z_im"}
-_PARAM_JSON_NAMES = {"lambda": "lam", "a": "a", "b": "b", "epsilon": "epsilon"}
-_PARAM_USER_NAMES = {name: key for key, name in _PARAM_JSON_NAMES.items()}
+_PARAM_JSON_NAMES = {p.user_name: name for name, p in PARAMETERS.items()}
 
 
 class ConfigError(ValueError):
@@ -90,7 +90,7 @@ def parse_config(doc: dict) -> FlowConfig:
             raise ConfigError(f"$.params.{key}", "unknown parameter")
         name = _PARAM_JSON_NAMES[key]
         num = _number(f"$.params.{key}", value)
-        if name == "epsilon":
+        if PARAMETERS[name].type is int:
             if num != int(num):
                 raise ConfigError(f"$.params.{key}", "must be an integer")
             num = int(num)
@@ -131,14 +131,13 @@ def parse_config(doc: dict) -> FlowConfig:
 
 def _geometry_params(geometry: Geometry, kwargs: dict, spelling: str) -> GeometryParams:
     """``GeometryParams(geometry, **kwargs)``; a missing or unused parameter is
-    named as the user writes it, ``spelling`` formatted with its config key
-    (``lambda`` for ``lam``)."""
+    named as the user writes it, ``spelling`` formatted with its user name."""
     used = param_names(geometry)
     for name in (*used, *kwargs):
         if (name in used) != (name in kwargs):
             verb = "requires" if name in used else "does not take"
             raise InadmissibleParamsError(
-                f"{geometry.value} {verb} parameter {spelling.format(_PARAM_USER_NAMES[name])}")
+                f"{geometry.value} {verb} parameter {spelling.format(PARAMETERS[name].user_name)}")
     return GeometryParams(geometry, **kwargs)
 
 
@@ -227,11 +226,7 @@ def _config_from_args(args) -> FlowConfig:
     if not args.geometry:
         raise ConfigError("$", "either --config or --geometry is required")
     geometry = Geometry.from_name(args.geometry)
-    kwargs = {}
-    for cli_name, name in (("lam", "lam"), ("a", "a"), ("b", "b"), ("epsilon", "epsilon")):
-        value = getattr(args, cli_name)
-        if value is not None:
-            kwargs[name] = int(value) if name == "epsilon" else float(value)
+    kwargs = {name: getattr(args, name) for name in PARAMETERS if getattr(args, name) is not None}
     params = _geometry_params(geometry, kwargs, "--{}")
     g0 = HermitianMetric(args.x0, args.y0, complex(args.z0_re, args.z0_im))
     fields = {name: getattr(args, name) for name in (*_OPTIONAL_NUMBERS, "engine")
@@ -455,10 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="integrate one flow")
     p_run.add_argument("--config", help="flow config JSON file")
     p_run.add_argument("--geometry")
-    p_run.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_run.add_argument("--a", type=float, default=None)
-    p_run.add_argument("--b", type=float, default=None)
-    p_run.add_argument("--epsilon", type=int, default=None)
+    for name, param in PARAMETERS.items():
+        p_run.add_argument(f"--{param.user_name}", dest=name, type=param.type)
     p_run.add_argument("--x0", type=float, default=1.0)
     p_run.add_argument("--y0", type=float, default=1.0)
     p_run.add_argument("--z0-re", type=float, default=0.0)

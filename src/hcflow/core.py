@@ -41,9 +41,9 @@ def bind(path: str):
     fn.restype = ctypes.c_int
 
     def run_closed_flow(geom, p1, p2, state0, t_max, rel_tol, abs_tol, stride, threshold,
-                        max_steps=1_000_000):
+                        max_steps=_core_py.MAX_STEPS):
         # samples up to the emission tolerance past t_max, plus t = 0 and the end point
-        cap = int((max(t_max, 0.0) * (1 + 1e-12) + 1e-12) / stride) + 3
+        cap = int(max(t_max, 0.0) * (1 + 1e-12) / stride) + 3
         rows, out = np.empty((cap, 9)), np.empty(5)
         x, y, zre, zim = (float(v) for v in state0)
         start = np.array([x, y, zre, zim, *_core_py.log_polar(zre, zim)])

@@ -7,7 +7,9 @@ catalog therefore has nine entries in total.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Geometry(enum.Enum):
@@ -37,7 +39,23 @@ class InadmissibleParamsError(ValueError):
     """Raised for parameter values the selected geometry does not admit."""
 
 
-#: Which named parameters each geometry uses.
+class Parameter(NamedTuple):
+    """How users write one complex-structure parameter, and what it admits."""
+
+    user_name: str  # in configs, flags and `hcflow list`
+    constraint: str
+    type: type  # what a flag parses and GeometryParams holds
+
+
+#: Every complex-structure parameter, keyed by its ``GeometryParams`` field.
+PARAMETERS: dict[str, Parameter] = {
+    "lam": Parameter("lambda", "any real", float),
+    "a": Parameter("a", "real, nonzero", float),
+    "b": Parameter("b", "any real", float),
+    "epsilon": Parameter("epsilon", "+1 or -1", int),
+}
+
+#: Which parameters each geometry uses, in the order of the kernels' (p1, p2) slots.
 _PARAMS_BY_GEOMETRY: dict[Geometry, tuple[str, ...]] = {
     Geometry.TORUS: (),
     Geometry.HYPERELLIPTIC: (),
@@ -69,7 +87,7 @@ class GeometryParams:
 
     def __post_init__(self) -> None:
         used = _PARAMS_BY_GEOMETRY[self.geometry]
-        for name in ("lam", "a", "b", "epsilon"):
+        for name in PARAMETERS:
             value = getattr(self, name)
             if name in used:
                 if value is None:
@@ -88,7 +106,10 @@ class GeometryParams:
     @property
     def c(self) -> float:
         """1 + lam^2 for the lambda-families; 1.0 otherwise."""
-        return 1.0 + (self.lam or 0.0) ** 2
+        try:
+            return 1.0 + (self.lam or 0.0) ** 2
+        except OverflowError:  # Python's float ** raises where the kernels' 1.0 + p1 * p1 is inf
+            return math.inf
 
     def as_dict(self) -> dict[str, float]:
         used = _PARAMS_BY_GEOMETRY[self.geometry]

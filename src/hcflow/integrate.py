@@ -25,7 +25,7 @@ import numpy as np
 from . import core
 from .catalog import GEOMETRY_IDS, entry, pack_params
 from .curvature import curvature_bundle
-from .geometry import GeometryParams
+from .geometry import PARAMETERS, GeometryParams
 from .metric import HermitianMetric
 
 log = logging.getLogger("hcflow.integrate")
@@ -57,7 +57,6 @@ class FlowConfig:
     engine: str = ENGINE_CLOSED_FORM
     sample_stride: float | None = None  # defaults to t_max / 1000
     degeneracy_threshold: float = 1e-10
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not 0 <= self.t_max < math.inf:
@@ -70,11 +69,14 @@ class FlowConfig:
             raise ValueError("sample_stride must be finite and > 0")
         if not 0 < self.degeneracy_threshold < 1:
             raise ValueError("degeneracy_threshold must lie in (0, 1)")
+        if self.stride == 0.0:
+            raise ValueError(f"the default sample_stride t_max / 1000 underflows to 0 "
+                             f"for t_max = {self.t_max:g}")
         if self.t_max / self.stride > MAX_SAMPLES:
             raise ValueError(f"t_max / sample_stride = {self.t_max / self.stride:g} exceeds "
                              f"the cap of {MAX_SAMPLES} samples per run")
         g0 = self.g0
-        values = {("lambda" if k == "lam" else k): v for k, v in self.params.as_dict().items()}
+        values = {PARAMETERS[k].user_name: v for k, v in self.params.as_dict().items()}
         values.update(x0=g0.x, y0=g0.y, z0_re=g0.z.real, z0_im=g0.z.imag)
         for name, value in values.items():
             if not math.isfinite(value):
@@ -170,10 +172,6 @@ class FlowOutcome:
     diagnostics: str
     stats: dict = field(default_factory=dict)
 
-    @property
-    def extinct(self) -> bool:
-        return self.outcome_class == OUTCOME_EXTINCT
-
     def to_json_dict(self) -> dict:
         final = None
         if self.final_state is not None:
@@ -228,12 +226,12 @@ def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
             status, t_est, rows, n_acc, n_rej, m_final = core.run_closed_flow(
                 GEOMETRY_IDS[config.params.geometry], p1, p2, state0, config.t_max,
                 config.rel_tol, config.abs_tol, config.stride,
-                config.degeneracy_threshold, config.max_steps)
+                config.degeneracy_threshold)
         else:
             status, t_est, rows, n_acc, n_rej, m_final = core.run_flow(
                 _general_rhs(config.params), state0, config.t_max,
                 config.rel_tol, config.abs_tol, config.stride,
-                config.degeneracy_threshold, config.max_steps)
+                config.degeneracy_threshold)
     except (OverflowError, ZeroDivisionError) as exc:
         # a float ** overflows on huge metrics (e.g. x**4 in the closed forms),
         # or a closed form divides by D**2 = 0 (a collapse bisected to D = 0 under

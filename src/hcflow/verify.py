@@ -23,6 +23,8 @@ from .metric import HermitianMetric
 log = logging.getLogger("hcflow.verify")
 
 K_AGREEMENT_TOL = 1e-9
+#: Largest structure-constant hygiene violation that passes.
+HYGIENE_TOL = 1e-14
 #: metrics evaluated per stacked engine call, so memory stays bounded for any sample count
 CHUNK = 256
 
@@ -80,8 +82,7 @@ def verify_geometry(geometry: Geometry, samples: int, seed: int,
     }
 
 
-def verify_structure_constants(geometry: Geometry, draws: int, seed: int,
-                               tol: float = 1e-14) -> dict:
+def verify_structure_constants(geometry: Geometry, draws: int, seed: int) -> dict:
     """Antisymmetry/reality/integrability/Jacobi hygiene over parameter draws.
 
     The draws are made in seed order and repeats are dropped (the max over
@@ -101,11 +102,10 @@ def verify_structure_constants(geometry: Geometry, draws: int, seed: int,
         ("jacobi", algebra.jacobi_violation))}
     return {"geometry": geometry.value, "draws": draws,
             "violations": {name: _finite(v) for name, v in worst.items()},
-            "passed": all(v <= tol for v in worst.values())}
+            "passed": all(v <= HYGIENE_TOL for v in worst.values())}
 
 
-def appendix_diff(geometry: Geometry, samples: int, seed: int,
-                  params: GeometryParams | None = None) -> dict:
+def appendix_diff(geometry: Geometry, samples: int, seed: int) -> dict:
     """Report-only comparison of the published S/Q component tables against
     the contraction engine, plus the reassembled K against the closed form.
 
@@ -113,8 +113,7 @@ def appendix_diff(geometry: Geometry, samples: int, seed: int,
     here as order-one diffs; they are recorded, not failed.
     """
     rng = np.random.default_rng(seed)
-    if params is None:
-        params = sample_params(geometry, rng)
+    params = sample_params(geometry, rng)
     desc = entry(geometry)
     mu = desc.structure_constants(params)
     names = ("S", "Q1", "Q2", "Q3", "Q4")

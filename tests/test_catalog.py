@@ -41,7 +41,7 @@ def test_catalog_json_round_trips():
     assert json.loads(text) == json.loads(json.dumps(doc, sort_keys=True))
     hopf = next(e for e in doc if e["id"] == "hopf")
     assert hopf["expected_outcome"] == "extinct"
-    assert hopf["params"] == [{"name": "lam", "constraint": "any real"}]
+    assert hopf["params"] == [{"name": "lambda", "constraint": "any real"}]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcflow import cli
 from hcflow.cli import ConfigError, _sweep_worker, main, parse_config
+from hcflow.geometry import PARAMETERS, Geometry, param_names
 from hcflow.integrate import MAX_SAMPLES
 
 
@@ -566,8 +571,13 @@ def test_sweep_pool_is_bounded_by_points_and_cpus(tmp_path, monkeypatch, workers
     (None, {"points": [{}]}, ("--emit", "trajectory"), "unknown --emit target 'trajectory'"),
     (None, {"points": [{}]}, ("--workers", "0"), "--workers must be >= 1, got 0"),
     (None, {"points": [{}]}, ("--workers", "-3"), "--workers must be >= 1, got -3"),
+    (None, {"points": {"g0.x": 2}}, (), "$.points: expected a list of override objects"),
+    (None, {"product": [1]}, (), "$.product: expected an object of path -> values"),
+    (None, {"product": {"g0.x": 2}}, (), "$.product.g0.x: expected a list of values"),
+    (None, {"pts": []}, (), "$: grid needs a 'points' list or a 'product' object"),
 ], ids=["array-config", "array-grid", "override-through-number", "emit", "workers-0",
-        "workers-negative"])
+        "workers-negative", "points-not-list", "product-not-object", "product-value-not-list",
+        "no-points-or-product"])
 def test_sweep_rejects_malformed_input(tmp_path, capsys, base, grid, extra, named):
     cfg = write_config(tmp_path / "base.json")
     if base is not None:
@@ -601,3 +611,235 @@ def test_run_non_finite_trajectory_writes_nothing_to_stderr(tmp_path):
     assert proc.returncode == 3 and proc.stderr == ""
     outcome = json.loads((tmp_path / "o" / "outcome.json").read_text())
     assert outcome["class"] == "integrator-failure"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--geometry", "hopf", "--lambda", "1e200"),
+    ("--geometry", "properly-elliptic", "--lambda", "1e160"),
+    ("--geometry", "inoue-s0", "--a", "1e200", "--b", "0"),
+    ("--geometry", "inoue-s0", "--a", "1", "--b", "1e200"),
+], ids=["hopf", "properly-elliptic", "inoue-s0-a", "inoue-s0-b"])
+def test_run_huge_parameter_is_integrator_failure(tmp_path, argv):
+    # lam**2 or a**2 overflows; the u-law takes the kernels' inf rather than raising
+    proc = subprocess.run(
+        [sys.executable, "-m", "hcflow.cli", "run", *argv, "--t-max", "10",
+         "--out", str(tmp_path / "o")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 3 and proc.stderr == ""
+    outcome = json.loads((tmp_path / "o" / "outcome.json").read_text())
+    assert outcome["class"] == "integrator-failure"
+
+
+def test_run_rejects_a_default_stride_that_underflows(tmp_path, capsys):
+    # t_max / 1000 is 0.0 here, so the sample count would divide by zero
+    assert run_cli("run", "--geometry", "torus", "--t-max", "1e-321",
+                   "--out", str(tmp_path / "o")) == 1
+    cfg = write_config(tmp_path / "cfg.json", t_max=5e-324, sample_stride=None)
+    cfg.write_text(cfg.read_text().replace(', "sample_stride": null', ""))
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
+    captured = capsys.readouterr()
+    flag, config = captured.err.splitlines()
+    assert flag.startswith("error: the default sample_stride t_max / 1000 underflows to 0")
+    assert config.startswith("error: config error at $: the default sample_stride")
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+def test_every_listed_parameter_name_is_accepted(capsys):
+    assert run_cli("list", "--json") == 0
+    for listed in json.loads(capsys.readouterr().out):
+        names = [p["name"] for p in listed["params"]]
+        config = parse_config({"schema_version": 1, "geometry": listed["id"],
+                               "params": dict.fromkeys(names, 1), "g0": {"x": 1, "y": 1},
+                               "t_max": 1})
+        assert config.params.geometry.value == listed["id"]
+        flags = [f"--{name}=1" for name in names]
+        args = cli.build_parser().parse_args(
+            ["run", "--geometry", listed["id"], *flags, "--out", "unused"])
+        assert cli._config_from_args(args).params == config.params
+
+
+_VALID = {"schema_version": 1, "geometry": "torus", "g0": {"x": 1, "y": 1}, "t_max": 1}
+
+
+@pytest.mark.parametrize("doc, path", [
+    ([_VALID], "$"),
+    ({k: v for k, v in _VALID.items() if k != "geometry"}, "$.geometry"),
+    ({k: v for k, v in _VALID.items() if k != "g0"}, "$.g0"),
+    ({k: v for k, v in _VALID.items() if k != "t_max"}, "$.t_max"),
+    (dict(_VALID, params=[]), "$.params"),
+    (dict(_VALID, g0=[1, 1]), "$.g0"),
+    (dict(_VALID, g0={"y": 1}), "$.g0.x"),
+    (dict(_VALID, engine="euler"), "$.engine"),
+    (dict(_VALID, rel_tol=2), "$"),  # FlowConfig's own check
+], ids=["not-an-object", "no-geometry", "no-g0", "no-t_max", "params-not-object",
+        "g0-not-object", "no-g0-x", "bad-engine", "flow-config"])
+def test_parse_config_rejection_names_the_field(doc, path):
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value).startswith(f"config error at {path}: ")
+
+
+def test_parse_config_reads_engine_and_integer_epsilon():
+    assert parse_config(dict(_VALID, engine="general-contraction")).engine == "general-contraction"
+    params = parse_config(dict(_VALID, geometry="kodaira-secondary",
+                               params={"epsilon": -1.0})).params
+    assert params.epsilon == -1 and type(params.epsilon) is int
+
+
+def test_run_without_config_or_geometry_exits_1(tmp_path, capsys):
+    assert run_cli("run", "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err == (
+        "error: config error at $: either --config or --geometry is required\n")
+
+
+def test_run_degenerate_input_exits_1(tmp_path, capsys):
+    assert run_cli("run", "--geometry", "torus", "--x0", "-1", "--t-max", "1",
+                   "--out", str(tmp_path / "o")) == 1
+    assert json.loads(capsys.readouterr().out)["outcome"] == "degenerate-input"
+    outcome = json.loads((tmp_path / "o" / "outcome.json").read_text())
+    assert outcome["class"] == "degenerate-input" and outcome["final_state"] is None
+
+
+# ---------------------------------------------------------------------------
+# fail-closed property: any input runs to an exit code or is rejected, never a traceback
+# ---------------------------------------------------------------------------
+
+_WILD = st.sampled_from([0, -0.0, -1, 1.5, 5e-324, 1e-321, 1e-300, 1e160, 1e200, -1e200,
+                         float("nan"), float("inf"), 10**400, "1", True, None, [], {},
+                         "klein-bottle"])
+_PARAM = st.one_of(st.floats(-2, 2), st.sampled_from([1, -1]))
+_SIDE = st.floats(0.5, 5)
+_Z = st.one_of(st.floats(-0.3, 0.3), st.sampled_from([0.0, -0.0]))
+_T_MAX = st.one_of(st.floats(0, 20), st.sampled_from([0, 5e-324, 1e-321, 5, 10]))
+_OPTIONS = {
+    "rel_tol": st.sampled_from([1e-9, 1e-6, 0.5]),
+    "abs_tol": st.sampled_from([1e-12, 1e-30, 0.5]),
+    "degeneracy_threshold": st.sampled_from([1e-10, 1e-60]),
+    "engine": st.sampled_from(["closed-form", "general-contraction"]),
+    "sample_stride": st.floats(0.01, 5),
+}
+#: config fields a document may have spoiled (set to a _WILD value)
+_SPOILABLE = ["schema_version", "geometry", "params", "params.lambda", "params.a",
+              "params.epsilon", "params.nu", "g0", "g0.x", "g0.z_im", "g0.w", "t_max",
+              "rel_tol", "abs_tol", "degeneracy_threshold", "engine", "sample_stride",
+              "nonsense"]
+# one_of picks a branch uniformly: two in three documents stay well-formed
+_SPOIL = st.one_of(st.none(), st.none(), st.tuples(st.sampled_from(_SPOILABLE), _WILD))
+
+
+def _param_names(geometry) -> list[str]:
+    return [PARAMETERS[name].user_name for name in param_names(geometry)]
+
+
+@st.composite
+def _config_docs(draw):
+    """Mostly well-formed run configs, each with at most one field spoiled."""
+    geometry = draw(st.sampled_from(list(Geometry)))
+    doc = {"schema_version": 1, "geometry": geometry.value,
+           "params": {name: draw(_PARAM) for name in _param_names(geometry)},
+           "g0": {"x": draw(_SIDE), "y": draw(_SIDE), "z_re": draw(_Z), "z_im": draw(_Z)},
+           "t_max": draw(_T_MAX), **draw(st.fixed_dictionaries({}, optional=_OPTIONS))}
+    spoil = draw(_SPOIL)
+    if spoil is not None:
+        cli._apply_override(doc, *spoil)
+    return doc
+
+
+_FLAGS = {
+    "--engine": st.sampled_from(["closed-form", "general-contraction"]),
+    "--emit": st.sampled_from(["plot-data", "outcome-json,analysis-json"]),
+    "--sample-stride": st.sampled_from(["0.5", "0.05"]),
+    "--rel-tol": st.sampled_from(["1e-6", "0.5"]),
+    "--degeneracy-threshold": st.sampled_from(["1e-10", "1e-60"]),
+    "--x0": _SIDE.map(repr),
+    "--y0": _SIDE.map(repr),
+    "--z0-re": _Z.map(repr),
+}
+_FLAG_SPOIL = st.one_of(st.none(), st.none(), st.tuples(
+    st.sampled_from([*_FLAGS, "--geometry", "--lambda", "--a", "--epsilon", "--t-max",
+                     "--bogus"]),
+    st.sampled_from(["0", "-1", "1.5", "1e200", "5e-324", "1e-321", "nan", "inf", "-inf",
+                     "abc", "", "klein-bottle"])))
+
+
+@st.composite
+def _flag_vectors(draw):
+    """`run` flags for a geometry, its parameters, a bounded t_max and some options,
+    with at most one flag spoiled."""
+    geometry = draw(st.sampled_from(list(Geometry)))
+    flags = {"--geometry": geometry.value, "--t-max": repr(draw(_T_MAX)),
+             **{f"--{name}": repr(draw(_PARAM)) for name in _param_names(geometry)},
+             **draw(st.fixed_dictionaries({}, optional=_FLAGS))}
+    spoil = draw(_FLAG_SPOIL)
+    if spoil is not None:
+        flag, value = spoil
+        flags[flag] = value
+    return [f"{flag}={value}" for flag, value in flags.items()]
+
+
+def _main_captured(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_fails_closed(argv, exit_codes, error_start="") -> None:
+    """``main(argv)`` exits with one of ``exit_codes``; an exception out of it fails
+    the test as a traceback would.  Bad input (exit 1) prints one ``error:``
+    line, starting with ``error_start``, unless the initial metric is degenerate."""
+    code, out, err = _main_captured(argv)
+    assert code in exit_codes, (argv, code, err)
+    assert "Traceback" not in err
+    if code == 1 and not err and json.loads(out)["outcome"] == "degenerate-input":
+        return
+    if code == 1:
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith(error_start), (argv, err)
+
+
+def _assert_run_fails_closed(argv, error_start="") -> None:
+    """`run` fails closed, and a trajectory it writes has at most MAX_SAMPLES
+    stride rows besides row 0 and the end point."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        _assert_fails_closed(["run", *argv, "--out", str(out)], (0, 1, 2, 3), error_start)
+        if (out / "trajectory.csv").exists():
+            with open(out / "trajectory.csv") as f:
+                assert sum(1 for _ in f) <= 1 + MAX_SAMPLES + 2, argv  # the header too
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_config_docs())
+def test_property_any_config_fails_closed(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        _assert_run_fails_closed(["--config", str(cfg)], "error: config error at $")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_flag_vectors())
+def test_property_any_flags_fail_closed(argv):
+    _assert_run_fails_closed(argv)
+
+
+_OVERRIDES = st.dictionaries(st.sampled_from(["t_max", "g0.y", "params.lambda", "g0.x.y"]),
+                             st.one_of(st.floats(0.1, 5), _WILD), max_size=2)
+_GRIDS = st.one_of(
+    st.fixed_dictionaries({"points": st.lists(_OVERRIDES, max_size=3)}),
+    st.fixed_dictionaries({"product": st.dictionaries(
+        st.sampled_from(["g0.y", "params.lambda", "params"]),
+        st.lists(st.one_of(st.floats(0.1, 5), _WILD), max_size=2), max_size=2)}),
+    st.sampled_from([{"points": {}}, {"product": []}, {"product": {"t_max": 1}}, {}, []]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_GRIDS)
+def test_property_any_sweep_grid_fails_closed(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp) / "base.json", t_max=5.0, sample_stride=0.5)
+        (Path(tmp) / "grid.json").write_text(json.dumps(grid))
+        _assert_fails_closed(["sweep", "--config", str(cfg), "--grid", str(Path(tmp) / "grid.json"),
+                              "--out", str(Path(tmp) / "sweep"), "--workers", "1"], (0, 1))

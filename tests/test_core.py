@@ -75,6 +75,8 @@ def _random_runs(per_geometry: int):
     return runs
 
 
+TINY_T_MAX = 2.220446049250313e-16
+
 RUNS = [
     pytest.param((2, 0.0, 0.0, (1.0, 1.5, 0.0, 0.0), 10.0, 1e-9, 1e-12, 0.1, 1e-10),
                  id="hopf-diagonal"),
@@ -92,6 +94,9 @@ RUNS = [
     # z0 = 0 with a -0.0 real part: L0 = -inf and theta0 = 0, not atan2's pi
     pytest.param((8, 0.0, 0.0, (1.0, 1.0, -0.0, 0.0), 100.0, 1e-9, 1e-12, 0.1, 1e-10),
                  id="inoue-sp-j2-negative-zero-z0"),
+    # t_max below the old absolute emission tolerance of 1e-12: no samples past t_max
+    pytest.param((1, 0.0, 0.0, (1.0, 1.0, 0.3, 0.2), TINY_T_MAX, 1e-9, 1e-12, TINY_T_MAX / 1000,
+                  1e-10), id="tiny-t_max"),
     *_random_runs(2),
 ]
 # x * x overflows in the closed form, so row 0 holds NaN: the rows are rebuilt one
@@ -189,6 +194,16 @@ def test_stiff_tail_takes_few_steps(args, xy, lane, request):
     assert status == _core_py.STATUS_REACHED_TMAX and rows[-1, 0] == args[4]
     assert n_acc <= 1000  # 192 and 163 measured
     np.testing.assert_allclose(rows[-1, 1:3], xy, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("lane", ["python", "c"])
+def test_tiny_t_max_emits_its_stride_samples_only(lane, request):
+    # with an absolute tolerance of 1e-12 past t_end this run emitted 4.5 million rows
+    run = _core_py.run_closed_flow if lane == "python" else request.getfixturevalue("c_run")
+    args = next(p.values[0] for p in RUNS if p.id == "tiny-t_max")
+    status, _, rows, *_ = run(*args)
+    assert status == _core_py.STATUS_REACHED_TMAX
+    assert len(rows) == 1001 and rows[-1, 0] == TINY_T_MAX
 
 
 @pytest.mark.parametrize("args", RUNS)
