@@ -8,6 +8,10 @@ exponent (the slope of log n over log(1+t)) exceeds DECAY_EXPONENT, unless its
 window mean is below ZERO_LEVEL, where roundoff has no slope.  Survivors fit
 exponents near 0 and the slowest decay, Kodaira x, goes like t^(-3/5); unlike a
 level threshold, this does not depend on the scale of the initial metric.
+
+Which limits a geometry can have, the sign conditions and explicit bounds its
+flow obeys, and whether its un-rescaled flow converges are read from its
+``hcflow.catalog`` entry; nothing here branches on the geometry.
 """
 from __future__ import annotations
 
@@ -138,15 +142,16 @@ def verify_decay_bound(traj: Trajectory) -> dict:
     }
 
 
-def classify_gh_limit(geometry: Geometry, params: GeometryParams,
-                      traj: Trajectory, outcome: FlowOutcome) -> LimitDescriptor:
+def classify_gh_limit(geometry: Geometry, traj: Trajectory,
+                      outcome: FlowOutcome) -> LimitDescriptor:
     """Classify the normalized long-time limit of one flow run.
 
     Decision rule on the components that survive (see module docstring):
-    none is a point; x or y alone on an Inoue geometry is a circle of length
-    sqrt(L), L its window mean; x alone on a properly elliptic geometry is
-    the rescaled base curve.  A non-finite level or exponent is unclassified.
-    Extinct runs are labeled by their collapse time.
+    none is a point; x or y alone on a geometry whose expected limit is a
+    circle is a circle of length sqrt(L), L its window mean; x alone on one
+    whose expected limit is a Kaehler-Einstein curve is the rescaled base
+    curve.  A non-finite level or exponent is unclassified.  Extinct runs are
+    labeled by their collapse time.
     """
     if outcome.outcome_class == OUTCOME_EXTINCT:
         return LimitDescriptor(kind=LIMIT_COLLAPSE, collapse_time=outcome.t_est,
@@ -174,26 +179,27 @@ def classify_gh_limit(geometry: Geometry, params: GeometryParams,
         return LimitDescriptor(kind=LIMIT_UNCLASSIFIED, evidence=info)
 
     n_x, n_y = info["n_x"], info["n_y"]
+    desc = entry(geometry)
     if not survivors:
-        if geometry is Geometry.HYPERELLIPTIC:
-            # the un-rescaled flow converges too; report both facts
+        if desc.converges_unrescaled:  # report both facts
             info["unnormalized_limit"] = unnormalized_limit(traj).to_json_dict()
         return LimitDescriptor(kind=LIMIT_POINT, evidence=info)
-    if geometry in (Geometry.INOUE_S0, Geometry.INOUE_SPM_J1, Geometry.INOUE_SP_J2):
+    if desc.expected_limit == LIMIT_CIRCLE:
         if survivors == {"x"}:
             return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(n_x),
                                    normalized_limit=(n_x, 0.0), evidence=info)
         if survivors == {"y"}:
             return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(n_y),
                                    normalized_limit=(0.0, n_y), evidence=info)
-    if geometry is Geometry.PROPERLY_ELLIPTIC and survivors == {"x"}:
+    if desc.expected_limit == LIMIT_KE_CURVE and survivors == {"x"}:
         return LimitDescriptor(kind=LIMIT_KE_CURVE,
                                normalized_limit=(n_x, 0.0), evidence=info)
     return LimitDescriptor(kind=LIMIT_UNCLASSIFIED, evidence=info)
 
 
 def unnormalized_limit(traj: Trajectory) -> LimitDescriptor:
-    """Un-rescaled limit of a hyperelliptic run: a flat diagonal metric."""
+    """Un-rescaled limit of a run whose un-rescaled flow converges
+    (hyperelliptic): a flat diagonal metric."""
     gf = traj.final_metric()
     return LimitDescriptor(
         kind=LIMIT_FLAT_KAEHLER,
@@ -202,8 +208,12 @@ def unnormalized_limit(traj: Trajectory) -> LimitDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# per-geometry sign conditions and explicit bounds along trajectories
+# sign conditions and explicit bounds along trajectories
 # ---------------------------------------------------------------------------
+
+#: the values that must be <= 0 (up to slack) where a rate has each sign
+_SIGN_EXCESS = {"== 0": np.abs, "<= 0": np.positive, ">= 0": np.negative}
+
 
 def _cond_max(name: str, values: np.ndarray, slack: float) -> dict:
     """values must be finite and <= slack * scale; reports the worst margin
@@ -217,48 +227,23 @@ def _cond_max(name: str, values: np.ndarray, slack: float) -> dict:
             "allowed": allowed if math.isfinite(allowed) else None}
 
 
-def monotonicity_report(geometry: Geometry, params: GeometryParams,
-                        traj: Trajectory, rel_tol: float) -> dict:
-    """Evaluate the per-geometry sign conditions and explicit bounds at all samples.
+def monotonicity_report(geometry: Geometry, traj: Trajectory, rel_tol: float) -> dict:
+    """Evaluate the geometry's sign conditions and explicit bounds (its catalog
+    entry's ``signs`` and ``explicit_bounds``) at all samples of a non-empty
+    trajectory.
 
     All assertions carry a slack of 10*rel_tol (scaled by the magnitude of the
-    quantity involved) to absorb integration error.
+    quantity involved) to absorb integration error.  A huge metric's rates or
+    bounds overflow to inf or NaN, which fails their checks.
     """
     s = 10.0 * rel_tol
-    xd, yd, ud, dd = traj.xdot, traj.ydot, traj.udot, traj.ddot
-    # float64 scalars, with np.float_power for Python's float **: the same bits,
-    # but a huge metric's bounds overflow to inf (failing their checks), not raise
-    x0, y0 = traj.x[0], traj.y[0]
-    d0 = x0 * y0 - traj.u[0]
-    checks: list[dict] = []
-    g = geometry
-    if g is Geometry.TORUS:
-        checks.append(_cond_max("xdot == 0", np.abs(xd), s))
-        checks.append(_cond_max("ydot == 0", np.abs(yd), s))
-        checks.append(_cond_max("udot == 0", np.abs(ud), s))
-    if g in (Geometry.HYPERELLIPTIC, Geometry.HOPF, Geometry.INOUE_S0):
-        checks.append(_cond_max("xdot <= 0", xd, s))
-    if g in (Geometry.HYPERELLIPTIC, Geometry.PROPERLY_ELLIPTIC,
-             Geometry.KODAIRA_SECONDARY, Geometry.INOUE_SPM_J1, Geometry.INOUE_SP_J2):
-        checks.append(_cond_max("ydot <= 0", yd, s))
-    if g is not Geometry.TORUS:
-        checks.append(_cond_max("udot <= 0", ud, s))
-    if g in (Geometry.HYPERELLIPTIC, Geometry.PROPERLY_ELLIPTIC,
-             Geometry.KODAIRA_PRIMARY, Geometry.KODAIRA_SECONDARY,
-             Geometry.INOUE_S0, Geometry.INOUE_SPM_J1):
-        checks.append(_cond_max("Ddot >= 0", -dd, s))
+    desc = entry(geometry)
     with np.errstate(all="ignore"):
-        if g is Geometry.KODAIRA_PRIMARY:
-            bound = np.sqrt(2.0 * traj.t * np.float_power(y0, 3) + np.float_power(d0, 2))
-            checks.append(_cond_max("D(t) <= sqrt(2 t y0^3 + D0^2)", traj.d - bound, s))
-            bound = (2.0 * np.float_power(y0, 2) / d0) * traj.t + x0
-            checks.append(_cond_max("x(t) <= (2 y0^2/D0) t + x0", traj.x - bound, s))
-        if g is Geometry.INOUE_SPM_J1:
-            checks.append(_cond_max("x(t) <= 3 t + x0", traj.x - (3.0 * traj.t + x0), s))
-            checks.append(_cond_max("xdot <= 3", xd - 3.0, s))
-        if g is Geometry.INOUE_SP_J2:
-            cap = 3.0 + 2.0 * np.float_power(y0, 2) / d0
-            checks.append(_cond_max("xdot <= 3 + 2 y0^2/D0", xd - cap, s))
+        rates = zip(("xdot", "ydot", "udot", "Ddot"),
+                    (traj.xdot, traj.ydot, traj.udot, traj.ddot), desc.signs)
+        checks = [_cond_max(f"{name} {sign}", _SIGN_EXCESS[sign](rate), s)
+                  for name, rate, sign in rates if sign is not None]
+        checks += [_cond_max(name, excess, s) for name, excess in desc.explicit_bounds(traj)]
     return {"geometry": geometry.value, "slack": s,
             "passed": all(c["passed"] for c in checks), "checks": checks}
 

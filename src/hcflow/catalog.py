@@ -3,8 +3,12 @@
 Each entry carries the structure constants of its complexified Lie algebra,
 the closed-form flow tensor (the production fast path), the published
 component tables for S and Q1..Q4 (diagnostics only; they contain a few
-typos and are compared, never trusted), the reduced evolution law of
-u = |z|^2, and the expected long-time behavior labels.
+typos and are compared, never trusted), and the reduced evolution law of
+u = |z|^2.  Its ``_register`` call is the one statement of the geometry's
+results: outcome, limit, the signs of (xdot, ydot, udot, Ddot) along the
+flow, explicit bounds, circle length, normalized limit, and whether the
+un-rescaled flow converges.  ``hcflow.analysis``, ``hcflow.report`` and
+``hcflow list`` read these facts and do not branch on the geometry.
 
 The general contraction engine in ``hcflow.curvature`` is ground truth; the
 closed forms here are certified against it by the verification suite.
@@ -128,6 +132,33 @@ def _udot(geometry: Geometry, params: GeometryParams, x: np.ndarray, y: np.ndarr
     if geometry is Geometry.INOUE_SP_J2:
         return -2 * y * y * (4 * x * im2 + y * u) / d2
     raise ValueError(geometry)
+
+
+# ---------------------------------------------------------------------------
+# explicit bounds along a trajectory: (condition, excess) pairs, the condition
+# holding where excess <= 0; x0, y0 and D0 are float64 scalars, and
+# np.float_power stands for Python's float **, so a huge metric's bounds
+# overflow to inf rather than raise
+# ---------------------------------------------------------------------------
+
+def _bounds_kodaira_primary(traj, x0, y0, d0):
+    bound = np.sqrt(2.0 * traj.t * np.float_power(y0, 3) + np.float_power(d0, 2))
+    slope = 2.0 * np.float_power(y0, 2) / d0
+    return [("D(t) <= sqrt(2 t y0^3 + D0^2)", traj.d - bound),
+            ("x(t) <= (2 y0^2/D0) t + x0", traj.x - (slope * traj.t + x0))]
+
+
+def _bounds_inoue_j1(traj, x0, y0, d0):
+    return [("x(t) <= 3 t + x0", traj.x - (3.0 * traj.t + x0)),
+            ("xdot <= 3", traj.xdot - 3.0)]
+
+
+def _bounds_inoue_j2(traj, x0, y0, d0):
+    cap = 3.0 + 2.0 * np.float_power(y0, 2) / d0
+    return [("xdot <= 3 + 2 y0^2/D0", traj.xdot - cap)]
+
+
+_SQRT3 = ("sqrt(3)", lambda p: math.sqrt(3))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +332,17 @@ class GeometryDescriptor:
     expected_limit: str
     _mu: Callable[[GeometryParams], StructureConstants]
     _tables: Callable[[GeometryParams, HermitianMetric], dict] | None
+    #: the sign of xdot, ydot, udot and Ddot along the flow, each "<= 0",
+    #: ">= 0", "== 0" or None
+    signs: tuple[str | None, str | None, str | None, str | None]
+    #: (trajectory, x0, y0, D0) -> the (condition, excess) pairs of the explicit bounds
+    _bounds: Callable | None = None
+    #: the limit circle's length, as ``hcflow list`` prints it and as a function
+    circle_length: tuple[str, Callable[[GeometryParams], float]] | None = None
+    #: diagonal of the normalized limit metric
+    normalized_limit: tuple[float, float] | None = None
+    #: the un-rescaled flow converges too, with u under the decay bound
+    converges_unrescaled: bool = False
 
     def structure_constants(self, params: GeometryParams) -> StructureConstants:
         self._check(params)
@@ -354,17 +396,19 @@ class GeometryDescriptor:
 
     def expected_circle_length(self, params: GeometryParams) -> float | None:
         """Reference circumference of the collapsed-limit circle, when one exists."""
-        if self.geometry is Geometry.INOUE_S0:
-            return 2 * math.sqrt(2) * abs(params.a)
-        if self.geometry in (Geometry.INOUE_SPM_J1, Geometry.INOUE_SP_J2):
-            return math.sqrt(3)
-        return None
+        return None if self.circle_length is None else self.circle_length[1](params)
 
     def expected_normalized_limit(self, params: GeometryParams) -> tuple[float, float] | None:
         """Diagonal of the expected normalized limit metric, when one exists."""
-        if self.geometry is Geometry.PROPERLY_ELLIPTIC:
-            return (2.0, 0.0)
-        return None
+        return self.normalized_limit
+
+    def explicit_bounds(self, traj) -> list[tuple[str, np.ndarray]]:
+        """(condition, excess) pairs of the entry's explicit bounds along a
+        non-empty trajectory; each condition holds where its excess is <= 0."""
+        if self._bounds is None:
+            return []
+        x0, y0 = traj.x[0], traj.y[0]
+        return self._bounds(traj, x0, y0, x0 * y0 - traj.u[0])
 
     def param_schema(self) -> list[dict]:
         return [{"name": PARAMETERS[name].user_name, "constraint": PARAMETERS[name].constraint}
@@ -380,12 +424,10 @@ class GeometryDescriptor:
             "expected_outcome": self.expected_outcome,
             "expected_limit": self.expected_limit,
         }
-        if self.geometry is Geometry.INOUE_S0:
-            entry["expected_circle_length"] = "2*sqrt(2)*a"
-        elif self.geometry in (Geometry.INOUE_SPM_J1, Geometry.INOUE_SP_J2):
-            entry["expected_circle_length"] = "sqrt(3)"
-        elif self.geometry is Geometry.PROPERLY_ELLIPTIC:
-            entry["expected_normalized_limit"] = [2.0, 0.0]
+        if self.circle_length is not None:
+            entry["expected_circle_length"] = self.circle_length[0]
+        if self.normalized_limit is not None:
+            entry["expected_normalized_limit"] = list(self.normalized_limit)
         return entry
 
     def _check(self, params: GeometryParams) -> None:
@@ -397,31 +439,38 @@ class GeometryDescriptor:
 _CATALOG: dict[Geometry, GeometryDescriptor] = {}
 
 
-def _register(geometry, display_name, group, outcome, limit, mu, tables):
-    _CATALOG[geometry] = GeometryDescriptor(
-        geometry=geometry, display_name=display_name, group=group,
-        expected_outcome=outcome, expected_limit=limit, _mu=mu, _tables=tables)
+def _register(*fields, **facts) -> None:
+    descriptor = GeometryDescriptor(*fields, **facts)
+    _CATALOG[descriptor.geometry] = descriptor
 
 
 _register(Geometry.TORUS, "complex torus", "R^4 (abelian)",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_torus, None)
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_torus, None, ("== 0", "== 0", "== 0", None))
 _register(Geometry.HYPERELLIPTIC, "hyperelliptic surface", "SE~(2) x R",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_hyperelliptic, _tables_hyperelliptic)
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_hyperelliptic, _tables_hyperelliptic,
+          ("<= 0", "<= 0", "<= 0", ">= 0"), converges_unrescaled=True)
 _register(Geometry.HOPF, "Hopf surface", "SU(2) x R",
-          OUTCOME_EXTINCT, LIMIT_COLLAPSE, _mu_hopf, _tables_hopf)
+          OUTCOME_EXTINCT, LIMIT_COLLAPSE, _mu_hopf, _tables_hopf, ("<= 0", None, "<= 0", None))
 _register(Geometry.PROPERLY_ELLIPTIC, "properly elliptic surface (non-Kaehler)",
           "SL~(2,R) x R", OUTCOME_IMMORTAL, LIMIT_KE_CURVE,
-          _mu_properly_elliptic, _tables_properly_elliptic)
+          _mu_properly_elliptic, _tables_properly_elliptic, (None, "<= 0", "<= 0", ">= 0"),
+          normalized_limit=(2.0, 0.0))
 _register(Geometry.KODAIRA_PRIMARY, "primary Kodaira surface", "R x H3(R)",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_primary, _tables_kodaira_primary)
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_primary, _tables_kodaira_primary,
+          (None, None, "<= 0", ">= 0"), _bounds=_bounds_kodaira_primary)
 _register(Geometry.KODAIRA_SECONDARY, "secondary Kodaira surface", "R |x H3(R)",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_secondary, _tables_kodaira_secondary)
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_secondary, _tables_kodaira_secondary,
+          (None, "<= 0", "<= 0", ">= 0"))
 _register(Geometry.INOUE_S0, "Inoue surface of type S0", "Sol_0^4",
-          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_s0, _tables_inoue_s0)
+          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_s0, _tables_inoue_s0,
+          ("<= 0", None, "<= 0", ">= 0"),
+          circle_length=("2*sqrt(2)*a", lambda p: 2 * math.sqrt(2) * abs(p.a)))
 _register(Geometry.INOUE_SPM_J1, "Inoue surface of type S+- (J1)", "Sol_1^4",
-          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j1, _tables_inoue_j1)
+          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j1, _tables_inoue_j1,
+          (None, "<= 0", "<= 0", ">= 0"), _bounds=_bounds_inoue_j1, circle_length=_SQRT3)
 _register(Geometry.INOUE_SP_J2, "Inoue surface of type S+ (J2)", "Sol_1^4",
-          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j2, _tables_inoue_j2)
+          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j2, _tables_inoue_j2,
+          (None, "<= 0", "<= 0", None), _bounds=_bounds_inoue_j2, circle_length=_SQRT3)
 
 
 def entry(geometry: Geometry) -> GeometryDescriptor:
@@ -472,12 +521,7 @@ def sample_metric(rng: np.random.Generator,
 
 
 def sample_params(geometry: Geometry, rng: np.random.Generator) -> GeometryParams:
-    """Random admissible parameters for a geometry (deterministic under a seed)."""
-    if geometry in (Geometry.HOPF, Geometry.PROPERLY_ELLIPTIC):
-        return GeometryParams(geometry, lam=float(rng.uniform(-2.0, 2.0)))
-    if geometry is Geometry.KODAIRA_SECONDARY:
-        return GeometryParams(geometry, epsilon=int(rng.choice([1, -1])))
-    if geometry is Geometry.INOUE_S0:
-        a = float(rng.uniform(0.3, 2.0)) * float(rng.choice([1, -1]))
-        return GeometryParams(geometry, a=a, b=float(rng.uniform(-2.0, 2.0)))
-    return GeometryParams(geometry)
+    """Random admissible parameters for a geometry (deterministic under a seed):
+    each parameter's ``draw``, in the geometry's parameter order."""
+    return GeometryParams(geometry, **{name: PARAMETERS[name].draw(rng)
+                                       for name in param_names(geometry)})

@@ -32,7 +32,7 @@ from pathlib import Path
 from .catalog import catalog_json
 from .geometry import (PARAMETERS, Geometry, GeometryParams, InadmissibleParamsError,
                        param_names)
-from .integrate import (ENGINE_CLOSED_FORM, ENGINE_GENERAL, FlowConfig,
+from .integrate import (ENGINE_CLOSED_FORM, ENGINE_GENERAL, FlowConfig, FlowOutcome,
                         OUTCOME_DEGENERATE_INPUT, OUTCOME_FAILURE, Trajectory,
                         columns_csv, integrate)
 from .metric import HermitianMetric
@@ -235,7 +235,7 @@ def _config_from_args(args) -> FlowConfig:
 
 
 def _execute_run(config: FlowConfig, out_dir: Path,
-                 emit: tuple[str, ...]) -> tuple[int, dict]:
+                 emit: tuple[str, ...]) -> tuple[int, dict, FlowOutcome]:
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the flow runs
     traj, outcome = integrate(config)
     report = analysis_report(config, traj, outcome)
@@ -249,12 +249,12 @@ def _execute_run(config: FlowConfig, out_dir: Path,
         _atomic_write(out_dir / "plot_data.csv", _plot_data_csv(traj))
 
     if outcome.outcome_class == OUTCOME_DEGENERATE_INPUT:
-        return 1, report
+        return 1, report, outcome
     if outcome.outcome_class == OUTCOME_FAILURE:
-        return 3, report
+        return 3, report, outcome
     if not report["clean"]:
-        return 2, report
-    return 0, report
+        return 2, report, outcome
+    return 0, report, outcome
 
 
 def cmd_run(args) -> int:
@@ -265,9 +265,12 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        code, report = _execute_run(config, Path(args.out), emit)
+        code, report, outcome = _execute_run(config, Path(args.out), emit)
     except OSError as exc:
         return _cannot_write(args.out, exc)
+    if outcome.outcome_class == OUTCOME_DEGENERATE_INPUT:
+        where = "config error at $.g0" if args.config else "--x0, --y0, --z0-re, --z0-im"
+        print(f"error: {where}: {outcome.diagnostics}", file=sys.stderr)
     cls = report["classification"]
     summary = {"outcome": report["outcome_class"], "classification": cls["kind"]}
     if "circle_length" in cls:
@@ -285,6 +288,8 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--samples must be >= 0, got {args.samples}")
         if args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        if args.all and args.geometry:
+            raise ValueError("--all and --geometry exclude each other")
         if args.geometry:
             geometries = [Geometry.from_name(args.geometry)]
     except ValueError as exc:
@@ -330,7 +335,7 @@ def _sweep_worker(item: tuple[int, dict, str, tuple[str, ...]]) -> tuple[int, di
     row: dict = {"run_id": index, "status": "ok"}
     try:
         config = parse_config(doc)
-        code, report = _execute_run(config, run_dir, emit)
+        code, report, _ = _execute_run(config, run_dir, emit)
         cls = report["classification"]
         row.update({
             "geometry": report["geometry"],

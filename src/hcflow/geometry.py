@@ -3,13 +3,18 @@
 The Lie group underlying Inoue surfaces of type S+- carries two distinct
 complex structures, so it contributes two catalog entries (J1 and J2); the
 catalog therefore has nine entries in total.
+
+Each row of ``PARAMETERS`` is the one statement of a parameter's rules: how
+users write it, which values it admits, and how the verification suite draws
+it.  ``GeometryParams`` and ``catalog.sample_params`` read the rows; what a
+geometry's flow does lives in its ``hcflow.catalog`` entry.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 
 class Geometry(enum.Enum):
@@ -40,19 +45,28 @@ class InadmissibleParamsError(ValueError):
 
 
 class Parameter(NamedTuple):
-    """How users write one complex-structure parameter, and what it admits."""
+    """How users write one complex-structure parameter, what it admits, and
+    how the verification suite draws it."""
 
     user_name: str  # in configs, flags and `hcflow list`
-    constraint: str
+    constraint: str  # `admits`, as `hcflow list` and the rejection say it
     type: type  # what a flag parses and GeometryParams holds
+    admits: Callable[[float], bool]
+    draw: Callable  # a random admissible value from a numpy Generator
 
 
 #: Every complex-structure parameter, keyed by its ``GeometryParams`` field.
+#: The draws are made in a geometry's parameter order, each row's calls in
+#: the order written; seeded verification and benchmark inputs depend on it.
 PARAMETERS: dict[str, Parameter] = {
-    "lam": Parameter("lambda", "any real", float),
-    "a": Parameter("a", "real, nonzero", float),
-    "b": Parameter("b", "any real", float),
-    "epsilon": Parameter("epsilon", "+1 or -1", int),
+    "lam": Parameter("lambda", "any real", float, lambda v: True,
+                     lambda rng: float(rng.uniform(-2.0, 2.0))),
+    "a": Parameter("a", "real, nonzero", float, lambda v: v != 0,
+                   lambda rng: float(rng.uniform(0.3, 2.0)) * float(rng.choice([1, -1]))),
+    "b": Parameter("b", "any real", float, lambda v: True,
+                   lambda rng: float(rng.uniform(-2.0, 2.0))),
+    "epsilon": Parameter("epsilon", "+1 or -1", int, lambda v: v in (1, -1),
+                         lambda rng: int(rng.choice([1, -1]))),
 }
 
 #: Which parameters each geometry uses, in the order of the kernels' (p1, p2) slots.
@@ -73,10 +87,10 @@ _PARAMS_BY_GEOMETRY: dict[Geometry, tuple[str, ...]] = {
 class GeometryParams:
     """Geometry selector plus the parameters of its complex-structure family.
 
-    lam parameterizes the Hopf and properly-elliptic families, (a, b) with
-    a != 0 the Inoue S0 family, and epsilon = +-1 the two secondary-Kodaira
-    complex structures.  Parameters that the selected geometry does not use
-    must be left unset.
+    lam parameterizes the Hopf and properly-elliptic families, (a, b) the
+    Inoue S0 family, and epsilon the two secondary-Kodaira complex
+    structures; each value must be one its ``PARAMETERS`` row admits.
+    Parameters that the selected geometry does not use must be left unset.
     """
 
     geometry: Geometry
@@ -87,21 +101,15 @@ class GeometryParams:
 
     def __post_init__(self) -> None:
         used = _PARAMS_BY_GEOMETRY[self.geometry]
-        for name in PARAMETERS:
+        for name, param in PARAMETERS.items():
             value = getattr(self, name)
-            if name in used:
-                if value is None:
-                    raise InadmissibleParamsError(
-                        f"{self.geometry.value} requires parameter {name!r}"
-                    )
-            elif value is not None:
+            if (name in used) != (value is not None):
+                verb = "requires" if name in used else "does not take"
+                raise InadmissibleParamsError(f"{self.geometry.value} {verb} parameter {name!r}")
+            if value is not None and not param.admits(value):
                 raise InadmissibleParamsError(
-                    f"{self.geometry.value} does not take parameter {name!r}"
-                )
-        if self.geometry is Geometry.INOUE_S0 and self.a == 0:
-            raise InadmissibleParamsError("inoue-s0 requires a != 0")
-        if self.geometry is Geometry.KODAIRA_SECONDARY and self.epsilon not in (1, -1):
-            raise InadmissibleParamsError("kodaira-secondary requires epsilon in {+1, -1}")
+                    f"{self.geometry.value} parameter {param.user_name} must be "
+                    f"{param.constraint}, got {value!r}")
 
     @property
     def c(self) -> float:

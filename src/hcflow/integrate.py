@@ -196,7 +196,9 @@ def _general_rhs(params: GeometryParams):
         if not (g.x > 0 and g.y > 0 and g.det > 0):
             return nan4
         try:
-            k = curvature_bundle(mu, g, margin=0.0).K
+            # a huge metric's contractions overflow to inf or NaN, which fails the step
+            with np.errstate(all="ignore"):
+                k = curvature_bundle(mu, g, margin=0.0).K
         except Exception:
             return nan4
         return -k[0, 0].real, -k[1, 1].real, -k[0, 1].real, -k[0, 1].imag

@@ -1,4 +1,8 @@
-"""Assembly of the per-run analysis report emitted as analysis.json."""
+"""Assembly of the per-run analysis report emitted as analysis.json.
+
+Every geometry-specific part (expected labels, references, the decay bound,
+the monotonicity checks) comes from the run's ``hcflow.catalog`` entry.
+"""
 from __future__ import annotations
 
 from .analysis import (DecayBoundViolation, TrajectoryTooShortError,
@@ -6,7 +10,6 @@ from .analysis import (DecayBoundViolation, TrajectoryTooShortError,
                        monotonicity_report, udot_consistency,
                        verify_decay_bound, LIMIT_UNCLASSIFIED)
 from .catalog import LIMIT_CIRCLE, LIMIT_KE_CURVE, entry
-from .geometry import Geometry
 from .integrate import FlowConfig, FlowOutcome, Trajectory
 
 
@@ -29,10 +32,8 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) 
     }
 
     try:
-        limit = classify_gh_limit(geometry, params, traj, outcome)
-        report["classification"] = limit.to_json_dict()
+        report["classification"] = classify_gh_limit(geometry, traj, outcome).to_json_dict()
     except TrajectoryTooShortError as exc:
-        limit = None
         report["classification"] = {"kind": LIMIT_UNCLASSIFIED, "evidence": {"reason": str(exc)}}
 
     slopes = {}
@@ -42,25 +43,25 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) 
             slopes[component] = {"slope": slope, "residual": residual}
     report["growth_rates"] = slopes
 
-    if limit is not None:
-        if limit.kind == LIMIT_CIRCLE:
-            report["reference_circle_length"] = desc.expected_circle_length(params)
-        if limit.kind == LIMIT_KE_CURVE:
-            report["reference_normalized_limit"] = list(desc.expected_normalized_limit(params))
+    kind = report["classification"]["kind"]
+    if kind == LIMIT_CIRCLE:
+        report["reference_circle_length"] = desc.expected_circle_length(params)
+    if kind == LIMIT_KE_CURVE:
+        report["reference_normalized_limit"] = list(desc.expected_normalized_limit(params))
 
-    if geometry is Geometry.HYPERELLIPTIC and len(traj):
+    if desc.converges_unrescaled and len(traj):
         try:
             report["decay_bound"] = verify_decay_bound(traj)
         except DecayBoundViolation as exc:
             report["decay_bound"] = {"passed": False, "violation": str(exc)}
 
     if len(traj):
-        report["monotonicity"] = monotonicity_report(geometry, params, traj, config.rel_tol)
+        report["monotonicity"] = monotonicity_report(geometry, traj, config.rel_tol)
         consistency = udot_consistency(geometry, params, traj)
         consistency["passed"] = consistency["max_rel_error"] <= 10 * config.rel_tol
         report["udot_consistency"] = consistency
 
     # a frozen huge metric can be classified, but its explicit bounds fail
-    report["clean"] = (report["classification"]["kind"] != LIMIT_UNCLASSIFIED
+    report["clean"] = (kind != LIMIT_UNCLASSIFIED
                        and report.get("monotonicity", {}).get("passed", True))
     return report

@@ -198,7 +198,7 @@ def test_criterion_07_gh_classification(classification_runs):
         expected = EXPECTED_KIND[geometry]
         desc_entry = entry(geometry)
         for config, traj, outcome in items:
-            desc = classify_gh_limit(geometry, config.params, traj, outcome)
+            desc = classify_gh_limit(geometry, traj, outcome)
             this_ok = desc.kind == expected
             if expected == LIMIT_CIRCLE and this_ok:
                 ref = desc_entry.expected_circle_length(config.params)
@@ -223,7 +223,7 @@ def test_criterion_08_monotonicity_suites(classification_runs):
     failures = []
     for geometry, items in classification_runs.items():
         for config, traj, outcome in items:
-            rep = monotonicity_report(geometry, config.params, traj, config.rel_tol)
+            rep = monotonicity_report(geometry, traj, config.rel_tol)
             if not rep["passed"]:
                 ok = False
                 bad = [c["condition"] for c in rep["checks"] if not c["passed"]]

@@ -100,16 +100,12 @@ def test_decay_bound_at_default_tolerance_to_t1000():
 def test_classifier_point():
     t = np.linspace(0, 1000, 2001)
     traj = synthetic_trajectory(t, x=np.sqrt(1 + t), y=1 / (1 + t) + 1.0)
-    desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY,
-                             GeometryParams(Geometry.KODAIRA_PRIMARY),
-                             traj, immortal_outcome())
+    desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, immortal_outcome())
     assert desc.kind == LIMIT_POINT
     # a roundoff-level |z| growing like (1+t)^0.5 after rescaling is still zero
     traj = synthetic_trajectory(t, x=np.sqrt(1 + t), y=1 / (1 + t) + 1.0,
                                 z_re=1e-16 * (1 + t) ** 1.5)
-    desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY,
-                             GeometryParams(Geometry.KODAIRA_PRIMARY),
-                             traj, immortal_outcome())
+    desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, immortal_outcome())
     assert desc.kind == LIMIT_POINT
     assert desc.evidence["exponent_z_abs"] is None
 
@@ -117,9 +113,7 @@ def test_classifier_point():
 def test_classifier_circle_on_y():
     t = np.linspace(0, 1000, 2001)
     traj = synthetic_trajectory(t, x=np.ones_like(t), y=8.0 * t + 1.0)
-    desc = classify_gh_limit(Geometry.INOUE_S0,
-                             GeometryParams(Geometry.INOUE_S0, a=1.0, b=2.0),
-                             traj, immortal_outcome())
+    desc = classify_gh_limit(Geometry.INOUE_S0, traj, immortal_outcome())
     assert desc.kind == LIMIT_CIRCLE
     assert desc.circle_length == pytest.approx(2 * np.sqrt(2), rel=2e-3)
     ev = desc.evidence
@@ -131,9 +125,7 @@ def test_classifier_circle_on_y():
 def test_classifier_circle_on_x():
     t = np.linspace(0, 1000, 2001)
     traj = synthetic_trajectory(t, x=3.0 * t + 1.0, y=np.ones_like(t))
-    desc = classify_gh_limit(Geometry.INOUE_SPM_J1,
-                             GeometryParams(Geometry.INOUE_SPM_J1),
-                             traj, immortal_outcome())
+    desc = classify_gh_limit(Geometry.INOUE_SPM_J1, traj, immortal_outcome())
     assert desc.kind == LIMIT_CIRCLE
     assert desc.circle_length == pytest.approx(np.sqrt(3), rel=2e-3)
 
@@ -141,9 +133,7 @@ def test_classifier_circle_on_x():
 def test_classifier_ke_curve():
     t = np.linspace(0, 1000, 2001)
     traj = synthetic_trajectory(t, x=2.0 * t + 1.0, y=np.ones_like(t))
-    desc = classify_gh_limit(Geometry.PROPERLY_ELLIPTIC,
-                             GeometryParams(Geometry.PROPERLY_ELLIPTIC, lam=1.0),
-                             traj, immortal_outcome())
+    desc = classify_gh_limit(Geometry.PROPERLY_ELLIPTIC, traj, immortal_outcome())
     assert desc.kind == LIMIT_KE_CURVE
     assert desc.normalized_limit[0] == pytest.approx(2.0, rel=2e-3)
     assert desc.normalized_limit[1] == 0.0
@@ -153,16 +143,14 @@ def test_classifier_growth_on_nongrowing_geometry_is_unclassified():
     # linear growth on a geometry with no circle/curve interpretation
     t = np.linspace(0, 1000, 2001)
     traj = synthetic_trajectory(t, x=3.0 * t + 1.0, y=np.ones_like(t))
-    desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY,
-                             GeometryParams(Geometry.KODAIRA_PRIMARY),
-                             traj, immortal_outcome())
+    desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, immortal_outcome())
     assert desc.kind == LIMIT_UNCLASSIFIED
     # a NaN in the tail of a decaying x is never a clean point
     x = np.sqrt(1 + t)
     x[-5] = np.nan
     traj = synthetic_trajectory(t, x=x, y=np.ones_like(t))
     params = GeometryParams(Geometry.KODAIRA_PRIMARY)
-    assert classify_gh_limit(Geometry.KODAIRA_PRIMARY, params, traj,
+    assert classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj,
                              immortal_outcome()).kind == LIMIT_UNCLASSIFIED
     config = FlowConfig(params=params, g0=HermitianMetric(1, 1, 0), t_max=1000.0)
     report = analysis_report(config, traj, immortal_outcome())
@@ -181,7 +169,7 @@ def test_classifier_ignores_initial_scale(scale):
         params = GeometryParams(geometry, **params_kwargs)
         g0 = HermitianMetric(scale, scale, scale * (0.3 + 0.2j))
         traj, outcome = integrate(FlowConfig(params=params, g0=g0, t_max=1000.0))
-        desc = classify_gh_limit(geometry, params, traj, outcome)
+        desc = classify_gh_limit(geometry, traj, outcome)
         assert desc.kind == entry(geometry).expected_limit, (geometry, desc.evidence)
 
 
@@ -189,8 +177,7 @@ def test_classifier_finite_time_collapse():
     t = np.linspace(0, 2.25, 100)
     traj = synthetic_trajectory(t, x=1 - t / 2.26, y=1 - t / 2.26)
     outcome = FlowOutcome(OUTCOME_EXTINCT, 2.25, None, "collapsed")
-    desc = classify_gh_limit(Geometry.HOPF, GeometryParams(Geometry.HOPF, lam=0.0),
-                             traj, outcome)
+    desc = classify_gh_limit(Geometry.HOPF, traj, outcome)
     assert desc.kind == LIMIT_COLLAPSE
     assert desc.collapse_time == 2.25
 
@@ -199,8 +186,7 @@ def test_classifier_needs_long_tail():
     t = np.linspace(0, 100, 200)
     traj = synthetic_trajectory(t, x=np.ones_like(t), y=np.ones_like(t))
     with pytest.raises(TrajectoryTooShortError):
-        classify_gh_limit(Geometry.TORUS, GeometryParams(Geometry.TORUS),
-                          traj, immortal_outcome())
+        classify_gh_limit(Geometry.TORUS, traj, immortal_outcome())
 
 
 def test_unnormalized_limit_is_flat_diagonal():
@@ -228,7 +214,7 @@ def test_monotonicity_and_udot_on_short_runs():
         params = GeometryParams(geometry, **params_kwargs)
         config = FlowConfig(params=params, g0=g0, t_max=5.0, sample_stride=0.05)
         traj, outcome = integrate(config)
-        mono = monotonicity_report(geometry, params, traj, config.rel_tol)
+        mono = monotonicity_report(geometry, traj, config.rel_tol)
         assert mono["passed"], mono
         consistency = udot_consistency(geometry, params, traj)
         assert consistency["max_rel_error"] <= 10 * config.rel_tol

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcflow import cli
+from hcflow import cli, core
 from hcflow.cli import ConfigError, _sweep_worker, main, parse_config
 from hcflow.geometry import PARAMETERS, Geometry, param_names
 from hcflow.integrate import MAX_SAMPLES
@@ -266,6 +266,51 @@ def test_csv_bytes_pinned(tmp_path, argv, trajectory, plot_data):
     assert digests == [trajectory, plot_data]
 
 
+_G0_T1000 = ["--x0", "1", "--y0", "2", "--z0-re", "0.3", "--z0-im", "0.2", "--t-max", "1000"]
+# SHA-256 (first 16 hex digits) of outcome.json and analysis.json for one run of
+# each catalog entry: the immortal ones to t = 1000, Hopf to its collapse; each
+# analysis.json holds the entry's monotonicity checks and explicit bounds, and
+# the circle, Kaehler-Einstein and hyperelliptic ones their references
+PINNED_JSON = {
+    "torus": (["--geometry", "torus", *_G0_T1000], "6c99e71b2f1c3f5d", "961f59973cee1799"),
+    "hyperelliptic": (["--geometry", "hyperelliptic", *_G0_T1000],
+                      "3321970e560a45bd", "de9c5b50037310b9"),
+    "hopf": (PINNED_CSV["hopf-collapse"][0], "ba4cc0f5a38c229b", "cacdbc6d3f9046be"),
+    "properly-elliptic": (["--geometry", "properly-elliptic", "--lambda", "0.5", *_G0_T1000],
+                          "01b2c693e9e1a8e8", "4591bbc1463cc8e5"),
+    "kodaira-primary": (["--geometry", "kodaira-primary", *_G0_T1000],
+                        "53b69b38c0a8fdfa", "380d8cfc03744500"),
+    "kodaira-secondary": (["--geometry", "kodaira-secondary", "--epsilon", "-1", *_G0_T1000],
+                          "a1dfa7d02108d5e1", "1685138046b6e858"),
+    "inoue-s0": (["--geometry", "inoue-s0", "--a", "-0.8", "--b", "0.5", *_G0_T1000],
+                 "9fb1f42d8dc0d200", "449db2f2b58a5ccd"),
+    "inoue-spm-j1": (["--geometry", "inoue-spm-j1", *_G0_T1000],
+                     "c914b34d1b84531c", "b4ebdbc16ec792bf"),
+    "inoue-sp-j2": (["--geometry", "inoue-sp-j2", *_G0_T1000],
+                    "e1f3d3f652ac8a54", "2d2f1cb09c2f08e6"),
+}
+
+
+@pytest.mark.parametrize("argv, outcome, analysis", PINNED_JSON.values(),
+                         ids=PINNED_JSON.keys())
+def test_json_bytes_pinned(tmp_path, monkeypatch, argv, outcome, analysis):
+    # stats.compiled_core names the lane, whose bits are otherwise the same
+    monkeypatch.setattr(core, "COMPILED", False)
+    assert run_cli("run", *argv, "--out", str(tmp_path),
+                   "--emit", "outcome-json,analysis-json") == 0
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
+               for name in ("outcome.json", "analysis.json")]
+    assert digests == [outcome, analysis]
+
+
+@pytest.mark.parametrize("argv, digest", [(["list"], "e85f2e381f856a2d"),
+                                          (["list", "--json"], "2eb4772009b52e53")],
+                         ids=["table", "json"])
+def test_list_output_pinned(capsys, argv, digest):
+    assert run_cli(*argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 def test_unusable_out_exits_1_with_one_error_line(tmp_path, capsys, under):
     blocker = tmp_path / "file"
@@ -296,6 +341,10 @@ def test_atomic_write_removes_its_temporary_file_on_failure(tmp_path):
     (("--geometry", "hopf"), "hopf requires parameter --lambda"),
     (("--geometry", "torus", "--lambda", "1"), "torus does not take parameter --lambda"),
     (("--geometry", "inoue-s0", "--a", "1"), "inoue-s0 requires parameter --b"),
+    (("--geometry", "inoue-s0", "--a", "0", "--b", "1"),
+     "inoue-s0 parameter a must be real, nonzero, got 0.0"),
+    (("--geometry", "kodaira-secondary", "--epsilon", "2"),
+     "kodaira-secondary parameter epsilon must be +1 or -1, got 2"),
 ])
 def test_run_flag_names_missing_parameter_as_typed(tmp_path, capsys, argv, named):
     assert run_cli("run", *argv, "--out", str(tmp_path / "o")) == 1
@@ -313,6 +362,7 @@ def test_config_names_missing_parameter_as_written(tmp_path, capsys):
     ("verify", "--all", "--samples", "-3"),
     ("verify", "--all", "--samples", "1", "--seed", "-1"),
     ("verify", "--geometry", "nope"),
+    ("verify", "--all", "--geometry", "hopf"),
     ("list", "--geometry", "nope"),
 ])
 def test_bad_verify_and_list_input_exits_1_with_one_error_line(capsys, argv):
@@ -618,9 +668,11 @@ def test_run_non_finite_trajectory_writes_nothing_to_stderr(tmp_path):
     ("--geometry", "properly-elliptic", "--lambda", "1e160"),
     ("--geometry", "inoue-s0", "--a", "1e200", "--b", "0"),
     ("--geometry", "inoue-s0", "--a", "1", "--b", "1e200"),
-], ids=["hopf", "properly-elliptic", "inoue-s0-a", "inoue-s0-b"])
+    ("--geometry", "hopf", "--lambda", "1e200", "--engine", "general-contraction"),
+], ids=["hopf", "properly-elliptic", "inoue-s0-a", "inoue-s0-b", "hopf-general-contraction"])
 def test_run_huge_parameter_is_integrator_failure(tmp_path, argv):
-    # lam**2 or a**2 overflows; the u-law takes the kernels' inf rather than raising
+    # lam**2 or a**2 overflows; the u-law takes the kernels' inf rather than raising,
+    # and the contraction engine's overflow to NaN fails its steps without a warning
     proc = subprocess.run(
         [sys.executable, "-m", "hcflow.cli", "run", *argv, "--t-max", "10",
          "--out", str(tmp_path / "o")],
@@ -696,9 +748,16 @@ def test_run_without_config_or_geometry_exits_1(tmp_path, capsys):
 def test_run_degenerate_input_exits_1(tmp_path, capsys):
     assert run_cli("run", "--geometry", "torus", "--x0", "-1", "--t-max", "1",
                    "--out", str(tmp_path / "o")) == 1
-    assert json.loads(capsys.readouterr().out)["outcome"] == "degenerate-input"
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["outcome"] == "degenerate-input"
+    assert captured.err == ("error: --x0, --y0, --z0-re, --z0-im: initial metric not "
+                            "positive above the degeneracy threshold: x=-1.0 y=1.0 D=-1.0\n")
     outcome = json.loads((tmp_path / "o" / "outcome.json").read_text())
     assert outcome["class"] == "degenerate-input" and outcome["final_state"] is None
+    cfg = write_config(tmp_path / "cfg.json", g0={"x": 1.0, "y": 1.0, "z_re": 1.0})
+    assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "c")) == 1
+    assert capsys.readouterr().err.startswith("error: config error at $.g0: initial metric ")
+
 
 
 # ---------------------------------------------------------------------------
@@ -788,12 +847,10 @@ def _main_captured(argv) -> tuple[int, str, str]:
 def _assert_fails_closed(argv, exit_codes, error_start="") -> None:
     """``main(argv)`` exits with one of ``exit_codes``; an exception out of it fails
     the test as a traceback would.  Bad input (exit 1) prints one ``error:``
-    line, starting with ``error_start``, unless the initial metric is degenerate."""
+    line, starting with ``error_start``."""
     code, out, err = _main_captured(argv)
     assert code in exit_codes, (argv, code, err)
     assert "Traceback" not in err
-    if code == 1 and not err and json.loads(out)["outcome"] == "degenerate-input":
-        return
     if code == 1:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith(error_start), (argv, err)

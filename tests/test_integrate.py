@@ -333,5 +333,5 @@ def test_kodaira_primary_self_similar_solution(y0):
     error = max(np.max(np.abs(traj.x / (x0 * s ** 0.4) - 1.0)),
                 np.max(np.abs(traj.y / (y0 * s ** -0.2) - 1.0)))
     assert error <= 1e-8  # 3.2e-9 measured, in 82 steps
-    limit = classify_gh_limit(Geometry.KODAIRA_PRIMARY, config.params, traj, outcome)
+    limit = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, outcome)
     assert limit.kind == LIMIT_POINT
