@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import (LIMIT_CIRCLE, LIMIT_COLLAPSE, LIMIT_KE_CURVE, LIMIT_POINT,
-                      entry)
+                      OUTCOME_EXTINCT, OUTCOME_IMMORTAL, entry)
 from .geometry import Geometry, GeometryParams
-from .integrate import OUTCOME_EXTINCT, OUTCOME_IMMORTAL, FlowOutcome, Trajectory
+from .integrate import FlowOutcome, Trajectory
 from .metric import HermitianMetric
 
 LIMIT_FLAT_KAEHLER = "flat-kaehler-metric"
@@ -77,7 +77,11 @@ class LimitDescriptor:
 
 
 def _line_fit(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and intercept of v against t."""
+    """Least-squares slope and intercept of v against t; a fit needs at least
+    two samples in its window."""
+    if len(t) < 2:
+        raise TrajectoryTooShortError(
+            f"a line fit needs at least two samples in its window, got {len(t)}")
     design = np.column_stack([t, np.ones_like(t)])
     (slope, intercept), *_ = np.linalg.lstsq(design, v, rcond=None)
     return slope, intercept
@@ -88,7 +92,7 @@ def linear_growth_rate(traj: Trajectory, component: str) -> tuple[float, float]:
     deviation of the data from the affine fit."""
     if component not in ("x", "y"):
         raise ValueError("component must be 'x' or 'y'")
-    if len(traj) < 4 or traj.t[-1] < 100.0:
+    if len(traj) == 0 or traj.t[-1] < 100.0:
         raise TrajectoryTooShortError(
             f"growth-rate fit needs a run to t >= 100, got t_end="
             f"{traj.t[-1] if len(traj) else 0.0}")
@@ -151,7 +155,9 @@ def classify_gh_limit(geometry: Geometry, traj: Trajectory,
     circle is a circle of length sqrt(L), L its window mean; x alone on one
     whose expected limit is a Kaehler-Einstein curve is the rescaled base
     curve.  A non-finite level or exponent is unclassified.  Extinct runs are
-    labeled by their collapse time.
+    labeled by their collapse time.  Raises TrajectoryTooShortError for an
+    immortal run shorter than MIN_CLASSIFIABLE_T, or whose window holds one
+    sample where an exponent needs a fit.
     """
     if outcome.outcome_class == OUTCOME_EXTINCT:
         return LimitDescriptor(kind=LIMIT_COLLAPSE, collapse_time=outcome.t_est,

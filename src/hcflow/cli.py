@@ -7,6 +7,12 @@ run     integrate one flow and write trajectory/outcome/analysis files
 verify  engine-vs-closed-form agreement suite (plus report-only table diffs)
 sweep   run a grid of configs in parallel and summarize one row per run
 
+Every run goes through ``parse_config``.  Each `run` flag in ``RUN_FLAGS``
+overrides one config path, as a sweep grid point does, over the --config
+document or, without one, over x0 = y0 = 1 and t_max = 100.  A rejection
+points into the document (``config error at $.rel_tol: ...``) or, in a run
+without one, at the flags that set the path (``error: --rel-tol: ...``).
+
 Exit codes: run returns 0 on a clean classification, 1 on bad input, 2 when
 the run is unclassified or fails a monotonicity check, 3 on integrator
 failure; verify returns 0 iff all K agreements pass, else 1, and 1 on bad
@@ -29,12 +35,10 @@ import os
 import sys
 from pathlib import Path
 
-from .catalog import catalog_json
-from .geometry import (PARAMETERS, Geometry, GeometryParams, InadmissibleParamsError,
-                       param_names)
-from .integrate import (ENGINE_CLOSED_FORM, ENGINE_GENERAL, FlowConfig, FlowOutcome,
-                        OUTCOME_DEGENERATE_INPUT, OUTCOME_FAILURE, Trajectory,
-                        columns_csv, integrate)
+from .catalog import OUTCOME_EXTINCT, catalog_json
+from .geometry import PARAMETERS, Geometry, GeometryParams, InadmissibleParamsError
+from .integrate import (FlowConfig, FlowOutcome, OUTCOME_DEGENERATE_INPUT, OUTCOME_FAILURE,
+                        Trajectory, columns_csv, integrate)
 from .metric import HermitianMetric
 from .report import analysis_report
 from .verify import run_verification
@@ -55,16 +59,31 @@ _CONFIG_FIELDS = {"schema_version", "geometry", "params", "g0", "t_max", "engine
 _G0_FIELDS = {"x", "y", "z_re", "z_im"}
 _PARAM_JSON_NAMES = {p.user_name: name for name, p in PARAMETERS.items()}
 
+#: Each `run` flag overrides one config path, with the value its type parses.
+RUN_FLAGS: dict[str, tuple[str, type]] = {
+    "--geometry": ("geometry", str),
+    **{f"--{p.user_name}": (f"params.{p.user_name}", p.type) for p in PARAMETERS.values()},
+    "--x0": ("g0.x", float), "--y0": ("g0.y", float),
+    "--z0-re": ("g0.z_re", float), "--z0-im": ("g0.z_im", float),
+    "--t-max": ("t_max", float), "--rel-tol": ("rel_tol", float),
+    "--abs-tol": ("abs_tol", float), "--engine": ("engine", str),
+    "--sample-stride": ("sample_stride", float),
+    "--degeneracy-threshold": ("degeneracy_threshold", float),
+}
+
 
 class ConfigError(ValueError):
     """Malformed run configuration; carries a pointer to the offending field."""
 
     def __init__(self, path: str, message: str) -> None:
         super().__init__(f"config error at {path}: {message}")
+        self.path, self.message = path, message
 
 
 def parse_config(doc: dict) -> FlowConfig:
-    """Validate and convert a config JSON document (fail-closed)."""
+    """Validate and convert a config JSON document (fail-closed).  The
+    document's shape and types are checked here; ``GeometryParams`` and
+    ``FlowConfig`` check the values, and their rejections keep their path."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "expected a JSON object")
     unknown = set(doc) - _CONFIG_FIELDS
@@ -91,14 +110,10 @@ def parse_config(doc: dict) -> FlowConfig:
         name = _PARAM_JSON_NAMES[key]
         num = _number(f"$.params.{key}", value)
         if PARAMETERS[name].type is int:
-            if num != int(num):
+            if not num.is_integer():
                 raise ConfigError(f"$.params.{key}", "must be an integer")
             num = int(num)
         kwargs[name] = num
-    try:
-        params = _geometry_params(geometry, kwargs, "'{}'")
-    except InadmissibleParamsError as exc:
-        raise ConfigError("$.params", str(exc)) from None
 
     g0doc = doc["g0"]
     if not isinstance(g0doc, dict):
@@ -120,37 +135,20 @@ def parse_config(doc: dict) -> FlowConfig:
               if name in doc}
     if "engine" in doc:
         fields["engine"] = str(doc["engine"])
-        if fields["engine"] not in (ENGINE_CLOSED_FORM, ENGINE_GENERAL):
-            raise ConfigError("$.engine",
-                              f"must be {ENGINE_CLOSED_FORM!r} or {ENGINE_GENERAL!r}")
     try:
-        return FlowConfig(params=params, g0=g0, t_max=t_max, **fields)
-    except ValueError as exc:
-        raise ConfigError("$", str(exc)) from None
-
-
-def _geometry_params(geometry: Geometry, kwargs: dict, spelling: str) -> GeometryParams:
-    """``GeometryParams(geometry, **kwargs)``; a missing or unused parameter is
-    named as the user writes it, ``spelling`` formatted with its user name."""
-    used = param_names(geometry)
-    for name in (*used, *kwargs):
-        if (name in used) != (name in kwargs):
-            verb = "requires" if name in used else "does not take"
-            raise InadmissibleParamsError(
-                f"{geometry.value} {verb} parameter {spelling.format(PARAMETERS[name].user_name)}")
-    return GeometryParams(geometry, **kwargs)
+        return FlowConfig(params=GeometryParams(geometry, **kwargs), g0=g0, t_max=t_max,
+                          **fields)
+    except InadmissibleParamsError as exc:
+        raise ConfigError(f"$.{exc.path}", exc.message) from None
 
 
 def _number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     try:
-        num = float(value)
-    except OverflowError:  # an integer beyond the float range
-        num = math.inf
-    if not math.isfinite(num):
-        raise ConfigError(path, f"expected a finite number, got {num}")
-    return num
+        return float(value)
+    except OverflowError:  # an integer beyond the float range, rejected as not finite
+        return math.inf
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -215,6 +213,8 @@ def cmd_list(args) -> int:
 
 
 def _config_from_args(args) -> FlowConfig:
+    """The config of a `run`: the --config document, or one with x0 = y0 = 1
+    and t_max = 100, with each given flag of RUN_FLAGS applied as an override."""
     if args.config:
         try:
             doc = json.loads(Path(args.config).read_text())
@@ -222,16 +222,26 @@ def _config_from_args(args) -> FlowConfig:
             raise ConfigError("$", f"cannot read the config: {exc}") from None
         except ValueError as exc:  # bad JSON or an integer beyond 4300 digits
             raise ConfigError("$", f"invalid JSON: {exc}") from None
-        return parse_config(doc)
-    if not args.geometry:
-        raise ConfigError("$", "either --config or --geometry is required")
-    geometry = Geometry.from_name(args.geometry)
-    kwargs = {name: getattr(args, name) for name in PARAMETERS if getattr(args, name) is not None}
-    params = _geometry_params(geometry, kwargs, "--{}")
-    g0 = HermitianMetric(args.x0, args.y0, complex(args.z0_re, args.z0_im))
-    fields = {name: getattr(args, name) for name in (*_OPTIONAL_NUMBERS, "engine")
-              if getattr(args, name) is not None}
-    return FlowConfig(params=params, g0=g0, t_max=args.t_max, **fields)
+    elif args.geometry:
+        doc = {"schema_version": SCHEMA_VERSION, "g0": {"x": 1.0, "y": 1.0}, "t_max": 100.0}
+    else:
+        raise ValueError("either --config or --geometry is required")
+    for path, _ in RUN_FLAGS.values():
+        if getattr(args, path) is not None:
+            _apply_override(doc, path, getattr(args, path))
+    return parse_config(doc)
+
+
+def _error_line(exc: ValueError, from_config: bool) -> str:
+    """The `error:` line of bad `run` input.  A ConfigError points into the
+    config, or, in a run without one, names the flags that set its path."""
+    if isinstance(exc, ConfigError) and not from_config:
+        keys = exc.path.split(".")[1:]  # "$.g0" -> ["g0"]
+        flags = [flag for flag, (path, _) in RUN_FLAGS.items()
+                 if keys and path.split(".")[:len(keys)] == keys]
+        if flags:
+            return f"error: {', '.join(flags)}: {exc.message}"
+    return f"error: {exc}"
 
 
 def _execute_run(config: FlowConfig, out_dir: Path,
@@ -261,21 +271,21 @@ def cmd_run(args) -> int:
     try:
         config = _config_from_args(args)
         emit = _parse_emit(args.emit)
-    except ValueError as exc:  # also ConfigError and InadmissibleParamsError
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:  # also ConfigError
+        print(_error_line(exc, bool(args.config)), file=sys.stderr)
         return 1
     try:
         code, report, outcome = _execute_run(config, Path(args.out), emit)
     except OSError as exc:
         return _cannot_write(args.out, exc)
     if outcome.outcome_class == OUTCOME_DEGENERATE_INPUT:
-        where = "config error at $.g0" if args.config else "--x0, --y0, --z0-re, --z0-im"
-        print(f"error: {where}: {outcome.diagnostics}", file=sys.stderr)
+        print(_error_line(ConfigError("$.g0", outcome.diagnostics), bool(args.config)),
+              file=sys.stderr)
     cls = report["classification"]
     summary = {"outcome": report["outcome_class"], "classification": cls["kind"]}
     if "circle_length" in cls:
         summary["circle_length"] = cls["circle_length"]
-    if report["outcome_class"] == "extinct":
+    if report["outcome_class"] == OUTCOME_EXTINCT:
         summary["t_est"] = report["classification"].get("collapse_time")
     print(_dump_json(summary), end="")
     return code
@@ -321,11 +331,12 @@ def cmd_verify(args) -> int:
 def _apply_override(doc: dict, path: str, value) -> None:
     keys = path.split(".")
     node = doc
-    for depth, key in enumerate(keys[:-1], 1):
-        node = node.setdefault(key, {})
+    for depth, key in enumerate(keys):
         if not isinstance(node, dict):
-            raise ConfigError("$." + ".".join(keys[:depth]),
+            raise ConfigError(".".join(["$", *keys[:depth]]),
                               f"the override {path!r} needs an object here")
+        if depth < len(keys) - 1:
+            node = node.setdefault(key, {})
     node[keys[-1]] = value
 
 
@@ -454,19 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="integrate one flow")
     p_run.add_argument("--config", help="flow config JSON file")
-    p_run.add_argument("--geometry")
-    for name, param in PARAMETERS.items():
-        p_run.add_argument(f"--{param.user_name}", dest=name, type=param.type)
-    p_run.add_argument("--x0", type=float, default=1.0)
-    p_run.add_argument("--y0", type=float, default=1.0)
-    p_run.add_argument("--z0-re", type=float, default=0.0)
-    p_run.add_argument("--z0-im", type=float, default=0.0)
-    p_run.add_argument("--t-max", type=float, default=100.0)
-    p_run.add_argument("--rel-tol", type=float)
-    p_run.add_argument("--abs-tol", type=float)
-    p_run.add_argument("--engine", choices=[ENGINE_CLOSED_FORM, ENGINE_GENERAL])
-    p_run.add_argument("--sample-stride", type=float)
-    p_run.add_argument("--degeneracy-threshold", type=float)
+    for flag, (path, kind) in RUN_FLAGS.items():
+        p_run.add_argument(flag, dest=path, type=kind, help=f"sets {path}")
     p_run.add_argument("--emit", help="comma list of: " + ",".join(EMIT_CHOICES))
     p_run.add_argument("--out", required=True)
     p_run.set_defaults(func=cmd_run)

@@ -41,7 +41,13 @@ class Geometry(enum.Enum):
 
 
 class InadmissibleParamsError(ValueError):
-    """Raised for parameter values the selected geometry does not admit."""
+    """Raised for input values a flow does not admit.  ``path`` is the config
+    path of the rejected value (``params.lambda``, ``g0.x``, ``t_max``) where
+    it has one, and ``message`` says what is wrong with it."""
+
+    def __init__(self, message: str, path: str = "") -> None:
+        super().__init__(f"{path}: {message}" if path else message)
+        self.path, self.message = path, message
 
 
 class Parameter(NamedTuple):
@@ -89,8 +95,9 @@ class GeometryParams:
 
     lam parameterizes the Hopf and properly-elliptic families, (a, b) the
     Inoue S0 family, and epsilon the two secondary-Kodaira complex
-    structures; each value must be one its ``PARAMETERS`` row admits.
-    Parameters that the selected geometry does not use must be left unset.
+    structures; each value must be finite and one its ``PARAMETERS`` row
+    admits.  Parameters that the selected geometry does not use must be left
+    unset.  A rejection's path is ``params.<user name>``.
     """
 
     geometry: Geometry
@@ -102,14 +109,15 @@ class GeometryParams:
     def __post_init__(self) -> None:
         used = _PARAMS_BY_GEOMETRY[self.geometry]
         for name, param in PARAMETERS.items():
-            value = getattr(self, name)
+            value, path = getattr(self, name), f"params.{param.user_name}"
             if (name in used) != (value is not None):
-                verb = "requires" if name in used else "does not take"
-                raise InadmissibleParamsError(f"{self.geometry.value} {verb} parameter {name!r}")
+                verb = "required by" if name in used else "not a parameter of"
+                raise InadmissibleParamsError(f"{verb} {self.geometry.value}", path)
+            if value is not None and not math.isfinite(value):
+                raise InadmissibleParamsError(f"must be finite, got {value}", path)
             if value is not None and not param.admits(value):
                 raise InadmissibleParamsError(
-                    f"{self.geometry.value} parameter {param.user_name} must be "
-                    f"{param.constraint}, got {value!r}")
+                    f"must be {param.constraint}, got {value!r}", path)
 
     @property
     def c(self) -> float:

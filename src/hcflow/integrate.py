@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .catalog import GEOMETRY_IDS, entry, pack_params
+from .catalog import GEOMETRY_IDS, OUTCOME_EXTINCT, OUTCOME_IMMORTAL, entry, pack_params
 from .curvature import curvature_bundle
-from .geometry import PARAMETERS, GeometryParams
+from .geometry import GeometryParams, InadmissibleParamsError
 from .metric import HermitianMetric
 
 log = logging.getLogger("hcflow.integrate")
@@ -33,8 +33,6 @@ log = logging.getLogger("hcflow.integrate")
 ENGINE_CLOSED_FORM = "closed-form"
 ENGINE_GENERAL = "general-contraction"
 
-OUTCOME_IMMORTAL = "immortal"
-OUTCOME_EXTINCT = "extinct"
 OUTCOME_DEGENERATE_INPUT = "degenerate-input"
 OUTCOME_FAILURE = "integrator-failure"
 
@@ -47,7 +45,8 @@ MAX_SAMPLES = 100_000
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Everything one flow run depends on."""
+    """Everything one flow run depends on.  A rejection is an
+    ``InadmissibleParamsError`` whose path is the field's config path."""
 
     params: GeometryParams
     g0: HermitianMetric
@@ -60,27 +59,28 @@ class FlowConfig:
 
     def __post_init__(self) -> None:
         if not 0 <= self.t_max < math.inf:
-            raise ValueError("t_max must be finite and >= 0")
-        if not (0 < self.rel_tol < 1 and 0 < self.abs_tol < 1):
-            raise ValueError("tolerances must lie in (0, 1)")
+            raise InadmissibleParamsError(f"must be finite and >= 0, got {self.t_max}", "t_max")
+        for name in ("rel_tol", "abs_tol", "degeneracy_threshold"):
+            value = getattr(self, name)
+            if not 0 < value < 1:
+                raise InadmissibleParamsError(f"must lie in (0, 1), got {value}", name)
         if self.engine not in (ENGINE_CLOSED_FORM, ENGINE_GENERAL):
-            raise ValueError(f"unknown engine {self.engine!r}")
+            raise InadmissibleParamsError(f"must be {ENGINE_CLOSED_FORM!r} or "
+                                          f"{ENGINE_GENERAL!r}, got {self.engine!r}", "engine")
         if self.sample_stride is not None and not 0 < self.sample_stride < math.inf:
-            raise ValueError("sample_stride must be finite and > 0")
-        if not 0 < self.degeneracy_threshold < 1:
-            raise ValueError("degeneracy_threshold must lie in (0, 1)")
+            raise InadmissibleParamsError(f"must be finite and > 0, got {self.sample_stride}",
+                                          "sample_stride")
         if self.stride == 0.0:
-            raise ValueError(f"the default sample_stride t_max / 1000 underflows to 0 "
-                             f"for t_max = {self.t_max:g}")
+            raise InadmissibleParamsError(f"the default sample_stride t_max / 1000 underflows "
+                                          f"to 0 for t_max = {self.t_max:g}", "t_max")
         if self.t_max / self.stride > MAX_SAMPLES:
-            raise ValueError(f"t_max / sample_stride = {self.t_max / self.stride:g} exceeds "
-                             f"the cap of {MAX_SAMPLES} samples per run")
+            raise InadmissibleParamsError(
+                f"t_max / sample_stride = {self.t_max / self.stride:g} exceeds the cap of "
+                f"{MAX_SAMPLES} samples per run", "sample_stride")
         g0 = self.g0
-        values = {PARAMETERS[k].user_name: v for k, v in self.params.as_dict().items()}
-        values.update(x0=g0.x, y0=g0.y, z0_re=g0.z.real, z0_im=g0.z.imag)
-        for name, value in values.items():
+        for name, value in zip(("x", "y", "z_re", "z_im"), (g0.x, g0.y, g0.z.real, g0.z.imag)):
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise InadmissibleParamsError(f"must be finite, got {value}", f"g0.{name}")
 
     @property
     def stride(self) -> float:
@@ -125,7 +125,8 @@ class Trajectory:
 
     @property
     def d(self) -> np.ndarray:
-        return self.x * self.y - self.u
+        with np.errstate(over="ignore"):  # x * y of a huge positive metric is inf
+            return self.x * self.y - self.u
 
     @property
     def udot(self) -> np.ndarray:
@@ -215,8 +216,10 @@ def _no_samples(klass: str, diagnostics: str) -> tuple[Trajectory, FlowOutcome]:
 def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
     """Run the flow described by config; never raises for dynamical failures."""
     g0 = config.g0
-    if not (g0.x > 0 and g0.y > 0
-            and g0.det > config.degeneracy_threshold * g0.x * g0.y):
+    # D > threshold * x * y, stated without forming x * y or |z|^2, which
+    # overflow on a huge positive metric
+    if not (g0.x > 0 and g0.y > 0 and abs(g0.z) / math.sqrt(g0.x) / math.sqrt(g0.y)
+            < math.sqrt(1.0 - config.degeneracy_threshold)):
         return _no_samples(OUTCOME_DEGENERATE_INPUT,
                            f"initial metric not positive above the degeneracy "
                            f"threshold: x={g0.x} y={g0.y} D={g0.det}")

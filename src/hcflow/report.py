@@ -5,11 +5,13 @@ the monotonicity checks) comes from the run's ``hcflow.catalog`` entry.
 """
 from __future__ import annotations
 
+import contextlib
+
 from .analysis import (DecayBoundViolation, TrajectoryTooShortError,
                        classify_gh_limit, linear_growth_rate,
                        monotonicity_report, udot_consistency,
                        verify_decay_bound, LIMIT_UNCLASSIFIED)
-from .catalog import LIMIT_CIRCLE, LIMIT_KE_CURVE, entry
+from .catalog import LIMIT_CIRCLE, LIMIT_KE_CURVE, OUTCOME_IMMORTAL, entry
 from .integrate import FlowConfig, FlowOutcome, Trajectory
 
 
@@ -36,12 +38,12 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) 
     except TrajectoryTooShortError as exc:
         report["classification"] = {"kind": LIMIT_UNCLASSIFIED, "evidence": {"reason": str(exc)}}
 
-    slopes = {}
-    if len(traj) and traj.t[-1] >= 100.0 and outcome.outcome_class == "immortal":
-        for component in ("x", "y"):
-            slope, residual = linear_growth_rate(traj, component)
-            slopes[component] = {"slope": slope, "residual": residual}
-    report["growth_rates"] = slopes
+    fits = {}
+    if outcome.outcome_class == OUTCOME_IMMORTAL:
+        with contextlib.suppress(TrajectoryTooShortError):  # t_end < 100, or too few samples
+            fits = {component: linear_growth_rate(traj, component) for component in ("x", "y")}
+    report["growth_rates"] = {component: {"slope": slope, "residual": residual}
+                              for component, (slope, residual) in fits.items()}
 
     kind = report["classification"]["kind"]
     if kind == LIMIT_CIRCLE:

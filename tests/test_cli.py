@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -139,7 +140,7 @@ def test_run_flag_rejects_non_finite_t_max(tmp_path, capsys):
     code = run_cli("run", "--geometry", "torus", "--t-max", "nan",
                    "--out", str(tmp_path / "o"))
     assert code == 1
-    assert "t_max" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --t-max: must be finite and >= 0, got nan\n"
 
 
 @pytest.mark.parametrize("flags, name", [
@@ -149,7 +150,7 @@ def test_run_flag_rejects_non_finite_t_max(tmp_path, capsys):
 def test_run_flag_rejects_non_finite_values(tmp_path, capsys, flags, name):
     code = run_cli("run", *flags, "--out", str(tmp_path / "o"))
     assert code == 1
-    assert f"error: {name} must be finite" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: --{name}: must be finite, got nan\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -338,14 +339,15 @@ def test_atomic_write_removes_its_temporary_file_on_failure(tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (("--geometry", "hopf"), "hopf requires parameter --lambda"),
-    (("--geometry", "torus", "--lambda", "1"), "torus does not take parameter --lambda"),
-    (("--geometry", "inoue-s0", "--a", "1"), "inoue-s0 requires parameter --b"),
-    (("--geometry", "inoue-s0", "--a", "0", "--b", "1"),
-     "inoue-s0 parameter a must be real, nonzero, got 0.0"),
-    (("--geometry", "kodaira-secondary", "--epsilon", "2"),
-     "kodaira-secondary parameter epsilon must be +1 or -1, got 2"),
-])
+    (("--geometry", "hopf"), "--lambda: required by hopf"),
+    (("--geometry", "torus", "--lambda", "1"), "--lambda: not a parameter of torus"),
+    (("--geometry", "inoue-s0", "--a", "1"), "--b: required by inoue-s0"),
+    (("--geometry", "inoue-s0", "--a", "0", "--b", "1"), "--a: must be real, nonzero, got 0.0"),
+    (("--geometry", "kodaira-secondary", "--epsilon", "2"), "--epsilon: must be +1 or -1, got 2"),
+], ids=["argv0-hopf requires parameter --lambda", "argv1-torus does not take parameter --lambda",
+        "argv2-inoue-s0 requires parameter --b",
+        "argv3-inoue-s0 parameter a must be real, nonzero, got 0.0",
+        "argv4-kodaira-secondary parameter epsilon must be +1 or -1, got 2"])
 def test_run_flag_names_missing_parameter_as_typed(tmp_path, capsys, argv, named):
     assert run_cli("run", *argv, "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == f"error: {named}\n"
@@ -355,7 +357,7 @@ def test_config_names_missing_parameter_as_written(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", params={})
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
     assert capsys.readouterr().err == (
-        "error: config error at $.params: hopf requires parameter 'lambda'\n")
+        "error: config error at $.params.lambda: required by hopf\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -692,23 +694,40 @@ def test_run_rejects_a_default_stride_that_underflows(tmp_path, capsys):
     assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == 1
     captured = capsys.readouterr()
     flag, config = captured.err.splitlines()
-    assert flag.startswith("error: the default sample_stride t_max / 1000 underflows to 0")
-    assert config.startswith("error: config error at $: the default sample_stride")
+    assert flag.startswith("error: --t-max: the default sample_stride t_max / 1000 underflows")
+    assert config.startswith("error: config error at $.t_max: the default sample_stride")
     assert captured.out == "" and not (tmp_path / "o").exists()
 
 
+#: a value for each `run` flag that is not a geometry or parameter flag
+_FLAG_VALUES = {"--x0": "2", "--y0": "3", "--z0-re": "0.1", "--z0-im": "-0.2", "--t-max": "7",
+                "--rel-tol": "1e-7", "--abs-tol": "1e-11", "--engine": "general-contraction",
+                "--sample-stride": "0.5", "--degeneracy-threshold": "1e-8"}
+
+
+def _flag_config(*flags):
+    return cli._config_from_args(cli.build_parser().parse_args(["run", *flags, "--out", "-"]))
+
+
 def test_every_listed_parameter_name_is_accepted(capsys):
+    # each flag sets the FlowConfig value of the config path it names
     assert run_cli("list", "--json") == 0
+    listed_flags = {"--geometry", *_FLAG_VALUES}
     for listed in json.loads(capsys.readouterr().out):
         names = [p["name"] for p in listed["params"]]
-        config = parse_config({"schema_version": 1, "geometry": listed["id"],
-                               "params": dict.fromkeys(names, 1), "g0": {"x": 1, "y": 1},
-                               "t_max": 1})
+        listed_flags.update(f"--{name}" for name in names)
+        doc = {"schema_version": 1, "geometry": listed["id"],
+               "params": dict.fromkeys(names, 1), "g0": {"x": 1, "y": 1}, "t_max": 100}
+        config = parse_config(doc)
         assert config.params.geometry.value == listed["id"]
-        flags = [f"--{name}=1" for name in names]
-        args = cli.build_parser().parse_args(
-            ["run", "--geometry", listed["id"], *flags, "--out", "unused"])
-        assert cli._config_from_args(args).params == config.params
+        flags = ["--geometry", listed["id"], *(f"--{name}=1" for name in names)]
+        assert _flag_config(*flags) == config
+        for flag, value in _FLAG_VALUES.items():
+            path, kind = cli.RUN_FLAGS[flag]
+            overridden = json.loads(json.dumps(doc))
+            cli._apply_override(overridden, path, kind(value))
+            assert _flag_config(*flags, flag, value) == parse_config(overridden) != config, flag
+    assert listed_flags == set(cli.RUN_FLAGS)
 
 
 _VALID = {"schema_version": 1, "geometry": "torus", "g0": {"x": 1, "y": 1}, "t_max": 1}
@@ -723,7 +742,7 @@ _VALID = {"schema_version": 1, "geometry": "torus", "g0": {"x": 1, "y": 1}, "t_m
     (dict(_VALID, g0=[1, 1]), "$.g0"),
     (dict(_VALID, g0={"y": 1}), "$.g0.x"),
     (dict(_VALID, engine="euler"), "$.engine"),
-    (dict(_VALID, rel_tol=2), "$"),  # FlowConfig's own check
+    (dict(_VALID, rel_tol=2), "$.rel_tol"),  # FlowConfig's own check
 ], ids=["not-an-object", "no-geometry", "no-g0", "no-t_max", "params-not-object",
         "g0-not-object", "no-g0-x", "bad-engine", "flow-config"])
 def test_parse_config_rejection_names_the_field(doc, path):
@@ -739,10 +758,72 @@ def test_parse_config_reads_engine_and_integer_epsilon():
     assert params.epsilon == -1 and type(params.epsilon) is int
 
 
+_HOPF = {"schema_version": 1, "geometry": "hopf", "params": {"lambda": 0.0},
+         "g0": {"x": 1.0, "y": 1.5}, "t_max": 10.0}
+
+
+@pytest.mark.parametrize("doc, flags, error", [
+    (dict(_HOPF, t_max=-1), (), "config error at $.t_max: "),
+    (dict(_HOPF, rel_tol=2), (), "config error at $.rel_tol: "),
+    (dict(_HOPF, abs_tol=2), (), "config error at $.abs_tol: "),
+    (dict(_HOPF, params={}), (), "config error at $.params.lambda: "),
+    (dict(_HOPF, t_max=5e-324), (), "config error at $.t_max: "),
+    (dict(_HOPF, t_max=10), ("--t-max", "-1"), "config error at $.t_max: "),
+    (None, ("--geometry", "torus", "--t-max", "-1"), "--t-max: "),
+    (None, ("--geometry", "hopf"), "--lambda: "),
+    (None, ("--geometry", "torus", "--engine", "bogus"), "--engine: "),
+], ids=["t_max", "rel_tol", "abs_tol", "params-lambda", "default-stride", "flag-over-config",
+        "flag-t-max", "flag-lambda", "flag-engine"])
+def test_run_rejection_names_the_field(tmp_path, capsys, doc, flags, error):
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        flags = ("--config", str(tmp_path / "cfg.json"), *flags)
+    assert run_cli("run", *flags, "--out", str(tmp_path / "o")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "o").exists()
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"error: {error}")
+
+
+def test_run_flags_override_the_config(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", geometry="torus", params={}, sample_stride=1.0)
+    out = tmp_path / "o"
+    assert run_cli("run", "--config", str(cfg), "--t-max", "5", "--x0", "7",
+                   "--out", str(out)) == 2  # immortal, too short to classify
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert rows[1].split(",")[:2] == ["0", "7"] and rows[-1].split(",")[0] == "5"
+
+
+@pytest.mark.parametrize("stride, code, kind", [("999", 0, "point"), ("400", 2, "unclassified")])
+def test_run_coarse_stride_writes_its_artefacts(tmp_path, stride, code, kind):
+    # 3 or 4 samples: the classifier's window holds 2 or 1 of them, a fit needs 2
+    out = tmp_path / "o"
+    assert run_cli("run", "--geometry", "hyperelliptic", "--z0-re", "0.3", "--t-max", "1000",
+                   "--sample-stride", stride, "--out", str(out)) == code
+    report = json.loads((out / "analysis.json").read_text())
+    assert report["classification"]["kind"] == kind
+    assert set(report["growth_rates"]) == {"x", "y"}
+    if kind == "unclassified":
+        assert report["classification"]["evidence"] == {
+            "reason": "a line fit needs at least two samples in its window, got 1"}
+    assert sorted(p.name for p in out.iterdir()) == [
+        "analysis.json", "outcome.json", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("geometry, code, klass", [
+    ("torus", 0, "immortal"), ("kodaira-primary", 3, "integrator-failure"),
+    ("hyperelliptic", 3, "integrator-failure")])
+def test_run_huge_positive_metric_is_not_degenerate(tmp_path, capsys, geometry, code, klass):
+    # x * y overflows; the metric is positive all the same
+    assert run_cli("run", "--geometry", geometry, "--x0", "1e200", "--y0", "1e200",
+                   "--t-max", "1000", "--out", str(tmp_path / "o")) == code
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["outcome"] == klass and captured.err == ""
+    assert json.loads((tmp_path / "o" / "outcome.json").read_text())["class"] == klass
+
+
 def test_run_without_config_or_geometry_exits_1(tmp_path, capsys):
     assert run_cli("run", "--out", str(tmp_path / "o")) == 1
-    assert capsys.readouterr().err == (
-        "error: config error at $: either --config or --geometry is required\n")
+    assert capsys.readouterr().err == "error: either --config or --geometry is required\n"
 
 
 def test_run_degenerate_input_exits_1(tmp_path, capsys):
@@ -770,7 +851,29 @@ _WILD = st.sampled_from([0, -0.0, -1, 1.5, 5e-324, 1e-321, 1e-300, 1e160, 1e200,
 _PARAM = st.one_of(st.floats(-2, 2), st.sampled_from([1, -1]))
 _SIDE = st.floats(0.5, 5)
 _Z = st.one_of(st.floats(-0.3, 0.3), st.sampled_from([0.0, -0.0]))
+_G0 = st.fixed_dictionaries({"x": _SIDE, "y": _SIDE, "z_re": _Z, "z_im": _Z})
+
+
+@st.composite
+def _g0s(draw):
+    """Initial metrics; one in five is degenerate: x <= 0, or |z|^2 >= x y up to
+    rounding."""
+    g0 = draw(_G0)
+    degenerate = draw(st.sampled_from([None, None, None, "x", "z"]))
+    if degenerate == "x":
+        g0["x"] = draw(st.sampled_from([0.0, -0.0, -1.0]))
+    elif degenerate == "z":
+        g0["z_re"] = draw(st.floats(1, 3)) * math.sqrt(g0["x"] * g0["y"])
+    return g0
+
+
 _T_MAX = st.one_of(st.floats(0, 20), st.sampled_from([0, 5e-324, 1e-321, 5, 10]))
+# one in three runs is long, to the t >= 100 of growth rates or the t >= 500 of the
+# classifier, with three samples or fewer past t = 0
+_LONG = st.sampled_from([None] * 6 + [100.0, 600.0, 1000.0]).flatmap(
+    lambda t: st.just({}) if t is None else st.fixed_dictionaries(
+        {"t_max": st.just(t), "engine": st.just("closed-form"),
+         "sample_stride": st.sampled_from([t / 3, t - 1])}))
 _OPTIONS = {
     "rel_tol": st.sampled_from([1e-9, 1e-6, 0.5]),
     "abs_tol": st.sampled_from([1e-12, 1e-30, 0.5]),
@@ -792,13 +895,13 @@ def _param_names(geometry) -> list[str]:
 
 
 @st.composite
-def _config_docs(draw):
+def _config_docs(draw, geometry=None):
     """Mostly well-formed run configs, each with at most one field spoiled."""
-    geometry = draw(st.sampled_from(list(Geometry)))
+    geometry = geometry or draw(st.sampled_from(list(Geometry)))
     doc = {"schema_version": 1, "geometry": geometry.value,
            "params": {name: draw(_PARAM) for name in _param_names(geometry)},
-           "g0": {"x": draw(_SIDE), "y": draw(_SIDE), "z_re": draw(_Z), "z_im": draw(_Z)},
-           "t_max": draw(_T_MAX), **draw(st.fixed_dictionaries({}, optional=_OPTIONS))}
+           "g0": draw(_g0s()), "t_max": draw(_T_MAX),
+           **draw(st.fixed_dictionaries({}, optional=_OPTIONS)), **draw(_LONG)}
     spoil = draw(_SPOIL)
     if spoil is not None:
         cli._apply_override(doc, *spoil)
@@ -811,30 +914,33 @@ _FLAGS = {
     "--sample-stride": st.sampled_from(["0.5", "0.05"]),
     "--rel-tol": st.sampled_from(["1e-6", "0.5"]),
     "--degeneracy-threshold": st.sampled_from(["1e-10", "1e-60"]),
-    "--x0": _SIDE.map(repr),
-    "--y0": _SIDE.map(repr),
-    "--z0-re": _Z.map(repr),
 }
 _FLAG_SPOIL = st.one_of(st.none(), st.none(), st.tuples(
     st.sampled_from([*_FLAGS, "--geometry", "--lambda", "--a", "--epsilon", "--t-max",
-                     "--bogus"]),
+                     "--x0", "--y0", "--z0-re", "--bogus"]),
     st.sampled_from(["0", "-1", "1.5", "1e200", "5e-324", "1e-321", "nan", "inf", "-inf",
                      "abc", "", "klein-bottle"])))
+_FLAG_OF = {path: flag for flag, (path, _) in cli.RUN_FLAGS.items()}
 
 
 @st.composite
 def _flag_vectors(draw):
-    """`run` flags for a geometry, its parameters, a bounded t_max and some options,
-    with at most one flag spoiled."""
+    """`run` flags for a geometry, its parameters, an initial metric, a t_max and
+    some options, with at most one flag spoiled; one in three vectors is given
+    over a config document of the same geometry, which is returned with them."""
     geometry = draw(st.sampled_from(list(Geometry)))
-    flags = {"--geometry": geometry.value, "--t-max": repr(draw(_T_MAX)),
-             **{f"--{name}": repr(draw(_PARAM)) for name in _param_names(geometry)},
-             **draw(st.fixed_dictionaries({}, optional=_FLAGS))}
+    flags = {"--geometry": geometry.value, "--t-max": draw(_T_MAX),
+             **{f"--{name}": draw(_PARAM) for name in _param_names(geometry)},
+             **{_FLAG_OF[f"g0.{k}"]: v for k, v in draw(_g0s()).items()},
+             **draw(st.fixed_dictionaries({}, optional=_FLAGS)),
+             **{_FLAG_OF[path]: v for path, v in draw(_LONG).items()}}
     spoil = draw(_FLAG_SPOIL)
     if spoil is not None:
         flag, value = spoil
         flags[flag] = value
-    return [f"{flag}={value}" for flag, value in flags.items()]
+    doc = draw(st.one_of(st.none(), st.none(), _config_docs(geometry)))
+    return doc, [f"{flag}={value if isinstance(value, str) else repr(value)}"
+                 for flag, value in flags.items()]
 
 
 def _main_captured(argv) -> tuple[int, str, str]:
@@ -878,8 +984,13 @@ def test_property_any_config_fails_closed(doc):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(_flag_vectors())
-def test_property_any_flags_fail_closed(argv):
-    _assert_run_fails_closed(argv)
+def test_property_any_flags_fail_closed(doc_and_argv):
+    doc, argv = doc_and_argv
+    with tempfile.TemporaryDirectory() as tmp:
+        if doc is not None:
+            (Path(tmp) / "cfg.json").write_text(json.dumps(doc))
+            argv = ["--config", str(Path(tmp) / "cfg.json"), *argv]
+        _assert_run_fails_closed(argv)
 
 
 _OVERRIDES = st.dictionaries(st.sampled_from(["t_max", "g0.y", "params.lambda", "g0.x.y"]),

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hcflow
 from hcflow import _core_py
 from hcflow import core
 from hcflow.catalog import GEOMETRY_IDS, pack_params, sample_metric, sample_params
@@ -38,6 +39,13 @@ def c_library(tmp_path_factory):
     if not lib.exists():
         pytest.fail(f"the C core did not build:\n{proc.stdout}\n{proc.stderr}")
     return str(lib)
+
+
+def test_setup_reads_the_package_version():
+    # pyproject.toml takes the version from hcflow.__version__, its one statement
+    proc = subprocess.run([sys.executable, "setup.py", "--version"], cwd=ROOT,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == f"{hcflow.__version__}\n"
 
 
 @pytest.fixture(scope="session")

@@ -315,9 +315,9 @@ def test_config_validation():
     with pytest.raises(ValueError, match="cap"):
         FlowConfig(params=params, g0=g0, t_max=MAX_SAMPLES + 1.0, sample_stride=1.0)
     FlowConfig(params=params, g0=g0, t_max=float(MAX_SAMPLES), sample_stride=1.0)
-    with pytest.raises(ValueError, match="z0_im must be finite"):
+    with pytest.raises(ValueError, match=r"^g0\.z_im: must be finite"):
         FlowConfig(params=params, g0=HermitianMetric(1, 1, complex(0, float("inf"))), t_max=1.0)
-    with pytest.raises(ValueError, match="b must be finite"):
+    with pytest.raises(ValueError, match=r"^params\.b: must be finite"):
         FlowConfig(params=GeometryParams(Geometry.INOUE_S0, a=1.0, b=float("nan")), g0=g0,
                    t_max=1.0)
 
