@@ -2,12 +2,21 @@
 decay bounds, and the finite-time surrogate of the Gromov-Hausdorff
 classification.
 
-The classifier fits the normalized components x/(1+t), y/(1+t), |z|/(1+t)
-over the final window of the run.  A component survives when its tail
-exponent (the slope of log n over log(1+t)) exceeds DECAY_EXPONENT, unless its
-window mean is below ZERO_LEVEL, where roundoff has no slope.  Survivors fit
-exponents near 0 and the slowest decay, Kodaira x, goes like t^(-3/5); unlike a
-level threshold, this does not depend on the scale of the initial metric.
+Every asymptotic number is read from the run's own rate columns at its end,
+by one estimator.  Let t1 be the last row and t0 the last row with
+t <= t1/2.  K is homogeneous of degree 0, so the rate v' of a component
+that grows linearly tends to its slope, as v' = a + b/t; the estimator's
+rate is the Richardson step a = (t1 v'(t1) - t0 v'(t0)) / (t1 - t0), and its
+tail exponent, the slope of log(v/(1+t)) over log(1+t), is
+(1+t1) v'(t1)/v(t1) - 1.  For |z|, v' = u'/(2|z|).
+
+The classifier's level of x, y and |z| is that rate, the limit of v/(1+t).
+A component survives when its tail exponent exceeds DECAY_EXPONENT, unless
+its rate is below ZERO_LEVEL, where roundoff has no slope.  Survivors have
+exponents near 0 and the slowest decay, Kodaira x, goes like t^(-3/5);
+unlike a level threshold, this does not depend on the scale of the initial
+metric.  An extinct run's collapse time is extrapolated the same way: x and
+y vanish linearly at the singular time, so T = t - x/x' at the last row.
 
 Which limits a geometry can have, the sign conditions and explicit bounds its
 flow obeys, and whether its un-rescaled flow converges are read from its
@@ -29,16 +38,12 @@ from .metric import HermitianMetric
 LIMIT_FLAT_KAEHLER = "flat-kaehler-metric"
 LIMIT_UNCLASSIFIED = "unclassified"
 
-#: Tail fraction of the run over which normalized components are averaged.
-DEFAULT_WINDOW = 0.10
-#: Normalized components with a window mean below this are zero (roundoff).
+#: Components whose rate is below this are zero (roundoff).
 ZERO_LEVEL = 1e-9
 #: A component survives when its tail exponent is above this.
 DECAY_EXPONENT = -0.3
 #: Immortal runs shorter than this cannot be classified.
 MIN_CLASSIFIABLE_T = 500.0
-#: Tail fraction of the run over which growth rates are fitted.
-GROWTH_WINDOW = 0.5
 #: Relative allowance of the decay bound on u.
 DECAY_SLACK = 1e-6
 
@@ -76,43 +81,46 @@ class LimitDescriptor:
         return out
 
 
-def _line_fit(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope and intercept of v against t; a fit needs at least
-    two samples in its window."""
-    if len(t) < 2:
-        raise TrajectoryTooShortError(
-            f"a line fit needs at least two samples in its window, got {len(t)}")
-    design = np.column_stack([t, np.ones_like(t)])
-    (slope, intercept), *_ = np.linalg.lstsq(design, v, rcond=None)
-    return slope, intercept
+def _tail(traj: Trajectory) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray]:
+    """(t0, t1, rate, step, exponent) of x, y and |z| at the end of a run with
+    t1 > 0 (see the module docstring); ``step`` is rate - v'(t1), the size of
+    the Richardson step.  The rates are NaN where a state from t0 on is not
+    finite."""
+    t = traj.t
+    rows = [int(np.searchsorted(t, 0.5 * t[-1], side="right")) - 1, -1]
+    t0, t1 = t[rows]
+    with np.errstate(all="ignore"):
+        z = np.hypot(traj.z_re[rows], traj.z_im[rows])
+        zdot = np.where(z > 0, traj.udot[rows] / (2.0 * z), 0.0)
+        vdot0, vdot1 = np.array([traj.xdot[rows], traj.ydot[rows], zdot]).T
+        rate = (t1 * vdot1 - t0 * vdot0) / (t1 - t0)
+        exponent = (1.0 + t1) * vdot1 / np.array([traj.x[-1], traj.y[-1], z[1]]) - 1.0
+    if not all(np.isfinite(v[rows[0]:]).all() for v in (traj.x, traj.y, traj.z_re, traj.z_im)):
+        rate = np.full(3, np.nan)
+    return float(t0), float(t1), rate, rate - vdot1, exponent
 
 
 def linear_growth_rate(traj: Trajectory, component: str) -> tuple[float, float]:
-    """Least-squares slope of x or y over the final window, with max relative
-    deviation of the data from the affine fit."""
+    """Asymptotic slope of x or y (the classifier's level), with the size of
+    its Richardson step, |slope - v'(t1)|, a measure of the 1/t correction."""
     if component not in ("x", "y"):
         raise ValueError("component must be 'x' or 'y'")
     if len(traj) == 0 or traj.t[-1] < 100.0:
         raise TrajectoryTooShortError(
-            f"growth-rate fit needs a run to t >= 100, got t_end="
+            f"growth-rate estimate needs a run to t >= 100, got t_end="
             f"{traj.t[-1] if len(traj) else 0.0}")
-    v = traj.x if component == "x" else traj.y
-    t = traj.t
-    sel = t >= (1.0 - GROWTH_WINDOW) * t[-1]
-    tt, vv = t[sel], v[sel]
-    slope, intercept = _line_fit(tt, vv)
-    fit = slope * tt + intercept
-    scale = max(1.0, float(np.max(np.abs(fit))))
-    residual = float(np.max(np.abs(vv - fit)) / scale)
-    return float(slope), residual
+    _, _, rate, step, _ = _tail(traj)
+    i = ("x", "y").index(component)
+    return float(rate[i]), float(abs(step[i]))
 
 
 def verify_decay_bound(traj: Trajectory) -> dict:
     """Check u(t) <= u(0) * exp(-2 t / y(0)) * (1 + DECAY_SLACK) at every sample.
 
-    Returns a report with the measured tail decay exponent and the limiting
-    diagonal metric; raises DecayBoundViolation when the bound fails.
-    Intended for hyperelliptic runs, where the bound is a theorem.
+    Returns a report with the measured tail decay exponent, u'/u at the last
+    sample where u > 1e-280, and the limiting diagonal metric; raises
+    DecayBoundViolation when the bound fails.  Intended for hyperelliptic
+    runs, where the bound is a theorem.
     """
     if len(traj) == 0:
         raise TrajectoryTooShortError("empty trajectory")
@@ -125,21 +133,15 @@ def verify_decay_bound(traj: Trajectory) -> dict:
         raise DecayBoundViolation(
             f"u({traj.t[i]:g}) = {u[i]:.6e} exceeds bound {bound[i]:.6e}")
 
-    exponent = None
-    if u0 > 0:
-        # log-linear fit over the later half of the samples above the floor
-        # of float64 (u is emitted as 0 once it leaves the normal range)
-        above = np.nonzero(u > 1e-280)[0]
-        sel = above[len(above) // 2:]
-        if sel.size >= 4:
-            exponent = float(_line_fit(traj.t[sel], np.log(u[sel]))[0])
+    # u is emitted as 0 once it leaves float64's normal range
+    above = np.nonzero(u > 1e-280)[0]
     gf = traj.final_metric()
     return {
         "passed": True,
         "u0": u0,
         "y0": y0,
         "bound_exponent": -2.0 / y0,
-        "measured_exponent": exponent,
+        "measured_exponent": float(traj.udot[above[-1]] / u[above[-1]]) if above.size else None,
         "x_inf": gf.x,
         "y_inf": gf.y,
         "z_inf_abs": abs(gf.z),
@@ -152,16 +154,20 @@ def classify_gh_limit(geometry: Geometry, traj: Trajectory,
 
     Decision rule on the components that survive (see module docstring):
     none is a point; x or y alone on a geometry whose expected limit is a
-    circle is a circle of length sqrt(L), L its window mean; x alone on one
-    whose expected limit is a Kaehler-Einstein curve is the rescaled base
-    curve.  A non-finite level or exponent is unclassified.  Extinct runs are
-    labeled by their collapse time.  Raises TrajectoryTooShortError for an
-    immortal run shorter than MIN_CLASSIFIABLE_T, or whose window holds one
-    sample where an exponent needs a fit.
+    circle is a circle of length sqrt(L), L its rate; x alone on one whose
+    expected limit is a Kaehler-Einstein curve is the rescaled base curve.
+    A non-finite rate or exponent is unclassified.  Extinct runs are labeled
+    by their extrapolated collapse time, with |x/x' - y/y'| at the last row
+    as its error estimate.  Raises TrajectoryTooShortError for an immortal
+    run shorter than MIN_CLASSIFIABLE_T.
     """
     if outcome.outcome_class == OUTCOME_EXTINCT:
-        return LimitDescriptor(kind=LIMIT_COLLAPSE, collapse_time=outcome.t_est,
-                               evidence={"monitor_final": traj.monitor_final})
+        with np.errstate(all="ignore"):
+            x_left, y_left = traj.x[-1] / traj.xdot[-1], traj.y[-1] / traj.ydot[-1]
+            error = abs(x_left - y_left)
+        return LimitDescriptor(kind=LIMIT_COLLAPSE, collapse_time=float(traj.t[-1] - x_left),
+                               evidence={"monitor_final": traj.monitor_final,
+                                         "collapse_time_error": float(error)})
     if outcome.outcome_class != OUTCOME_IMMORTAL:
         return LimitDescriptor(kind=LIMIT_UNCLASSIFIED,
                                evidence={"reason": outcome.outcome_class})
@@ -170,21 +176,18 @@ def classify_gh_limit(geometry: Geometry, traj: Trajectory,
             f"classification needs t_max >= {MIN_CLASSIFIABLE_T:g}, got "
             f"{traj.t[-1] if len(traj) else 0.0:g}")
 
-    t = traj.t
-    sel = t >= (1.0 - DEFAULT_WINDOW) * t[-1]
-    info = {"window_t_start": float(t[sel][0]), "window_t_end": float(t[-1]),
-            "window_samples": int(sel.sum())}
+    t0, t1, rates, _, exponents = _tail(traj)
+    info = {"t0": t0, "t1": t1}
     survivors = set()
-    for name, n in zip(("x", "y", "z_abs"), traj.normalized):
-        level = info[f"n_{name}"] = float(np.mean(n[sel]))
-        exponent = info[f"exponent_{name}"] = None if level < ZERO_LEVEL else float(
-            _line_fit(np.log1p(t[sel]), np.log(n[sel]))[0])
+    for name, rate, exponent in zip(("x", "y", "z_abs"), rates.tolist(), exponents.tolist()):
+        info[f"rate_{name}"] = rate
+        exponent = info[f"exponent_{name}"] = None if rate < ZERO_LEVEL else exponent
         if exponent is not None and exponent > DECAY_EXPONENT:
             survivors.add(name)
     if not all(math.isfinite(v) for v in info.values() if v is not None):
         return LimitDescriptor(kind=LIMIT_UNCLASSIFIED, evidence=info)
 
-    n_x, n_y = info["n_x"], info["n_y"]
+    rate_x, rate_y = info["rate_x"], info["rate_y"]
     desc = entry(geometry)
     if not survivors:
         if desc.converges_unrescaled:  # report both facts
@@ -192,14 +195,14 @@ def classify_gh_limit(geometry: Geometry, traj: Trajectory,
         return LimitDescriptor(kind=LIMIT_POINT, evidence=info)
     if desc.expected_limit == LIMIT_CIRCLE:
         if survivors == {"x"}:
-            return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(n_x),
-                                   normalized_limit=(n_x, 0.0), evidence=info)
+            return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(rate_x),
+                                   normalized_limit=(rate_x, 0.0), evidence=info)
         if survivors == {"y"}:
-            return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(n_y),
-                                   normalized_limit=(0.0, n_y), evidence=info)
+            return LimitDescriptor(kind=LIMIT_CIRCLE, circle_length=math.sqrt(rate_y),
+                                   normalized_limit=(0.0, rate_y), evidence=info)
     if desc.expected_limit == LIMIT_KE_CURVE and survivors == {"x"}:
         return LimitDescriptor(kind=LIMIT_KE_CURVE,
-                               normalized_limit=(n_x, 0.0), evidence=info)
+                               normalized_limit=(rate_x, 0.0), evidence=info)
     return LimitDescriptor(kind=LIMIT_UNCLASSIFIED, evidence=info)
 
 
@@ -223,14 +226,13 @@ _SIGN_EXCESS = {"== 0": np.abs, "<= 0": np.positive, ">= 0": np.negative}
 
 def _cond_max(name: str, values: np.ndarray, slack: float) -> dict:
     """values must be finite and <= slack * scale; reports the worst margin
-    (None where it or the allowance is not finite)."""
+    and the allowance (which may be non-finite)."""
     scale = 1.0 + float(np.max(np.abs(values))) if values.size else 1.0
     worst = float(np.max(values)) if values.size else 0.0
     allowed = slack * scale
     finite = bool(np.isfinite(values).all()) and math.isfinite(allowed)
     return {"condition": name, "passed": finite and worst <= allowed,
-            "worst": worst if math.isfinite(worst) else None,
-            "allowed": allowed if math.isfinite(allowed) else None}
+            "worst": worst, "allowed": allowed}
 
 
 def monotonicity_report(geometry: Geometry, traj: Trajectory, rel_tol: float) -> dict:

@@ -168,7 +168,12 @@ def _cannot_write(out: str, exc: OSError) -> int:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Strict JSON text of obj; every JSON artefact and printed document is
+    written here, and a non-finite float is written as null."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:  # a NaN or infinity somewhere in obj
+        return _dump_json(json.loads(json.dumps(obj), parse_constant=lambda _: None))
 
 
 def _plot_data_csv(traj: Trajectory) -> str:

@@ -1,7 +1,9 @@
 """Assembly of the per-run analysis report emitted as analysis.json.
 
 Every geometry-specific part (expected labels, references, the decay bound,
-the monotonicity checks) comes from the run's ``hcflow.catalog`` entry.
+the monotonicity checks) comes from the run's ``hcflow.catalog`` entry.  The
+growth rates and the classification's levels are one number, read by
+``hcflow.analysis`` from the run's rate columns at its end.
 """
 from __future__ import annotations
 
@@ -16,10 +18,12 @@ from .integrate import FlowConfig, FlowOutcome, Trajectory
 
 
 def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) -> dict:
-    """Slopes, decay checks, invariant checks and the limit classification.
+    """Growth rates, decay checks, invariant checks and the limit classification.
 
-    ``clean`` is true when the limit is classified and every monotonicity
-    check passes.
+    ``growth_rates`` (runs to t >= 100) gives each of x and y its ``slope``,
+    bit for bit the classification's ``rate_x`` / ``rate_y``, and the
+    ``correction`` that the estimator's Richardson step removed.  ``clean``
+    is true when the limit is classified and every monotonicity check passes.
     """
     geometry = config.params.geometry
     params = config.params
@@ -38,12 +42,12 @@ def analysis_report(config: FlowConfig, traj: Trajectory, outcome: FlowOutcome) 
     except TrajectoryTooShortError as exc:
         report["classification"] = {"kind": LIMIT_UNCLASSIFIED, "evidence": {"reason": str(exc)}}
 
-    fits = {}
+    rates = {}
     if outcome.outcome_class == OUTCOME_IMMORTAL:
-        with contextlib.suppress(TrajectoryTooShortError):  # t_end < 100, or too few samples
-            fits = {component: linear_growth_rate(traj, component) for component in ("x", "y")}
-    report["growth_rates"] = {component: {"slope": slope, "residual": residual}
-                              for component, (slope, residual) in fits.items()}
+        with contextlib.suppress(TrajectoryTooShortError):  # t_end < 100
+            rates = {component: linear_growth_rate(traj, component) for component in ("x", "y")}
+    report["growth_rates"] = {component: {"slope": slope, "correction": correction}
+                              for component, (slope, correction) in rates.items()}
 
     kind = report["classification"]["kind"]
     if kind == LIMIT_CIRCLE:

@@ -6,7 +6,7 @@ from hcflow.analysis import (DecayBoundViolation, LIMIT_FLAT_KAEHLER,
                              linear_growth_rate, monotonicity_report, udot_consistency,
                              unnormalized_limit, verify_decay_bound)
 from hcflow.catalog import (LIMIT_CIRCLE, LIMIT_COLLAPSE, LIMIT_KE_CURVE, LIMIT_POINT,
-                            entry)
+                            entry, sample_metric, sample_params)
 from hcflow.analysis import LIMIT_UNCLASSIFIED
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (FlowConfig, FlowOutcome, OUTCOME_EXTINCT,
@@ -15,13 +15,18 @@ from hcflow.metric import HermitianMetric
 from hcflow.report import analysis_report
 
 
-def synthetic_trajectory(t, x, y, z_re=None, z_im=None):
+def synthetic_trajectory(t, x, y, z_re=None, z_im=None, xdot=None, ydot=None,
+                         zre_dot=None, zim_dot=None):
+    """Trajectory of the given columns and their analytic rates; a column or
+    rate not given is 0."""
     zero = np.zeros_like(t)
-    return Trajectory(t=t, x=x, y=y,
-                      z_re=zero if z_re is None else z_re,
-                      z_im=zero if z_im is None else z_im,
-                      xdot=zero, ydot=zero, zre_dot=zero, zim_dot=zero,
-                      stop_reason=OUTCOME_IMMORTAL, t_est=None,
+
+    def col(v):  # a scalar rate fills its column
+        return zero if v is None else v + zero
+
+    return Trajectory(t=t, x=x, y=y, z_re=col(z_re), z_im=col(z_im),
+                      xdot=col(xdot), ydot=col(ydot), zre_dot=col(zre_dot),
+                      zim_dot=col(zim_dot), stop_reason=OUTCOME_IMMORTAL, t_est=None,
                       monitor_final=1.0)
 
 
@@ -35,10 +40,17 @@ def immortal_outcome():
 
 def test_linear_growth_rate_recovers_slope():
     t = np.linspace(0, 500, 1001)
-    traj = synthetic_trajectory(t, x=2.0 * t + 3.0, y=np.ones_like(t))
-    slope, residual = linear_growth_rate(traj, "x")
+    traj = synthetic_trajectory(t, x=2.0 * t + 3.0, y=np.ones_like(t), xdot=2.0)
+    slope, correction = linear_growth_rate(traj, "x")
     assert slope == pytest.approx(2.0, rel=1e-12)
-    assert residual <= 1e-12
+    assert correction <= 1e-12
+    # x' = 2 + 3/t: the Richardson step removes the 1/t term, and its size is 3/500
+    t = np.linspace(1, 500, 1000)
+    traj = synthetic_trajectory(t, x=2.0 * t + 3.0 * np.log(t), y=np.ones_like(t),
+                                xdot=2.0 + 3.0 / t)
+    slope, correction = linear_growth_rate(traj, "x")
+    assert slope == pytest.approx(2.0, rel=1e-12)
+    assert correction == pytest.approx(3.0 / 500, rel=1e-9)
 
 
 def test_linear_growth_rate_requires_long_run():
@@ -99,12 +111,15 @@ def test_decay_bound_at_default_tolerance_to_t1000():
 
 def test_classifier_point():
     t = np.linspace(0, 1000, 2001)
-    traj = synthetic_trajectory(t, x=np.sqrt(1 + t), y=1 / (1 + t) + 1.0)
+    rates = {"xdot": 0.5 / np.sqrt(1 + t), "ydot": -1 / (1 + t) ** 2}
+    traj = synthetic_trajectory(t, x=np.sqrt(1 + t), y=1 / (1 + t) + 1.0, **rates)
     desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, immortal_outcome())
     assert desc.kind == LIMIT_POINT
+    assert desc.evidence["exponent_x"] == pytest.approx(-0.5, abs=1e-12)
     # a roundoff-level |z| growing like (1+t)^0.5 after rescaling is still zero
     traj = synthetic_trajectory(t, x=np.sqrt(1 + t), y=1 / (1 + t) + 1.0,
-                                z_re=1e-16 * (1 + t) ** 1.5)
+                                z_re=1e-16 * (1 + t) ** 1.5,
+                                zre_dot=1.5e-16 * (1 + t) ** 0.5, **rates)
     desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, immortal_outcome())
     assert desc.kind == LIMIT_POINT
     assert desc.evidence["exponent_z_abs"] is None
@@ -112,19 +127,19 @@ def test_classifier_point():
 
 def test_classifier_circle_on_y():
     t = np.linspace(0, 1000, 2001)
-    traj = synthetic_trajectory(t, x=np.ones_like(t), y=8.0 * t + 1.0)
+    traj = synthetic_trajectory(t, x=np.ones_like(t), y=8.0 * t + 1.0, ydot=8.0)
     desc = classify_gh_limit(Geometry.INOUE_S0, traj, immortal_outcome())
     assert desc.kind == LIMIT_CIRCLE
     assert desc.circle_length == pytest.approx(2 * np.sqrt(2), rel=2e-3)
     ev = desc.evidence
     assert "theta" not in ev and ev["exponent_z_abs"] is None
-    assert ev["exponent_x"] == pytest.approx(-1.0, abs=1e-3)
+    assert ev["rate_x"] == 0.0 and ev["exponent_x"] is None  # a constant x has rate 0
     assert abs(ev["exponent_y"]) < 1e-3
 
 
 def test_classifier_circle_on_x():
     t = np.linspace(0, 1000, 2001)
-    traj = synthetic_trajectory(t, x=3.0 * t + 1.0, y=np.ones_like(t))
+    traj = synthetic_trajectory(t, x=3.0 * t + 1.0, y=np.ones_like(t), xdot=3.0)
     desc = classify_gh_limit(Geometry.INOUE_SPM_J1, traj, immortal_outcome())
     assert desc.kind == LIMIT_CIRCLE
     assert desc.circle_length == pytest.approx(np.sqrt(3), rel=2e-3)
@@ -132,7 +147,7 @@ def test_classifier_circle_on_x():
 
 def test_classifier_ke_curve():
     t = np.linspace(0, 1000, 2001)
-    traj = synthetic_trajectory(t, x=2.0 * t + 1.0, y=np.ones_like(t))
+    traj = synthetic_trajectory(t, x=2.0 * t + 1.0, y=np.ones_like(t), xdot=2.0)
     desc = classify_gh_limit(Geometry.PROPERLY_ELLIPTIC, traj, immortal_outcome())
     assert desc.kind == LIMIT_KE_CURVE
     assert desc.normalized_limit[0] == pytest.approx(2.0, rel=2e-3)
@@ -142,13 +157,13 @@ def test_classifier_ke_curve():
 def test_classifier_growth_on_nongrowing_geometry_is_unclassified():
     # linear growth on a geometry with no circle/curve interpretation
     t = np.linspace(0, 1000, 2001)
-    traj = synthetic_trajectory(t, x=3.0 * t + 1.0, y=np.ones_like(t))
+    traj = synthetic_trajectory(t, x=3.0 * t + 1.0, y=np.ones_like(t), xdot=3.0)
     desc = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, immortal_outcome())
     assert desc.kind == LIMIT_UNCLASSIFIED
     # a NaN in the tail of a decaying x is never a clean point
     x = np.sqrt(1 + t)
     x[-5] = np.nan
-    traj = synthetic_trajectory(t, x=x, y=np.ones_like(t))
+    traj = synthetic_trajectory(t, x=x, y=np.ones_like(t), xdot=0.5 / np.sqrt(1 + t))
     params = GeometryParams(Geometry.KODAIRA_PRIMARY)
     assert classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj,
                              immortal_outcome()).kind == LIMIT_UNCLASSIFIED
@@ -174,12 +189,102 @@ def test_classifier_ignores_initial_scale(scale):
 
 
 def test_classifier_finite_time_collapse():
+    # the run stops at 2.25; x and y, extrapolated from the last row, vanish at 2.26
     t = np.linspace(0, 2.25, 100)
-    traj = synthetic_trajectory(t, x=1 - t / 2.26, y=1 - t / 2.26)
+    traj = synthetic_trajectory(t, x=1 - t / 2.26, y=1 - t / 2.26,
+                                xdot=-1 / 2.26, ydot=-1 / 2.26)
     outcome = FlowOutcome(OUTCOME_EXTINCT, 2.25, None, "collapsed")
     desc = classify_gh_limit(Geometry.HOPF, traj, outcome)
     assert desc.kind == LIMIT_COLLAPSE
-    assert desc.collapse_time == 2.25
+    assert desc.collapse_time == pytest.approx(2.26, rel=1e-12)
+    assert desc.evidence["collapse_time_error"] == 0.0
+
+
+@pytest.mark.parametrize("geometry, params_kwargs", [
+    (Geometry.INOUE_S0, {"a": 0.7, "b": 0.4}), (Geometry.INOUE_SPM_J1, {}),
+    (Geometry.INOUE_SP_J2, {}), (Geometry.PROPERLY_ELLIPTIC, {"lam": 0.5})],
+                         ids=["inoue-s0", "inoue-spm-j1", "inoue-sp-j2", "properly-elliptic"])
+def test_limit_matches_the_catalog_at_t1000(geometry, params_kwargs):
+    # measured relative errors: 5.6e-16, 0, 2.2e-7 and 2.3e-6 (a window mean
+    # of x/(1+t) over the last 10% of the run was off by 8e-4 to 2.7e-3)
+    params = GeometryParams(geometry, **params_kwargs)
+    config = FlowConfig(params=params, g0=HermitianMetric(1.2, 0.9, 0.2 + 0.1j), t_max=1000.0)
+    traj, outcome = integrate(config)
+    desc = classify_gh_limit(geometry, traj, outcome)
+    ref = entry(geometry)
+    assert desc.kind == ref.expected_limit
+    if desc.kind == LIMIT_CIRCLE:
+        assert desc.circle_length == pytest.approx(ref.expected_circle_length(params), rel=1e-5)
+    else:
+        expected = ref.expected_normalized_limit(params)
+        assert desc.normalized_limit[0] == pytest.approx(expected[0], rel=1e-5)
+        assert desc.normalized_limit[1] == expected[1]
+    report = analysis_report(config, traj, outcome)
+    for component in ("x", "y"):  # one estimator: the same bits in both places
+        assert (report["growth_rates"][component]["slope"]
+                == report["classification"]["evidence"][f"rate_{component}"])
+
+
+@pytest.mark.parametrize("geometry", [g for g in Geometry
+                                      if entry(g).expected_outcome == OUTCOME_IMMORTAL],
+                         ids=lambda g: g.value)
+def test_classification_is_scale_invariant(geometry):
+    # K is homogeneous of degree 0, so c g(t/c) is a flow whenever g(t) is, and
+    # its rates are those of g; with t_max, abs_tol and the stride scaled by c
+    # the rates agreed to <= 1.2e-7 relative on these 64 scaled runs
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        params, g0 = sample_params(geometry, rng), sample_metric(rng)
+
+        def classify(c):
+            config = FlowConfig(params=params, g0=HermitianMetric(c * g0.x, c * g0.y, c * g0.z),
+                                t_max=2000.0 * c, abs_tol=1e-12 * c, sample_stride=2.0 * c)
+            return classify_gh_limit(geometry, *integrate(config))
+
+        ref = classify(1.0)
+        for c in (0.25, 4.0):
+            desc = classify(c)
+            assert desc.kind == ref.kind, (params, g0, c)
+            for name in ("rate_x", "rate_y", "rate_z_abs"):
+                if ref.evidence[name] > 1e-9:
+                    assert desc.evidence[name] == pytest.approx(ref.evidence[name], rel=1e-6)
+
+
+@pytest.mark.parametrize("lam, g0, singular_time", [(0.0, HermitianMetric(1, 1.5, 0), 2.25),
+                                                    (1.0, HermitianMetric(1, 3, 0), 4.5)],
+                         ids=["T=2.25", "T=4.5"])
+def test_collapse_time_on_exact_hopf_solutions(lam, g0, singular_time):
+    # x = x0 (1 - t/T): the monitor falls like (1 - t/T)^2 and crosses the
+    # default threshold 1e-10 at t = T (1 - 1e-5), where the run stops; the
+    # extrapolation t - x/x' from there missed T by 4.9e-15 and 4.7e-14
+    config = FlowConfig(params=GeometryParams(Geometry.HOPF, lam=lam), g0=g0, t_max=10.0)
+    traj, outcome = integrate(config)
+    desc = classify_gh_limit(Geometry.HOPF, traj, outcome)
+    assert desc.kind == LIMIT_COLLAPSE
+    assert desc.collapse_time == pytest.approx(singular_time, abs=1e-12)
+    assert desc.evidence["collapse_time_error"] <= 1e-12
+    assert outcome.t_est == pytest.approx(singular_time * (1 - 1e-5), rel=1e-9)
+
+
+def test_collapse_time_matches_a_tiny_threshold_crossing():
+    # the crossing of degeneracy_threshold 1e-28 misses T by ~3e-14; over 200
+    # such draws the extrapolation at the default threshold agreed with it to
+    # <= 8.5e-14 relative, where the default crossing was off by up to 1.9e-5
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        x0, y0 = rng.uniform(0.2, 5.0, size=2)
+        z0 = np.sqrt(rng.uniform(0.01, 0.9) * x0 * y0) * np.exp(2j * np.pi * rng.uniform())
+        params = GeometryParams(Geometry.HOPF, lam=rng.uniform(-3.0, 3.0))
+
+        def run(threshold):
+            config = FlowConfig(params=params, g0=HermitianMetric(x0, y0, z0), t_max=100.0,
+                                degeneracy_threshold=threshold)
+            return integrate(config)
+
+        _, reference = run(1e-28)
+        desc = classify_gh_limit(Geometry.HOPF, *run(1e-10))
+        assert reference.outcome_class == OUTCOME_EXTINCT
+        assert desc.collapse_time == pytest.approx(reference.t_est, rel=1e-12)
 
 
 def test_classifier_needs_long_tail():

@@ -23,6 +23,13 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN, Infinity and -Infinity, which are not JSON."""
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def write_config(path: Path, **overrides) -> Path:
     doc = {
         "schema_version": 1,
@@ -273,22 +280,22 @@ _G0_T1000 = ["--x0", "1", "--y0", "2", "--z0-re", "0.3", "--z0-im", "0.2", "--t-
 # analysis.json holds the entry's monotonicity checks and explicit bounds, and
 # the circle, Kaehler-Einstein and hyperelliptic ones their references
 PINNED_JSON = {
-    "torus": (["--geometry", "torus", *_G0_T1000], "6c99e71b2f1c3f5d", "961f59973cee1799"),
+    "torus": (["--geometry", "torus", *_G0_T1000], "6c99e71b2f1c3f5d", "71858a317cf446bc"),
     "hyperelliptic": (["--geometry", "hyperelliptic", *_G0_T1000],
-                      "3321970e560a45bd", "de9c5b50037310b9"),
-    "hopf": (PINNED_CSV["hopf-collapse"][0], "ba4cc0f5a38c229b", "cacdbc6d3f9046be"),
+                      "3321970e560a45bd", "f579a6ce9bbca1bd"),
+    "hopf": (PINNED_CSV["hopf-collapse"][0], "ba4cc0f5a38c229b", "5ec1d95b3724aa03"),
     "properly-elliptic": (["--geometry", "properly-elliptic", "--lambda", "0.5", *_G0_T1000],
-                          "01b2c693e9e1a8e8", "4591bbc1463cc8e5"),
+                          "01b2c693e9e1a8e8", "9eb538cd2e915ebe"),
     "kodaira-primary": (["--geometry", "kodaira-primary", *_G0_T1000],
-                        "53b69b38c0a8fdfa", "380d8cfc03744500"),
+                        "53b69b38c0a8fdfa", "dcfec8a6575f6c1e"),
     "kodaira-secondary": (["--geometry", "kodaira-secondary", "--epsilon", "-1", *_G0_T1000],
-                          "a1dfa7d02108d5e1", "1685138046b6e858"),
+                          "a1dfa7d02108d5e1", "3e6af98f1f8614d1"),
     "inoue-s0": (["--geometry", "inoue-s0", "--a", "-0.8", "--b", "0.5", *_G0_T1000],
-                 "9fb1f42d8dc0d200", "449db2f2b58a5ccd"),
+                 "9fb1f42d8dc0d200", "51e494e0d469da96"),
     "inoue-spm-j1": (["--geometry", "inoue-spm-j1", *_G0_T1000],
-                     "c914b34d1b84531c", "b4ebdbc16ec792bf"),
+                     "c914b34d1b84531c", "a157dbc0102e2418"),
     "inoue-sp-j2": (["--geometry", "inoue-sp-j2", *_G0_T1000],
-                    "e1f3d3f652ac8a54", "2d2f1cb09c2f08e6"),
+                    "e1f3d3f652ac8a54", "bb5d9f1ebd761db3"),
 }
 
 
@@ -793,18 +800,18 @@ def test_run_flags_override_the_config(tmp_path):
     assert rows[1].split(",")[:2] == ["0", "7"] and rows[-1].split(",")[0] == "5"
 
 
-@pytest.mark.parametrize("stride, code, kind", [("999", 0, "point"), ("400", 2, "unclassified")])
-def test_run_coarse_stride_writes_its_artefacts(tmp_path, stride, code, kind):
-    # 3 or 4 samples: the classifier's window holds 2 or 1 of them, a fit needs 2
+@pytest.mark.parametrize("stride, t0", [("999", 0.0), ("400", 400.0)],
+                         ids=["999-0-point", "400-0-point"])  # exit code and label
+def test_run_coarse_stride_writes_its_artefacts(tmp_path, stride, t0):
+    # 3 or 4 samples: the rates are read at the last row and the last row at or
+    # before t = 500, row 0 or 400
     out = tmp_path / "o"
     assert run_cli("run", "--geometry", "hyperelliptic", "--z0-re", "0.3", "--t-max", "1000",
-                   "--sample-stride", stride, "--out", str(out)) == code
+                   "--sample-stride", stride, "--out", str(out)) == 0
     report = json.loads((out / "analysis.json").read_text())
-    assert report["classification"]["kind"] == kind
+    assert report["classification"]["kind"] == "point"
+    assert report["classification"]["evidence"]["t0"] == t0
     assert set(report["growth_rates"]) == {"x", "y"}
-    if kind == "unclassified":
-        assert report["classification"]["evidence"] == {
-            "reason": "a line fit needs at least two samples in its window, got 1"}
     assert sorted(p.name for p in out.iterdir()) == [
         "analysis.json", "outcome.json", "trajectory.csv"]
 
@@ -819,6 +826,16 @@ def test_run_huge_positive_metric_is_not_degenerate(tmp_path, capsys, geometry, 
     captured = capsys.readouterr()
     assert json.loads(captured.out)["outcome"] == klass and captured.err == ""
     assert json.loads((tmp_path / "o" / "outcome.json").read_text())["class"] == klass
+
+
+def test_run_writes_non_finite_values_as_null(tmp_path, capsys):
+    # D = x y - |z|^2 of a 1e200 metric overflows to inf
+    assert run_cli("run", "--geometry", "torus", "--x0", "1e200", "--y0", "1e200",
+                   "--t-max", "1000", "--out", str(tmp_path / "o")) == 0
+    strict_json(capsys.readouterr().out)
+    outcome = strict_json((tmp_path / "o" / "outcome.json").read_text())
+    assert outcome["final_state"]["D"] is None and outcome["final_state"]["x"] == 1e200
+    strict_json((tmp_path / "o" / "analysis.json").read_text())
 
 
 def test_run_without_config_or_geometry_exits_1(tmp_path, capsys):
@@ -950,24 +967,31 @@ def _main_captured(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def _assert_fails_closed(argv, exit_codes, error_start="") -> None:
+def _assert_fails_closed(argv, exit_codes, error_start="") -> str:
     """``main(argv)`` exits with one of ``exit_codes``; an exception out of it fails
     the test as a traceback would.  Bad input (exit 1) prints one ``error:``
-    line, starting with ``error_start``."""
+    line, starting with ``error_start``.  Returns what it printed to stdout."""
     code, out, err = _main_captured(argv)
     assert code in exit_codes, (argv, code, err)
     assert "Traceback" not in err
     if code == 1:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith(error_start), (argv, err)
+    return out
 
 
 def _assert_run_fails_closed(argv, error_start="") -> None:
-    """`run` fails closed, and a trajectory it writes has at most MAX_SAMPLES
-    stride rows besides row 0 and the end point."""
+    """`run` fails closed, its summary and JSON artefacts are strict JSON, and a
+    trajectory it writes has at most MAX_SAMPLES stride rows besides row 0 and
+    the end point."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
-        _assert_fails_closed(["run", *argv, "--out", str(out)], (0, 1, 2, 3), error_start)
+        summary = _assert_fails_closed(["run", *argv, "--out", str(out)], (0, 1, 2, 3),
+                                       error_start)
+        if summary:
+            strict_json(summary)
+        for path in out.glob("*.json"):
+            strict_json(path.read_text())
         if (out / "trajectory.csv").exists():
             with open(out / "trajectory.csv") as f:
                 assert sum(1 for _ in f) <= 1 + MAX_SAMPLES + 2, argv  # the header too
@@ -1011,3 +1035,5 @@ def test_property_any_sweep_grid_fails_closed(grid):
         (Path(tmp) / "grid.json").write_text(json.dumps(grid))
         _assert_fails_closed(["sweep", "--config", str(cfg), "--grid", str(Path(tmp) / "grid.json"),
                               "--out", str(Path(tmp) / "sweep"), "--workers", "1"], (0, 1))
+        for path in Path(tmp, "sweep").rglob("*.json"):
+            strict_json(path.read_text())
