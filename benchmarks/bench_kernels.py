@@ -3,31 +3,39 @@
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times (a) raw closed-form tensor evaluations, which always run in Python,
-(b) the general contraction engine (``curvature_bundle``) and the catalog's
-closed form (``closed_form_K``) per metric, each called on one metric and on
-100 metric rows (as ``hcflow verify`` calls them), together with the cost of
-drawing the metrics (``sample_metric`` one at a time, ``sample_metrics`` 100
-per call) and of the engine's stacked matrix build (positivity check, the
-matrices A and their inverses, 100 per call), (c) the four structure-constant
-hygiene checks per parameter draw, one draw per call and 20 stacked draws per
-call (as ``verify_structure_constants`` calls them), (d) the CSV text of the
-two 1001-row tables of a t = 1000 run (``trajectory.csv``, 9 columns, and
+and, per ``KERNEL_POINTS`` entry, the log-polar kernel that the loop's rhs
+calls: the Python w- or polar kernel, and the C core's ``hcf_closed_phi`` in
+a C loop compiled from the package's source (needs ``cc``), so a C kernel
+that recomputes ``sin`` or ``cos`` shows, (b) the general contraction engine
+(``curvature_bundle``) and the catalog's closed form (``closed_form_K``) per
+metric, each called on one metric and on 100 metric rows (as ``hcflow
+verify`` calls them), together with the cost of drawing the metrics
+(``sample_metric`` one at a time, ``sample_metrics`` 100 per call) and of the
+engine's stacked matrix build (positivity check, the matrices A and their
+inverses, 100 per call), (c) the four structure-constant hygiene checks per
+parameter draw, one draw per call and 20 stacked draws per call (as
+``verify_structure_constants`` calls them), (d) the CSV text of the two
+1001-row tables of a t = 1000 run (``trajectory.csv``, 9 columns, and
 ``plot_data.csv``, 4), written by ``columns_csv`` and by a per-cell ``%.17g``
-reference, per cell, and (e) full flow runs,
-for two short collapsing runs (one from z0 = 0) and five long immortal runs,
-in each lane that is available.  Each flow line also gives the time per
-integrator step (accepted plus rejected; both lanes take the same steps) and
-per emitted sample (output row), which separate the loop's overhead from its
-step count and from its emission of stride samples.  The torus run takes 10
-steps for 1001 samples, so its time is nearly all emission.  On the
-kodaira-secondary and hyperelliptic runs z decays exponentially; the
-log-polar state takes 163 and 41 steps there, where a Cartesian z took 23,027
-and 485.  The compiled lane needs the
-C core built next to the package (``python setup.py build_ext --inplace``).
+reference, per cell, and (e) full flow runs, for two short collapsing runs
+(one from z0 = 0) and five long immortal runs, in each lane that is
+available.  Each flow line also gives the time per integrator step (accepted
+plus rejected; both lanes take the same steps) and per emitted sample (output
+row), which separate the loop's overhead from its step count and from its
+emission of stride samples.  The torus run takes 10 steps for 1001 samples,
+so its time is nearly all emission.  On the kodaira-secondary and
+hyperelliptic runs z decays exponentially; the log-polar state takes 163 and
+41 steps there, where a Cartesian z took 23,027 and 485.  The compiled lane
+needs the C core built next to the package (``python setup.py build_ext
+--inplace``).
 """
 import argparse
 import math
+import shutil
+import subprocess
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -64,6 +72,64 @@ def time_kernel(mod, n):
         for args in KERNEL_POINTS:
             mod.closed_k(*args)
     return (time.perf_counter() - t0) / (n * len(KERNEL_POINTS))
+
+
+def phi_kernel(geom, p1, p2, x, y, zre, zim):
+    """The ``_core_py`` kernel of ``hcf_closed_phi`` at a ``KERNEL_POINTS`` entry, with its
+    arguments, and ``hcf_closed_phi``'s arguments after the geometry id."""
+    u, theta = zre * zre + zim * zim, math.atan2(zim, zre)
+    if geom in _core_py._W_KERNELS:
+        kernel, args = _core_py._W_KERNELS[geom], (p1, p2, x, y, u)
+    else:
+        kernel, args = _core_py._POLAR_KERNELS[geom], (p1, p2, x, y, u, theta)
+    return kernel, args, (p1, p2, x, y, u, theta)
+
+
+# hcf_closed_phi timed in a C loop: each input line is a geometry id and six hex floats;
+# volatile inputs and the printed sum keep the compiler from hoisting or dropping the kernel
+PHI_HARNESS = r"""
+#include <stdio.h>
+#include <time.h>
+#include "SOURCE"
+int main(void) {
+    int geom;
+    double a[6], k[4], sum = 0.0;
+    while (scanf("%d %la %la %la %la %la %la", &geom, a, a + 1, a + 2, a + 3, a + 4, a + 5) == 7) {
+        volatile double v[6] = {a[0], a[1], a[2], a[3], a[4], a[5]};
+        double best = 1e300;
+        for (int round = 0; round < 20; round++) {
+            clock_t t0 = clock();
+            for (int i = 0; i < 100000; i++) {
+                hcf_closed_phi(geom, v[0], v[1], v[2], v[3], v[4], v[5], k);
+                sum += k[0] + k[1] + k[2] + k[3];
+            }
+            double ns = (double)(clock() - t0) / CLOCKS_PER_SEC * 1e4;
+            best = ns < best ? ns : best;
+        }
+        printf("%.2f\n", best);
+    }
+    fprintf(stderr, "%g\n", sum);
+    return 0;
+}
+"""
+
+
+def c_phi_ns(points):
+    """ns per ``hcf_closed_phi`` call at each of ``points`` (geometry id and its six
+    arguments), the best of 20 rounds of 1e5 calls in ``PHI_HARNESS``, which includes the
+    package's ``_core_c.c`` and is compiled with setup.py's flags; None without ``cc``."""
+    cc = shutil.which("cc")
+    if cc is None:
+        return None
+    with tempfile.TemporaryDirectory() as tmp:
+        source, exe = Path(tmp, "phi.c"), Path(tmp, "phi")
+        c_core = Path(core.__file__).with_name("_core_c.c")
+        source.write_text(PHI_HARNESS.replace("SOURCE", str(c_core)))
+        subprocess.run([cc, "-std=c99", "-O2", "-fno-builtin", "-ffp-contract=off", "-o", exe,
+                        source, "-lm"], check=True)
+        lines = "".join(f"{geom} {' '.join(map(float.hex, args))}\n" for geom, args in points)
+        out = subprocess.run([exe], input=lines, capture_output=True, text=True).stdout
+    return [float(v) for v in out.split()]
 
 
 def best_per_item(call, items, repeat):
@@ -127,6 +193,13 @@ def main():
     args = parser.parse_args()
 
     print(f"python: closed_k {time_kernel(_core_py, 20000) * 1e9:8.0f} ns/eval")
+    phis = [(geom, *phi_kernel(geom, *point)) for geom, *point in KERNEL_POINTS]
+    c_ns = c_phi_ns([(geom, phi_args) for geom, _, _, phi_args in phis])
+    for i, (geom, kernel, kernel_args, _) in enumerate(phis):
+        line = (f"python: {kernel.__name__.strip('_'):<20} "
+                f"{best_per_item(lambda: kernel(*kernel_args), 1, args.repeat) * 1e9:6.0f} ns/eval")
+        print(line + ("   (no cc: C kernel not timed)" if c_ns is None
+                      else f"   C: hcf_closed_phi {c_ns[i]:6.1f} ns/eval"))
     for stack in (1, 100):
         desc, params, mu, g = inoue_case(stack)
         engine = best_per_item(lambda: curvature_bundle(mu, g), stack, args.repeat)

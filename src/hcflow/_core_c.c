@@ -1,38 +1,22 @@
-/* Compiled integrator core: the RK5(4) loop over the closed-form flow tensors.
- * A mirror of hcflow/_core_py.py (which documents geometry ids, parameter packing and the
- * algorithm) that gives the same bits: it repeats the Python operations in order, every **
- * is a pow() call, min() and max() keep Python's argument order, and sums run left to right
- * from 0.0.  Build it as setup.py does, with -std=c99 -O2 -fno-builtin -ffp-contract=off:
- * gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.  Where Python
- * raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code; exp, cos
- * and sin are plain libm calls, whose inf or NaN the Python lane takes where math raises.
- * The loop integrates the log-polar state (x, y, L = log |z|^2, theta = arg z), from
- * L = -inf at z = 0, skips the tableau's zero weights and tests the six new stages of a step
- * once, as _core_py does.  It emits each stride sample inside its step; the Python lane
- * records the steps and evaluates their samples after its loop, as arrays with the same
- * per-sample operations, so a sample's error still comes before any later step's. */
+/* Compiled integrator core: the RK5(4) loop over the closed-form flow tensors.  The closed forms
+ * (hcf_closed_k, hcf_closed_phi), the tableau, the step-control constants and L_MIN are in
+ * _core_kernels.h, generated from hcflow/_core_py.py by python -m hcflow._core_gen (rerun it after
+ * changing them there; do not edit it).  The rest mirrors _core_py (which documents geometry ids,
+ * parameter packing and the algorithm) by hand and gives the same bits: it repeats the Python
+ * operations in order, every ** is a pow() call, min() and max() keep Python's argument order, and
+ * sums run left to right from 0.0.  Build it as setup.py does, with -std=c99 -O2 -fno-builtin
+ * -ffp-contract=off: gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.
+ * Where Python raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code;
+ * exp, cos and sin are plain libm calls, whose inf or NaN the Python lane takes where math raises.
+ * The loop integrates the log-polar state (x, y, L = log |z|^2, theta = arg z), from L = -inf
+ * at z = 0, skips the tableau's zero weights and tests the six new stages of a step once, as
+ * _core_py does.  It emits each stride sample inside its step; the Python lane records the steps
+ * and evaluates their samples after its loop, as arrays with the same per-sample operations, so a
+ * sample's error still comes before any later step's. */
 #include <math.h>
 #include <string.h>
 
 enum { REACHED_TMAX, EXTINCT, FAILURE, ERR_OVERFLOW, ERR_ZERO_DIVISION, ERR_GEOMETRY, ERR_BUFFER };
-
-/* Dormand-Prince 5(4) tableau, error weights and dense-output coefficients */
-static const double A[7][6] = {
-    {0}, {1.0 / 5}, {3.0 / 40, 9.0 / 40}, {44.0 / 45, -56.0 / 15, 32.0 / 9},
-    {19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729},
-    {9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656},
-    {35.0 / 384, 0.0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84}};
-static const double E[7] = {71.0 / 57600, 0.0, -71.0 / 16695, 71.0 / 1920,
-                            -17253.0 / 339200, 22.0 / 525, -1.0 / 40};
-static const double P[7][4] = {
-    {1.0, -8048581381.0 / 2820520608, 8663915743.0 / 2820520608, -12715105075.0 / 11282082432},
-    {0.0, 0.0, 0.0, 0.0},
-    {0.0, 131558114200.0 / 32700410799, -68118460800.0 / 10900136933, 87487479700.0 / 32700410799},
-    {0.0, -1754552775.0 / 470086768, 14199869525.0 / 1410260304, -10690763975.0 / 1880347072},
-    {0.0, 127303824393.0 / 49829197408, -318862633887.0 / 49829197408, 701980252875.0 / 199316789632},
-    {0.0, -282668133.0 / 205662961, 2019193451.0 / 616988883, -1453857185.0 / 822651844},
-    {0.0, 40617522.0 / 29380423, -110615467.0 / 29380423, 69997945.0 / 29380423}};
-static const double SAFETY = 0.9, ALPHA = 0.17, BETA = 0.04, MIN_FACTOR = 0.2, MAX_FACTOR = 10.0;
 
 /* Python's min(a, b) and max(a, b): the first argument wins ties and NaNs. */
 static double pmin(double a, double b) { return b < a ? b : a; }
@@ -49,92 +33,7 @@ static double dv(double x, double y, int *err) {
 }
 #define PW(x, y) pw(x, y, &err)
 #define DV(x, y) dv(x, y, &err)
-/* log of float64's smallest normal number (_core_py._L_MIN) */
-static const double L_MIN = -708.3964185322641;
-
-/* K11, K22 and w = K12 / z at |z|^2 = u, for the entries whose K12 is w * z (ids 0-6). */
-static int closed_w(int geom, double p1, double p2, double x, double y, double u, double *k) {
-    int err = 0;
-    double d = x * y - u, d2 = d * d;
-    double c = 1.0 + p1 * p1, bb = p2 * p2 + 9 * p1 * p1;  /* bb: Inoue S0, (a, b) = (p1, p2) */
-    switch (geom) {
-    case 0: k[0] = k[1] = k[2] = 0.0; break;  /* torus */
-    case 1:  /* hyperelliptic */
-        k[0] = DV(x * x * u, d2), k[1] = DV(u * u, d2);
-        k[2] = DV(x * x * y, d2); break;
-    case 2:  /* hopf */
-        k[0] = DV(c * PW(x, 4) + u * (2 * x * x + u), d2);
-        k[1] = DV(c * x * x * u + 2 * d2 + u * (y * y + 2 * u) - 2 * c * x * x * d, d2);
-        k[2] = DV(x * (p1 * p1 * x * x + PW(x + y, 2)), d2); break;
-    case 3:  /* properly elliptic */
-        k[0] = DV(c * y * y * u - 2 * d2 + u * (x * x - 2 * u) - 2 * c * y * y * d, d2);
-        k[1] = DV(p1 * p1 * PW(y, 4) + PW(y * y - u, 2), d2);
-        k[2] = DV(y * (p1 * p1 * y * y + PW(x - y, 2)), d2); break;
-    case 4:  /* primary Kodaira */
-        k[0] = DV(y * y * u - 2 * y * y * d, d2), k[1] = DV(PW(y, 4), d2);
-        k[2] = DV(PW(y, 3), d2); break;
-    case 5:  /* secondary Kodaira (tensor independent of epsilon) */
-        k[0] = DV(u * (x * x + y * y) - 2 * y * y * d, d2), k[1] = DV(PW(y, 4) + u * u, d2);
-        k[2] = DV(y * (x * x + y * y), d2); break;
-    case 6:  /* Inoue S0 */
-        k[0] = DV(x * x * u * bb, d2);
-        k[1] = DV((p1 * p1 + p2 * p2) * u * u + 16 * p1 * p1 * x * y * u
-                  - 8 * p1 * p1 * x * x * y * y, d2);
-        k[2] = DV(x * x * y * bb, d2); break;
-    }
-    return err;
-}
-
-/* Closed-form flow tensor (K11, K22, Re K12, Im K12) at state s; returns 0 or an ERR_ code. */
-int hcf_closed_k(int geom, double p1, double p2, const double *s, double *k) {
-    int err = 0;
-    double x = s[0], y = s[1], zre = s[2], zim = s[3];
-    double u = zre * zre + zim * zim, d = x * y - u, d2 = d * d, w, q2 = zim * zim;
-    switch (geom) {
-    case 0: k[0] = k[1] = k[2] = k[3] = 0.0; return 0;  /* torus: +0.0, which w * z would sign */
-    case 7:  /* Inoue S+- (first complex structure) */
-        k[0] = -3.0 + DV(4 * u * q2, d2), k[1] = DV(4 * y * y * q2, d2);
-        k[2] = DV(4 * y * zre * q2, d2);
-        k[3] = DV(4 * y * zim * (x * y - zre * zre), d2);
-        return err;
-    case 8:  /* Inoue S+ (second complex structure) */
-        k[0] = -3.0 + DV(4 * u * q2 - 2 * y * y * d + y * y * u, d2);
-        k[1] = DV(y * y * (4 * q2 + y * y), d2);
-        k[2] = DV(4 * y * zre * q2 + PW(y, 3) * zre, d2);
-        k[3] = DV(4 * y * zim * (x * y - zre * zre) + PW(y, 3) * zim, d2);
-        return err;
-    }
-    if (geom < 0 || geom > 8) return ERR_GEOMETRY;
-    err = closed_w(geom, p1, p2, x, y, u, k);
-    w = k[2];
-    k[2] = w * zre;
-    k[3] = w * zim;
-    return err;
-}
-
-/* (K11, K22, Re phi, Im phi) with phi = K12 / z, at |z|^2 = u and arg z = th; no division
- * by z, so it holds at u = 0 too.  Returns 0 or an ERR_ code. */
-int hcf_closed_phi(int geom, double p1, double p2, double x, double y, double u, double th,
-                   double *k) {
-    int err = 0;
-    double s, c, d, d2, s2, q2;
-    if (geom < 0 || geom > 8) return ERR_GEOMETRY;
-    if (geom < 7) {  /* phi = w is real */
-        k[3] = 0.0;
-        return closed_w(geom, p1, p2, x, y, u, k);
-    }
-    s = sin(th), c = cos(th), d = x * y - u, d2 = d * d, s2 = s * s, q2 = u * s2;
-    if (geom == 7) {  /* Inoue S+- (first complex structure) */
-        k[0] = -3.0 + DV(4 * u * q2, d2), k[1] = DV(4 * y * y * q2, d2);
-        k[2] = DV(4 * y * (x * y * s2), d2);
-    } else {  /* Inoue S+ (second complex structure) */
-        k[0] = -3.0 + DV(4 * u * q2 - 2 * y * y * d + y * y * u, d2);
-        k[1] = DV(y * y * (4 * q2 + y * y), d2);
-        k[2] = DV(4 * y * (x * y * s2) + PW(y, 3), d2);
-    }
-    k[3] = DV(4 * y * (s * c * d), d2);
-    return err;
-}
+#include "_core_kernels.h"  /* uses pw, dv, PW, DV and ERR_GEOMETRY */
 
 /* Kernel and row buffer of one run, and the last emitted theta (its bits) with its cos and sin. */
 typedef struct { int geom; double p1, p2, *rows; long cap, n; double th, cos_th, sin_th; } Run;

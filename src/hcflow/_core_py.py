@@ -1,9 +1,12 @@
 """Pure-Python integrator core: closed-form flow tensors and the RK5(4) loop.
 
 This is the reference lane.  ``_core_c.c`` mirrors ``run_closed_flow``
-operation for operation and must give the same bits, so change the arithmetic
-here only together with the C, and keep every sum an explicit left-to-right
-one.  ``hcflow.core`` picks the C loop when it is built.
+operation for operation and must give the same bits.  Its kernels and
+constants (``_A``, ``_E``, ``_P``, the step-control constants and ``_L_MIN``)
+are generated from this module: after changing one, run ``python -m
+hcflow._core_gen`` and commit ``_core_kernels.h``.  Change the loop's
+arithmetic only together with the C loop, and keep every sum an explicit
+left-to-right one.  ``hcflow.core`` picks the C loop when it is built.
 
 Each geometry's closed form is one function: for the seven entries whose K12
 is w * z, a function of (x, y, u = |z|^2) giving (K11, K22, w), which

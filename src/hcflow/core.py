@@ -2,7 +2,10 @@
 
 ``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
 ``run_closed_flow`` operation for operation and gives the same bits, so the
-lane changes only speed and ``stats.compiled_core``.  Both integrate the
+lane changes only speed and ``stats.compiled_core``.  Its closed forms and
+integrator constants are ``_core_kernels.h``, generated from ``_core_py`` by
+``python -m hcflow._core_gen`` (rerun it after changing them there); the loop
+is mirrored by hand.  Both integrate the
 log-polar state (x, y, log |z|^2, arg z), from the ``log_polar`` start that
 the binding computes in Python, and emit Cartesian rows.  The C loop emits
 each stride sample inside its step; the Python lane evaluates them after its

@@ -9,6 +9,7 @@ import hashlib
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -48,25 +49,58 @@ def test_setup_reads_the_package_version():
     assert proc.stdout == f"{hcflow.__version__}\n"
 
 
+def test_kernel_header_is_generated():
+    # the C core's closed forms and constants are _core_gen's output, byte for byte:
+    # run python -m hcflow._core_gen after changing a kernel or a constant of _core_py
+    from hcflow import _core_gen
+    assert _core_gen.HEADER.read_bytes() == _core_gen.render().encode()
+
+
+def test_package_does_not_import_the_generator():
+    code = "import sys, hcflow.cli; print('hcflow._core_gen' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.stdout == "False\n"
+
+
 @pytest.fixture(scope="session")
 def c_run(c_library):
     return core.bind(c_library)
 
 
+@pytest.fixture(scope="session")
+def c_kernels(c_library):
+    """The C core's ``hcf_closed_k`` and ``hcf_closed_phi`` with ``closed_k``'s and
+    ``_closed_phi``'s arguments, each returning (status, its four values)."""
+    lib, dbl = ctypes.CDLL(c_library), ctypes.c_double
+    lib.hcf_closed_k.argtypes = [ctypes.c_int, dbl, dbl, ctypes.POINTER(dbl), ctypes.POINTER(dbl)]
+    lib.hcf_closed_phi.argtypes = [ctypes.c_int, *[dbl] * 6, ctypes.POINTER(dbl)]
+
+    def closed_k(geom, p1, p2, x, y, zre, zim):
+        k = (dbl * 4)()
+        return lib.hcf_closed_k(geom, p1, p2, (dbl * 4)(x, y, zre, zim), k), tuple(k)
+
+    def closed_phi(geom, p1, p2, x, y, u, theta):
+        k = (dbl * 4)()
+        return lib.hcf_closed_phi(geom, p1, p2, x, y, u, theta, k), tuple(k)
+
+    return {"k": closed_k, "phi": closed_phi}
+
+
+def _bits(values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
 @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
-def test_closed_k_lanes_agree_pointwise(geometry, c_library):
-    fn = ctypes.CDLL(c_library).hcf_closed_k
-    vec = ctypes.POINTER(ctypes.c_double)
-    fn.argtypes = [ctypes.c_int, ctypes.c_double, ctypes.c_double, vec, vec]
-    fn.restype = ctypes.c_int
+def test_closed_k_lanes_agree_pointwise(geometry, c_kernels):
     rng = np.random.default_rng(31)
     gid = GEOMETRY_IDS[geometry]
     for _ in range(200):
         p1, p2 = pack_params(sample_params(geometry, rng))
         g = sample_metric(rng)
-        state, k = (ctypes.c_double * 4)(g.x, g.y, g.z.real, g.z.imag), (ctypes.c_double * 4)()
-        assert fn(gid, p1, p2, state, k) == 0
-        assert tuple(k) == _core_py.closed_k(gid, p1, p2, g.x, g.y, g.z.real, g.z.imag)
+        status, k = c_kernels["k"](gid, p1, p2, g.x, g.y, g.z.real, g.z.imag)
+        assert status == 0
+        assert _bits(k) == _bits(_core_py.closed_k(gid, p1, p2, g.x, g.y, g.z.real, g.z.imag))
 
 
 def _random_runs(per_geometry: int):
@@ -115,26 +149,109 @@ NONFINITE_RUN = (1, 0.0, 0.0, (1e200, 1.0, 0.5, 0.0), 10.0, 1e-9, 1e-12, 0.01, 1
 def _closed_phi(geom, p1, p2, x, y, u, theta):
     """(K11, K22, Re phi, Im phi), phi = K12 / z, at |z|^2 = u and arg z = theta:
     the log-polar kernels of ``_core_py`` by geometry id, as ``hcf_closed_phi``."""
+    _core_py._kernel(geom)  # ValueError for an unknown id
     if geom in _core_py._W_KERNELS:
         return (*_core_py._W_KERNELS[geom](p1, p2, x, y, u), 0.0)
     return _core_py._POLAR_KERNELS[geom](p1, p2, x, y, u, theta)
 
 
+PYTHON_KERNELS = {"k": _core_py.closed_k, "phi": _closed_phi}
+
+
 @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
-def test_closed_phi_lanes_agree_pointwise(geometry, c_library):
-    fn = ctypes.CDLL(c_library).hcf_closed_phi
-    dbl = ctypes.c_double
-    fn.argtypes = [ctypes.c_int, dbl, dbl, dbl, dbl, dbl, dbl, ctypes.POINTER(dbl)]
-    fn.restype = ctypes.c_int
+def test_closed_phi_lanes_agree_pointwise(geometry, c_kernels):
     rng = np.random.default_rng(32)
     gid = GEOMETRY_IDS[geometry]
     for i in range(200):
         p1, p2 = pack_params(sample_params(geometry, rng))
         g = sample_metric(rng)
         u = 0.0 if i % 10 == 0 else g.u  # z = 0, where phi is still defined
-        k = (dbl * 4)()
-        assert fn(gid, p1, p2, g.x, g.y, u, np.angle(g.z), k) == 0
-        assert tuple(k) == _closed_phi(gid, p1, p2, g.x, g.y, u, np.angle(g.z))
+        status, k = c_kernels["phi"](gid, p1, p2, g.x, g.y, u, np.angle(g.z))
+        assert status == 0
+        assert _bits(k) == _bits(_closed_phi(gid, p1, p2, g.x, g.y, u, np.angle(g.z)))
+
+
+# Edge states of both kernels, (x, y, Re z, Im z) and (x, y, u, theta): signed zeros,
+# subnormal and underflowing u, non-finite theta, d = x y - u = 0 (division by zero but
+# on the torus), ** overflows (1e200 ** 4 on hopf, y ** 3 and y ** 4 on kodaira), and
+# both at once, where hopf's first error is the overflow and the others' the division.
+EDGE_STATES = {
+    "k": [(1.3, 0.8, 0.0, 0.0), (1.3, 0.8, -0.0, 0.0), (1.3, 0.8, 0.0, -0.0),
+          (1.3, 0.8, -0.0, -0.0), (1.3, 0.8, -0.0, 0.4), (1.3, 0.8, 0.4, -0.0),
+          (1.3, 0.8, 1e-160, -2e-160), (1.3, 0.8, 5e-324, 0.0),
+          (2.0, 0.5, 1.0, 0.0), (1.0, 25.0, -3.0, 4.0),
+          (1e200, 0.8, 0.3, 0.2), (1.3, 1e200, 0.3, 0.2), (1e200, 1e200, 0.3, 0.2),
+          (1e200, 1e-200, 1.0, 0.0)],
+    "phi": [(1.3, 0.8, 0.0, 0.0), (1.3, 0.8, 0.0, -0.0), (1.3, 0.8, 0.3, 0.0),
+            (1.3, 0.8, 0.3, -0.0), (1.3, 0.8, 0.3, math.inf), (1.3, 0.8, 0.3, -math.inf),
+            (1.3, 0.8, 0.3, math.nan), (1.3, 0.8, 0.0, math.inf),
+            (1.3, 0.8, 5e-324, 0.7), (1.3, 0.8, 1e-310, -0.7), (2.0, 0.5, 1.0, 0.7),
+            (1e200, 0.8, 0.3, 0.7), (1.3, 1e200, 0.3, 0.7), (1e200, 1e200, 0.3, 0.7),
+            (1e200, 1e-200, 1.0, 0.7)],
+}
+# _core_c.c's ERR_ code of each exception _core_py raises
+ERR_CODES = {OverflowError: 3, ZeroDivisionError: 4, ValueError: 5}
+
+
+@pytest.mark.parametrize("kernel", ["k", "phi"])
+def test_kernel_lanes_agree_at_edge_states(kernel, c_kernels):
+    # C returns 0 with the same bits (NaN payloads included) where Python returns,
+    # and the ERR_ code of the exception where Python raises
+    seen = set()
+    for gid in (-1, *range(9), 9):
+        for state in EDGE_STATES[kernel]:
+            status, values = c_kernels[kernel](gid, 0.7, 2.0, *state)
+            try:
+                reference = PYTHON_KERNELS[kernel](gid, 0.7, 2.0, *state)
+            except tuple(ERR_CODES) as exc:
+                assert status == ERR_CODES[type(exc)], (gid, state, exc)
+            else:
+                assert status == 0 and _bits(values) == _bits(reference), (gid, state)
+            seen.add(status)
+    assert seen == {0, *ERR_CODES.values()}
+
+
+def _ordinal(v: float) -> int:
+    """v's position among the float64 values in order (+0.0 and -0.0 both 0)."""
+    i = struct.unpack("<q", struct.pack("<d", v))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _values(c_kernel):
+    """A kernel of ``c_kernels`` that returns its values where its status is 0."""
+    def kernel(*args):
+        status, values = c_kernel(*args)
+        assert status == 0
+        return values
+    return kernel
+
+
+@pytest.mark.parametrize("lane", ["python", "C"])
+def test_kernels_are_homogeneous_of_degree_0(lane, request):
+    # K(c g) = K(g) and c phi(c g) = phi(g) for c = 2^k, to <= 2 ulp: the scaled
+    # operations are exact but for libm pow.  Measured: of the 86,400 comparisons
+    # below, all but 6 are bit-exact, and those six (hopf) are 1 or 2 ulp off
+    if lane == "C":
+        kernels = {name: _values(fn) for name, fn in request.getfixturevalue("c_kernels").items()}
+    else:
+        kernels = PYTHON_KERNELS
+    worst = 0
+    for geometry in Geometry:
+        rng, gid = np.random.default_rng(34), GEOMETRY_IDS[geometry]
+        for _ in range(300):
+            p1, p2 = pack_params(sample_params(geometry, rng))
+            g = sample_metric(rng)
+            x, y, zre, zim = g.x, g.y, g.z.real, g.z.imag
+            u, theta = zre * zre + zim * zim, math.atan2(zim, zre)
+            k = kernels["k"](gid, p1, p2, x, y, zre, zim)
+            phi = kernels["phi"](gid, p1, p2, x, y, u, theta)
+            for c in (2.0 ** -40, 2.0 ** -3, 2.0 ** 3, 2.0 ** 40):
+                kc = kernels["k"](gid, p1, p2, c * x, c * y, c * zre, c * zim)
+                k11, k22, phi_re, phi_im = kernels["phi"](gid, p1, p2, c * x, c * y, c * c * u,
+                                                          theta)
+                for a, b in zip((*kc, k11, k22, c * phi_re, c * phi_im), (*k, *phi)):
+                    worst = max(worst, abs(_ordinal(a) - _ordinal(b)))
+    assert worst <= 2
 
 
 @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
