@@ -3,8 +3,8 @@
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 
 Times (a) raw closed-form tensor evaluations, which always run in Python,
-and, per ``KERNEL_POINTS`` entry, the log-polar kernel that the loop's rhs
-calls: the Python w- or polar kernel, and the C core's ``hcf_closed_phi`` in
+and, per ``KERNEL_POINTS`` entry, the phi kernel that the loop's rhs
+calls: the Python one of ``_core_py._PHI``, and the C core's ``hcf_closed_phi`` in
 a C loop compiled from the package's source (needs ``cc``), so a C kernel
 that recomputes ``sin`` or ``cos`` shows, (b) the general contraction engine
 (``curvature_bundle``) and the catalog's closed form (``closed_form_K``) per
@@ -74,15 +74,9 @@ def time_kernel(mod, n):
     return (time.perf_counter() - t0) / (n * len(KERNEL_POINTS))
 
 
-def phi_kernel(geom, p1, p2, x, y, zre, zim):
-    """The ``_core_py`` kernel of ``hcf_closed_phi`` at a ``KERNEL_POINTS`` entry, with its
-    arguments, and ``hcf_closed_phi``'s arguments after the geometry id."""
-    u, theta = zre * zre + zim * zim, math.atan2(zim, zre)
-    if geom in _core_py._W_KERNELS:
-        kernel, args = _core_py._W_KERNELS[geom], (p1, p2, x, y, u)
-    else:
-        kernel, args = _core_py._POLAR_KERNELS[geom], (p1, p2, x, y, u, theta)
-    return kernel, args, (p1, p2, x, y, u, theta)
+def phi_args(geom, p1, p2, x, y, zre, zim):
+    """The arguments of a phi kernel after the geometry id at a ``KERNEL_POINTS`` entry."""
+    return p1, p2, x, y, zre * zre + zim * zim, math.atan2(zim, zre)
 
 
 # hcf_closed_phi timed in a C loop: each input line is a geometry id and six hex floats;
@@ -193,9 +187,10 @@ def main():
     args = parser.parse_args()
 
     print(f"python: closed_k {time_kernel(_core_py, 20000) * 1e9:8.0f} ns/eval")
-    phis = [(geom, *phi_kernel(geom, *point)) for geom, *point in KERNEL_POINTS]
-    c_ns = c_phi_ns([(geom, phi_args) for geom, _, _, phi_args in phis])
-    for i, (geom, kernel, kernel_args, _) in enumerate(phis):
+    phis = [(geom, phi_args(geom, *point)) for geom, *point in KERNEL_POINTS]
+    c_ns = c_phi_ns(phis)
+    for i, (geom, kernel_args) in enumerate(phis):
+        kernel = _core_py._kernel(geom, _core_py._PHI)
         line = (f"python: {kernel.__name__.strip('_'):<20} "
                 f"{best_per_item(lambda: kernel(*kernel_args), 1, args.repeat) * 1e9:6.0f} ns/eval")
         print(line + ("   (no cc: C kernel not timed)" if c_ns is None

@@ -141,9 +141,10 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
 
     out[3] = NAN;
     if (geom < 0 || geom > 8) { status = ERR_GEOMETRY; goto done; }
-    for (int c = 0; c < 3; c++)
-        inv_scale[c] = dv(1.0, c < 2 ? state0[c] : state0[0] * state0[1], &status);
+    for (int c = 0; c < 2; c++) inv_scale[c] = dv(1.0, state0[c], &status);
     if (status) goto done;
+    inv_scale[2] = state0[0] * state0[1];  /* where x y underflows to 0: (1 / x) * (1 / y) */
+    inv_scale[2] = inv_scale[2] != 0.0 ? 1.0 / inv_scale[2] : inv_scale[0] * inv_scale[1];
     m_last = monitor(y0, inv_scale);
     CHECK(emit_row(&r, 0.0, state0));
     if (t_max <= 0.0) FINISH(REACHED_TMAX, m_last);

@@ -46,12 +46,12 @@ class _Var:
     __pow__, __rpow__ = _binary("PW({!r}, {!r})")
 
 
-def _case(gid, kernel, args, extra=()):
-    """The C ``case`` of ``kernel`` traced on the C variables ``args``, then ``extra``."""
+def _case(gid, kernel, args):
+    """The C ``case`` of ``kernel`` traced on the C variables ``args``."""
     lines = []
     traced = types.FunctionType(kernel.__code__, {**kernel.__globals__, "_libm": _LIBM},
                                 closure=kernel.__closure__)
-    out = (*traced(*(_Var(lines, a) for a in args)), *extra)
+    out = traced(*(_Var(lines, a) for a in args))
     body = lines + [f"k[{i}] = {v!r};" for i, v in enumerate(out)] + ["return err;"]
     return [f"    case {gid}: {{  /* {NAMES[gid]} */", *(f"        {s}" for s in body), "    }"]
 
@@ -71,9 +71,6 @@ def _table(values):
 def render() -> str:
     """The text of ``_core_kernels.h``."""
     k_args, phi_args = ("p1", "p2", "x", "y", "zre", "zim"), ("p1", "p2", "x", "y", "u", "th")
-    phi_cases = sorted([*((g, kernel, phi_args[:5], (0.0,))  # phi = w is real
-                          for g, kernel in _core_py._W_KERNELS.items()),
-                        *((g, kernel, phi_args) for g, kernel in _core_py._POLAR_KERNELS.items())])
     return "\n".join([
         "/* Generated by python -m hcflow._core_gen from hcflow/_core_py.py; do not edit. */",
         "/* Dormand-Prince 5(4) tableau, error weights and dense-output coefficients */",
@@ -92,7 +89,7 @@ def render() -> str:
         " * by z, so it holds at u = 0 too.  Returns 0 or an ERR_ code. */",
         *_function("int hcf_closed_phi(int geom, double p1, double p2, double x, double y, "
                    "double u, double th, double *k)", [],
-                   [_case(*case) for case in phi_cases]),
+                   [_case(g, kernel, phi_args) for g, kernel in _core_py._PHI.items()]),
     ]) + "\n"
 
 

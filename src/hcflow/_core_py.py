@@ -8,12 +8,12 @@ hcflow._core_gen`` and commit ``_core_kernels.h``.  Change the loop's
 arithmetic only together with the C loop, and keep every sum an explicit
 left-to-right one.  ``hcflow.core`` picks the C loop when it is built.
 
-Each geometry's closed form is one function: for the seven entries whose K12
-is w * z, a function of (x, y, u = |z|^2) giving (K11, K22, w), which
-``_times_z`` makes the Cartesian kernel; the two Inoue S+- entries have a
-Cartesian kernel and a log-polar one.  ``run_closed_flow`` binds them and
-``(p1, p2)`` once per run, and integrates (x, y, L, theta), L = log |z|^2 and
-theta = arg z, by ``_polar_rhs``: an exponentially decaying z, which in
+Each geometry's closed form is one function of ``_PHI``, (p1, p2, x, y, u =
+|z|^2, theta = arg z) -> (K11, K22, Re phi, Im phi), phi = K12 / z; the seven
+entries whose K12 is w * z ignore theta and give Im phi = 0.0, and ``_times_z``
+makes each a Cartesian kernel of ``_KERNELS``, where Inoue S+- J1 and J2 have
+their own, sharing K11 and K22.  ``run_closed_flow`` integrates (x, y, L,
+theta), L = log |z|^2, by the phi kernel: an exponentially decaying z, which in
 (x, y, Re z, Im z) sits at ``abs_tol`` noise where stability caps the step,
 is a linearly decaying L.  z0 = 0 starts at L = -inf, theta = 0, and IEEE
 arithmetic keeps it there exactly: exp(-inf) = 0, -inf + finite = -inf, and
@@ -94,61 +94,60 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 
 
-# The seven entries whose K12 is w * z: (p1, p2, x, y, u = |z|^2) -> (K11, K22, w).
-# ``_times_z`` makes each the Cartesian kernel; the log-polar rhs reads w as phi.
+# The phi kernels (see the module docstring; phi = K12 / z holds at u = 0 too)
 
-def _torus(p1, p2, x, y, u):
-    return 0.0, 0.0, 0.0
+def _torus(p1, p2, x, y, u, theta):
+    return 0.0, 0.0, 0.0, 0.0
 
 
-def _hyperelliptic(p1, p2, x, y, u):
+def _hyperelliptic(p1, p2, x, y, u, theta):
     d = x * y - u
     d2 = d * d
     k11 = x * x * u / d2
     k22 = u * u / d2
     w = x * x * y / d2
-    return k11, k22, w
+    return k11, k22, w, 0.0
 
 
-def _hopf(p1, p2, x, y, u):
+def _hopf(p1, p2, x, y, u, theta):
     d = x * y - u
     d2 = d * d
     c = 1.0 + p1 * p1
     k11 = (c * x**4 + u * (2 * x * x + u)) / d2
     k22 = (c * x * x * u + 2 * d2 + u * (y * y + 2 * u) - 2 * c * x * x * d) / d2
     w = x * (p1 * p1 * x * x + (x + y) ** 2) / d2
-    return k11, k22, w
+    return k11, k22, w, 0.0
 
 
-def _properly_elliptic(p1, p2, x, y, u):
+def _properly_elliptic(p1, p2, x, y, u, theta):
     d = x * y - u
     d2 = d * d
     c = 1.0 + p1 * p1
     k11 = (c * y * y * u - 2 * d2 + u * (x * x - 2 * u) - 2 * c * y * y * d) / d2
     k22 = (p1 * p1 * y**4 + (y * y - u) ** 2) / d2
     w = y * (p1 * p1 * y * y + (x - y) ** 2) / d2
-    return k11, k22, w
+    return k11, k22, w, 0.0
 
 
-def _kodaira_primary(p1, p2, x, y, u):
+def _kodaira_primary(p1, p2, x, y, u, theta):
     d = x * y - u
     d2 = d * d
     k11 = (y * y * u - 2 * y * y * d) / d2
     k22 = y**4 / d2
     w = y**3 / d2
-    return k11, k22, w
+    return k11, k22, w, 0.0
 
 
-def _kodaira_secondary(p1, p2, x, y, u):  # the tensor is independent of epsilon
+def _kodaira_secondary(p1, p2, x, y, u, theta):  # the tensor is independent of epsilon
     d = x * y - u
     d2 = d * d
     k11 = (u * (x * x + y * y) - 2 * y * y * d) / d2
     k22 = (y**4 + u * u) / d2
     w = y * (x * x + y * y) / d2
-    return k11, k22, w
+    return k11, k22, w, 0.0
 
 
-def _inoue_s0(a, b, x, y, u):
+def _inoue_s0(a, b, x, y, u, theta):
     d = x * y - u
     d2 = d * d
     bb = b * b + 9 * a * a
@@ -156,82 +155,81 @@ def _inoue_s0(a, b, x, y, u):
     k22 = ((a * a + b * b) * u * u + 16 * a * a * x * y * u
            - 8 * a * a * x * x * y * y) / d2
     w = x * x * y * bb / d2
-    return k11, k22, w
+    return k11, k22, w, 0.0
 
 
 def _times_z(kernel):
     """The Cartesian kernel of a kernel whose K12 is w * z."""
     def cartesian(p1, p2, x, y, zre, zim):
-        k11, k22, w = kernel(p1, p2, x, y, zre * zre + zim * zim)
+        k11, k22, w, _ = kernel(p1, p2, x, y, zre * zre + zim * zim, 0.0)
         return k11, k22, w * zre, w * zim
     return cartesian
 
 
-# The Inoue S+- J1 and S+ J2 entries: K12 is not w * z, and K11, K22 and
-# phi = K12 / z depend on arg z.  Each has a Cartesian kernel and a log-polar
-# one, (p1, p2, x, y, u, theta) -> (K11, K22, Re phi, Im phi), which has no
-# division by z.
+# Inoue S+- J1 and S+ J2: K12 is not w * z, and K11, K22 and phi depend on arg z.
+# K11 and K22 are stated once, from q2 = (Im z)^2 and d2 = D^2, for the phi kernel
+# (q2 = u sin^2 theta) and the Cartesian one (q2 = zim * zim); K12 stays two
+# expressions, as phi * z rounds otherwise (tests/test_core.py proves them equal).
 
-def _inoue_spm_j1(p1, p2, x, y, zre, zim):  # Inoue S+- (first complex structure)
-    u = zre * zre + zim * zim
-    d = x * y - u
-    d2 = d * d
-    q2 = zim * zim
-    k11 = -3.0 + 4 * u * q2 / d2
-    k22 = 4 * y * y * q2 / d2
-    k12re = 4 * y * zre * q2 / d2
-    k12im = 4 * y * zim * (x * y - zre * zre) / d2
-    return k11, k22, k12re, k12im
+def _spm_j1_diagonal(y, u, q2, d2):
+    return -3.0 + 4 * u * q2 / d2, 4 * y * y * q2 / d2
 
 
-def _inoue_spm_j1_polar(p1, p2, x, y, u, theta):
+def _sp_j2_diagonal(y, u, d, q2, d2):
+    return -3.0 + (4 * u * q2 - 2 * y * y * d + y * y * u) / d2, y * y * (4 * q2 + y * y) / d2
+
+
+def _inoue_spm_j1(p1, p2, x, y, u, theta):  # Inoue S+- (first complex structure)
     s, c = _libm(sin, theta), _libm(cos, theta)
     d = x * y - u
     d2 = d * d
     s2 = s * s
-    q2 = u * s2  # (Im z)^2
-    k11 = -3.0 + 4 * u * q2 / d2
-    k22 = 4 * y * y * q2 / d2
+    k11, k22 = _spm_j1_diagonal(y, u, u * s2, d2)
     return k11, k22, 4 * y * (x * y * s2) / d2, 4 * y * (s * c * d) / d2
 
 
-def _inoue_sp_j2(p1, p2, x, y, zre, zim):  # Inoue S+ (second complex structure)
+def _inoue_spm_j1_cartesian(p1, p2, x, y, zre, zim):
     u = zre * zre + zim * zim
     d = x * y - u
     d2 = d * d
     q2 = zim * zim
-    k11 = -3.0 + (4 * u * q2 - 2 * y * y * d + y * y * u) / d2
-    k22 = y * y * (4 * q2 + y * y) / d2
-    k12re = (4 * y * zre * q2 + y**3 * zre) / d2
-    k12im = (4 * y * zim * (x * y - zre * zre) + y**3 * zim) / d2
-    return k11, k22, k12re, k12im
+    k11, k22 = _spm_j1_diagonal(y, u, q2, d2)
+    return k11, k22, 4 * y * zre * q2 / d2, 4 * y * zim * (x * y - zre * zre) / d2
 
 
-def _inoue_sp_j2_polar(p1, p2, x, y, u, theta):
+def _inoue_sp_j2(p1, p2, x, y, u, theta):  # Inoue S+ (second complex structure)
     s, c = _libm(sin, theta), _libm(cos, theta)
     d = x * y - u
     d2 = d * d
     s2 = s * s
-    q2 = u * s2
-    k11 = -3.0 + (4 * u * q2 - 2 * y * y * d + y * y * u) / d2
-    k22 = y * y * (4 * q2 + y * y) / d2
+    k11, k22 = _sp_j2_diagonal(y, u, d, u * s2, d2)
     return k11, k22, (4 * y * (x * y * s2) + y**3) / d2, 4 * y * (s * c * d) / d2
 
 
-# the closed form of each geometry id: (p1, p2, x, y, zre, zim) -> (K11, K22, Re K12, Im K12);
-# the torus keeps its +0.0 K12, which w * z would sign
-_W_KERNELS = {0: _torus, 1: _hyperelliptic, 2: _hopf, 3: _properly_elliptic,
-              4: _kodaira_primary, 5: _kodaira_secondary, 6: _inoue_s0}
+def _inoue_sp_j2_cartesian(p1, p2, x, y, zre, zim):
+    u = zre * zre + zim * zim
+    d = x * y - u
+    d2 = d * d
+    q2 = zim * zim
+    k11, k22 = _sp_j2_diagonal(y, u, d, q2, d2)
+    return (k11, k22, (4 * y * zre * q2 + y**3 * zre) / d2,
+            (4 * y * zim * (x * y - zre * zre) + y**3 * zim) / d2)
+
+
+#: the phi form of each geometry id: (p1, p2, x, y, u, theta) -> (K11, K22, Re phi, Im phi)
+_PHI = {0: _torus, 1: _hyperelliptic, 2: _hopf, 3: _properly_elliptic, 4: _kodaira_primary,
+        5: _kodaira_secondary, 6: _inoue_s0, 7: _inoue_spm_j1, 8: _inoue_sp_j2}
+#: the Cartesian form: (p1, p2, x, y, zre, zim) -> (K11, K22, Re K12, Im K12); the
+#: torus keeps its +0.0 K12, which w * z would sign
 _KERNELS = {0: lambda p1, p2, x, y, zre, zim: (0.0, 0.0, 0.0, 0.0),
-            **{geom: _times_z(kernel) for geom, kernel in _W_KERNELS.items() if geom},
-            7: _inoue_spm_j1, 8: _inoue_sp_j2}
-_POLAR_KERNELS = {7: _inoue_spm_j1_polar, 8: _inoue_sp_j2_polar}
+            **{geom: _times_z(_PHI[geom]) for geom in range(1, 7)},
+            7: _inoue_spm_j1_cartesian, 8: _inoue_sp_j2_cartesian}
 
 
-def _kernel(geom: int):
-    """The closed form of geometry id ``geom``; ValueError for an unknown id."""
+def _kernel(geom: int, table=_KERNELS):
+    """Geometry id ``geom``'s kernel in ``_KERNELS`` or ``_PHI``; ValueError if unknown."""
     try:
-        return _KERNELS[geom]
+        return table[geom]
     except KeyError:
         raise ValueError(f"unknown geometry id {geom}") from None
 
@@ -326,7 +324,8 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
     first, as it would if each sample were emitted inside its step.
     """
     x, y, zr, zi = state = tuple(float(v) for v in state0)
-    inv_scale = (1.0 / x, 1.0 / y, 1.0 / (x * y))
+    xy = x * y  # where it underflows to 0, the scale of D is (1 / x) * (1 / y)
+    inv_scale = (1.0 / x, 1.0 / y, 1.0 / xy if xy != 0.0 else (1.0 / x) * (1.0 / y))
     polar = polar_rhs is not None
     if polar:
         start, step_rhs, monitor = (x, y, *log_polar(zr, zi)), polar_rhs, _polar_monitor
@@ -622,46 +621,28 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
                     threshold: float, max_steps: int = MAX_STEPS):
     """Closed-form-kernel flow run (signature shared with the compiled core).
 
-    The run integrates the log-polar state (see ``_polar_rhs``), from
-    ``log_polar`` of z0.  The rows are Cartesian: the kernel runs once on the
-    float64 columns of all rows (``_Floats``), so each closed form has one
-    definition for both uses.
+    The run integrates the log-polar state (x, y, L = log |z|^2, theta = arg
+    z) from ``log_polar`` of z0, by ``polar_rhs``: with the entry's phi
+    kernel, L' = -2 Re phi and theta' = -Im phi (-0.0 where phi is real), at
+    u = exp(L), inf where exp overflows, as in C.  The rows are Cartesian: the
+    Cartesian kernel runs once on the float64 columns of all rows (``_Floats``).
     """
-    kernel = _kernel(geom)
+    kernel, phi = _kernel(geom), _kernel(geom, _PHI)
 
     def rhs(x, y, zre, zim):
         k11, k22, k12re, k12im = kernel(p1, p2, x, y, zre, zim)
         return -k11, -k22, -k12re, -k12im
 
-    return run_flow(rhs, state0, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
-                    array_rhs=rhs, polar_rhs=_polar_rhs(geom, p1, p2))
-
-
-def _polar_rhs(geom: int, p1: float, p2: float):
-    """The velocity (xdot, ydot, Ldot, thetadot) of the log-polar state (x, y,
-    L = log |z|^2, theta = arg z): with phi = K12 / z, L' = -2 Re phi and
-    theta' = -Im phi.  u = exp(L) is inf where exp overflows, as in C."""
-    w_kernel = _W_KERNELS.get(geom)
-    if w_kernel is not None:
-        def rhs(x, y, L, theta):  # phi = w is real: theta stays
-            try:
-                u = exp(L)
-            except OverflowError:
-                u = inf
-            k11, k22, w = w_kernel(p1, p2, x, y, u)
-            return -k11, -k22, -2.0 * w, -0.0
-        return rhs
-
-    kernel = _POLAR_KERNELS[geom]
-
-    def rhs(x, y, L, theta):
+    def polar_rhs(x, y, L, theta):
         try:
             u = exp(L)
         except OverflowError:
             u = inf
-        k11, k22, phi_re, phi_im = kernel(p1, p2, x, y, u, theta)
+        k11, k22, phi_re, phi_im = phi(p1, p2, x, y, u, theta)
         return -k11, -k22, -2.0 * phi_re, -phi_im
-    return rhs
+
+    return run_flow(rhs, state0, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
+                    array_rhs=rhs, polar_rhs=polar_rhs)
 
 
 def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:

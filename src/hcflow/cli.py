@@ -89,7 +89,8 @@ def parse_config(doc: dict) -> FlowConfig:
     unknown = set(doc) - _CONFIG_FIELDS
     if unknown:
         raise ConfigError(f"$.{sorted(unknown)[0]}", "unknown field")
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1 in Python
         raise ConfigError("$.schema_version", f"must be {SCHEMA_VERSION}")
     for required in ("geometry", "g0", "t_max"):
         if required not in doc:

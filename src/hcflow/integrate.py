@@ -193,13 +193,11 @@ def _general_rhs(params: GeometryParams):
     nan4 = (float("nan"),) * 4
 
     def fn(x, y, zre, zim):
-        g = HermitianMetric(x, y, complex(zre, zim))
-        if not (g.x > 0 and g.y > 0 and g.det > 0):
-            return nan4
         try:
-            # a huge metric's contractions overflow to inf or NaN, which fails the step
+            # a huge metric's contractions overflow to inf or NaN, and a metric
+            # that is not positive raises: either fails the step
             with np.errstate(all="ignore"):
-                k = curvature_bundle(mu, g, margin=0.0).K
+                k = curvature_bundle(mu, HermitianMetric(x, y, complex(zre, zim)), margin=0.0).K
         except Exception:
             return nan4
         return -k[0, 0].real, -k[1, 1].real, -k[0, 1].real, -k[0, 1].imag
@@ -216,10 +214,7 @@ def _no_samples(klass: str, diagnostics: str) -> tuple[Trajectory, FlowOutcome]:
 def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
     """Run the flow described by config; never raises for dynamical failures."""
     g0 = config.g0
-    # D > threshold * x * y, stated without forming x * y or |z|^2, which
-    # overflow on a huge positive metric
-    if not (g0.x > 0 and g0.y > 0 and abs(g0.z) / math.sqrt(g0.x) / math.sqrt(g0.y)
-            < math.sqrt(1.0 - config.degeneracy_threshold)):
+    if not g0.is_positive(config.degeneracy_threshold):
         return _no_samples(OUTCOME_DEGENERATE_INPUT,
                            f"initial metric not positive above the degeneracy "
                            f"threshold: x={g0.x} y={g0.y} D={g0.det}")

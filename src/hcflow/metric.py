@@ -9,17 +9,29 @@ and the squared off-diagonal norm u = |z|^2 are always recomputed from
 Stacked operations take n metrics as a float64 array of rows
 (x, y, Re z, Im z) of shape (n, 4); ``metric_rows`` turns one metric or a
 sequence of metrics into rows.
+
+A metric is positive above a margin m when x > 0, y > 0 and D > m x y, stated
+once as |z| / sqrt(x) / sqrt(y) < sqrt(1 - m), which forms neither x y nor
+|z|^2 and so holds for a huge positive metric too.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-#: Relative positivity margin: metrics with D < POSITIVITY_MARGIN * x * y are
+#: Relative positivity margin: metrics with D <= POSITIVITY_MARGIN * x * y are
 #: treated as degenerate by operations that require an invertible metric.
 POSITIVITY_MARGIN = 1e-12
+
+
+def _positive(x, y, r, margin, sqrt):
+    """Positivity of (x, y, |z| = r) above ``margin``: on floats with math's ``sqrt``
+    (``is_positive``), on arrays with numpy's (``positive_rows``).  On floats a
+    zero or negative x or y raises where arrays give False."""
+    return (x > 0) & (y > 0) & (r / sqrt(x) / sqrt(y) < math.sqrt(1.0 - margin))
 
 
 class DegenerateMetricError(ValueError):
@@ -50,9 +62,16 @@ class HermitianMetric:
         object.__setattr__(self, "y", float(self.y))
         object.__setattr__(self, "z", complex(self.z))
 
+    def is_positive(self, margin: float = POSITIVITY_MARGIN) -> bool:
+        """Whether D > margin * x * y with x, y > 0 (see the module docstring)."""
+        try:
+            return _positive(self.x, self.y, abs(self.z), margin, math.sqrt)
+        except (ValueError, ZeroDivisionError):  # x or y is zero or negative
+            return False
+
     def require_positive(self, margin: float = POSITIVITY_MARGIN) -> None:
         """Reject metrics that are degenerate up to the roundoff margin."""
-        if not (self.x > 0 and self.y > 0 and self.det >= margin * self.x * self.y):
+        if not self.is_positive(margin):
             raise DegenerateMetricError(
                 f"metric degenerate: x={self.x!r} y={self.y!r} |z|={abs(self.z)!r} "
                 f"D={self.det!r} (margin {margin:g})"
@@ -76,12 +95,16 @@ def metric_rows(g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray) -> 
                     dtype=float).reshape(-1, 4)
 
 
-def require_positive_rows(rows: np.ndarray, margin: float = POSITIVITY_MARGIN) -> None:
-    """``require_positive`` on every row at once, with its arithmetic; raises
-    its error for the first degenerate row."""
+def positive_rows(rows: np.ndarray, margin: float = POSITIVITY_MARGIN) -> np.ndarray:
+    """``HermitianMetric.is_positive`` of each row, as a bool array."""
     x, y, zre, zim = rows.T
-    with np.errstate(all="ignore"):  # a huge metric overflows to inf, as Python's floats do
-        ok = (x > 0) & (y > 0) & (x * y - (zre * zre + zim * zim) >= margin * x * y)
+    with np.errstate(all="ignore"):  # a zero or negative x or y gives inf or NaN: False
+        return _positive(x, y, np.hypot(zre, zim), margin, np.sqrt)
+
+
+def require_positive_rows(rows: np.ndarray, margin: float = POSITIVITY_MARGIN) -> None:
+    """``require_positive`` on every row at once: raises its error for the first bad row."""
+    ok = positive_rows(rows, margin)
     if not ok.all():
         x, y, zre, zim = rows[np.argmin(ok)].tolist()
         HermitianMetric(x, y, complex(zre, zim)).require_positive(margin)

@@ -185,3 +185,13 @@ def test_run_verification_aggregates():
     assert len(report["geometries"]) == 9
     for item in report["geometries"]:
         assert item["structure_constants"]["passed"]
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_closed_form_K_of_a_huge_positive_metric_is_non_finite_not_an_error(geometry):
+    # x y and |z|^2 overflow: the metric is positive, and the kernel's inf - inf is NaN
+    desc, params = entry(geometry), sample_params(geometry, np.random.default_rng(0))
+    g = HermitianMetric(1e200, 1e200, 1e199)
+    for K in (desc.closed_form_K(params, g), desc.closed_form_K(params, [g, g])[1]):
+        assert K.shape == (2, 2)
+        assert np.isfinite(K).all() == (geometry is Geometry.TORUS)

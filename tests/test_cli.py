@@ -750,8 +750,9 @@ _VALID = {"schema_version": 1, "geometry": "torus", "g0": {"x": 1, "y": 1}, "t_m
     (dict(_VALID, g0={"y": 1}), "$.g0.x"),
     (dict(_VALID, engine="euler"), "$.engine"),
     (dict(_VALID, rel_tol=2), "$.rel_tol"),  # FlowConfig's own check
+    (dict(_VALID, schema_version=True), "$.schema_version"),  # True == 1, but not the version
 ], ids=["not-an-object", "no-geometry", "no-g0", "no-t_max", "params-not-object",
-        "g0-not-object", "no-g0-x", "bad-engine", "flow-config"])
+        "g0-not-object", "no-g0-x", "bad-engine", "flow-config", "bool-schema-version"])
 def test_parse_config_rejection_names_the_field(doc, path):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)

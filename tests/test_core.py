@@ -12,6 +12,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,11 @@ RUNS = [
     # t_max below the old absolute emission tolerance of 1e-12: no samples past t_max
     pytest.param((1, 0.0, 0.0, (1.0, 1.0, 0.3, 0.2), TINY_T_MAX, 1e-9, 1e-12, TINY_T_MAX / 1000,
                   1e-10), id="tiny-t_max"),
+    # x0 * y0 underflows to 0, so the monitor scales D by (1 / x0) * (1 / y0), inf here
+    pytest.param((0, 0.0, 0.0, (1e-200, 1e-200, 0.0, 0.0), 1000.0, 1e-9, 1e-12, 1.0, 1e-10),
+                 id="torus-underflowing-scale"),
+    pytest.param((0, 0.0, 0.0, (5e-324, 0.5, 0.0, 0.0), 100.0, 1e-9, 1e-12, 0.1, 1e-10),
+                 id="torus-subnormal-x0"),
     *_random_runs(2),
 ]
 # x * x overflows in the closed form, so row 0 holds NaN: the rows are rebuilt one
@@ -146,13 +152,10 @@ RUNS = [
 NONFINITE_RUN = (1, 0.0, 0.0, (1e200, 1.0, 0.5, 0.0), 10.0, 1e-9, 1e-12, 0.01, 1e-10)
 
 
-def _closed_phi(geom, p1, p2, x, y, u, theta):
-    """(K11, K22, Re phi, Im phi), phi = K12 / z, at |z|^2 = u and arg z = theta:
-    the log-polar kernels of ``_core_py`` by geometry id, as ``hcf_closed_phi``."""
-    _core_py._kernel(geom)  # ValueError for an unknown id
-    if geom in _core_py._W_KERNELS:
-        return (*_core_py._W_KERNELS[geom](p1, p2, x, y, u), 0.0)
-    return _core_py._POLAR_KERNELS[geom](p1, p2, x, y, u, theta)
+def _closed_phi(geom, *args):
+    """``_core_py``'s phi kernel of geometry id ``geom`` at (p1, p2, x, y, u, theta), as
+    ``hcf_closed_phi``: (K11, K22, Re phi, Im phi), phi = K12 / z."""
+    return _core_py._kernel(geom, _core_py._PHI)(*args)
 
 
 PYTHON_KERNELS = {"k": _core_py.closed_k, "phi": _closed_phi}
@@ -256,7 +259,7 @@ def test_kernels_are_homogeneous_of_degree_0(lane, request):
 
 @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
 def test_closed_phi_is_k12_over_z(geometry):
-    # the log-polar kernel restates K11 and K22 and gives phi = K12 / z
+    # the phi kernel has the Cartesian K11 and K22 and gives phi = K12 / z
     rng = np.random.default_rng(33)
     gid = GEOMETRY_IDS[geometry]
     for _ in range(200):
@@ -268,6 +271,31 @@ def test_closed_phi_is_k12_over_z(geometry):
         assert abs(p11 - k11) <= 1e-12 * scale and abs(p22 - k22) <= 1e-12 * scale
         assert abs(complex(phi_re, phi_im) * g.z - complex(k12re, k12im)) <= 1e-12 * scale
         assert math.isfinite(_closed_phi(gid, p1, p2, g.x, g.y, 0.0, 1.0)[2])
+
+
+@pytest.mark.parametrize("geometry", [Geometry.INOUE_SPM_J1, Geometry.INOUE_SP_J2],
+                         ids=lambda g: g.value)
+def test_inoue_cartesian_and_phi_kernels_are_identical(geometry):
+    # the two Inoue S+- entries state K12 twice: symbolically, the Cartesian kernel at
+    # z = r (cos theta, sin theta) has the phi kernel's K11 and K22 at u = r^2, and
+    # K12 = phi z.  Both run on sympy symbols, as _core_gen traces them on _Var, with
+    # sin theta = s and cos theta = c; each difference's numerator is 0 modulo s^2 + c^2 - 1
+    sympy = pytest.importorskip("sympy")
+    p1, p2, x, y, r, s, c, theta = sympy.symbols("p1 p2 x y r s c theta")
+
+    def traced(kernel):
+        names = {**kernel.__globals__, "_libm": lambda fn, v: {math.sin: s, math.cos: c}[fn]}
+        return types.FunctionType(kernel.__code__, names, closure=kernel.__closure__)
+
+    gid = GEOMETRY_IDS[geometry]
+    zre, zim = r * c, r * s
+    k11, k22, k12re, k12im = traced(_core_py._kernel(gid))(p1, p2, x, y, zre, zim)
+    p11, p22, phi_re, phi_im = traced(_core_py._kernel(gid, _core_py._PHI))(
+        p1, p2, x, y, r * r, theta)
+    for difference in (k11 - p11, k22 - p22, k12re - (phi_re * zre - phi_im * zim),
+                       k12im - (phi_re * zim + phi_im * zre)):
+        numerator = sympy.expand(sympy.numer(sympy.together(difference)))
+        assert sympy.rem(numerator, c ** 2 + s ** 2 - 1, c) == 0
 
 
 @pytest.mark.parametrize("z0", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
@@ -329,6 +357,18 @@ def test_tiny_t_max_emits_its_stride_samples_only(lane, request):
     status, _, rows, *_ = run(*args)
     assert status == _core_py.STATUS_REACHED_TMAX
     assert len(rows) == 1001 and rows[-1, 0] == TINY_T_MAX
+
+
+@pytest.mark.parametrize("lane", ["python", "c"])
+@pytest.mark.parametrize("run_id", ["torus-underflowing-scale", "torus-subnormal-x0"])
+def test_monitor_scale_of_an_underflowing_x0_y0(run_id, lane, request):
+    # x0 * y0 is 0: D's scale is (1 / x0) * (1 / y0) = inf, not a division by zero, and
+    # the monitor's D term 0 * inf = NaN is passed over by min(), as by pmin()
+    run = _core_py.run_closed_flow if lane == "python" else request.getfixturevalue("c_run")
+    args = next(p.values[0] for p in RUNS if p.id == run_id)
+    status, t_est, rows, _, _, m_final = run(*args)
+    assert status == _core_py.STATUS_REACHED_TMAX and t_est is None and m_final == 1.0
+    assert (rows[:, 1:5] == args[3]).all() and rows[-1, 0] == args[4]
 
 
 @pytest.mark.parametrize("args", RUNS)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hcflow import _g17, core
 from hcflow.analysis import classify_gh_limit
-from hcflow.catalog import GEOMETRY_IDS, LIMIT_POINT, pack_params
+from hcflow.catalog import GEOMETRY_IDS, LIMIT_POINT, pack_params, sample_metric, sample_params
 from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, MAX_SAMPLES,
@@ -335,3 +335,78 @@ def test_kodaira_primary_self_similar_solution(y0):
     assert error <= 1e-8  # 3.2e-9 measured, in 82 steps
     limit = classify_gh_limit(Geometry.KODAIRA_PRIMARY, traj, outcome)
     assert limit.kind == LIMIT_POINT
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the flow as metamorphic oracles
+# ---------------------------------------------------------------------------
+
+def _draws(seed):
+    """Two (geometry id, p1, p2, state0, t_max) draws per entry; Hopf collapses by t = 50."""
+    for geometry in Geometry:
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            p1, p2 = pack_params(sample_params(geometry, rng))
+            g = sample_metric(rng)
+            yield pytest.param(GEOMETRY_IDS[geometry], p1, p2, (g.x, g.y, g.z.real, g.z.imag),
+                               50.0 if geometry is Geometry.HOPF else 200.0, id=geometry.value)
+
+
+def _run(geom, p1, p2, state0, t_max, c=1.0):
+    """The closed-form run from c state0, with t_max, abs_tol and the stride scaled by c."""
+    return core.run_closed_flow(geom, p1, p2, tuple(c * v for v in state0), c * t_max,
+                                1e-9, 1e-12 * c, c * t_max / 1000, 1e-10)
+
+
+def _resolved(rows):
+    """Rows whose |z| is at least 1e-6 sqrt(x y), so that the absolute L_MIN flush
+    (and the error control of a vanishing z) leaves their z meaningful."""
+    return np.hypot(rows[:, 3], rows[:, 4]) >= 1e-6 * np.sqrt(rows[:, 1] * rows[:, 2])
+
+
+def _relative(a, b):
+    return float(np.max(np.abs(a - b) / np.abs(b), initial=0.0))
+
+
+@pytest.mark.parametrize("geom, p1, p2, state0, t_max", list(_draws(100)))
+def test_flow_scales_with_its_initial_metric(geom, p1, p2, state0, t_max):
+    # K is homogeneous of degree 0, so c g(t / c) solves the flow whenever g(t)
+    # does.  The loop's absolute constants (abs_tol aside) make the runs take
+    # other steps, up to 18 more or fewer here, so they agree to the tolerance,
+    # not in bits.  Measured on these draws: x and y to 9.5e-8 relative on hopf,
+    # whose x and y collapse, and <= 5.8e-9 elsewhere; resolved z to <= 1.3e-7;
+    # Hopf t_est to 2.9e-10.  (Over 20 draws per entry hopf's x and y reached 1.9e-5.)
+    ref = _run(geom, p1, p2, state0, t_max)
+    for c in (2.0 ** 3, 2.0 ** -2):
+        run = _run(geom, p1, p2, state0, t_max, c)
+        assert run[0] == ref[0] and run[2].shape == ref[2].shape
+        rows, expected, resolved = run[2], c * ref[2], _resolved(ref[2])
+        assert _relative(rows[:, 1:3], expected[:, 1:3]) <= (3e-7 if geom == 2 else 2e-8)
+        assert _relative(rows[resolved, 3] + 1j * rows[resolved, 4],
+                         expected[resolved, 3] + 1j * expected[resolved, 4]) <= 3e-7
+        if ref[1] is None:
+            assert run[1] is None and (rows[:, 0] == expected[:, 0]).all()
+        else:
+            assert abs(run[1] - c * ref[1]) <= 1e-9 * c * ref[1]
+
+
+@pytest.mark.parametrize("geom, p1, p2, state0, t_max",
+                         [p for p in _draws(200) if p.values[0] < 7])
+def test_flow_rotates_with_z0_on_the_w_z_entries(geom, p1, p2, state0, t_max):
+    # where K12 = w z with w real, rotating z0 by e^(i alpha) rotates z(t) and keeps
+    # x(t) and y(t).  Not bit for bit: _initial_step's scale reads theta.  Measured
+    # on these draws: x and y to <= 2.2e-13 relative (hopf, near its collapse),
+    # resolved z to <= 2.5e-12 (inoue-s0), Hopf t_est to 1.5e-15.  (Over 20 draws
+    # per entry x and y reached 1.2e-10.)  Inoue S+- J1 and J2 break the symmetry
+    # (their K depends on arg z), so they are left out
+    ref = _run(geom, p1, p2, state0, t_max)
+    for alpha in (0.9, -2.5):
+        turn = complex(math.cos(alpha), math.sin(alpha))
+        z0 = complex(*state0[2:]) * turn
+        run = _run(geom, p1, p2, (*state0[:2], z0.real, z0.imag), t_max)
+        assert run[0] == ref[0] and run[2].shape == ref[2].shape
+        assert _relative(run[2][:, 1:3], ref[2][:, 1:3]) <= 5e-13
+        rows, expected = run[2][_resolved(ref[2])], ref[2][_resolved(ref[2])]
+        assert _relative(rows[:, 3] + 1j * rows[:, 4],
+                         (expected[:, 3] + 1j * expected[:, 4]) * turn) <= 5e-12
+        assert run[1] == ref[1] or abs(run[1] - ref[1]) <= 1e-14 * ref[1]

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hcflow.curvature import _matrices
-from hcflow.metric import POSITIVITY_MARGIN, DegenerateMetricError, HermitianMetric
+from hcflow.metric import (POSITIVITY_MARGIN, DegenerateMetricError, HermitianMetric,
+                           positive_rows)
 from oracles import det_cofactor
 
 
@@ -55,6 +58,40 @@ def test_margin_tolerates_roundoff_near_collapse():
     g.require_positive()            # D ~ 1e-9 > default margin
     with pytest.raises(DegenerateMetricError):
         g.require_positive(margin=1e-6)
+
+
+NAN, INF = math.nan, math.inf
+# (x, y, Re z, Im z): signed zeros, negative, NaN and infinite parts, subnormal
+# values, huge metrics whose x y and |z|^2 overflow, and D = 0 at x y = 1
+EDGE_ROWS = [
+    (0.0, 1.0, 0.0, 0.0), (-0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (1.0, -0.0, 0.0, 0.0),
+    (1.0, 1.0, -0.0, -0.0), (-1.0, 2.0, 0.0, 0.0), (1.0, -2.0, 0.5, 0.0), (-INF, 1.0, 0.0, 0.0),
+    (NAN, 1.0, 0.0, 0.0), (1.0, NAN, 0.0, 0.0), (1.0, 1.0, NAN, 0.0), (1.0, 1.0, 0.0, NAN),
+    (INF, 1.0, 0.0, 0.0), (1.0, 1.0, INF, 0.0), (INF, INF, INF, 0.0),
+    (5e-324, 5e-324, 0.0, 0.0), (5e-324, 1.0, 5e-324, 0.0), (5e-324, 5e-324, 5e-324, 0.0),
+    (1e-310, 1e-310, 5e-324, -5e-324), (1e-200, 1e-200, 1e-201, 0.0),
+    (1e200, 1e200, 1e199, 0.0), (1e200, 1e200, 0.0, -1e199), (1e200, 1e-200, 1.0, 0.0),
+    (1.0, 1.0, 0.5, 0.0), (4.0, 1.0, 0.0, -1.0), (2.0, 0.5, 0.6, 0.8),
+]
+
+
+@pytest.mark.parametrize("margin", [POSITIVITY_MARGIN, 0.0, 0.75])
+def test_positivity_scalar_and_rows_forms_agree_on_edge_rows(margin):
+    scalar = [HermitianMetric(x, y, complex(zre, zim)).is_positive(margin)
+              for x, y, zre, zim in EDGE_ROWS]
+    assert positive_rows(np.array(EDGE_ROWS), margin).tolist() == scalar
+    assert True in scalar and False in scalar
+
+
+def test_positivity_is_strict_at_the_margin_and_holds_for_huge_metrics():
+    # D = x y - |z|^2 = 0.75 = 0.75 x y exactly: not positive above 0.75
+    assert HermitianMetric(1.0, 1.0, 0.5).is_positive(0.74)
+    assert not HermitianMetric(1.0, 1.0, 0.5).is_positive(0.75)
+    assert not HermitianMetric(4.0, 1.0, -1j).is_positive(0.75)
+    # x y and |z|^2 overflow to inf, and D = inf - inf is NaN, yet the metric is positive
+    huge = HermitianMetric(1e200, 1e200, 1e199)
+    assert math.isnan(huge.det) and huge.is_positive()
+    huge.require_positive()
 
 
 def _metric_strategy(lo, hi):
