@@ -27,6 +27,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import io
 import json
 import logging
@@ -90,7 +91,7 @@ def parse_config(doc: dict) -> FlowConfig:
     if unknown:
         raise ConfigError(f"$.{sorted(unknown)[0]}", "unknown field")
     version = doc.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:  # True == 1 in Python
+    if type(version) is not int or version != SCHEMA_VERSION:  # True == 1.0 == 1 in Python
         raise ConfigError("$.schema_version", f"must be {SCHEMA_VERSION}")
     for required in ("geometry", "g0", "t_max"):
         if required not in doc:
@@ -395,9 +396,10 @@ def _grid_points(grid_doc) -> list[dict]:
 def cmd_sweep(args) -> int:
     out_root = Path(args.out)
     items = []
+    workers = min(8, os.cpu_count() or 1) if args.workers is None else args.workers
     try:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
+        if workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {workers}")
         emit = _parse_emit(args.emit)
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
@@ -420,7 +422,7 @@ def cmd_sweep(args) -> int:
     rows: dict[int, dict] = {}
     # a forked pool starts all its workers at the first submit, so never ask
     # for more than there are points or CPUs
-    workers = min(args.workers, len(items), os.cpu_count() or 1)
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_worker, item) for item in items]
@@ -458,7 +460,12 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  ``parse_args`` leaves it
+    unchanged, it holds no command function (``main`` looks the command up at
+    each call) and no default that depends on the machine (``cmd_sweep``
+    resolves ``--workers``)."""
     parser = argparse.ArgumentParser(
         prog="hcflow",
         description="Hermitian curvature flow on complex surface model geometries")
@@ -467,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="catalog of geometries and expected labels")
     p_list.add_argument("--json", action="store_true")
     p_list.add_argument("--geometry")
-    p_list.set_defaults(func=cmd_list)
 
     p_run = sub.add_parser("run", help="integrate one flow")
     p_run.add_argument("--config", help="flow config JSON file")
@@ -475,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_run.add_argument(flag, dest=path, type=kind, help=f"sets {path}")
     p_run.add_argument("--emit", help="comma list of: " + ",".join(EMIT_CHOICES))
     p_run.add_argument("--out", required=True)
-    p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="engine vs closed-form agreement suite")
     p_verify.add_argument("--all", action="store_true")
@@ -485,15 +490,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--appendix", action="store_true",
                           help="include report-only published-table diffs")
     p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a grid of configs")
     p_sweep.add_argument("--config", required=True, help="base config JSON")
     p_sweep.add_argument("--grid", required=True, help="grid JSON (points or product)")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--emit", help="comma list of: " + ",".join(EMIT_CHOICES))
-    p_sweep.add_argument("--workers", type=int, default=min(8, os.cpu_count() or 1))
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.add_argument("--workers", type=int, help="worker processes (default: min(8, CPUs))")
 
     return parser
 
@@ -507,7 +510,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which here means "unclassified"
         return 1 if exc.code else 0
-    return args.func(args)
+    commands = {"list": cmd_list, "run": cmd_run, "verify": cmd_verify, "sweep": cmd_sweep}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

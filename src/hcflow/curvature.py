@@ -16,10 +16,22 @@ conventions used throughout:
 result.  It takes one metric, a sequence of metrics, or n metrics as rows
 (x, y, Re z, Im z) of shape (n, 4) (see ``hcflow.metric``); a sequence is
 turned into rows first.  It then runs the same contractions once over the
-stacked matrices ``A`` of shape (n, 2, 2):
-every einsum carries a ``...`` prefix on its metric-dependent operands, so
-each metric-dependent result gains the same leading axis, and each slice
-has the bits of the one-metric call.
+stacked matrices ``A`` of shape (n, 2, 2), and each field but ``gamma_b``
+gets the leading axis n.
+
+Layout of the stacked contractions: every metric-dependent operand carries a
+``...`` for the metric axis, and for one metric the ``...`` is empty, so the
+one-metric call runs the plain 2x2 contractions.  Most einsums put the ``...``
+last (``'lk...,pj...,lir,krp...->ij...'``, on contiguous metric-last copies of
+A, B and the intermediates), so their innermost loop runs over the n metrics
+rather than over a 2-long tensor index; their results are moved back to
+metric-first.  Two contractions keep the ``...`` first: ``gamma_h``
+(``'...js,...ip,kjp->...kis'``) and the first term of Q4
+(``'...lk,...qm,...mkl,...qji->...ij'``).  numpy's einsum picks its
+summation order from the operands' layout, and metric-last sums these two in
+another order than the one-metric call, which changes their last bits for a
+dense mu; metric-first keeps them.  So each slice of a stacked call has the
+bits of the one-metric call, for any mu.
 
 This module is the reference oracle for the closed-form tensors in
 ``hcflow.catalog``: the two must agree for every geometry and metric.
@@ -73,22 +85,38 @@ def _matrices(g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray,
     return A, np.linalg.inv(A)
 
 
+def _metric_last(X: np.ndarray, lead: int) -> np.ndarray:
+    """X, C-contiguous, with its first ``lead`` (metric) axes moved to the end."""
+    return np.ascontiguousarray(X.transpose(*range(lead, X.ndim), *range(lead)))
+
+
+def _metric_first(X: np.ndarray, lead: int) -> np.ndarray:
+    """X, C-contiguous, with its last ``lead`` (metric) axes moved to the front."""
+    k = X.ndim - lead
+    return np.ascontiguousarray(X.transpose(*range(k, X.ndim), *range(k)))
+
+
 def _second_chern_ricci_from_gamma(A, B, m_bhh, m_hbh, m_hbb, gamma_h) -> np.ndarray:
-    t1 = np.einsum('...lk,...pj,lir,...krp->...ij', B, A, m_bhh, gamma_h)
-    t2 = np.einsum('...lk,...pj,lrp,...kir->...ij', B, A, m_bhh, gamma_h)
-    t3 = np.einsum('...lk,...pj,klr,...rip->...ij', B, A, m_hbh, gamma_h)
-    t4 = np.einsum('...lk,...pj,klr,rip->...ij', B, A, m_hbb, m_bhh)
+    """S from metric-last A, B and gamma_h; metric-last."""
+    t1 = np.einsum('lk...,pj...,lir,krp...->ij...', B, A, m_bhh, gamma_h)
+    t2 = np.einsum('lk...,pj...,lrp,kir...->ij...', B, A, m_bhh, gamma_h)
+    t3 = np.einsum('lk...,pj...,klr,rip...->ij...', B, A, m_hbh, gamma_h)
+    t4 = np.einsum('lk...,pj...,klr,rip->ij...', B, A, m_hbb, m_bhh)
     return t1 - t2 - t3 - t4
 
 
-def _quadratic_from_torsion(B: np.ndarray, T: np.ndarray):
-    Tc = np.conj(T)
-    Q1 = np.einsum('...lk,...qm,...ikq,...jlm->...ij', B, B, T, Tc)
-    Q2 = np.einsum('...lk,...qm,...kmj,...lqi->...ij', B, B, T, Tc)
-    Q3 = np.einsum('...lk,...qm,...ikl,...jqm->...ij', B, B, T, Tc)
-    Q4 = 0.5 * (np.einsum('...lk,...qm,...mkl,...qji->...ij', B, B, T, Tc)
-                + np.einsum('...lk,...qm,...qlk,...mij->...ij', B, B, Tc, T))
-    return Q1, Q2, Q3, Q4
+def _quadratic_from_torsion(B, T, Bl, Tl, lead):
+    """Q1..Q4, metric-first, from B and T given in both layouts:
+    metric-first (B, T) and metric-last (Bl, Tl)."""
+    Tc, Tcl = np.conj(T), np.conj(Tl)
+    Q1 = np.einsum('lk...,qm...,ikq...,jlm...->ij...', Bl, Bl, Tl, Tcl)
+    Q2 = np.einsum('lk...,qm...,kmj...,lqi...->ij...', Bl, Bl, Tl, Tcl)
+    Q3 = np.einsum('lk...,qm...,ikl...,jqm...->ij...', Bl, Bl, Tl, Tcl)
+    Q4b = np.einsum('lk...,qm...,qlk...,mij...->ij...', Bl, Bl, Tcl, Tl)
+    Q1, Q2, Q3, Q4b = (_metric_first(X, lead) for X in (Q1, Q2, Q3, Q4b))
+    # metric-first: metric-last sums this term in another order
+    Q4a = np.einsum('...lk,...qm,...mkl,...qji->...ij', B, B, T, Tc)
+    return Q1, Q2, Q3, 0.5 * (Q4a + Q4b)
 
 
 def curvature_bundle(mu: StructureConstants,
@@ -101,19 +129,23 @@ def curvature_bundle(mu: StructureConstants,
     every field but ``gamma_b`` gets a leading axis of length n.
     """
     A, B = _matrices(g, margin)
+    lead = A.ndim - 2  # number of metric axes: 1 for a stack, 0 for one metric
     m = mu.mu
     m_hbb = m[0:2, 2:4, 2:4]
     m_bhh = m[2:4, 0:2, 0:2]
     m_hbh = m[0:2, 2:4, 0:2]
     m_hhh = m[0:2, 0:2, 0:2]
 
+    # metric-first: metric-last sums this contraction in another order
     gamma_h = -np.einsum('...js,...ip,kjp->...kis', B, A, m_hbb)
     gamma_b = m_bhh.copy()
-    T = (-np.einsum('...jp,ikp->...ijk', A, m_hbb)
-         + np.einsum('...ip,jkp->...ijk', A, m_hbb)
-         - np.einsum('...mk,ijm->...ijk', A, m_hhh))
-    S = _second_chern_ricci_from_gamma(A, B, m_bhh, m_hbh, m_hbb, gamma_h)
-    Q1, Q2, Q3, Q4 = _quadratic_from_torsion(B, T)
+    Al, Bl, gamma_hl = (_metric_last(X, lead) for X in (A, B, gamma_h))
+    Tl = (-np.einsum('jp...,ikp->ijk...', Al, m_hbb)
+          + np.einsum('ip...,jkp->ijk...', Al, m_hbb)
+          - np.einsum('mk...,ijm->ijk...', Al, m_hhh))
+    T = _metric_first(Tl, lead)
+    S = _metric_first(_second_chern_ricci_from_gamma(Al, Bl, m_bhh, m_hbh, m_hbb, gamma_hl), lead)
+    Q1, Q2, Q3, Q4 = _quadratic_from_torsion(B, T, Bl, Tl, lead)
     Q = 0.5 * Q1 - 0.25 * Q2 - 0.5 * Q3 + Q4
     return CurvatureBundle(gamma_h=gamma_h, gamma_b=gamma_b, torsion=T,
                            S=S, Q1=Q1, Q2=Q2, Q3=Q3, Q4=Q4, Q=Q, K=S - Q)

@@ -623,6 +623,34 @@ def test_sweep_pool_is_bounded_by_points_and_cpus(tmp_path, monkeypatch, workers
     assert [row[-1] for row in rows] == ["ok"] * points
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli("run", "--geometry", "torus", "--t-max", "1", "--x0", "7",
+                   "--out", str(first)) == 2
+    capsys.readouterr()
+    assert run_cli("verify", "--geometry", "hopf", "--samples", "3", "--json") == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["samples"] == 3 and [g["geometry"] for g in report["geometries"]] == ["hopf"]
+    assert run_cli("run", "--geometry", "torus", "--t-max", "2", "--out", str(second)) == 2
+    # the second run sees neither the first run's --x0 nor its --t-max
+    assert (first / "trajectory.csv").read_text().splitlines()[-1] == "1,7,1,0,0,7,0,-0,-0"
+    assert (second / "trajectory.csv").read_text().splitlines()[-1] == "2,1,1,0,0,1,0,-0,-0"
+
+    # the --workers default follows the CPU count at each call, not at the first parse
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
+                       t_max=1.0, sample_stride=0.5)
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"points": [{"g0.x": 1.0 + i} for i in range(5)]}))
+    for cpus in (3, 2, 1):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                       "--out", str(tmp_path / f"sweep-{cpus}"), "--emit", "outcome-json") == 0
+    assert _InlinePool.sizes == [3, 2]  # one CPU runs the points inline
+
+
 @pytest.mark.parametrize("base, grid, extra, named", [
     ([1, 2], {"points": [{}]}, (), "$: the base config must be a JSON object"),
     (None, ["points"], (), "$: the grid must be a JSON object"),
@@ -751,8 +779,10 @@ _VALID = {"schema_version": 1, "geometry": "torus", "g0": {"x": 1, "y": 1}, "t_m
     (dict(_VALID, engine="euler"), "$.engine"),
     (dict(_VALID, rel_tol=2), "$.rel_tol"),  # FlowConfig's own check
     (dict(_VALID, schema_version=True), "$.schema_version"),  # True == 1, but not the version
+    (dict(_VALID, schema_version=1.0), "$.schema_version"),  # 1.0 == 1, but not the version
 ], ids=["not-an-object", "no-geometry", "no-g0", "no-t_max", "params-not-object",
-        "g0-not-object", "no-g0-x", "bad-engine", "flow-config", "bool-schema-version"])
+        "g0-not-object", "no-g0-x", "bad-engine", "flow-config", "bool-schema-version",
+        "float-schema-version"])
 def test_parse_config_rejection_names_the_field(doc, path):
     with pytest.raises(ConfigError) as info:
         parse_config(doc)

@@ -37,10 +37,7 @@ def test_verify_json_bits_pinned(capsys, argv, digest):
 BUNDLE_FIELDS = ("gamma_h", "torsion", "S", "Q1", "Q2", "Q3", "Q4", "Q", "K")
 
 
-@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
-def test_stacked_bundle_equals_one_at_a_time_bitwise(geometry):
-    rng = np.random.default_rng([11, list(Geometry).index(geometry)])
-    mu = entry(geometry).structure_constants(sample_params(geometry, rng))
+def _assert_stacked_slices_equal_one_metric_calls(mu, rng):
     for n in (1, 2, 7, CHUNK + 1):
         metrics = [sample_metric(rng) for _ in range(n)]
         stacked = curvature_bundle(mu, metrics)
@@ -52,6 +49,23 @@ def test_stacked_bundle_equals_one_at_a_time_bitwise(geometry):
             one = curvature_bundle(mu, g)
             for name in BUNDLE_FIELDS:
                 assert getattr(stacked, name)[i].tobytes() == getattr(one, name).tobytes(), name
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_stacked_bundle_equals_one_at_a_time_bitwise(geometry):
+    rng = np.random.default_rng([11, list(Geometry).index(geometry)])
+    for _ in range(3):
+        mu = entry(geometry).structure_constants(sample_params(geometry, rng))
+        _assert_stacked_slices_equal_one_metric_calls(mu, rng)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_bundle_equals_one_at_a_time_bitwise_for_dense_mu(seed):
+    # every component nonzero: the catalog's sparse mu would hide a contraction
+    # whose summation order depends on the metric axis' place
+    rng = np.random.default_rng([12, seed])
+    mu = StructureConstants(rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4)))
+    _assert_stacked_slices_equal_one_metric_calls(mu, rng)
 
 
 def _sample_metric_one_draw_at_a_time(rng, diag_range=(0.1, 10.0), max_fill=0.95):
