@@ -7,14 +7,17 @@ and, per ``KERNEL_POINTS`` entry, the phi kernel that the loop's rhs
 calls: the Python one of ``_core_py._PHI``, and the C core's ``hcf_closed_phi`` in
 a C loop compiled from the package's source (needs ``cc``), so a C kernel
 that recomputes ``sin`` or ``cos`` shows, (b) the general contraction engine
-(``curvature_bundle``) and the catalog's closed form (``closed_form_K``) per
-metric, each called on one metric and on 100 metric rows (as ``hcflow
-verify`` calls them), together with the cost of drawing the metrics
-(``sample_metric`` one at a time, ``sample_metrics`` 100 per call) and of the
-engine's stacked matrix build (positivity check, the matrices A and their
-inverses, 100 per call), (c) the four structure-constant hygiene checks per
-parameter draw, one draw per call and 20 stacked draws per call (as
-``verify_structure_constants`` calls them), (d) the CSV text of the two
+(``curvature_bundle``) per metric, called on one metric, on one geometry's
+100 metric rows with its one algebra, and on a CHUNK of 256 rows of all nine
+geometries with one algebra per row (as ``hcflow verify`` calls it), and the
+catalog's closed form (``closed_form_K``) per metric on one metric and on 100
+rows, together with the cost of drawing the metrics (``sample_metric`` one
+at a time, ``sample_metrics`` 100 per call) and of the engine's stacked
+matrix build (positivity check, the matrices A and their inverses, 100 per
+call), (c) the four structure-constant hygiene checks per parameter draw,
+one draw per call and, as ``verify_structure_constants`` calls them, one
+stack of the distinct draws of 20 per geometry, all nine geometries
+together, (d) the CSV text of the two
 1001-row tables of a t = 1000 run (``trajectory.csv``, 9 columns, and
 ``plot_data.csv``, 4), written by ``columns_csv`` and by a per-cell ``%.17g``
 reference, per cell, and (e) full flow runs, for two short collapsing runs
@@ -40,11 +43,13 @@ from pathlib import Path
 import numpy as np
 
 from hcflow import _core_py, algebra, core, curvature
+from hcflow.algebra import StructureConstants
 from hcflow.catalog import entry, sample_metric, sample_metrics, sample_params
 from hcflow.curvature import curvature_bundle
 from hcflow.geometry import Geometry
 from hcflow.integrate import Trajectory, columns_csv
 from hcflow.metric import POSITIVITY_MARGIN
+from hcflow.verify import CHUNK
 
 KERNEL_POINTS = [
     (2, 0.7, 0.0, 1.0, 1.5, 0.3, -0.2),
@@ -149,11 +154,23 @@ def inoue_case(stack):
     return desc, params, desc.structure_constants(params), g
 
 
-def hygiene_mus(draws):
-    """Structure constants of ``draws`` distinct Hopf parameter draws."""
+def mixed_chunk():
+    """A CHUNK of metric rows in verify's order, CHUNK // 9 per geometry and the rest
+    of the last, with the stack of one algebra per row."""
     rng = np.random.default_rng(0)
-    desc = entry(Geometry.HOPF)
-    return [desc.structure_constants(sample_params(Geometry.HOPF, rng)) for _ in range(draws)]
+    counts = [CHUNK // 9] * 8 + [CHUNK - 8 * (CHUNK // 9)]
+    mus = [entry(g).structure_constants(sample_params(g, rng)).mu for g in Geometry]
+    return (StructureConstants(np.repeat(np.array(mus), counts, axis=0)),
+            sample_metrics(rng, CHUNK))
+
+
+def hygiene_stack(draws):
+    """The structure constants of ``draws`` parameter draws per geometry, repeats
+    dropped, all nine geometries in one stack (as verify builds it)."""
+    rng = np.random.default_rng(0)
+    return np.concatenate([
+        entry(g).structure_constants(list(dict.fromkeys(
+            sample_params(g, rng) for _ in range(draws)))).mu for g in Geometry])
 
 
 def csv_tables():
@@ -199,8 +216,13 @@ def main():
         desc, params, mu, g = inoue_case(stack)
         engine = best_per_item(lambda: curvature_bundle(mu, g), stack, args.repeat)
         closed = best_per_item(lambda: desc.closed_form_K(params, g), stack, args.repeat)
-        print(f"engine: curvature_bundle, {stack:>3} per call {engine * 1e6:8.2f} us/metric")
+        print(f"engine: curvature_bundle, {stack:>3} per call, one algebra "
+              f"{engine * 1e6:8.2f} us/metric")
         print(f"catalog: closed_form_K, {stack:>3} per call {closed * 1e6:9.2f} us/metric")
+    mus, rows = mixed_chunk()
+    engine = best_per_item(lambda: curvature_bundle(mus, rows), CHUNK, args.repeat)
+    print(f"engine: curvature_bundle, {CHUNK} per call, nine geometries, one algebra per row "
+          f"{engine * 1e6:6.2f} us/metric")
     rng = np.random.default_rng(0)
     one = best_per_item(lambda: [sample_metric(rng) for _ in range(100)], 100, args.repeat)
     stacked = best_per_item(lambda: sample_metrics(rng, 100), 100, args.repeat)
@@ -212,13 +234,13 @@ def main():
     checks = [getattr(algebra, name) for name in (
         "antisymmetry_violation", "reality_violation", "integrability_violation",
         "jacobi_violation")]
-    draws = hygiene_mus(20)
-    stack = np.array([sc.mu for sc in draws])
-    one = best_per_item(lambda: [check(sc.mu) for sc in draws for check in checks],
-                        len(draws), args.repeat)
-    stacked = best_per_item(lambda: [check(stack) for check in checks], len(draws), args.repeat)
+    stack = hygiene_stack(20)
+    one = best_per_item(lambda: [check(mu) for mu in stack for check in checks],
+                        len(stack), args.repeat)
+    stacked = best_per_item(lambda: [check(stack) for check in checks], len(stack), args.repeat)
     print(f"algebra: four hygiene checks, one draw per call {one * 1e6:8.2f} us/draw")
-    print(f"algebra: four hygiene checks, {len(draws)} draws per call {stacked * 1e6:8.2f} us/draw")
+    print(f"algebra: four hygiene checks, {len(stack)} draws of nine geometries per call "
+          f"{stacked * 1e6:8.2f} us/draw")
     for name, columns in csv_tables():
         cells = len(columns) * len(columns[0])
         array = best_per_item(lambda: columns_csv("", columns), cells, args.repeat)

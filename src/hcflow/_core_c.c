@@ -59,18 +59,30 @@ static int emit_row(Run *r, double t, const double *z) {
     for (int c = 5; c < 9; c++) row[c] = -row[c];
     return err;
 }
-/* Append the row of the state s: z = exp(L / 2) (cos theta, sin theta), and z = 0 where
+/* The Cartesian state z of the state s: z = exp(L / 2) (cos theta, sin theta), and z = 0 where
  * exp(L) is below the normal range (L < L_MIN).  cos and sin are recomputed only when theta's
  * bits change (theta stays on the w * z entries); memcmp, not ==, so -0.0 keeps sin(-0.0). */
-static int emit(Run *r, double t, const double *s) {
-    double z[4] = {s[0], s[1], 0.0, 0.0}, rr;
+static void cartesian(Run *r, const double *s, double *z) {
+    z[0] = s[0], z[1] = s[1], z[2] = z[3] = 0.0;
     if (!(s[2] < L_MIN)) {
         if (memcmp(&s[3], &r->th, sizeof r->th) != 0)
             r->th = s[3], r->cos_th = cos(s[3]), r->sin_th = sin(s[3]);
-        rr = exp(0.5 * s[2]);
+        double rr = exp(0.5 * s[2]);
         z[2] = rr * r->cos_th, z[3] = rr * r->sin_th;
     }
+}
+/* Append the row of the state s. */
+static int emit(Run *r, double t, const double *s) {
+    double z[4];
+    cartesian(r, s, z);
     return emit_row(r, t, z);
+}
+/* Whether the row of the state s can be made: the closed form at its Cartesian state returns
+ * no ERR_ code (_core_py's row_defined). */
+static int row_defined(Run *r, const double *s) {
+    double z[4], k[4];
+    cartesian(r, s, z);
+    return hcf_closed_k(r->geom, r->p1, r->p2, z, k) == 0;
 }
 static double monitor(const double *s, const double *inv_scale) {
     double d = s[0] * s[1] - exp(s[2]);
@@ -135,7 +147,7 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
     Run r = {geom, p1, p2, rows, cap, 0, state0[5], cos(state0[5]), sin(state0[5])};
     double y0[4] = {state0[0], state0[1], state0[4], state0[5]}, y1[4], ys[4], y_end[4], k[7][4];
     double q[4][4], inv_scale[3], h, t = 0.0, err = 0.0, err_prev = 1.0, t_end, m_last, m1;
-    double lo, hi, mid, ts;
+    double lo, hi, mid, mids[60], ts;
     long n_acc = 0, n_rej = 0, n_dec = 0, next_sample = 1;  /* n_dec: see _core_py._integrate */
     int status = 0, bad, extinct, have_q;
 
@@ -191,12 +203,17 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
             dense_coefficients(k, h, q);
             lo = 0.0, hi = 1.0;
             for (int i = 0; i < 60; i++) {
-                mid = 0.5 * (lo + hi);
+                mids[i] = mid = 0.5 * (lo + hi);
                 dense_eval(y0, q, mid, ys);
                 if (monitor(ys, inv_scale) < threshold) hi = mid; else lo = mid;
             }
-            t_end = t + hi * h;
             dense_eval(y0, q, hi, y_end);
+            if (!row_defined(&r, y_end))  /* back to the last point whose row can be made */
+                for (int i = 59; i >= 0; i--) {
+                    dense_eval(y0, q, mids[i], ys);
+                    if (row_defined(&r, ys)) { hi = mids[i], memcpy(y_end, ys, sizeof y_end); break; }
+                }
+            t_end = t + hi * h;
         }
         while (next_sample * stride <= t_end + 1e-12 * pmax(stride, t_end)) {
             ts = pmin(next_sample * stride, t_end);

@@ -331,11 +331,22 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
         start, step_rhs, monitor = (x, y, *log_polar(zr, zi)), polar_rhs, _polar_monitor
     else:
         start, step_rhs, monitor = state, rhs, _monitor
+    cartesian = _to_cartesian if polar else lambda *s: s
+
+    def row_defined(s) -> bool:
+        """Whether the output row of the loop state ``s`` can be made: ``rhs``
+        at its Cartesian state does not raise (a closed form divides by D^2)."""
+        try:
+            rhs(*cartesian(*s))
+        except (ZeroDivisionError, OverflowError):
+            return False
+        return True
+
     records: list[tuple] = []
     try:
         status, t_est, tail, n_acc, n_rej, m_final = _integrate(
             step_rhs, monitor, start, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
-            max_steps, records)
+            max_steps, records, row_defined)
     except Exception:
         _rows(rhs, array_rhs, state, records, stride, None, polar)
         raise
@@ -344,7 +355,7 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
 
 
 def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
-               max_steps, records):
+               max_steps, records, row_defined):
     """The RK5(4) loop of ``run_flow``; returns ``(status, t_est, tail, n_acc, n_rej, m_final)``.
 
     Each accepted step that covers stride samples appends to ``records`` one
@@ -355,7 +366,11 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
 
     The state is (x, y, zr, zi), which for a log-polar run hold (x, y, L,
     theta), and stage s is (dxs, dys, drs, dis).  ``monitor`` is the
-    positivity margin of a state.  Each ``h * a_sj`` is computed once per
+    positivity margin of a state.  A run that stops at the monitor's crossing
+    ends on the bisection's last point, unless ``row_defined`` says its output
+    row cannot be made there (a threshold below what the state resolves can
+    bisect onto D = 0): then on the last point visited before whose row can
+    be, if one exists.  Each ``h * a_sj`` is computed once per
     step, which is exact: Python evaluates ``h * a * k`` as ``(h * a) * k``.
     Every attempted step evaluates its six new stages, so ``rhs`` is called
     ``2 + 6 * (n_acc + n_rej)`` times, counting the initial step's two.
@@ -469,15 +484,23 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
                                        (dr0, dr1, dr2, dr3, dr4, dr5, dr6),
                                        (di0, di1, di2, di3, di4, di5, di6))
             lo, hi = 0.0, 1.0
+            mids = []
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
+                mids.append(mid)
                 if monitor(*_dense_eval(state, qmat, mid), inv_scale) < threshold:
                     hi = mid
                 else:
                     lo = mid
             theta_star = hi
-            t_end = t + theta_star * h
             y_end = _dense_eval(state, qmat, theta_star)
+            if not row_defined(y_end):
+                for mid in reversed(mids):
+                    s = _dense_eval(state, qmat, mid)
+                    if row_defined(s):
+                        theta_star, y_end = mid, s
+                        break
+            t_end = t + theta_star * h
 
         # record the stride samples covered by [t, t_end]; _rows evaluates them.  The
         # tolerance is relative, so a tiny t_max gets no samples past it

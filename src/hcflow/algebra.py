@@ -3,7 +3,8 @@
 Coefficients are stored as a dense (4, 4, 4) complex array mu over the basis
 (Z1, Z2, conj Z1, conj Z2): mu[A, B, C] is the C-component of the bracket of
 basis vectors A and B.  Index slots 0..1 are the holomorphic directions and
-2..3 their conjugates.
+2..3 their conjugates.  A stack of n algebras is one (n, 4, 4, 4) array,
+which ``from_brackets`` builds from array-valued brackets.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ _CONJ = (ZB1, ZB2, Z1, Z2)
 
 
 def conjugate_vector(v: np.ndarray) -> np.ndarray:
-    """Complex conjugation of a coefficient vector, swapping Zi <-> conj Zi."""
-    v = np.asarray(v, dtype=complex)
-    return np.array([np.conj(v[2]), np.conj(v[3]), np.conj(v[0]), np.conj(v[1])])
+    """Complex conjugation of a coefficient vector, swapping Zi <-> conj Zi;
+    on an array of shape (4, ...), of each vector along the first axis."""
+    return np.conj(np.asarray(v, dtype=complex)[list(_CONJ)])
 
 
 # The four hygiene checks take mu of shape (..., 4, 4, 4) and return the max
@@ -45,23 +46,29 @@ def integrability_violation(mu: np.ndarray) -> np.ndarray:
 
 
 def jacobi_violation(mu: np.ndarray) -> np.ndarray:
-    """Largest cyclic sum [[A, B], C] + [[B, C], A] + [[C, A], B] component."""
-    total = (np.einsum('...abd,...dce->...abce', mu, mu)
-             + np.einsum('...bcd,...dae->...abce', mu, mu)
-             + np.einsum('...cad,...dbe->...abce', mu, mu))
-    return np.max(np.abs(total), axis=(-4, -3, -2, -1))
+    """Largest cyclic sum [[A, B], C] + [[B, C], A] + [[C, A], B] component.
+
+    The leading axes are moved last, so the contractions' innermost loop runs
+    over the stack; each sum over d still runs in the one-array order."""
+    lead = mu.ndim - 3
+    m = np.ascontiguousarray(np.moveaxis(mu, range(lead), range(3, mu.ndim)))
+    total = (np.einsum('abd...,dce...->abce...', m, m)
+             + np.einsum('bcd...,dae...->abce...', m, m)
+             + np.einsum('cad...,dbe...->abce...', m, m))
+    return np.max(np.abs(total), axis=(0, 1, 2, 3))
 
 
 @dataclass(frozen=True)
 class StructureConstants:
-    """Immutable bracket coefficients of a 4-dimensional complexified algebra."""
+    """Immutable bracket coefficients of a 4-dimensional complexified algebra,
+    shape (4, 4, 4), or of a stack of n such algebras, shape (n, 4, 4, 4)."""
 
     mu: np.ndarray
 
     def __post_init__(self) -> None:
         mu = np.ascontiguousarray(np.asarray(self.mu, dtype=complex))
-        if mu.shape != (4, 4, 4):
-            raise ValueError(f"expected shape (4, 4, 4), got {mu.shape}")
+        if mu.shape[-3:] != (4, 4, 4) or mu.ndim > 4:
+            raise ValueError(f"expected shape (4, 4, 4) or (n, 4, 4, 4), got {mu.shape}")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
@@ -73,18 +80,27 @@ def from_brackets(b12=None, b11=None, b22=None, b12b=None) -> StructureConstants
     the brackets [Z1, Z2], [Z1, conj Z1], [Z2, conj Z2] and [Z1, conj Z2];
     omitted brackets are zero.  [Z2, conj Z1], the conjugate pair brackets and
     all swapped-argument entries are filled in by reality and antisymmetry.
+
+    A component may be an array of shape (n,) (scalars broadcast against it):
+    then mu has shape (n, 4, 4, 4), one algebra per element, and each has the
+    bits of the call on that element's scalars.
     """
-    zero = np.zeros(4, dtype=complex)
+    arrays = [c.shape for v in (b12, b11, b22, b12b) if v is not None
+              for c in v if isinstance(c, np.ndarray)]
+    shape = np.broadcast_shapes(*arrays) if arrays else ()
 
     def vec(v):
-        return zero if v is None else np.asarray(v, dtype=complex)
+        out = np.zeros((4, *shape), dtype=complex)
+        for c, value in enumerate(() if v is None else v):
+            out[c] = value
+        return out
 
     b12, b11, b22, b12b = vec(b12), vec(b11), vec(b22), vec(b12b)
-    mu = np.zeros((4, 4, 4), dtype=complex)
+    mu = np.zeros((4, 4, 4, *shape), dtype=complex)  # the algebra axes move last below
 
     def put(a, b, v):
-        mu[a, b, :] = v
-        mu[b, a, :] = -v
+        mu[a, b] = v
+        mu[b, a] = -v
 
     put(Z1, Z2, b12)
     put(Z1, ZB1, b11)
@@ -92,4 +108,4 @@ def from_brackets(b12=None, b11=None, b22=None, b12b=None) -> StructureConstants
     put(Z1, ZB2, b12b)
     put(Z2, ZB1, -conjugate_vector(b12b))
     put(ZB1, ZB2, conjugate_vector(b12))
-    return StructureConstants(mu)
+    return StructureConstants(np.moveaxis(mu, (0, 1, 2), (-3, -2, -1)))

@@ -47,54 +47,53 @@ def pack_params(params: GeometryParams) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# structure constants
+# structure constants: each builder takes the geometry's parameters by name,
+# as scalars or as arrays of draws (see ``from_brackets``)
 # ---------------------------------------------------------------------------
 
-def _mu_torus(p: GeometryParams) -> StructureConstants:
+def _mu_torus() -> StructureConstants:
     return from_brackets()
 
 
-def _mu_hyperelliptic(p: GeometryParams) -> StructureConstants:
+def _mu_hyperelliptic() -> StructureConstants:
     return from_brackets(b12=[1, 0, 0, 0], b12b=[-1, 0, 0, 0])
 
 
-def _mu_hopf(p: GeometryParams) -> StructureConstants:
-    lam = p.lam
+def _mu_hopf(lam) -> StructureConstants:
     return from_brackets(b12=[0, 1, 0, 0], b12b=[0, 0, 0, -1],
                          b22=[-1 + 1j * lam, 0, 1 + 1j * lam, 0])
 
 
-def _mu_properly_elliptic(p: GeometryParams) -> StructureConstants:
+def _mu_properly_elliptic(lam) -> StructureConstants:
     # the bracket of Z1 with conj(Z2) must be i*Z1: together with
     # [Z1, Z2] = i*Z1 this is the unique choice closing the Jacobi identity,
     # and it reproduces sl(2, R) + R as the underlying real algebra
-    lam = p.lam
     return from_brackets(b12=[1j, 0, 0, 0], b12b=[1j, 0, 0, 0],
                          b11=[0, -lam + 1j, 0, lam + 1j])
 
 
-def _mu_kodaira_primary(p: GeometryParams) -> StructureConstants:
+def _mu_kodaira_primary() -> StructureConstants:
     return from_brackets(b11=[0, 1j, 0, 1j])
 
 
-def _mu_kodaira_secondary(p: GeometryParams) -> StructureConstants:
-    e = p.epsilon
+def _mu_kodaira_secondary(epsilon) -> StructureConstants:
+    e = epsilon
     return from_brackets(b12=[e, 0, 0, 0], b12b=[-e, 0, 0, 0],
                          b11=[0, -1j * e, 0, -1j * e])
 
 
-def _mu_inoue_s0(p: GeometryParams) -> StructureConstants:
-    w = p.b + 1j * p.a
+def _mu_inoue_s0(a, b) -> StructureConstants:
+    w = b + 1j * a
     return from_brackets(b12=[-w, 0, 0, 0], b12b=[w, 0, 0, 0],
-                         b22=[0, -2j * p.a, 0, -2j * p.a])
+                         b22=[0, -2j * a, 0, -2j * a])
 
 
-def _mu_inoue_j1(p: GeometryParams) -> StructureConstants:
+def _mu_inoue_j1() -> StructureConstants:
     return from_brackets(b12=[0, -1, 0, 0], b12b=[0, -1, 0, 0],
                          b11=[-1, 0, 1, 0])
 
 
-def _mu_inoue_j2(p: GeometryParams) -> StructureConstants:
+def _mu_inoue_j2() -> StructureConstants:
     return from_brackets(b12=[0, -1, 0, 0], b12b=[0, -1, 0, 0],
                          b11=[-1, 1, 1, -1])
 
@@ -330,7 +329,7 @@ class GeometryDescriptor:
     group: str
     expected_outcome: str
     expected_limit: str
-    _mu: Callable[[GeometryParams], StructureConstants]
+    _mu: Callable[..., StructureConstants]  # the parameters by name, scalars or arrays
     _tables: Callable[[GeometryParams, HermitianMetric], dict] | None
     #: the sign of xdot, ydot, udot and Ddot along the flow, each "<= 0",
     #: ">= 0", "== 0" or None
@@ -344,9 +343,28 @@ class GeometryDescriptor:
     #: the un-rescaled flow converges too, with u under the decay bound
     converges_unrescaled: bool = False
 
-    def structure_constants(self, params: GeometryParams) -> StructureConstants:
-        self._check(params)
-        return self._mu(params)
+    def structure_constants(self, params: GeometryParams | Sequence[GeometryParams]
+                            ) -> StructureConstants:
+        """Structure constants of one parameter set, shape (4, 4, 4).
+
+        Given a sequence of n parameter sets, the builder runs once on each
+        parameter's array of values, and mu has shape (n, 4, 4, 4); each
+        slice has the bits of the one-set call.
+        """
+        if isinstance(params, GeometryParams):
+            self._check(params)
+            return self._mu(**params.as_dict())
+        for p in params:
+            self._check(p)
+        names = param_names(self.geometry)
+        mu = self._mu(**{name: np.array([getattr(p, name) for p in params]) for name in names})
+        # an entry without parameters builds one algebra for all n
+        return StructureConstants(np.broadcast_to(mu.mu, (len(params), 4, 4, 4)))
+
+    @property
+    def has_tables(self) -> bool:
+        """Whether the entry ships published S/Q component tables (all but the torus)."""
+        return self._tables is not None
 
     def closed_form_K(self, params: GeometryParams,
                       g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray) -> np.ndarray:

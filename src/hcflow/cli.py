@@ -328,8 +328,12 @@ def cmd_verify(args) -> int:
             print(f"{item['geometry']:<22} max_rel_error={error} jacobi={jacobi} {status}")
             if args.appendix and item.get("appendix_diff", {}).get("tables"):
                 for name, tab in item["appendix_diff"]["tables"].items():
-                    flag = "" if tab["max_rel_diff"] < 1e-9 else "  (differs: published table)"
-                    print(f"    {name}: max_rel_diff={tab['max_rel_diff']:.3e}{flag}")
+                    diff = tab["max_rel_diff"]
+                    if diff is None:
+                        print(f"    {name}: no samples")
+                        continue
+                    flag = "" if diff < 1e-9 else "  (differs: published table)"
+                    print(f"    {name}: max_rel_diff={diff:.3e}{flag}")
         print(f"total: {report['elapsed_seconds']:.2f}s "
               f"{'PASS' if report['passed'] else 'FAIL'}")
     return 0 if report["passed"] else 1

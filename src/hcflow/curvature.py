@@ -19,19 +19,27 @@ turned into rows first.  It then runs the same contractions once over the
 stacked matrices ``A`` of shape (n, 2, 2), and each field but ``gamma_b``
 gets the leading axis n.
 
-Layout of the stacked contractions: every metric-dependent operand carries a
-``...`` for the metric axis, and for one metric the ``...`` is empty, so the
-one-metric call runs the plain 2x2 contractions.  Most einsums put the ``...``
-last (``'lk...,pj...,lir,krp...->ij...'``, on contiguous metric-last copies of
-A, B and the intermediates), so their innermost loop runs over the n metrics
-rather than over a 2-long tensor index; their results are moved back to
-metric-first.  Two contractions keep the ``...`` first: ``gamma_h``
-(``'...js,...ip,kjp->...kis'``) and the first term of Q4
+The structure constants are one algebra, mu of shape (4, 4, 4), shared by
+every metric, or carry the metric axis: mu of shape (n, 4, 4, 4) holds one
+algebra per metric row, so one call serves metrics of several geometries
+(``hcflow verify`` stacks all its geometries' metrics this way).  Then
+``gamma_b`` gets the leading axis n too.
+
+Layout of the stacked contractions: every metric-dependent operand, and each
+block of mu, carries a ``...`` for the metric axis, in one set of subscripts.
+For one metric the ``...`` is empty, so the one-metric call runs the plain
+2x2 contractions, and a shared mu has an empty ``...`` that broadcasts.  Most
+einsums put the ``...`` last (``'lk...,pj...,lir...,krp...->ij...'``, on
+contiguous metric-last copies of A, B, the intermediates and a per-metric
+mu), so their innermost loop runs over the n metrics rather than over a
+2-long tensor index; their results are moved back to metric-first.  Two
+contractions keep the ``...`` first: ``gamma_h``
+(``'...js,...ip,...kjp->...kis'``) and the first term of Q4
 (``'...lk,...qm,...mkl,...qji->...ij'``).  numpy's einsum picks its
 summation order from the operands' layout, and metric-last sums these two in
 another order than the one-metric call, which changes their last bits for a
 dense mu; metric-first keeps them.  So each slice of a stacked call has the
-bits of the one-metric call, for any mu.
+bits of the one-metric call with that slice's mu, for any mu.
 
 This module is the reference oracle for the closed-form tensors in
 ``hcflow.catalog``: the two must agree for every geometry and metric.
@@ -86,7 +94,10 @@ def _matrices(g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray,
 
 
 def _metric_last(X: np.ndarray, lead: int) -> np.ndarray:
-    """X, C-contiguous, with its first ``lead`` (metric) axes moved to the end."""
+    """X, C-contiguous, with its first ``lead`` (metric) axes moved to the end;
+    X itself when there is none, so a shared mu keeps its layout."""
+    if not lead:
+        return X
     return np.ascontiguousarray(X.transpose(*range(lead, X.ndim), *range(lead)))
 
 
@@ -97,11 +108,11 @@ def _metric_first(X: np.ndarray, lead: int) -> np.ndarray:
 
 
 def _second_chern_ricci_from_gamma(A, B, m_bhh, m_hbh, m_hbb, gamma_h) -> np.ndarray:
-    """S from metric-last A, B and gamma_h; metric-last."""
-    t1 = np.einsum('lk...,pj...,lir,krp...->ij...', B, A, m_bhh, gamma_h)
-    t2 = np.einsum('lk...,pj...,lrp,kir...->ij...', B, A, m_bhh, gamma_h)
-    t3 = np.einsum('lk...,pj...,klr,rip...->ij...', B, A, m_hbh, gamma_h)
-    t4 = np.einsum('lk...,pj...,klr,rip->ij...', B, A, m_hbb, m_bhh)
+    """S from metric-last A, B, mu blocks and gamma_h; metric-last."""
+    t1 = np.einsum('lk...,pj...,lir...,krp...->ij...', B, A, m_bhh, gamma_h)
+    t2 = np.einsum('lk...,pj...,lrp...,kir...->ij...', B, A, m_bhh, gamma_h)
+    t3 = np.einsum('lk...,pj...,klr...,rip...->ij...', B, A, m_hbh, gamma_h)
+    t4 = np.einsum('lk...,pj...,klr...,rip...->ij...', B, A, m_hbb, m_bhh)
     return t1 - t2 - t3 - t4
 
 
@@ -126,25 +137,32 @@ def curvature_bundle(mu: StructureConstants,
 
     Given n metrics, as a sequence or as rows (x, y, Re z, Im z) of shape
     (n, 4), all are checked at once (the first degenerate one raises) and
-    every field but ``gamma_b`` gets a leading axis of length n.
+    every field but ``gamma_b`` gets a leading axis of length n.  ``mu`` is
+    one algebra for all metrics, or a stack (n, 4, 4, 4) of one per metric
+    row, which gives ``gamma_b`` the axis n too.
     """
     A, B = _matrices(g, margin)
     lead = A.ndim - 2  # number of metric axes: 1 for a stack, 0 for one metric
     m = mu.mu
-    m_hbb = m[0:2, 2:4, 2:4]
-    m_bhh = m[2:4, 0:2, 0:2]
-    m_hbh = m[0:2, 2:4, 0:2]
-    m_hhh = m[0:2, 0:2, 0:2]
+    mu_lead = m.ndim - 3  # 1 for one algebra per metric, 0 for a shared one
+    if mu_lead and (not lead or len(m) != len(A)):
+        raise ValueError(f"{len(m)} algebras for {len(A) if lead else 'one'} metric(s); "
+                         f"a stack of structure constants needs one per metric row")
+    m_hbb = m[..., 0:2, 2:4, 2:4]
+    m_bhh = m[..., 2:4, 0:2, 0:2]
+    m_hbh = m[..., 0:2, 2:4, 0:2]
+    m_hhh = m[..., 0:2, 0:2, 0:2]
 
     # metric-first: metric-last sums this contraction in another order
-    gamma_h = -np.einsum('...js,...ip,kjp->...kis', B, A, m_hbb)
+    gamma_h = -np.einsum('...js,...ip,...kjp->...kis', B, A, m_hbb)
     gamma_b = m_bhh.copy()
     Al, Bl, gamma_hl = (_metric_last(X, lead) for X in (A, B, gamma_h))
-    Tl = (-np.einsum('jp...,ikp->ijk...', Al, m_hbb)
-          + np.einsum('ip...,jkp->ijk...', Al, m_hbb)
-          - np.einsum('mk...,ijm->ijk...', Al, m_hhh))
+    hbb, bhh, hbh, hhh = (_metric_last(X, mu_lead) for X in (m_hbb, m_bhh, m_hbh, m_hhh))
+    Tl = (-np.einsum('jp...,ikp...->ijk...', Al, hbb)
+          + np.einsum('ip...,jkp...->ijk...', Al, hbb)
+          - np.einsum('mk...,ijm...->ijk...', Al, hhh))
     T = _metric_first(Tl, lead)
-    S = _metric_first(_second_chern_ricci_from_gamma(Al, Bl, m_bhh, m_hbh, m_hbb, gamma_hl), lead)
+    S = _metric_first(_second_chern_ricci_from_gamma(Al, Bl, bhh, hbh, hbb, gamma_hl), lead)
     Q1, Q2, Q3, Q4 = _quadratic_from_torsion(B, T, Bl, Tl, lead)
     Q = 0.5 * Q1 - 0.25 * Q2 - 0.5 * Q3 + Q4
     return CurvatureBundle(gamma_h=gamma_h, gamma_b=gamma_b, torsion=T,

@@ -45,10 +45,26 @@ def _rel_matrix_error(computed: np.ndarray, reference: np.ndarray) -> np.ndarray
     return np.max(np.abs(computed - reference), axis=(-2, -1)) / _scale(reference)
 
 
-def _chunks(rng: np.random.Generator, samples: int):
-    """The sampled metrics as rows (x, y, Re z, Im z), drawn in order, CHUNK at a time."""
-    for start in range(0, samples, CHUNK):
-        yield sample_metrics(rng, min(CHUNK, samples - start))
+def _chunks(rngs: list[np.random.Generator], samples: int):
+    """Lists of (case index, rows) holding CHUNK rows in all (the last one
+    fewer): each case's ``samples`` metrics as rows (x, y, Re z, Im z), the
+    cases in order, each case's drawn in order from its own generator.
+
+    A piece may end a case or a chunk; the rows have the bits of one draw per
+    case, as ``sample_metrics`` gives the same rows however a draw is cut.
+    """
+    chunk, filled = [], 0
+    for i, rng in enumerate(rngs):
+        left = samples
+        while left:
+            n = min(left, CHUNK - filled)
+            chunk.append((i, sample_metrics(rng, n)))
+            left, filled = left - n, filled + n
+            if filled == CHUNK:
+                yield chunk
+                chunk, filled = [], 0
+    if chunk:
+        yield chunk
 
 
 def _finite(value: float) -> float | None:
@@ -56,53 +72,86 @@ def _finite(value: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
+def _agreement(cases: list[tuple[GeometryParams, np.random.Generator]],
+               samples: int) -> list[dict]:
+    """Engine-vs-closed-form agreement on ``samples`` random metrics per case.
+
+    One pass over all cases: each engine call takes CHUNK metrics of
+    consecutive cases with one algebra per metric row, and the closed form,
+    the error reductions and the report stay per case.
+    """
+    params = [p for p, _ in cases]
+    descs = [entry(p.geometry) for p in params]
+    mus = np.array([d.structure_constants(p).mu for d, p in zip(descs, params)],
+                   dtype=complex).reshape(-1, 4, 4, 4)
+    worst = [0.0] * len(cases)
+    worst_herm = [0.0] * len(cases)
+    for chunk in _chunks([rng for _, rng in cases], samples):
+        rows = np.concatenate([r for _, r in chunk])
+        case = np.repeat([i for i, _ in chunk], [len(r) for _, r in chunk])
+        K = curvature_bundle(algebra.StructureConstants(mus[case]), rows).K
+        closed = np.concatenate([descs[i].closed_form_K(params[i], r) for i, r in chunk])
+        error = _rel_matrix_error(K, closed)
+        herm = hermiticity_defect(K) / _scale(K)
+        stop = 0
+        for i, r in chunk:
+            start, stop = stop, stop + len(r)
+            # np.max propagates NaN, so one non-finite sample fails the case
+            worst[i] = float(np.max(error[start:stop], initial=worst[i]))
+            worst_herm[i] = float(np.max(herm[start:stop], initial=worst_herm[i]))
+    report = []
+    for p, w, h in zip(params, worst, worst_herm):
+        log.debug("%s: max rel error %.3e over %d metrics", p.geometry.value, w, samples)
+        report.append({
+            "geometry": p.geometry.value,
+            "params": p.as_dict(),
+            "samples": samples,
+            "max_rel_error": _finite(w),
+            "max_hermiticity_defect": _finite(h),
+            "passed": bool(w <= K_AGREEMENT_TOL and np.isfinite(h)),
+        })
+    return report
+
+
 def verify_geometry(geometry: Geometry, samples: int, seed: int,
                     params: GeometryParams | None = None) -> dict:
-    """Engine-vs-closed-form agreement on random metrics for one geometry."""
+    """Engine-vs-closed-form agreement on random metrics for one geometry,
+    its parameters drawn from ``default_rng(seed)`` unless given."""
     rng = np.random.default_rng(seed)
     if params is None:
         params = sample_params(geometry, rng)
-    desc = entry(geometry)
-    mu = desc.structure_constants(params)
-    worst = worst_herm = 0.0
-    for rows in _chunks(rng, samples):
-        K = curvature_bundle(mu, rows).K
-        closed = desc.closed_form_K(params, rows)
-        # np.max propagates NaN, so one non-finite sample fails the geometry
-        worst = float(np.max(_rel_matrix_error(K, closed), initial=worst))
-        worst_herm = float(np.max(hermiticity_defect(K) / _scale(K), initial=worst_herm))
-    log.debug("%s: max rel error %.3e over %d metrics", geometry.value, worst, samples)
-    return {
-        "geometry": geometry.value,
-        "params": params.as_dict(),
-        "samples": samples,
-        "max_rel_error": _finite(worst),
-        "max_hermiticity_defect": _finite(worst_herm),
-        "passed": bool(worst <= K_AGREEMENT_TOL and np.isfinite(worst_herm)),
-    }
+    return _agreement([(params, rng)], samples)[0]
 
 
-def verify_structure_constants(geometry: Geometry, draws: int, seed: int) -> dict:
+def verify_structure_constants(geometries: list[Geometry], draws: int, seed: int) -> list[dict]:
     """Antisymmetry/reality/integrability/Jacobi hygiene over parameter draws.
 
-    The draws are made in seed order and repeats are dropped (the max over
-    equal parameters is the same), then each check runs once on the stack of
-    their structure constants.
+    Geometry i makes its draws from ``default_rng(seed + i)``, in order, and
+    its repeats are dropped (the max over equal parameters is the same).  The
+    distinct draws of all geometries form one stack of structure constants,
+    each check runs once on it, and each geometry's block is reduced alone.
     """
-    rng = np.random.default_rng(seed)
-    desc = entry(geometry)
-    distinct = dict.fromkeys(sample_params(geometry, rng) for _ in range(draws))
-    mu = np.array([desc.structure_constants(p).mu for p in distinct],
-                  dtype=complex).reshape(-1, 4, 4, 4)
-    # np.max propagates NaN, which Python's max drops unless it comes first
-    worst = {name: float(np.max(check(mu), initial=0.0)) for name, check in (
-        ("antisymmetry", algebra.antisymmetry_violation),
-        ("reality", algebra.reality_violation),
-        ("integrability", algebra.integrability_violation),
-        ("jacobi", algebra.jacobi_violation))}
-    return {"geometry": geometry.value, "draws": draws,
-            "violations": {name: _finite(v) for name, v in worst.items()},
-            "passed": all(v <= HYGIENE_TOL for v in worst.values())}
+    if not geometries:
+        return []
+    distinct = []
+    for i, geom in enumerate(geometries):
+        rng = np.random.default_rng(seed + i)
+        distinct.append(list(dict.fromkeys(sample_params(geom, rng) for _ in range(draws))))
+    mu = np.concatenate([entry(g).structure_constants(d).mu
+                         for g, d in zip(geometries, distinct)])
+    names = ("antisymmetry", "reality", "integrability", "jacobi")
+    values = np.array([check(mu) for check in (
+        algebra.antisymmetry_violation, algebra.reality_violation,
+        algebra.integrability_violation, algebra.jacobi_violation)])
+    report, stop = [], 0
+    for geom, d in zip(geometries, distinct):
+        start, stop = stop, stop + len(d)
+        # np.max propagates NaN, which Python's max drops unless it comes first
+        worst = np.max(values[:, start:stop], axis=1, initial=0.0).tolist()
+        report.append({"geometry": geom.value, "draws": draws,
+                       "violations": {n: _finite(v) for n, v in zip(names, worst)},
+                       "passed": all(v <= HYGIENE_TOL for v in worst)})
+    return report
 
 
 def appendix_diff(geometry: Geometry, samples: int, seed: int) -> dict:
@@ -110,20 +159,21 @@ def appendix_diff(geometry: Geometry, samples: int, seed: int) -> dict:
     the contraction engine, plus the reassembled K against the closed form.
 
     Known discrepancies (dimensionally inconsistent published entries) show up
-    here as order-one diffs; they are recorded, not failed.
+    here as order-one diffs; they are recorded, not failed.  With no samples
+    nothing is compared, and every diff is None.
     """
     rng = np.random.default_rng(seed)
     params = sample_params(geometry, rng)
     desc = entry(geometry)
+    if not desc.has_tables:
+        return {"geometry": geometry.value, "tables": None}
     mu = desc.structure_constants(params)
     names = ("S", "Q1", "Q2", "Q3", "Q4")
     worst: dict[str, np.ndarray] = {n: np.zeros((2, 2)) for n in names}
     worst_assembled = 0.0
-    for rows in _chunks(rng, samples):
+    for [(_, rows)] in _chunks([rng], samples):  # one case: one piece per chunk
         per_metric = [desc.appendix_tables(params, HermitianMetric(x, y, complex(z_re, z_im)))
                       for x, y, z_re, z_im in rows.tolist()]
-        if per_metric[0] is None:
-            return {"geometry": geometry.value, "tables": None}
         tables = {n: np.array([t[n] for t in per_metric]) for n in names}
         bundle = curvature_bundle(mu, rows)
         for n in names:
@@ -136,8 +186,8 @@ def appendix_diff(geometry: Geometry, samples: int, seed: int) -> dict:
         worst_assembled = float(np.max(_rel_matrix_error(assembled, closed),
                                        initial=worst_assembled))
     component_report = {
-        n: {"max_rel_diff": float(np.max(worst[n])),
-            "per_component": [[float(worst[n][i, j]) for j in range(2)] for i in range(2)]}
+        n: {"max_rel_diff": float(np.max(worst[n])) if samples else None,
+            "per_component": worst[n].tolist() if samples else None}
         for n in names
     }
     return {
@@ -145,7 +195,7 @@ def appendix_diff(geometry: Geometry, samples: int, seed: int) -> dict:
         "params": params.as_dict(),
         "samples": samples,
         "tables": component_report,
-        "assembled_K_vs_closed_form": worst_assembled,
+        "assembled_K_vs_closed_form": worst_assembled if samples else None,
     }
 
 
@@ -154,13 +204,14 @@ def run_verification(geometries: list[Geometry] | None = None, samples: int = 20
     """Full verification report; ``passed`` reflects only the K agreement."""
     geoms = geometries if geometries is not None else [d.geometry for d in list_geometries()]
     t0 = time.perf_counter()
-    report: dict = {"seed": seed, "samples": samples, "geometries": []}
-    for i, geom in enumerate(geoms):
-        item = verify_geometry(geom, samples, seed + i)
-        item["structure_constants"] = verify_structure_constants(geom, 20, seed + i)
+    # geometry i draws its parameters, then its metrics, from default_rng(seed + i)
+    rngs = [np.random.default_rng(seed + i) for i in range(len(geoms))]
+    items = _agreement([(sample_params(g, rng), rng) for g, rng in zip(geoms, rngs)], samples)
+    for i, hygiene in enumerate(verify_structure_constants(geoms, 20, seed)):
+        items[i]["structure_constants"] = hygiene
         if include_appendix:
-            item["appendix_diff"] = appendix_diff(geom, min(samples, 25), seed + i)
-        report["geometries"].append(item)
+            items[i]["appendix_diff"] = appendix_diff(geoms[i], min(samples, 25), seed + i)
+    report: dict = {"seed": seed, "samples": samples, "geometries": items}
     report["elapsed_seconds"] = time.perf_counter() - t0
     report["passed"] = all(item["passed"] for item in report["geometries"])
     return report

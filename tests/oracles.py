@@ -1,16 +1,23 @@
 """Independent reimplementations used as test oracles.
 
-None shares a code path with hcflow.curvature.  The ``*_loops`` oracles
-avoid einsum: every contraction is an explicit nested loop, evaluated in a
-different association order.  ``second_chern_ricci_expanded`` and
-``quadratic_terms_mu`` use einsum, but expand their quantity in structure
-constants along a route of their own.
+None of the tensor oracles shares a code path with hcflow.curvature.  The
+``*_loops`` oracles avoid einsum: every contraction is an explicit nested
+loop, evaluated in a different association order.
+``second_chern_ricci_expanded`` and ``quadratic_terms_mu`` use einsum, but
+expand their quantity in structure constants along a route of their own.
+``verification_one_geometry_at_a_time`` is the per-geometry loop that
+``hcflow.verify.run_verification`` replaced by one stacked pass.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from hcflow import algebra
+from hcflow.catalog import entry, sample_metrics, sample_params
+from hcflow.curvature import curvature_bundle, hermiticity_defect
 from hcflow.metric import HermitianMetric
+from hcflow.verify import (CHUNK, HYGIENE_TOL, K_AGREEMENT_TOL, _finite, _rel_matrix_error,
+                           _scale, appendix_diff)
 
 
 def det_cofactor(m: np.ndarray) -> complex:
@@ -141,3 +148,45 @@ def quadratic_terms_mu(mu: np.ndarray, g: HermitianMetric):
     Q4 = 0.5 * (np.einsum('lk,qm,mkl,qji->ij', B, B, F, G)
                 + np.einsum('lk,qm,qlk,mij->ij', B, B, G, F))
     return Q1, Q2, Q3, Q4
+
+
+def verification_one_geometry_at_a_time(geometries, samples: int, seed: int,
+                                        include_appendix: bool = False) -> dict:
+    """``run_verification``'s report without ``elapsed_seconds``, one geometry at a time.
+
+    Geometry i draws its parameters and metrics from ``default_rng(seed + i)``;
+    each chunk of its metrics is one engine call with its one algebra, and the
+    hygiene checks run on each distinct parameter draw alone.
+    """
+    report = {"seed": seed, "samples": samples, "geometries": []}
+    for i, geometry in enumerate(geometries):
+        rng = np.random.default_rng(seed + i)
+        params = sample_params(geometry, rng)
+        desc = entry(geometry)
+        mu = desc.structure_constants(params)
+        worst = worst_herm = 0.0
+        for start in range(0, samples, CHUNK):
+            rows = sample_metrics(rng, min(CHUNK, samples - start))
+            K = curvature_bundle(mu, rows).K
+            closed = desc.closed_form_K(params, rows)
+            worst = float(np.max(_rel_matrix_error(K, closed), initial=worst))
+            worst_herm = float(np.max(hermiticity_defect(K) / _scale(K), initial=worst_herm))
+        item = {"geometry": geometry.value, "params": params.as_dict(), "samples": samples,
+                "max_rel_error": _finite(worst), "max_hermiticity_defect": _finite(worst_herm),
+                "passed": bool(worst <= K_AGREEMENT_TOL and np.isfinite(worst_herm))}
+        draws = np.random.default_rng(seed + i)
+        distinct = dict.fromkeys(sample_params(geometry, draws) for _ in range(20))
+        violations = {}
+        for name in ("antisymmetry", "reality", "integrability", "jacobi"):
+            check = getattr(algebra, f"{name}_violation")
+            violations[name] = float(np.max([check(desc.structure_constants(p).mu)
+                                             for p in distinct], initial=0.0))
+        item["structure_constants"] = {
+            "geometry": geometry.value, "draws": 20,
+            "violations": {name: _finite(v) for name, v in violations.items()},
+            "passed": all(v <= HYGIENE_TOL for v in violations.values())}
+        if include_appendix:
+            item["appendix_diff"] = appendix_diff(geometry, min(samples, 25), seed + i)
+        report["geometries"].append(item)
+    report["passed"] = all(item["passed"] for item in report["geometries"])
+    return report

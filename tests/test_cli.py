@@ -195,16 +195,30 @@ def test_run_overflow_is_integrator_failure(tmp_path, capsys):
 
 
 def test_run_division_by_zero_is_integrator_failure(tmp_path, capsys):
-    # under a tiny threshold the collapse bisection lands on D = 0 exactly, where
-    # the tail row's closed form divides by D**2: a failed run, not a crash
+    # at x0 = y0 = 1e-200 the closed form's D**2 underflows to 0 and it divides
+    # by it: a failed run, not a crash
     out = tmp_path / "o"
-    code = run_cli("run", "--geometry", "hopf", "--lambda", "0.7", "--x0", "2", "--y0", "0.7",
-                   "--t-max", "50", "--degeneracy-threshold", "1e-60", "--out", str(out))
+    code = run_cli("run", "--geometry", "hopf", "--lambda", "0.5", "--x0", "1e-200",
+                   "--y0", "1e-200", "--t-max", "50", "--out", str(out))
     assert code == 3
     outcome = json.loads((out / "outcome.json").read_text())
     assert outcome["class"] == "integrator-failure"
     assert outcome["diagnostics"] == "ZeroDivisionError: float division by zero"
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["1e-35", "1e-40", "1e-60"])
+def test_run_under_a_threshold_below_resolution_ends_extinct(tmp_path, threshold):
+    # the collapse bisection lands on y = 0, where the closed form divides by D**2 = 0;
+    # the run ends on the last bisection point whose row is defined, as at 1e-30
+    out = tmp_path / "o"
+    code = run_cli("run", "--geometry", "hopf", "--lambda", "0.7", "--x0", "2", "--y0", "0.7",
+                   "--t-max", "50", "--degeneracy-threshold", threshold, "--out", str(out))
+    assert code == 0
+    outcome = json.loads((out / "outcome.json").read_text())
+    assert outcome["class"] == "extinct" and outcome["t_est"] == 3.0462775442979138
+    final = outcome["final_state"]
+    assert final["x"] > 0 and final["y"] > 0 and final["D"] > 0
 
 
 def test_run_huge_metric_fails_its_bound_without_a_traceback(tmp_path):

@@ -371,6 +371,30 @@ def test_monitor_scale_of_an_underflowing_x0_y0(run_id, lane, request):
     assert (rows[:, 1:5] == args[3]).all() and rows[-1, 0] == args[4]
 
 
+#: Hopf, lambda = 0.7, from (2, 0.7, 0): it collapses at t ~ 3.0463
+HOPF_COLLAPSE = (2, 0.7, 0.0, (2.0, 0.7, 0.0, 0.0), 50.0, 1e-9, 1e-12, 0.05)
+
+
+@pytest.mark.parametrize("lane", ["python", "c"])
+@pytest.mark.parametrize("threshold", [1e-35, 1e-40, 1e-60])
+def test_crossing_below_resolution_ends_on_a_defined_row(threshold, lane, request):
+    # y's dense output resolves ~1e-19, so the bisection converges onto y = 0, where
+    # the closed form divides by D**2 = 0; the run ends on the last bisection point
+    # whose row is defined, with the stop time of the run at 1e-30
+    run = _core_py.run_closed_flow if lane == "python" else request.getfixturevalue("c_run")
+    reference = run(*HOPF_COLLAPSE, 1e-30)
+    status, t_est, rows, n_acc, n_rej, m_final = run(*HOPF_COLLAPSE, threshold)
+    assert status == reference[0] == _core_py.STATUS_EXTINCT
+    assert t_est == reference[1] == 3.0462775442979138
+    assert (n_acc, n_rej) == reference[3:5]
+    assert np.isfinite(rows).all() and rows[-1, 0] == t_est
+    x, y, zre, zim = rows[-1, 1:5]
+    assert x > 0 and y > 0 and x * y - (zre * zre + zim * zim) > 0
+    assert rows[:-1].tobytes() == reference[2][:-1].tobytes()
+    assert rows.tobytes() == _core_py.run_closed_flow(*HOPF_COLLAPSE, threshold)[2].tobytes()
+    assert 0 < m_final < 1e-30
+
+
 @pytest.mark.parametrize("args", RUNS)
 def test_run_flow_lanes_agree(args, c_run):
     py = _core_py.run_closed_flow(*args)

@@ -15,6 +15,7 @@ from hcflow.metric import (POSITIVITY_MARGIN, DegenerateMetricError, HermitianMe
 from hcflow.verify import CHUNK, verify_geometry, verify_structure_constants
 
 from conftest import ALL_GEOMETRIES
+from oracles import verification_one_geometry_at_a_time
 
 # SHA-256 (first 16 hex digits) of `hcflow verify ... --json` stdout, recorded
 # with the one-metric-at-a-time engine that the stacked engine replaced
@@ -263,7 +264,7 @@ def _jacobi_nan_on_third_draw(monkeypatch):
 def test_structure_constants_fail_closed_on_nan(monkeypatch):
     # Python's max(0.0, nan) is 0.0, so a NaN after the first draw used to vanish
     _jacobi_nan_on_third_draw(monkeypatch)
-    result = verify_structure_constants(Geometry.HOPF, 20, 1)
+    result = verify_structure_constants([Geometry.HOPF], 20, 1)[0]
     assert result["passed"] is False
     assert result["violations"]["jacobi"] is None
     assert result["violations"]["reality"] == 0.0
@@ -278,3 +279,130 @@ def test_structure_constants_nan_in_cli_output(monkeypatch, capsys):
     _jacobi_nan_on_third_draw(monkeypatch)
     cli.main(["verify", "--geometry", "hopf", "--samples", "1", "--seed", "1"])
     assert "jacobi=non-finite" in capsys.readouterr().out
+
+
+def _catalog_and_dense_mus(rng):
+    """One algebra per catalog entry, then a dense random one."""
+    mus = [entry(g).structure_constants(sample_params(g, rng)).mu for g in ALL_GEOMETRIES]
+    return mus + [rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))]
+
+
+@pytest.mark.parametrize("per_algebra", [1, 37, 100])
+def test_per_metric_mu_slices_equal_one_metric_calls_bitwise(per_algebra):
+    # the metrics of each algebra in turn, cut into CHUNK-row calls as verify cuts them,
+    # so a call holds the tail of one algebra's metrics and the head of the next's
+    rng = np.random.default_rng([15, per_algebra])
+    mus = _catalog_and_dense_mus(rng)
+    stack = np.repeat(np.array(mus), per_algebra, axis=0)
+    rows = sample_metrics(rng, len(stack))
+    for start in range(0, len(rows), CHUNK):
+        part = slice(start, start + CHUNK)
+        stacked = curvature_bundle(StructureConstants(stack[part]), rows[part])
+        assert stacked.gamma_b.shape == (len(rows[part]), 2, 2, 2)
+        for i, (x, y, z_re, z_im) in enumerate(rows[part].tolist()):
+            one = curvature_bundle(StructureConstants(stack[part][i]),
+                                   HermitianMetric(x, y, complex(z_re, z_im)))
+            for name in CurvatureBundle.__dataclass_fields__:
+                assert getattr(stacked, name)[i].tobytes() == getattr(one, name).tobytes(), name
+
+
+def test_per_metric_mu_needs_one_algebra_per_metric_row():
+    mus = np.array(_catalog_and_dense_mus(np.random.default_rng(16)))
+    rows = sample_metrics(np.random.default_rng(17), len(mus))
+    for mu, g in ((mus[:-1], rows), (mus[:1], HermitianMetric(1.0, 2.0, 0.5))):
+        with pytest.raises(ValueError, match="one per metric row"):
+            curvature_bundle(StructureConstants(mu), g)
+
+
+EDGE_DRAWS = {
+    Geometry.HOPF: [{"lam": v} for v in (-0.0, 0.0, 1.25, -2.0)],
+    Geometry.PROPERLY_ELLIPTIC: [{"lam": v} for v in (-0.0, 0.0, 1.25, -2.0)],
+    Geometry.KODAIRA_SECONDARY: [{"epsilon": v} for v in (1, -1, -1)],
+    Geometry.INOUE_S0: [{"a": -1.5, "b": -0.0}, {"a": 0.5, "b": 0.0}, {"a": -0.3, "b": 2.0}],
+}
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_array_parameter_mu_equals_one_draw_at_a_time_bitwise(geometry):
+    rng = np.random.default_rng([18, list(Geometry).index(geometry)])
+    draws = [sample_params(geometry, rng) for _ in range(20)]
+    draws += [GeometryParams(geometry, **p) for p in EDGE_DRAWS.get(geometry, [{}, {}])]
+    desc = entry(geometry)
+    stacked = desc.structure_constants(draws).mu
+    assert stacked.shape == (len(draws), 4, 4, 4)
+    for i, params in enumerate(draws):
+        assert stacked[i].tobytes() == desc.structure_constants(params).mu.tobytes()
+    assert desc.structure_constants(draws[:0]).mu.shape == (0, 4, 4, 4)
+
+
+def test_from_brackets_on_arrays_equals_one_element_at_a_time_bitwise():
+    rng = np.random.default_rng(19)
+    vec = [rng.normal(size=5) + 1j * rng.normal(size=5) for _ in range(4)]
+    vec[1] = np.array([0.0, -0.0, 1j, -1j, complex(-0.0, -0.0)])  # signed zeros
+    brackets = {"b12": [vec[0], 0, vec[1], 1j], "b11": [2, vec[2], -1, 0],
+                "b22": [vec[3], vec[0], 0, -0.5j], "b12b": [vec[1], 1, vec[2], vec[3]]}
+    stacked = algebra.from_brackets(**brackets).mu
+    assert stacked.shape == (5, 4, 4, 4)
+    for i in range(5):
+        one = algebra.from_brackets(**{name: [c[i] if isinstance(c, np.ndarray) else c
+                                              for c in v] for name, v in brackets.items()})
+        assert stacked[i].tobytes() == one.mu.tobytes()
+
+
+def _verify_output(capsys, argv):
+    code = cli.main(["verify", *argv, "--json"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--all", "--samples", "0", "--seed", "3"],
+    ["--all", "--samples", "1", "--seed", "4"],
+    ["--all", "--samples", "255", "--seed", "5"],
+    ["--all", "--samples", "257", "--seed", "6"],
+    ["--geometry", "inoue-s0", "--samples", "257", "--seed", "7"],
+    ["--geometry", "kodaira-secondary", "--samples", "255", "--seed", "8"],
+    ["--all", "--samples", "30", "--seed", "9", "--appendix"],
+], ids=["all-0", "all-1", "all-255", "all-257", "inoue-s0-257", "kodaira-secondary-255",
+        "all-30-appendix"])
+def test_stacked_verification_equals_one_geometry_at_a_time(capsys, argv):
+    code, out = _verify_output(capsys, argv)
+    args = cli.build_parser().parse_args(["verify", *argv])
+    geometries = ([Geometry.from_name(args.geometry)] if args.geometry
+                  else list(Geometry))
+    expected = verification_one_geometry_at_a_time(geometries, args.samples, args.seed,
+                                                    args.appendix)
+    assert code == 0 and out == cli._dump_json(expected)
+
+
+def test_hygiene_nan_in_one_geometrys_slice_fails_that_geometry_alone(monkeypatch, capsys):
+    # the stack holds torus' and hyperelliptic's one draw each, then hopf's: index 2 is hopf's
+    _jacobi_nan_on_third_draw(monkeypatch)
+    items = verify_structure_constants(ALL_GEOMETRIES, 20, 1)
+    assert [item["passed"] for item in items] == [g is not Geometry.HOPF for g in ALL_GEOMETRIES]
+    hopf = items[ALL_GEOMETRIES.index(Geometry.HOPF)]
+    assert hopf["violations"]["jacobi"] is None and hopf["violations"]["reality"] == 0.0
+    code, out = _verify_output(capsys, ["--all", "--samples", "1", "--seed", "1"])
+    assert code == 0 and "NaN" not in out  # passed reflects only the K agreement
+    jacobi = [item["structure_constants"]["violations"]["jacobi"]
+              for item in json.loads(out)["geometries"]]
+    assert [v is None for v in jacobi] == [g is Geometry.HOPF for g in ALL_GEOMETRIES]
+    cli.main(["verify", "--all", "--samples", "1", "--seed", "1"])
+    lines = [line for line in capsys.readouterr().out.splitlines() if "jacobi=" in line]
+    assert [("jacobi=non-finite" in line) for line in lines] == [
+        g is Geometry.HOPF for g in ALL_GEOMETRIES]
+
+
+def test_appendix_without_samples_reports_null(capsys):
+    code, out = _verify_output(capsys, ["--all", "--samples", "0", "--seed", "5", "--appendix"])
+    assert code == 0
+    for item in json.loads(out)["geometries"]:
+        diff = item["appendix_diff"]
+        if item["geometry"] == "torus":
+            assert diff["tables"] is None
+            continue
+        assert diff["samples"] == 0 and diff["assembled_K_vs_closed_form"] is None
+        assert all(t == {"max_rel_diff": None, "per_component": None}
+                   for t in diff["tables"].values())
+    cli.main(["verify", "--geometry", "hopf", "--samples", "0", "--appendix"])
+    out = capsys.readouterr().out
+    assert "    Q1: no samples" in out and "max_rel_diff" not in out
