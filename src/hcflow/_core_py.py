@@ -17,9 +17,9 @@ theta), L = log |z|^2, by the phi kernel: an exponentially decaying z, which in
 (x, y, Re z, Im z) sits at ``abs_tol`` noise where stability caps the step,
 is a linearly decaying L.  z0 = 0 starts at L = -inf, theta = 0, and IEEE
 arithmetic keeps it there exactly: exp(-inf) = 0, -inf + finite = -inf, and
-the error norm's L term is finite / inf = 0, the (x, y, Re z, Im z) run's
-term.  The one rule this adds: ``_rms`` skips a component whose scale is
-infinite.  exp, cos and sin are math's, libm's bits as in C; where math
+the error norm's L term is finite / inf = 0, the term of z = 0 in (x, y,
+Re z, Im z).  The one rule this adds: ``_rms`` skips a component whose scale
+is infinite.  exp, cos and sin are math's, libm's bits as in C; where math
 raises (exp overflows, cos or sin of an infinity) the lanes take C's inf or
 NaN.  The RK5(4) loop keeps the state and the seven stages in scalar locals
 and writes the stage sums and the error norm out term by term.  That removes
@@ -34,8 +34,8 @@ The loop only records the steps that cover stride samples.  After it,
 operations in the same order: the dense-output coefficients, the
 interpolant, and the derivatives, for which the kernel runs once on float64
 arrays whose ``**`` is ``np.float_power`` (libm ``pow``, as Python's float
-``**``); a log-polar sample becomes Cartesian first (``_to_cartesian``), by
-math's exp, cos and sin per element.  The C loop still emits each sample
+``**``); each log-polar sample becomes Cartesian first (``_to_cartesian``),
+by math's exp, cos and sin per element.  The C loop still emits each sample
 inside its step; the bits are equal.  Where a value is non-finite, ``_rows``
 rebuilds the rows one sample at a time with the scalar code, which raises
 where that code raises.
@@ -249,22 +249,13 @@ def closed_k_columns(geom: int, p1: float, p2: float, x, y, zre, zim):
         return _kernel(geom)(p1, p2, *columns)
 
 
-def _monitor(x, y, zre, zim, inv_scale) -> float:
-    """Positivity margin of a state, normalized by the initial metric scale.
-
-    Minimum of x, y and the determinant, each divided by the matching power of
-    the initial scale; extinction is declared when this drops below the
-    configured floor.
-    """
-    d = x * y - (zre * zre + zim * zim)
-    mx = x * inv_scale[0]
-    my = y * inv_scale[1]
-    md = d * inv_scale[2]
-    return min(mx, my, md)
-
-
 def _polar_monitor(x, y, L, theta, inv_scale) -> float:
-    """``_monitor`` of a log-polar state, at |z|^2 = exp(L)."""
+    """Positivity margin of a log-polar state, normalized by the initial metric scale.
+
+    Minimum of x, y and the determinant x y - exp(L), each divided by the
+    matching power of the initial scale; extinction is declared when this
+    drops below the configured floor.
+    """
     d = x * y - _libm(exp, L)
     mx = x * inv_scale[0]
     my = y * inv_scale[1]
@@ -302,42 +293,33 @@ def log_polar(zre: float, zim: float) -> tuple[float, float]:
     return 2.0 * math.log(r), math.atan2(zim, zre)
 
 
-def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
-             stride: float, threshold: float, max_steps: int = MAX_STEPS, array_rhs=None,
-             polar_rhs=None):
-    """Adaptive RK5(4) integration of ``state' = rhs(*state)`` with collapse stopping.
+def run_flow(rhs, polar_rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
+             stride: float, threshold: float, max_steps: int = MAX_STEPS):
+    """Adaptive RK5(4) integration of the log-polar state (x, y, L, theta),
+    L = log |z|^2 and theta = arg z, by ``polar_rhs(x, y, L, theta)``, from
+    ``log_polar`` of z0 (L = -inf at z0 = 0), with collapse stopping.
 
-    ``rhs(x, y, zre, zim)`` returns (xdot, ydot, Re zdot, Im zdot).  Returns
-    ``(status, t_est, samples, n_accept, n_reject, m_final)`` where
+    Returns ``(status, t_est, samples, n_accept, n_reject, m_final)`` where
     ``samples`` is a float64 array with rows (t, x, y, zre, zim, xdot, ydot,
-    zredot, zimdot) emitted at multiples of ``stride`` plus the terminal point.
-    With ``polar_rhs``, the loop integrates the log-polar state (x, y, L,
-    theta) by ``polar_rhs`` from ``log_polar`` of z0 instead (L = -inf at
-    z0 = 0), and the rows hold its Cartesian state (row 0 the exact
-    ``state0``) and ``rhs`` there.
+    zredot, zimdot) emitted at multiples of ``stride`` plus the terminal
+    point: the Cartesian state (row 0 the exact ``state0``) and ``rhs(x, y,
+    zre, zim)`` = (xdot, ydot, Re zdot, Im zdot) there.  ``rhs`` takes floats
+    and ``_Floats`` columns alike, as the closed-form kernels do.
 
     The loop only records the accepted steps that cover stride samples;
-    ``_rows`` evaluates all samples after it (see there).  ``array_rhs``, if
-    given, is ``rhs`` on float64 arrays: it gives the rows' derivatives in one
-    call, and without it each row calls ``rhs``.  If the loop raises, the
-    recorded samples are evaluated first, so that a sample's exception comes
-    first, as it would if each sample were emitted inside its step.
+    ``_rows`` evaluates all samples after it (see there).  If the loop raises,
+    the recorded samples are evaluated first, so that a sample's exception
+    comes first, as it would if each sample were emitted inside its step.
     """
     x, y, zr, zi = state = tuple(float(v) for v in state0)
     xy = x * y  # where it underflows to 0, the scale of D is (1 / x) * (1 / y)
     inv_scale = (1.0 / x, 1.0 / y, 1.0 / xy if xy != 0.0 else (1.0 / x) * (1.0 / y))
-    polar = polar_rhs is not None
-    if polar:
-        start, step_rhs, monitor = (x, y, *log_polar(zr, zi)), polar_rhs, _polar_monitor
-    else:
-        start, step_rhs, monitor = state, rhs, _monitor
-    cartesian = _to_cartesian if polar else lambda *s: s
 
     def row_defined(s) -> bool:
         """Whether the output row of the loop state ``s`` can be made: ``rhs``
         at its Cartesian state does not raise (a closed form divides by D^2)."""
         try:
-            rhs(*cartesian(*s))
+            rhs(*_to_cartesian(*s))
         except (ZeroDivisionError, OverflowError):
             return False
         return True
@@ -345,16 +327,16 @@ def run_flow(rhs, state0, t_max: float, rel_tol: float, abs_tol: float,
     records: list[tuple] = []
     try:
         status, t_est, tail, n_acc, n_rej, m_final = _integrate(
-            step_rhs, monitor, start, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
-            max_steps, records, row_defined)
+            polar_rhs, (x, y, *log_polar(zr, zi)), inv_scale, t_max, rel_tol, abs_tol, stride,
+            threshold, max_steps, records, row_defined)
     except Exception:
-        _rows(rhs, array_rhs, state, records, stride, None, polar)
+        _rows(rhs, state, records, stride, None)
         raise
-    rows = _rows(rhs, array_rhs, state, records, stride, tail, polar)
+    rows = _rows(rhs, state, records, stride, tail)
     return status, t_est, rows, n_acc, n_rej, m_final
 
 
-def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
+def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
                max_steps, records, row_defined):
     """The RK5(4) loop of ``run_flow``; returns ``(status, t_est, tail, n_acc, n_rej, m_final)``.
 
@@ -364,9 +346,9 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
     from where the step before it stopped.  ``tail`` is None or the
     ``(t, x, y, zr, zi)`` of the final row.
 
-    The state is (x, y, zr, zi), which for a log-polar run hold (x, y, L,
-    theta), and stage s is (dxs, dys, drs, dis).  ``monitor`` is the
-    positivity margin of a state.  A run that stops at the monitor's crossing
+    The state (x, y, zr, zi) holds the log-polar (x, y, L, theta), and stage
+    s is (dxs, dys, drs, dis).  ``monitor`` is the positivity margin of a
+    state (``_polar_monitor``).  A run that stops at the monitor's crossing
     ends on the bisection's last point, unless ``row_defined`` says its output
     row cannot be made there (a threshold below what the state resolves can
     bisect onto D = 0): then on the last point visited before whose row can
@@ -375,7 +357,7 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
     Every attempted step evaluates its six new stages, so ``rhs`` is called
     ``2 + 6 * (n_acc + n_rej)`` times, counting the initial step's two.
     """
-    isfinite = math.isfinite
+    isfinite, monitor = math.isfinite, _polar_monitor
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (a60, _, a62, a63, a64, a65) = _A[1:]
     e0, _, e2, e3, e4, e5, e6 = _E  # a61 and e1 are 0.0
@@ -536,21 +518,21 @@ def _integrate(rhs, monitor, state0, inv_scale, t_max, rel_tol, abs_tol, stride,
     return STATUS_REACHED_TMAX, None, tail, n_acc, n_rej, m_last
 
 
-def _rows(rhs, array_rhs, state0, records, stride, tail, polar=False):
+def _rows(rhs, state0, records, stride, tail):
     """The output rows: row 0 at ``state0``, the recorded stride samples, and ``tail``.
 
     One array pass repeats, per sample, the operations ``_rows_one_at_a_time``
     performs: ``ts = k * stride`` clamped to the step's end, ``theta`` clamped
     as ``min(max(theta, 0.0), 1.0)`` (whose argument order fixes -0.0 and NaN),
     the 0.0-started left-to-right coefficient sums times ``h`` and the dense
-    output, with ``np.float_power`` for each ``**``.  For a ``polar`` run, the
-    samples and ``tail`` are log-polar and ``_to_cartesian`` maps them, with
-    math's per-element exp, cos and sin (numpy's SIMD ones may round
-    otherwise).  On finite values every operation rounds as Python's float
-    operation does, so the bits are equal.  If any value is non-finite, the
-    rows are rebuilt one at a time instead: that gives the reference's NaNs,
-    and raises where the reference raises (Python's ``**`` and ``/`` raise
-    where numpy returns inf or NaN).
+    output, with ``np.float_power`` for each ``**``.  The samples and ``tail``
+    are log-polar, and ``_to_cartesian`` maps them, with math's per-element
+    exp, cos and sin (numpy's SIMD ones may round otherwise); ``rhs`` then
+    runs once on the ``_Floats`` columns.  On finite values every operation
+    rounds as Python's float operation does, so the bits are equal.  If any
+    value is non-finite, the rows are rebuilt one at a time instead: that
+    gives the reference's NaNs, and raises where the reference raises
+    (Python's ``**`` and ``/`` raise where numpy returns inf or NaN).
     """
     n = records[-1][3] if records else 1  # row 0 and the samples k = 1 .. n - 1
     rows = np.empty((n + (tail is not None), 9))
@@ -579,7 +561,7 @@ def _rows(rhs, array_rhs, state0, records, stride, tail, polar=False):
                 acc = acc + q[:, :, j] * power[:, None]
             rows[1:n, 0] = ts
             rows[1:n, 1:5] = step[:, 4:8] + acc
-        if polar and len(rows) > 1:
+        if len(rows) > 1:
             L, angle = rows[1:, 3], rows[1:, 4]
             try:
                 r = _map(exp, 0.5 * L)
@@ -589,19 +571,16 @@ def _rows(rhs, array_rhs, state0, records, stride, tail, polar=False):
                 else:
                     zre, zim = r * _map(cos, angle), r * _map(sin, angle)
             except (OverflowError, ValueError):
-                return _rows_one_at_a_time(rhs, state0, records, stride, tail, polar)
+                return _rows_one_at_a_time(rhs, state0, records, stride, tail)
             flush = L < _L_MIN
             rows[1:, 3], rows[1:, 4] = np.where(flush, 0.0, zre), np.where(flush, 0.0, zim)
         if np.isfinite(rows[:, :5]).all():
-            if array_rhs is None:
-                rows[:, 5:] = [rhs(*s) for s in rows[:, 1:5].tolist()]
-            else:
-                columns = np.ascontiguousarray(rows[:, 1:5].T).view(_Floats)
-                for c, value in enumerate(array_rhs(*columns)):
-                    rows[:, 5 + c] = value
+            columns = np.ascontiguousarray(rows[:, 1:5].T).view(_Floats)
+            for c, value in enumerate(rhs(*columns)):
+                rows[:, 5 + c] = value
             if np.isfinite(rows[:, 5:]).all():
                 return rows
-    return _rows_one_at_a_time(rhs, state0, records, stride, tail, polar)
+    return _rows_one_at_a_time(rhs, state0, records, stride, tail)
 
 
 def _map(fn, values):
@@ -609,9 +588,8 @@ def _map(fn, values):
     return np.fromiter(map(fn, values.tolist()), float, len(values))
 
 
-def _rows_one_at_a_time(rhs, state0, records, stride, tail, polar=False):
+def _rows_one_at_a_time(rhs, state0, records, stride, tail):
     """``_rows`` by scalar operations, one interpreted sample at a time (the reference)."""
-    cartesian = _to_cartesian if polar else lambda *s: s
     rows = [(0.0, *state0, *rhs(*state0))]
     k = 1
     for t, h, t_end, k1, x, y, zr, zi, *stages in records:
@@ -621,11 +599,11 @@ def _rows_one_at_a_time(rhs, state0, records, stride, tail, polar=False):
             if ts > t_end:
                 ts = t_end
             theta = (ts - t) / h
-            s = cartesian(*_dense_eval((x, y, zr, zi), qmat, min(max(theta, 0.0), 1.0)))
+            s = _to_cartesian(*_dense_eval((x, y, zr, zi), qmat, min(max(theta, 0.0), 1.0)))
             rows.append((ts, *s, *rhs(*s)))
         k = k1
     if tail is not None:
-        s = cartesian(*tail[1:])
+        s = _to_cartesian(*tail[1:])
         rows.append((tail[0], *s, *rhs(*s)))
     return np.array(rows, dtype=float)
 
@@ -644,11 +622,10 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
                     threshold: float, max_steps: int = MAX_STEPS):
     """Closed-form-kernel flow run (signature shared with the compiled core).
 
-    The run integrates the log-polar state (x, y, L = log |z|^2, theta = arg
-    z) from ``log_polar`` of z0, by ``polar_rhs``: with the entry's phi
-    kernel, L' = -2 Re phi and theta' = -Im phi (-0.0 where phi is real), at
-    u = exp(L), inf where exp overflows, as in C.  The rows are Cartesian: the
-    Cartesian kernel runs once on the float64 columns of all rows (``_Floats``).
+    ``run_flow`` integrates the log-polar state by the entry's phi kernel:
+    L' = -2 Re phi and theta' = -Im phi (-0.0 where phi is real), at u =
+    exp(L), inf where exp overflows, as in C.  The rows' derivatives are the
+    Cartesian kernel's, on the float64 columns of all rows (``_Floats``).
     """
     kernel, phi = _kernel(geom), _kernel(geom, _PHI)
 
@@ -664,8 +641,8 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
         k11, k22, phi_re, phi_im = phi(p1, p2, x, y, u, theta)
         return -k11, -k22, -2.0 * phi_re, -phi_im
 
-    return run_flow(rhs, state0, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
-                    array_rhs=rhs, polar_rhs=polar_rhs)
+    return run_flow(rhs, polar_rhs, state0, t_max, rel_tol, abs_tol, stride, threshold,
+                    max_steps)
 
 
 def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:

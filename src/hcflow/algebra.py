@@ -4,7 +4,9 @@ Coefficients are stored as a dense (4, 4, 4) complex array mu over the basis
 (Z1, Z2, conj Z1, conj Z2): mu[A, B, C] is the C-component of the bracket of
 basis vectors A and B.  Index slots 0..1 are the holomorphic directions and
 2..3 their conjugates.  A stack of n algebras is one (n, 4, 4, 4) array,
-which ``from_brackets`` builds from array-valued brackets.
+which ``from_brackets`` builds from array-valued brackets.  Exact (sympy)
+coefficients stay exact in an object array, on which the contraction engine
+runs symbolically.
 """
 from __future__ import annotations
 
@@ -16,10 +18,18 @@ Z1, Z2, ZB1, ZB2 = 0, 1, 2, 3
 _CONJ = (ZB1, ZB2, Z1, Z2)
 
 
+def _dtype(values) -> type:
+    """object where a value is exact (a sympy value, or an array of them), else complex."""
+    for v in values:
+        if not isinstance(v, (int, float, complex)) and np.asarray(v).dtype == object:
+            return object
+    return complex
+
+
 def conjugate_vector(v: np.ndarray) -> np.ndarray:
     """Complex conjugation of a coefficient vector, swapping Zi <-> conj Zi;
     on an array of shape (4, ...), of each vector along the first axis."""
-    return np.conj(np.asarray(v, dtype=complex)[list(_CONJ)])
+    return np.conj(np.asarray(v, dtype=_dtype((v,)))[list(_CONJ)])
 
 
 # The four hygiene checks take mu of shape (..., 4, 4, 4) and return the max
@@ -66,7 +76,7 @@ class StructureConstants:
     mu: np.ndarray
 
     def __post_init__(self) -> None:
-        mu = np.ascontiguousarray(np.asarray(self.mu, dtype=complex))
+        mu = np.ascontiguousarray(self.mu, dtype=_dtype((self.mu,)))
         if mu.shape[-3:] != (4, 4, 4) or mu.ndim > 4:
             raise ValueError(f"expected shape (4, 4, 4) or (n, 4, 4, 4), got {mu.shape}")
         mu.setflags(write=False)
@@ -83,20 +93,22 @@ def from_brackets(b12=None, b11=None, b22=None, b12b=None) -> StructureConstants
 
     A component may be an array of shape (n,) (scalars broadcast against it):
     then mu has shape (n, 4, 4, 4), one algebra per element, and each has the
-    bits of the call on that element's scalars.
+    bits of the call on that element's scalars.  A sympy component makes mu
+    an object array.
     """
-    arrays = [c.shape for v in (b12, b11, b22, b12b) if v is not None
-              for c in v if isinstance(c, np.ndarray)]
+    values = [c for v in (b12, b11, b22, b12b) if v is not None for c in v]
+    arrays = [c.shape for c in values if isinstance(c, np.ndarray)]
     shape = np.broadcast_shapes(*arrays) if arrays else ()
+    dtype = _dtype(values)
 
     def vec(v):
-        out = np.zeros((4, *shape), dtype=complex)
+        out = np.zeros((4, *shape), dtype=dtype)
         for c, value in enumerate(() if v is None else v):
             out[c] = value
         return out
 
     b12, b11, b22, b12b = vec(b12), vec(b11), vec(b22), vec(b12b)
-    mu = np.zeros((4, 4, 4, *shape), dtype=complex)  # the algebra axes move last below
+    mu = np.zeros((4, 4, 4, *shape), dtype=dtype)  # the algebra axes move last below
 
     def put(a, b, v):
         mu[a, b] = v

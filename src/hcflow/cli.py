@@ -55,8 +55,7 @@ EXIT_WORKER_DIED = 4
 
 _OPTIONAL_NUMBERS = ("rel_tol", "abs_tol", "sample_stride", "degeneracy_threshold")
 #: JSON config fields (fail-closed: anything else is rejected).
-_CONFIG_FIELDS = {"schema_version", "geometry", "params", "g0", "t_max", "engine",
-                  *_OPTIONAL_NUMBERS}
+_CONFIG_FIELDS = {"schema_version", "geometry", "params", "g0", "t_max", *_OPTIONAL_NUMBERS}
 _G0_FIELDS = {"x", "y", "z_re", "z_im"}
 _PARAM_JSON_NAMES = {p.user_name: name for name, p in PARAMETERS.items()}
 
@@ -67,7 +66,7 @@ RUN_FLAGS: dict[str, tuple[str, type]] = {
     "--x0": ("g0.x", float), "--y0": ("g0.y", float),
     "--z0-re": ("g0.z_re", float), "--z0-im": ("g0.z_im", float),
     "--t-max": ("t_max", float), "--rel-tol": ("rel_tol", float),
-    "--abs-tol": ("abs_tol", float), "--engine": ("engine", str),
+    "--abs-tol": ("abs_tol", float),
     "--sample-stride": ("sample_stride", float),
     "--degeneracy-threshold": ("degeneracy_threshold", float),
 }
@@ -135,8 +134,6 @@ def parse_config(doc: dict) -> FlowConfig:
     # only the fields given are passed, so FlowConfig's defaults apply to the rest
     fields = {name: _number(f"$.{name}", doc[name]) for name in _OPTIONAL_NUMBERS
               if name in doc}
-    if "engine" in doc:
-        fields["engine"] = str(doc["engine"])
     try:
         return FlowConfig(params=GeometryParams(geometry, **kwargs), g0=g0, t_max=t_max,
                           **fields)

@@ -12,8 +12,9 @@ each stride sample inside its step; the Python lane evaluates them after its
 loop, as arrays with the same per-sample operations.
 ``setup.py build_ext`` puts the library next to this module, where
 ``COMPILED`` finds it.  Only ``run_closed_flow`` is compiled: one ctypes call
-costs more than a Python ``closed_k``, so ``closed_k``, ``closed_k_columns``,
-``run_flow`` and the status codes always come from ``_core_py``.
+costs more than a Python ``closed_k``, so ``closed_k``, ``closed_k_columns``
+and the status codes always come from ``_core_py``, as does ``run_flow``, the
+Python loop that ``run_closed_flow`` drives with an entry's kernels.
 """
 from __future__ import annotations
 

@@ -142,6 +142,13 @@ def curvature_bundle(mu: StructureConstants,
     row, which gives ``gamma_b`` the axis n too.
     """
     A, B = _matrices(g, margin)
+    return _contract(A, B, mu)
+
+
+def _contract(A: np.ndarray, B: np.ndarray, mu: StructureConstants) -> CurvatureBundle:
+    """``curvature_bundle``'s contractions, from the metric matrix A (or a stack
+    (n, 2, 2)) and B = A^-1.  On object arrays of sympy values it runs
+    symbolically; B is then the caller's, as ``np.linalg.inv`` takes no objects."""
     lead = A.ndim - 2  # number of metric axes: 1 for a stack, 0 for one metric
     m = mu.mu
     mu_lead = m.ndim - 3  # 1 for one algebra per metric, 0 for a shared one

@@ -1,12 +1,11 @@
-"""Flow integration: evolve a metric by minus its flow tensor until t_max,
-collapse, or failure.
+"""Flow integration: evolve a metric by minus its closed-form flow tensor
+until t_max, collapse, or failure.
 
-A closed-form run integrates the 4-real state (x, y, L, theta), L = log |z|^2
-and theta = arg z, so that an exponentially decaying z is a linearly
-decaying L rather than a stiff tail (z0 = 0 starts at L = -inf, where z
-stays 0); its rows hold the Cartesian (x, y, Re z, Im z), with z = 0 once
-|z|^2 is below float64's normal range.  Every general-contraction run
-integrates (x, y, Re z, Im z).  Extinction is detected by a positivity
+A run integrates the 4-real state (x, y, L, theta), L = log |z|^2 and theta
+= arg z, so that an exponentially decaying z is a linearly decaying L rather
+than a stiff tail (z0 = 0 starts at L = -inf, where z stays 0); its rows
+hold the Cartesian (x, y, Re z, Im z), with z = 0 once |z|^2 is below
+float64's normal range.  Extinction is detected by a positivity
 monitor, the minimum of x, y and the determinant normalized by the
 corresponding powers of the initial scale; when it crosses the configured
 floor, the crossing time is bracketed inside the last accepted step by
@@ -23,15 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core
-from .catalog import GEOMETRY_IDS, OUTCOME_EXTINCT, OUTCOME_IMMORTAL, entry, pack_params
-from .curvature import curvature_bundle
+from .catalog import GEOMETRY_IDS, OUTCOME_EXTINCT, OUTCOME_IMMORTAL, pack_params
 from .geometry import GeometryParams, InadmissibleParamsError
 from .metric import HermitianMetric
 
 log = logging.getLogger("hcflow.integrate")
-
-ENGINE_CLOSED_FORM = "closed-form"
-ENGINE_GENERAL = "general-contraction"
 
 OUTCOME_DEGENERATE_INPUT = "degenerate-input"
 OUTCOME_FAILURE = "integrator-failure"
@@ -53,7 +48,6 @@ class FlowConfig:
     t_max: float
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    engine: str = ENGINE_CLOSED_FORM
     sample_stride: float | None = None  # defaults to t_max / 1000
     degeneracy_threshold: float = 1e-10
 
@@ -64,9 +58,6 @@ class FlowConfig:
             value = getattr(self, name)
             if not 0 < value < 1:
                 raise InadmissibleParamsError(f"must lie in (0, 1), got {value}", name)
-        if self.engine not in (ENGINE_CLOSED_FORM, ENGINE_GENERAL):
-            raise InadmissibleParamsError(f"must be {ENGINE_CLOSED_FORM!r} or "
-                                          f"{ENGINE_GENERAL!r}, got {self.engine!r}", "engine")
         if self.sample_stride is not None and not 0 < self.sample_stride < math.inf:
             raise InadmissibleParamsError(f"must be finite and > 0, got {self.sample_stride}",
                                           "sample_stride")
@@ -188,23 +179,6 @@ class FlowOutcome:
         }
 
 
-def _general_rhs(params: GeometryParams):
-    mu = entry(params.geometry).structure_constants(params)
-    nan4 = (float("nan"),) * 4
-
-    def fn(x, y, zre, zim):
-        try:
-            # a huge metric's contractions overflow to inf or NaN, and a metric
-            # that is not positive raises: either fails the step
-            with np.errstate(all="ignore"):
-                k = curvature_bundle(mu, HermitianMetric(x, y, complex(zre, zim)), margin=0.0).K
-        except Exception:
-            return nan4
-        return -k[0, 0].real, -k[1, 1].real, -k[0, 1].real, -k[0, 1].imag
-
-    return fn
-
-
 def _no_samples(klass: str, diagnostics: str) -> tuple[Trajectory, FlowOutcome]:
     """Empty trajectory and outcome of a run that produced no samples."""
     return (Trajectory.from_rows(np.zeros((0, 9)), klass, None, float("nan")),
@@ -220,18 +194,11 @@ def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
                            f"threshold: x={g0.x} y={g0.y} D={g0.det}")
 
     state0 = (g0.x, g0.y, g0.z.real, g0.z.imag)
+    p1, p2 = pack_params(config.params)
     try:
-        if config.engine == ENGINE_CLOSED_FORM:
-            p1, p2 = pack_params(config.params)
-            status, t_est, rows, n_acc, n_rej, m_final = core.run_closed_flow(
-                GEOMETRY_IDS[config.params.geometry], p1, p2, state0, config.t_max,
-                config.rel_tol, config.abs_tol, config.stride,
-                config.degeneracy_threshold)
-        else:
-            status, t_est, rows, n_acc, n_rej, m_final = core.run_flow(
-                _general_rhs(config.params), state0, config.t_max,
-                config.rel_tol, config.abs_tol, config.stride,
-                config.degeneracy_threshold)
+        status, t_est, rows, n_acc, n_rej, m_final = core.run_closed_flow(
+            GEOMETRY_IDS[config.params.geometry], p1, p2, state0, config.t_max,
+            config.rel_tol, config.abs_tol, config.stride, config.degeneracy_threshold)
     except (OverflowError, ZeroDivisionError) as exc:
         # a float ** overflows on huge metrics (e.g. x**4 in the closed forms),
         # or a closed form divides by D**2 = 0 (a collapse bisected to D = 0 under
@@ -249,8 +216,8 @@ def integrate(config: FlowConfig) -> tuple[Trajectory, FlowOutcome]:
              config.params.geometry.value, klass, n_acc, m_final)
     traj = Trajectory.from_rows(rows, klass, t_est, m_final)
     stats = {"accepted_steps": int(n_acc), "rejected_steps": int(n_rej),
-             "monitor_final": float(m_final), "engine": config.engine,
-             "compiled_core": bool(core.COMPILED and config.engine == ENGINE_CLOSED_FORM)}
+             "monitor_final": float(m_final), "engine": "closed-form",
+             "compiled_core": core.COMPILED}
     final = traj.final_metric() if len(traj) else None
     outcome = FlowOutcome(klass, t_est, final, reason, stats)
     return traj, outcome

@@ -1,4 +1,4 @@
-"""Verification harness: general-contraction engine vs closed-form tensors,
+"""Verification harness: contraction engine vs closed-form tensors,
 structure-constant hygiene, and the report-only diff against the published
 per-component tables.
 

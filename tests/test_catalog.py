@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hcflow import _core_py, curvature
 from hcflow.algebra import Z1, Z2, ZB2
-from hcflow.catalog import (catalog_json, entry, list_geometries,
+from hcflow.catalog import (GEOMETRY_IDS, catalog_json, entry, list_geometries,
                             sample_metric, sample_params)
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.metric import HermitianMetric
@@ -107,6 +108,41 @@ def test_secondary_kodaira_both_complex_structures():
             Geometry.KODAIRA_SECONDARY, samples=50, seed=23,
             params=GeometryParams(Geometry.KODAIRA_SECONDARY, epsilon=eps))
         assert report["passed"]
+
+
+#: each entry once, with its parameters symbolic (None) or, for epsilon, both values
+_EXACT_CASES = [(Geometry.TORUS, {}), (Geometry.HYPERELLIPTIC, {}), (Geometry.HOPF, {"lam": None}),
+                (Geometry.PROPERLY_ELLIPTIC, {"lam": None}), (Geometry.KODAIRA_PRIMARY, {}),
+                (Geometry.KODAIRA_SECONDARY, {"epsilon": 1}),
+                (Geometry.KODAIRA_SECONDARY, {"epsilon": -1}),
+                (Geometry.INOUE_S0, {"a": None, "b": None}), (Geometry.INOUE_SPM_J1, {}),
+                (Geometry.INOUE_SP_J2, {})]
+
+
+@pytest.mark.parametrize("geometry,params", [pytest.param(
+    g, p, id=g.value + "".join(f"-epsilon{v:+d}" for k, v in p.items() if k == "epsilon"))
+    for g, p in _EXACT_CASES])
+def test_engine_equals_closed_form_identically(geometry, params):
+    # K_engine - K_closed is 0 as a function of (x, y, Re z, Im z) and the
+    # parameters: the engine's own contractions run on sympy object arrays, with
+    # B = adj(A) / D as np.linalg.inv takes no objects, and the closed form is the
+    # Cartesian kernel on symbols.  Every float literal on either side (0.5, 1.0,
+    # -3.0, ...) is a dyadic rational, which nsimplify reads exactly
+    sympy = pytest.importorskip("sympy")
+    x, y, zre, zim, *symbols = sympy.symbols("x y z_re z_im lam a b", real=True)
+    kwargs = {k: dict(zip(("lam", "a", "b"), symbols))[k] if v is None else v
+              for k, v in params.items()}
+    z, zbar = zre + sympy.I * zim, zre - sympy.I * zim
+    A = np.array([[x, z], [zbar, y]], dtype=object)
+    B = np.array([[y, -z], [-zbar, x]], dtype=object) / (x * y - zre**2 - zim**2)
+    K = curvature._contract(A, B, entry(geometry)._mu(**kwargs)).K
+    p1, p2, *_ = (*kwargs.values(), 0, 0)
+    k11, k22, k12re, k12im = _core_py._KERNELS[GEOMETRY_IDS[geometry]](p1, p2, x, y, zre, zim)
+    closed = ((k11, k12re + sympy.I * k12im), (k12re - sympy.I * k12im, k22))
+    for i in range(2):
+        for j in range(2):
+            difference = sympy.nsimplify(sympy.sympify(K[i, j] - closed[i][j]), rational=True)
+            assert sympy.expand(sympy.numer(sympy.together(difference))) == 0, (i, j)
 
 
 def test_hyperelliptic_kaehler_locus():

@@ -172,11 +172,13 @@ def test_run_rejects_oversized_sample_count(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ("--geometry", "torus", "--t-max", "abc"),
     ("--geometry", "torus", "--theta", "0.1"),   # the threshold option is gone
+    ("--geometry", "torus", "--engine", "closed-form"),  # so is the engine option
 ])
 def test_run_usage_error_exits_1(tmp_path, capsys, flags):
     # argparse's own exit code 2 would read as "unclassified"
     assert run_cli("run", *flags, "--out", str(tmp_path / "o")) == 1
-    assert "error:" in capsys.readouterr().err
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flags[2] in errors[0]
     assert not (tmp_path / "o").exists()
     assert run_cli("run", "--help") == 0
 
@@ -719,11 +721,9 @@ def test_run_non_finite_trajectory_writes_nothing_to_stderr(tmp_path):
     ("--geometry", "properly-elliptic", "--lambda", "1e160"),
     ("--geometry", "inoue-s0", "--a", "1e200", "--b", "0"),
     ("--geometry", "inoue-s0", "--a", "1", "--b", "1e200"),
-    ("--geometry", "hopf", "--lambda", "1e200", "--engine", "general-contraction"),
-], ids=["hopf", "properly-elliptic", "inoue-s0-a", "inoue-s0-b", "hopf-general-contraction"])
+], ids=["hopf", "properly-elliptic", "inoue-s0-a", "inoue-s0-b"])
 def test_run_huge_parameter_is_integrator_failure(tmp_path, argv):
-    # lam**2 or a**2 overflows; the u-law takes the kernels' inf rather than raising,
-    # and the contraction engine's overflow to NaN fails its steps without a warning
+    # lam**2 or a**2 overflows; the u-law takes the kernels' inf rather than raising
     proc = subprocess.run(
         [sys.executable, "-m", "hcflow.cli", "run", *argv, "--t-max", "10",
          "--out", str(tmp_path / "o")],
@@ -750,8 +750,8 @@ def test_run_rejects_a_default_stride_that_underflows(tmp_path, capsys):
 
 #: a value for each `run` flag that is not a geometry or parameter flag
 _FLAG_VALUES = {"--x0": "2", "--y0": "3", "--z0-re": "0.1", "--z0-im": "-0.2", "--t-max": "7",
-                "--rel-tol": "1e-7", "--abs-tol": "1e-11", "--engine": "general-contraction",
-                "--sample-stride": "0.5", "--degeneracy-threshold": "1e-8"}
+                "--rel-tol": "1e-7", "--abs-tol": "1e-11", "--sample-stride": "0.5",
+                "--degeneracy-threshold": "1e-8"}
 
 
 def _flag_config(*flags):
@@ -803,8 +803,7 @@ def test_parse_config_rejection_names_the_field(doc, path):
     assert str(info.value).startswith(f"config error at {path}: ")
 
 
-def test_parse_config_reads_engine_and_integer_epsilon():
-    assert parse_config(dict(_VALID, engine="general-contraction")).engine == "general-contraction"
+def test_parse_config_reads_integer_epsilon():
     params = parse_config(dict(_VALID, geometry="kodaira-secondary",
                                params={"epsilon": -1.0})).params
     assert params.epsilon == -1 and type(params.epsilon) is int
@@ -823,9 +822,8 @@ _HOPF = {"schema_version": 1, "geometry": "hopf", "params": {"lambda": 0.0},
     (dict(_HOPF, t_max=10), ("--t-max", "-1"), "config error at $.t_max: "),
     (None, ("--geometry", "torus", "--t-max", "-1"), "--t-max: "),
     (None, ("--geometry", "hopf"), "--lambda: "),
-    (None, ("--geometry", "torus", "--engine", "bogus"), "--engine: "),
 ], ids=["t_max", "rel_tol", "abs_tol", "params-lambda", "default-stride", "flag-over-config",
-        "flag-t-max", "flag-lambda", "flag-engine"])
+        "flag-t-max", "flag-lambda"])
 def test_run_rejection_names_the_field(tmp_path, capsys, doc, flags, error):
     if doc is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -934,19 +932,17 @@ _T_MAX = st.one_of(st.floats(0, 20), st.sampled_from([0, 5e-324, 1e-321, 5, 10])
 # classifier, with three samples or fewer past t = 0
 _LONG = st.sampled_from([None] * 6 + [100.0, 600.0, 1000.0]).flatmap(
     lambda t: st.just({}) if t is None else st.fixed_dictionaries(
-        {"t_max": st.just(t), "engine": st.just("closed-form"),
-         "sample_stride": st.sampled_from([t / 3, t - 1])}))
+        {"t_max": st.just(t), "sample_stride": st.sampled_from([t / 3, t - 1])}))
 _OPTIONS = {
     "rel_tol": st.sampled_from([1e-9, 1e-6, 0.5]),
     "abs_tol": st.sampled_from([1e-12, 1e-30, 0.5]),
     "degeneracy_threshold": st.sampled_from([1e-10, 1e-60]),
-    "engine": st.sampled_from(["closed-form", "general-contraction"]),
     "sample_stride": st.floats(0.01, 5),
 }
 #: config fields a document may have spoiled (set to a _WILD value)
 _SPOILABLE = ["schema_version", "geometry", "params", "params.lambda", "params.a",
               "params.epsilon", "params.nu", "g0", "g0.x", "g0.z_im", "g0.w", "t_max",
-              "rel_tol", "abs_tol", "degeneracy_threshold", "engine", "sample_stride",
+              "rel_tol", "abs_tol", "degeneracy_threshold", "sample_stride",
               "nonsense"]
 # one_of picks a branch uniformly: two in three documents stay well-formed
 _SPOIL = st.one_of(st.none(), st.none(), st.tuples(st.sampled_from(_SPOILABLE), _WILD))
@@ -971,7 +967,6 @@ def _config_docs(draw, geometry=None):
 
 
 _FLAGS = {
-    "--engine": st.sampled_from(["closed-form", "general-contraction"]),
     "--emit": st.sampled_from(["plot-data", "outcome-json,analysis-json"]),
     "--sample-stride": st.sampled_from(["0.5", "0.05"]),
     "--rel-tol": st.sampled_from(["1e-6", "0.5"]),

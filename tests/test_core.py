@@ -1,14 +1,13 @@
 """Cross-lane checks: the compiled C loop against the pure-Python reference lane.
 
-The C core is built by ``setup.py build_ext`` into a temporary directory, so
-these tests need only a C compiler, and they require the same bits from both
-lanes.
+The C core is built by ``setup.py build_ext`` into a temporary directory (the
+``c_library`` fixture of conftest.py), so these tests need only a C compiler,
+and they require the same bits from both lanes.
 """
 import ctypes
 import hashlib
 import math
 import os
-import shutil
 import struct
 import subprocess
 import sys
@@ -22,25 +21,9 @@ import hcflow
 from hcflow import _core_py
 from hcflow import core
 from hcflow.catalog import GEOMETRY_IDS, pack_params, sample_metric, sample_params
-from hcflow.geometry import Geometry, GeometryParams
-from hcflow.integrate import _general_rhs
+from hcflow.geometry import Geometry
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-@pytest.fixture(scope="session")
-def c_library(tmp_path_factory):
-    """Path of the C core, built the way the package builds it."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    out = tmp_path_factory.mktemp("core_c")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
-         "--build-temp", str(out / "tmp")], cwd=ROOT, capture_output=True, text=True)
-    lib = out / "hcflow" / os.path.basename(core.LIBRARY)
-    if not lib.exists():
-        pytest.fail(f"the C core did not build:\n{proc.stdout}\n{proc.stderr}")
-    return str(lib)
 
 
 def test_setup_reads_the_package_version():
@@ -62,11 +45,6 @@ def test_package_does_not_import_the_generator():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.stdout == "False\n"
-
-
-@pytest.fixture(scope="session")
-def c_run(c_library):
-    return core.bind(c_library)
 
 
 @pytest.fixture(scope="session")
@@ -298,23 +276,22 @@ def test_inoue_cartesian_and_phi_kernels_are_identical(geometry):
         assert sympy.rem(numerator, c ** 2 + s ** 2 - 1, c) == 0
 
 
-@pytest.mark.parametrize("z0", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)],
-                         ids=["+0+0", "-0+0", "+0-0", "-0-0"])
-def test_z0_zero_starts_at_minus_inf_and_keeps_the_cartesian_bits(z0):
+@pytest.mark.parametrize("z0,cartesian", [
+    ((0.0, 0.0), "b4a6ae23480915a6"), ((-0.0, 0.0), "261ab0ac6fc7f99e"),
+    ((0.0, -0.0), "0eaa1bf330a55205"), ((-0.0, -0.0), "aa9b7c43bdea9c49")],
+    ids=["+0+0", "-0+0", "+0-0", "-0-0"])
+def test_z0_zero_starts_at_minus_inf_and_keeps_the_cartesian_bits(z0, cartesian):
     # L0 = -inf stays -inf, and every row, count and monitor equals the run of
-    # the same closed form in (x, y, Re z, Im z), in which z stays 0
+    # the same closed form in (x, y, Re z, Im z), in which z stays 0: ``cartesian``
+    # digests the ``_digest`` of those nine runs, as the RK5(4) loop gave them when
+    # it still integrated that state
     assert _core_py.log_polar(*z0) == (-math.inf, 0.0)
+    digests = []
     for geom in range(9):
         p1, p2 = (1.0, 2.0) if geom == 6 else (0.7, 0.0)
-        args = ((2.0, 0.7, *z0), 37.3, 1e-9, 1e-12, 0.0373, 1e-10)
-
-        def rhs(x, y, zre, zim):
-            return tuple(-k for k in _core_py.closed_k(geom, p1, p2, x, y, zre, zim))
-
-        polar = _core_py.run_closed_flow(geom, p1, p2, *args)
-        cartesian = _core_py.run_flow(rhs, *args)
-        assert polar[2].tobytes() == cartesian[2].tobytes()
-        assert polar[:2] == cartesian[:2] and polar[3:] == cartesian[3:]
+        digests.append(_digest(_core_py.run_closed_flow(
+            geom, p1, p2, (2.0, 0.7, *z0), 37.3, 1e-9, 1e-12, 0.0373, 1e-10)))
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest()[:16] == cartesian
 
 
 def test_log_polar_start_of_an_underflowing_z0():
@@ -431,7 +408,7 @@ def test_closed_k_rejects_unknown_geometry():
 # The reference lane's bits, pinned without a compiler: the first 16 hex digits
 # of a SHA-256 over the rows' bytes, then status, t_est, step counts and m_final.
 # The runs are the fixed ones of RUNS and its first draw per geometry (the Hopf
-# draw collapses), then a short general-contraction run.
+# draw collapses).
 PINNED = {
     "hopf-diagonal": "3e16101eeb0a86df",
     "t_max-0": "e62e3d52f568f3e8",
@@ -445,7 +422,6 @@ PINNED = {
     "inoue-s0-0": "661090ad0fd97053",
     "inoue-spm-j1-0": "2e32511c292692ed",
     "inoue-sp-j2-0": "549704dfb9f5ce9b",
-    "general-contraction": "6dedb4c2be13add1",
     "torus-t1000": "4a337948e0178c6a",
     "hopf-step-underflow": "d4ef93dfc2141c0c",
     "inoue-sp-j2-negative-zero-z0": "72414499c7d9d429",
@@ -478,12 +454,6 @@ def test_nonfinite_rows_lanes_agree(c_run):
     assert c[0] == py[0] and c[1] == py[1] and c[3:] == py[3:]
 
 
-def test_general_contraction_bits_pinned():
-    rhs = _general_rhs(GeometryParams(Geometry.INOUE_S0, a=1.0, b=2.0))
-    result = _core_py.run_flow(rhs, (1.0, 1.0, 0.3, 0.2), 0.5, 1e-9, 1e-12, 0.05, 1e-10)
-    assert _digest(result) == PINNED["general-contraction"]
-
-
 def test_run_flow_deterministic():
     args = (GEOMETRY_IDS[Geometry.HOPF], 0.7, 0.0, (2.0, 0.7, 0.5, -0.3),
             50.0, 1e-9, 1e-12, 0.5, 1e-10)
@@ -499,36 +469,39 @@ def test_dense_eval_sums_left_to_right():
     assert _core_py._dense_eval([0.5] * 4, [terms] * 4, 1.0) == [1.5] * 4
 
 
+def _wall(x, y, L, theta):
+    """A log-polar field with x' = -1 up to a wall at x = 0.5, NaN past it; z0 = 0
+    keeps L = -inf."""
+    if x < 0.5:
+        return (math.nan,) * 4
+    return -1.0, 0.0, 0.0, 0.0
+
+
+def _wall_rows(x, y, zre, zim):
+    """``_wall``'s rows' derivatives, on floats and arrays alike."""
+    return -1.0, 0.0, 0.0, 0.0
+
+
 def test_failure_disambiguation_on_step_underflow():
     # a wall in the vector field away from degeneracy must be reported as an
     # integrator failure, not as extinction
-    def rhs(x, y, zre, zim):
-        if x < 0.5:
-            return (float("nan"),) * 4
-        return (-1.0, 0.0, 0.0, 0.0)
-
     status, t_est, rows, *_ = _core_py.run_flow(
-        rhs, (1.0, 1.0, 0.0, 0.0), 10.0, 1e-9, 1e-12, 0.1, 1e-10)
+        _wall_rows, _wall, (1.0, 1.0, 0.0, 0.0), 10.0, 1e-9, 1e-12, 0.1, 1e-10)
     assert status == _core_py.STATUS_FAILURE
     assert t_est is None
 
 
 def test_loop_evaluates_six_stages_per_attempted_step():
     # every attempted step, rejected or not, evaluates its six new stages once:
-    # rhs runs 2 + 6 * (n_acc + n_rej) times (the initial step takes 2)
+    # the loop's rhs runs 2 + 6 * (n_acc + n_rej) times (the initial step takes 2)
     calls = []
 
-    def rhs(x, y, zre, zim):
-        calls.append(x)
-        if x < 0.5:
-            return (float("nan"),) * 4
-        return (-1.0, 0.0, 0.0, 0.0)
-
-    def array_rhs(x, y, zre, zim):  # the rows' derivatives, not counted
-        return -1.0 + 0.0 * x, 0.0 * x, 0.0 * x, 0.0 * x
+    def rhs(*state):
+        calls.append(state)
+        return _wall(*state)
 
     status, _, _, n_acc, n_rej, _ = _core_py.run_flow(
-        rhs, (1.0, 1.0, 0.0, 0.0), 10.0, 1e-9, 1e-12, 0.1, 1e-10, array_rhs=array_rhs)
+        _wall_rows, rhs, (1.0, 1.0, 0.0, 0.0), 10.0, 1e-9, 1e-12, 0.1, 1e-10)
     assert status == _core_py.STATUS_FAILURE and n_rej > 0
     assert len(calls) == 2 + 6 * (n_acc + n_rej)
 
@@ -547,8 +520,9 @@ def _hopf_rhs(x, y, zre, zim):
 
 
 def _odd_records(rng, stride):
-    """Steps whose samples fall before, inside and after them, so that ts is
-    clamped to t_end and theta to [0, 1]; ts == t with h < 0 gives theta = -0.0."""
+    """Log-polar steps whose samples fall before, inside and after them, so that
+    ts is clamped to t_end and theta to [0, 1]; ts == t with h < 0 gives theta =
+    -0.0.  Their L lies on both sides of the flush to z = 0."""
     records, k1 = [], 1
     for r in range(60):
         k0, k1 = k1, k1 + int(rng.integers(1, 6))
@@ -557,44 +531,40 @@ def _odd_records(rng, stride):
         g = sample_metric(rng)
         t_end = t + abs(h) * rng.uniform(0.5, 1.5)
         stages = rng.normal(0.0, 0.01, 28).tolist()
-        records.append((float(t), float(h), float(t_end), k1, g.x, g.y, g.z.real, g.z.imag,
-                        *stages))
+        records.append((float(t), float(h), float(t_end), k1, g.x, g.y,
+                        float(rng.uniform(-800.0, 0.0)), float(rng.uniform(-4.0, 4.0)), *stages))
     return records
 
 
-@pytest.mark.parametrize("array_rhs", [_hopf_rhs, None], ids=["array-rhs", "scalar-rhs"])
-def test_array_pass_equals_one_at_a_time(array_rhs):
-    rng = np.random.default_rng(7)
-    records, state0, tail = _odd_records(rng, 0.1), (1.0, 2.0, 0.1, 0.2), (40.0, 1.0, 1.5, 0.3, 0.1)
-    rows = _core_py._rows(_hopf_rhs, array_rhs, state0, records, 0.1, tail)
+@pytest.mark.parametrize("rhs", [_hopf_rhs, _wall_rows], ids=["array-rhs", "scalar-rhs"])
+def test_array_pass_equals_one_at_a_time(rhs):
+    # the rows' rhs returns a column per component, or floats that fill their columns
+    records = _odd_records(np.random.default_rng(7), 0.1)
+    state0, tail = (1.0, 2.0, 0.1, 0.2), (40.0, 1.0, 1.5, -750.0, 0.3)
+    rows = _core_py._rows(rhs, state0, records, 0.1, tail)
     assert np.isfinite(rows).all() and rows.shape == (records[-1][3] + 1, 9)
-    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail)
+    assert (rows[1:, 3] == 0.0).any() and (rows[1:, 3] != 0.0).any()
+    assert tuple(rows[-1, 3:5]) == (0.0, 0.0) and tuple(rows[0, 1:5]) == state0
+    reference = _core_py._rows_one_at_a_time(rhs, state0, records, 0.1, tail)
     assert rows.tobytes() == reference.tobytes()
 
 
 def test_log_polar_array_pass_equals_one_at_a_time():
-    # states (x, y, L, theta), with L on both sides of the flush to z = 0
     rng = np.random.default_rng(9)
-    records = [(*r[:6], float(rng.uniform(-800.0, 0.0)), float(rng.uniform(-4.0, 4.0)), *r[8:])
-               for r in _odd_records(rng, 0.1)]
+    records = _odd_records(rng, 0.1)
     state0, tail = (1.0, 2.0, 0.1, 0.2), (40.0, 1.0, 1.5, -750.0, 0.3)
-    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, records, 0.1, tail, True)
-    assert np.isfinite(rows).all() and (rows[1:, 3] == 0.0).any() and (rows[1:, 3] != 0.0).any()
-    assert tuple(rows[-1, 3:5]) == (0.0, 0.0) and tuple(rows[0, 1:5]) == state0
-    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail, True)
-    assert rows.tobytes() == reference.tobytes()
     # theta 0.0 on every sample and -0.0 at the tail: equal as floats, but sin(-0.0) is -0.0
     flat = [(*r[:7], 0.0, *r[8:29], *[0.0] * 7) for r in records]
     signed_tail = (40.0, 1.0, 1.5, 0.3, -0.0)
-    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, flat, 0.1, signed_tail, True)
+    rows = _core_py._rows(_hopf_rhs, state0, flat, 0.1, signed_tail)
     assert math.copysign(1.0, rows[-1, 4]) == -1.0
-    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, flat, 0.1, signed_tail, True)
+    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, flat, 0.1, signed_tail)
     assert rows.tobytes() == reference.tobytes()
     # an infinite theta: math's cos raises where C's libm returns NaN, as the rows do
     records[3] = (*records[3][:6], -1.0, math.inf, *records[3][8:])
-    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, records, 0.1, tail, True)
+    rows = _core_py._rows(_hopf_rhs, state0, records, 0.1, tail)
     assert np.isnan(rows).any()
-    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail, True)
+    reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, tail)
     assert rows.tobytes() == reference.tobytes()
 
 
@@ -604,8 +574,7 @@ def test_array_pass_equals_one_at_a_time_on_recorded_steps(args, monkeypatch):
     rows = _core_py._rows
     monkeypatch.setattr(_core_py, "_rows", lambda *a: recorded.append(a) or rows(*a))
     result = _core_py.run_closed_flow(*args)
-    rhs, _, state0, records, stride, tail, polar = recorded[-1]
-    reference = _core_py._rows_one_at_a_time(rhs, state0, records, stride, tail, polar)
+    reference = _core_py._rows_one_at_a_time(*recorded[-1])
     assert result[2].tobytes() == reference.tobytes()
 
 
@@ -614,39 +583,40 @@ def test_array_pass_falls_back_on_non_finite_values():
     records = _odd_records(rng, 0.1)
     records[5] = (*records[5][:8], float("nan"), *records[5][9:])  # a NaN stage
     state0 = (1.0, 2.0, 0.1, 0.2)
-    rows = _core_py._rows(_hopf_rhs, _hopf_rhs, state0, records, 0.1, None)
+    rows = _core_py._rows(_hopf_rhs, state0, records, 0.1, None)
     assert np.isnan(rows).any()
     reference = _core_py._rows_one_at_a_time(_hopf_rhs, state0, records, 0.1, None)
     assert rows.tobytes() == reference.tobytes()
-    # D = x*y - |z|^2 = 0 at a sample: Python's / raises where numpy returns inf
-    singular = [(0.0, 1.0, 1.0, 2, 1.0, 1.0, 1.0, 0.0, *[0.0] * 28)]
+    # D = x*y - |z|^2 = 0 at a sample (L = 0: |z| = 1): Python's / raises where
+    # numpy returns inf
+    singular = [(0.0, 1.0, 1.0, 2, 1.0, 1.0, 0.0, 0.0, *[0.0] * 28)]
     with pytest.raises(ZeroDivisionError):
-        _core_py._rows(_hopf_rhs, _hopf_rhs, state0, singular, 0.5, None)
+        _core_py._rows(_hopf_rhs, state0, singular, 0.5, None)
 
 
 def test_sample_exception_comes_before_a_later_step_exception():
-    # the rhs raises at the state of the stride sample t = 1.0, and at every
-    # state past t ~ 6.2, which only the stages of a later step reach: the
-    # sample's exception comes first, as if emitted inside its step
+    # the rows' rhs raises at the state of the stride sample t = 1.0, and the
+    # loop's at every state past t ~ 6.2, which only the stages of a later step
+    # reach: the sample's exception comes first, as if emitted inside its step
     start = (1.0, 1.0, 0.0, 0.0)
-    calls = []
 
-    def velocity(x, y, zre, zim):
-        calls.append(x)
+    def velocity(x, y, zre, zim):  # in either state, as z0 = 0 stays 0
         return -0.01 * x, 0.0, 0.0, 0.0
 
-    x_sample = _core_py.run_flow(velocity, start, 10.0, 1e-9, 1e-12, 0.1, 1e-10)[2][10, 1]
-    assert calls.count(x_sample) == 1  # its own row only: no stage state is the sample's
+    x_sample = float(_core_py.run_flow(velocity, velocity, start, 10.0, 1e-9, 1e-12, 0.1,
+                                       1e-10)[2][10, 1])
 
-    def rhs(x, y, zre, zim, sample_raises=True):
-        if sample_raises and x == x_sample:
-            raise OverflowError("sample")
+    def sample_raises(x, y, zre, zim):
+        # 0.0 / 0.0 at the sample: ZeroDivisionError on floats, NaN in the array pass,
+        # which falls back to floats
+        return -0.01 * x + 0.0 / (x - x_sample), 0.0, 0.0, 0.0
+
+    def step_raises(x, y, L, theta):
         if x < 0.94:
             raise ValueError("step")
-        return velocity(x, y, zre, zim)
+        return velocity(x, y, L, theta)
 
     with pytest.raises(ValueError, match="step"):
-        _core_py.run_flow(lambda *s: rhs(*s, sample_raises=False), start, 10.0,
-                          1e-9, 1e-12, 0.1, 1e-10)
-    with pytest.raises(OverflowError, match="sample"):
-        _core_py.run_flow(rhs, start, 10.0, 1e-9, 1e-12, 0.1, 1e-10)
+        _core_py.run_flow(velocity, step_raises, start, 10.0, 1e-9, 1e-12, 0.1, 1e-10)
+    with pytest.raises(ZeroDivisionError):
+        _core_py.run_flow(sample_raises, step_raises, start, 10.0, 1e-9, 1e-12, 0.1, 1e-10)

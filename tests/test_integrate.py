@@ -9,9 +9,9 @@ from hcflow.analysis import classify_gh_limit
 from hcflow.catalog import GEOMETRY_IDS, LIMIT_POINT, pack_params, sample_metric, sample_params
 from hcflow.cli import _plot_data_csv
 from hcflow.geometry import Geometry, GeometryParams
-from hcflow.integrate import (ENGINE_GENERAL, FlowConfig, MAX_SAMPLES,
-                              OUTCOME_DEGENERATE_INPUT, OUTCOME_EXTINCT, OUTCOME_IMMORTAL,
-                              TRAJECTORY_HEADER, columns_csv, integrate)
+from hcflow.integrate import (FlowConfig, MAX_SAMPLES, OUTCOME_DEGENERATE_INPUT,
+                              OUTCOME_EXTINCT, OUTCOME_IMMORTAL, TRAJECTORY_HEADER,
+                              columns_csv, integrate)
 from hcflow.metric import HermitianMetric
 
 
@@ -131,24 +131,6 @@ def test_halving_tolerance_convergence():
     diff = np.max(np.abs(states[0] - states[1]))
     scale = max(1.0, float(np.max(np.abs(states[0]))))
     assert diff <= coarse * scale
-
-
-def test_cross_engine_agreement():
-    for geometry, params, g0 in (
-            (Geometry.HOPF, {"lam": 0.7}, HermitianMetric(1, 2, 0.4 + 0.1j)),
-            (Geometry.INOUE_SP_J2, {}, HermitianMetric(1, 1, 0.3 + 0.4j))):
-        rel_tol = 1e-9
-        trajs = []
-        for engine in ("closed-form", ENGINE_GENERAL):
-            config = _config(geometry, g0, 5.0, params=params,
-                             sample_stride=0.05, rel_tol=rel_tol, engine=engine)
-            traj, outcome = integrate(config)
-            trajs.append(traj)
-        n = min(len(trajs[0]), len(trajs[1]))
-        a = np.column_stack([trajs[0].x, trajs[0].y, trajs[0].z_re, trajs[0].z_im])[:n]
-        b = np.column_stack([trajs[1].x, trajs[1].y, trajs[1].z_re, trajs[1].z_im])[:n]
-        scale = max(1.0, float(np.max(np.abs(a))))
-        assert np.max(np.abs(a - b)) <= 100 * rel_tol * scale
 
 
 def test_extinct_final_state_has_tiny_monitor():
@@ -302,8 +284,6 @@ def test_config_validation():
         FlowConfig(params=params, g0=g0, t_max=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(params=params, g0=g0, t_max=1.0, rel_tol=2.0)
-    with pytest.raises(ValueError):
-        FlowConfig(params=params, g0=g0, t_max=1.0, engine="magic")
     with pytest.raises(ValueError):
         FlowConfig(params=params, g0=g0, t_max=1.0, sample_stride=0.0)
     with pytest.raises(ValueError):
