@@ -29,8 +29,8 @@ emission of stride samples.  The torus run takes 10 steps for 1001 samples,
 so its time is nearly all emission.  On the kodaira-secondary and
 hyperelliptic runs z decays exponentially; the log-polar state takes 163 and
 41 steps there, where a Cartesian z took 23,027 and 485.  The compiled lane
-needs the C core built next to the package (``python setup.py build_ext
---inplace``).
+runs wherever ``import hcflow`` could build the C core (``hcflow.core``; it
+needs ``cc`` and a writable ``__pycache__`` beside the package).
 """
 import argparse
 import math
@@ -116,16 +116,14 @@ int main(void) {
 def c_phi_ns(points):
     """ns per ``hcf_closed_phi`` call at each of ``points`` (geometry id and its six
     arguments), the best of 20 rounds of 1e5 calls in ``PHI_HARNESS``, which includes the
-    package's ``_core_c.c`` and is compiled with setup.py's flags; None without ``cc``."""
+    package's ``_core_c.c`` and is compiled with ``core.CFLAGS``; None without ``cc``."""
     cc = shutil.which("cc")
     if cc is None:
         return None
     with tempfile.TemporaryDirectory() as tmp:
         source, exe = Path(tmp, "phi.c"), Path(tmp, "phi")
-        c_core = Path(core.__file__).with_name("_core_c.c")
-        source.write_text(PHI_HARNESS.replace("SOURCE", str(c_core)))
-        subprocess.run([cc, "-std=c99", "-O2", "-fno-builtin", "-ffp-contract=off", "-o", exe,
-                        source, "-lm"], check=True)
+        source.write_text(PHI_HARNESS.replace("SOURCE", core.SOURCE))
+        subprocess.run([cc, *core.CFLAGS, "-o", exe, source, "-lm"], check=True)
         lines = "".join(f"{geom} {' '.join(map(float.hex, args))}\n" for geom, args in points)
         out = subprocess.run([exe], input=lines, capture_output=True, text=True).stdout
     return [float(v) for v in out.split()]

@@ -4,7 +4,7 @@
  * changing them there; do not edit it).  The rest mirrors _core_py (which documents geometry ids,
  * parameter packing and the algorithm) by hand and gives the same bits: it repeats the Python
  * operations in order, every ** is a pow() call, min() and max() keep Python's argument order, and
- * sums run left to right from 0.0.  Build it as setup.py does, with -std=c99 -O2 -fno-builtin
+ * sums run left to right from 0.0.  Build it as hcflow.core does, with -std=c99 -O2 -fno-builtin
  * -ffp-contract=off: gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.
  * Where Python raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code;
  * exp, cos and sin are plain libm calls, whose inf or NaN the Python lane takes where math raises.

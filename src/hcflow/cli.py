@@ -394,10 +394,18 @@ def _grid_points(grid_doc) -> list[dict]:
     raise ConfigError("$", "grid needs a 'points' list or a 'product' object")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps one
+    (a container or ``taskset`` may grant fewer than ``os.cpu_count()``)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     out_root = Path(args.out)
     items = []
-    workers = min(8, os.cpu_count() or 1) if args.workers is None else args.workers
+    workers = min(8, _usable_cpus()) if args.workers is None else args.workers
     try:
         if workers < 1:
             raise ValueError(f"--workers must be >= 1, got {workers}")
@@ -423,7 +431,7 @@ def cmd_sweep(args) -> int:
     rows: dict[int, dict] = {}
     # a forked pool starts all its workers at the first submit, so never ask
     # for more than there are points or CPUs
-    workers = min(workers, len(items), os.cpu_count() or 1)
+    workers = min(workers, len(items), _usable_cpus())
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_sweep_worker, item) for item in items]
@@ -497,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", required=True, help="grid JSON (points or product)")
     p_sweep.add_argument("--out", required=True)
     p_sweep.add_argument("--emit", help="comma list of: " + ",".join(EMIT_CHOICES))
-    p_sweep.add_argument("--workers", type=int, help="worker processes (default: min(8, CPUs))")
+    p_sweep.add_argument("--workers", type=int,
+                         help="worker processes (default: min(8, usable CPUs))")
 
     return parser
 

@@ -1,4 +1,4 @@
-"""Integrator core: the compiled C loop when it is built, else pure Python.
+"""Integrator core: the compiled C loop where it builds, else pure Python.
 
 ``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
 ``run_closed_flow`` operation for operation and gives the same bits, so the
@@ -10,18 +10,29 @@ log-polar state (x, y, log |z|^2, arg z), from the ``log_polar`` start that
 the binding computes in Python, and emit Cartesian rows.  The C loop emits
 each stride sample inside its step; the Python lane evaluates them after its
 loop, as arrays with the same per-sample operations.
-``setup.py build_ext`` puts the library next to this module, where
-``COMPILED`` finds it.  Only ``run_closed_flow`` is compiled: one ctypes call
-costs more than a Python ``closed_k``, so ``closed_k``, ``closed_k_columns``
-and the status codes always come from ``_core_py``, as does ``run_flow``, the
-Python loop that ``run_closed_flow`` drives with an entry's kernels.
+
+Importing this module loads ``LIBRARY``, ``__pycache__/_core_c-<digest>.so``
+beside it, where the digest is a CRC-32 of the two C files, the compiler
+flags and the machine type.  When that file is absent, the import first
+builds it with ``cc`` (``build``; ~0.5 s, once per digest, so a changed
+source or flag gets a new file).  Where there is no ``cc``, ``__pycache__``
+cannot be written, or the compiler or the load fails, ``COMPILED`` is False,
+``LIBRARY`` is None and the Python loop runs, silently.
+
+Only ``run_closed_flow`` is compiled: one ctypes call costs more than a
+Python ``closed_k``, so ``closed_k``, ``closed_k_columns`` and the status
+codes always come from ``_core_py``, as does ``run_flow``, the Python loop
+that ``run_closed_flow`` drives with an entry's kernels.
 """
 from __future__ import annotations
 
 import ctypes
 import errno
 import os
-from importlib.machinery import EXTENSION_SUFFIXES
+import platform
+import shutil
+import tempfile
+import zlib
 
 import numpy as np
 
@@ -30,7 +41,66 @@ from ._core_py import (  # noqa: F401  (re-exported)
     STATUS_EXTINCT, STATUS_FAILURE, STATUS_REACHED_TMAX, closed_k, closed_k_columns,
     run_closed_flow, run_flow)
 
-LIBRARY = os.path.join(os.path.dirname(__file__), "_core_c" + EXTENSION_SUFFIXES[0])
+HERE = os.path.dirname(os.path.abspath(__file__))
+SOURCE = os.path.join(HERE, "_core_c.c")  # includes _core_kernels.h
+# bit-identical to _core_py: -fno-builtin stops gcc folding pow(x, 2.0) into x*x (Python's **
+# calls libm pow), and -ffp-contract=off stops it fusing a*b + c
+CFLAGS = ("-std=c99", "-O2", "-fno-builtin", "-ffp-contract=off")
+SHARED = ("-shared", "-fPIC", "-lm")  # after the source: a library that links libm
+BUILD_TIMEOUT_S = 60.0
+
+
+def _digest() -> str:
+    # a CRC-32 tells versions of the sources apart; it is no defence against a crafted file,
+    # but whoever can write these can write the package's Python too.  hashlib would add ~3 ms
+    # to every import
+    crc = 0
+    for name in (SOURCE, os.path.join(HERE, "_core_kernels.h")):
+        with open(name, "rb") as f:
+            crc = zlib.crc32(f.read(), crc)
+    return f"{zlib.crc32(' '.join((*CFLAGS, *SHARED, platform.machine())).encode(), crc):08x}"
+
+
+def build(dest: str) -> None:
+    """Compile ``_core_c.c`` with ``CFLAGS`` into the shared library ``dest``.
+
+    ``cc`` writes a temporary file in ``dest``'s directory, which replaces
+    ``dest`` only when the compiler succeeds, so no reader ever sees part of a
+    library, and the temporary file is removed in every case.  Raises
+    ``OSError`` where there is no ``cc``, where the directory cannot be
+    written (then no compiler starts), and where the compiler fails or runs
+    longer than ``BUILD_TIMEOUT_S``; then it is killed with every process it
+    started.
+    """
+    import signal  # only a build needs these: they add ~4.5 ms to an import
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise FileNotFoundError(errno.ENOENT, "no C compiler on PATH", "cc")
+    directory = os.path.dirname(os.path.abspath(dest))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=".building-", suffix=".so", dir=directory)
+    os.close(fd)
+    try:
+        cmd = [cc, *CFLAGS, "-o", tmp, SOURCE, *SHARED]
+        proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            status = proc.wait(BUILD_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            status = f"still running after {BUILD_TIMEOUT_S} s"
+        finally:
+            if proc.returncode is None:  # timed out or interrupted: stop cc and what it started
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        if status != 0:
+            raise OSError(f"{' '.join(cmd)} failed: {status}")
+        shutil.copymode(SOURCE, tmp)  # mkstemp's file is private; the library reads like its source
+        os.replace(tmp, dest)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def bind(path: str):
@@ -64,6 +134,17 @@ def bind(path: str):
     return run_closed_flow
 
 
-COMPILED = os.path.exists(LIBRARY)
-if COMPILED:
-    run_closed_flow = bind(LIBRARY)  # noqa: F811
+def _load():
+    """The path of the package's C library, built first if it is absent, and
+    its ``run_closed_flow``."""
+    library = os.path.join(HERE, "__pycache__", f"_core_c-{_digest()}.so")
+    if not os.path.exists(library):
+        build(library)
+    return library, bind(library)
+
+
+try:
+    LIBRARY, run_closed_flow = _load()  # noqa: F811
+    COMPILED = True
+except OSError:  # no cc, no writable __pycache__, a failed build or load
+    LIBRARY, COMPILED = None, False

@@ -1,6 +1,4 @@
-import os
 import shutil
-import subprocess
 import sys
 from pathlib import Path
 
@@ -9,11 +7,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hcflow import core
+from hcflow import _core_py, core
 from hcflow.catalog import sample_metric, sample_params
 from hcflow.geometry import Geometry
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -35,16 +31,11 @@ ALL_GEOMETRIES = list(Geometry)
 
 @pytest.fixture(scope="session")
 def c_library(tmp_path_factory):
-    """Path of the C core, built the way the package builds it."""
+    """Path of the C core, built by ``core.build`` as ``import hcflow`` builds it."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    out = tmp_path_factory.mktemp("core_c")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
-         "--build-temp", str(out / "tmp")], cwd=ROOT, capture_output=True, text=True)
-    lib = out / "hcflow" / os.path.basename(core.LIBRARY)
-    if not lib.exists():
-        pytest.fail(f"the C core did not build:\n{proc.stdout}\n{proc.stderr}")
+    lib = tmp_path_factory.mktemp("core_c") / "_core_c.so"
+    core.build(str(lib))
     return str(lib)
 
 
@@ -52,3 +43,16 @@ def c_library(tmp_path_factory):
 def c_run(c_library):
     """The C core's ``run_closed_flow``, bound as ``hcflow.core`` binds it."""
     return core.bind(c_library)
+
+
+@pytest.fixture(params=["python", "c"])
+def lane(request, monkeypatch):
+    """Runs the test in the integrator lane "python" or "c", whichever lane
+    ``import hcflow`` chose: sets ``core.run_closed_flow`` and ``core.COMPILED``."""
+    if request.param == "python":
+        monkeypatch.setattr(core, "run_closed_flow", _core_py.run_closed_flow)
+    else:
+        monkeypatch.setattr(core, "run_closed_flow", request.getfixturevalue("c_run"))
+    monkeypatch.setattr(core, "COMPILED", request.param == "c")
+    return request.param
+

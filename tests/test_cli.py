@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hcflow import cli, core
+from hcflow import cli
 from hcflow.cli import ConfigError, _sweep_worker, main, parse_config
 from hcflow.geometry import PARAMETERS, Geometry, param_names
 from hcflow.integrate import MAX_SAMPLES
@@ -28,6 +28,14 @@ def strict_json(text: str):
     def reject(constant):
         raise ValueError(f"not strict JSON: {constant}")
     return json.loads(text, parse_constant=reject)
+
+
+def in_both_lanes(cases: dict) -> list:
+    """``cases`` (id -> argument tuple) with a last argument ``lane``, for
+    ``parametrize(..., indirect=["lane"])``: the Python lane keeps each case's
+    id, the C lane adds ``-c`` to it."""
+    return [pytest.param(*args, lane, id=key if lane == "python" else f"{key}-c")
+            for key, args in cases.items() for lane in ("python", "c")]
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -281,9 +289,9 @@ PINNED_CSV = {
 }
 
 
-@pytest.mark.parametrize("argv, trajectory, plot_data", PINNED_CSV.values(),
-                         ids=PINNED_CSV.keys())
-def test_csv_bytes_pinned(tmp_path, argv, trajectory, plot_data):
+@pytest.mark.parametrize("argv, trajectory, plot_data, lane", in_both_lanes(PINNED_CSV),
+                         indirect=["lane"])
+def test_csv_bytes_pinned(tmp_path, argv, trajectory, plot_data, lane):
     run_cli("run", *argv, "--out", str(tmp_path), "--emit", "trajectory-csv,plot-data")
     digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
                for name in ("trajectory.csv", "plot_data.csv")]
@@ -315,15 +323,18 @@ PINNED_JSON = {
 }
 
 
-@pytest.mark.parametrize("argv, outcome, analysis", PINNED_JSON.values(),
-                         ids=PINNED_JSON.keys())
-def test_json_bytes_pinned(tmp_path, monkeypatch, argv, outcome, analysis):
-    # stats.compiled_core names the lane, whose bits are otherwise the same
-    monkeypatch.setattr(core, "COMPILED", False)
+@pytest.mark.parametrize("argv, outcome, analysis, lane", in_both_lanes(PINNED_JSON),
+                         indirect=["lane"])
+def test_json_bytes_pinned(tmp_path, argv, outcome, analysis, lane):
     assert run_cli("run", *argv, "--out", str(tmp_path),
                    "--emit", "outcome-json,analysis-json") == 0
-    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16]
-               for name in ("outcome.json", "analysis.json")]
+    # stats.compiled_core names the lane, whose bits are otherwise the same
+    written = (tmp_path / "outcome.json").read_bytes()
+    named = b'"compiled_core": ' + (b"true" if lane == "c" else b"false")
+    assert written.count(named) == 1
+    digests = [hashlib.sha256(data).hexdigest()[:16] for data in (
+        written.replace(named, b'"compiled_core": false'),
+        (tmp_path / "analysis.json").read_bytes())]
     assert digests == [outcome, analysis]
 
 
@@ -469,6 +480,32 @@ def test_sweep_hopf_grid(tmp_path, capsys):
         assert (out / f"run_{i:04d}" / "outcome.json").exists()
 
 
+def test_sweep_writes_the_bytes_of_run(tmp_path, lane):
+    # each point's files are those of `run` on the config with its overrides applied,
+    # and summary.csv has the same bytes in both lanes
+    doc = json.loads(write_config(tmp_path / "base.json", params={"lambda": 0.7}, t_max=50.0,
+                                  g0={"x": 2.0, "y": 0.7, "z_re": 0.5, "z_im": -0.3}).read_text())
+    points = [{}, {"params.lambda": 0.0, "g0.z_im": 0.0}, {"geometry": "inoue-s0",
+                                                         "params": {"a": -0.8, "b": 0.5}}]
+    (tmp_path / "grid.json").write_text(json.dumps({"points": points}))
+    emit = "trajectory-csv,outcome-json,analysis-json,plot-data"
+    assert run_cli("sweep", "--config", str(tmp_path / "base.json"), "--grid",
+                   str(tmp_path / "grid.json"), "--out", str(tmp_path / "sweep"),
+                   "--workers", "1", "--emit", emit) == 0
+    for i, overrides in enumerate(points):
+        point = json.loads(json.dumps(doc))
+        for path, value in overrides.items():
+            cli._apply_override(point, path, value)
+        (tmp_path / f"point_{i}.json").write_text(json.dumps(point))
+        run_cli("run", "--config", str(tmp_path / f"point_{i}.json"),
+                "--out", str(tmp_path / f"run_{i}"), "--emit", emit)
+        for name in ("trajectory.csv", "outcome.json", "analysis.json", "plot_data.csv"):
+            assert ((tmp_path / "sweep" / f"run_{i:04d}" / name).read_bytes()
+                    == (tmp_path / f"run_{i}" / name).read_bytes()), (i, name)
+    summary = (tmp_path / "sweep" / "summary.csv").read_bytes()
+    assert hashlib.sha256(summary).hexdigest()[:16] == "ac0550ac5c2a2dab"
+
+
 def test_sweep_inoue_growth_column(tmp_path):
     cfg = write_config(tmp_path / "base.json", geometry="inoue-s0",
                        params={"a": 1.0, "b": 2.0},
@@ -550,7 +587,7 @@ def _worker_dies_on_point_1(item):
 
 def test_sweep_survives_a_dead_worker(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_sweep_worker", _worker_dies_on_point_1)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one CPU
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # a real pool even on one CPU
     cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
                        t_max=1.0, sample_stride=0.5)
     (tmp_path / "grid.json").write_text(json.dumps({"points": [{"g0.x": x} for x in (1, 2, 3)]}))
@@ -623,7 +660,7 @@ class _InlinePool:
     (64, 2, 2), (64, 5, 3), (2, 5, 2), (1, 5, None), (8, 1, None)])
 def test_sweep_pool_is_bounded_by_points_and_cpus(tmp_path, monkeypatch, workers, points, size):
     monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
                        t_max=1.0, sample_stride=0.5)
@@ -637,6 +674,23 @@ def test_sweep_pool_is_bounded_by_points_and_cpus(tmp_path, monkeypatch, workers
     with open(out / "summary.csv", newline="") as f:
         header, *rows = list(csv.reader(f))
     assert [row[-1] for row in rows] == ["ok"] * points
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity here")
+def test_sweep_default_workers_follow_the_cpu_affinity(tmp_path, monkeypatch):
+    # a container or taskset grants one CPU of a 64-CPU machine: no pool
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    cfg = write_config(tmp_path / "base.json", geometry="torus", params={},
+                       t_max=1.0, sample_stride=0.5)
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"points": [{"g0.x": 1.0 + i} for i in range(4)]}))
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(tmp_path / "sweep"), "--emit", "outcome-json") == 0
+    assert _InlinePool.sizes == []
+    assert len((tmp_path / "sweep" / "summary.csv").read_text().splitlines()) == 5
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch):
@@ -661,7 +715,7 @@ def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys, monkeypatch
     (tmp_path / "grid.json").write_text(json.dumps(
         {"points": [{"g0.x": 1.0 + i} for i in range(5)]}))
     for cpus in (3, 2, 1):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
                        "--out", str(tmp_path / f"sweep-{cpus}"), "--emit", "outcome-json") == 0
     assert _InlinePool.sizes == [3, 2]  # one CPU runs the points inline
