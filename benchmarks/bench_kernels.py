@@ -116,14 +116,16 @@ int main(void) {
 def c_phi_ns(points):
     """ns per ``hcf_closed_phi`` call at each of ``points`` (geometry id and its six
     arguments), the best of 20 rounds of 1e5 calls in ``PHI_HARNESS``, which includes the
-    package's ``_core_c.c`` and is compiled with ``core.CFLAGS``; None without ``cc``."""
+    package's ``_core_c.c`` and is compiled, as ``core.build`` compiles it, with
+    ``core.CFLAGS`` and the header of ``core.write_kernels``; None without ``cc``."""
     cc = shutil.which("cc")
     if cc is None:
         return None
     with tempfile.TemporaryDirectory() as tmp:
         source, exe = Path(tmp, "phi.c"), Path(tmp, "phi")
         source.write_text(PHI_HARNESS.replace("SOURCE", core.SOURCE))
-        subprocess.run([cc, *core.CFLAGS, "-o", exe, source, "-lm"], check=True)
+        core.write_kernels(tmp)
+        subprocess.run([cc, *core.CFLAGS, "-I", tmp, "-o", exe, source, "-lm"], check=True)
         lines = "".join(f"{geom} {' '.join(map(float.hex, args))}\n" for geom, args in points)
         out = subprocess.run([exe], input=lines, capture_output=True, text=True).stdout
     return [float(v) for v in out.split()]

@@ -1,7 +1,7 @@
 /* Compiled integrator core: the RK5(4) loop over the closed-form flow tensors.  The closed forms
  * (hcf_closed_k, hcf_closed_phi), the tableau, the step-control constants and L_MIN are in
- * _core_kernels.h, generated from hcflow/_core_py.py by python -m hcflow._core_gen (rerun it after
- * changing them there; do not edit it).  The rest mirrors _core_py (which documents geometry ids,
+ * _core_kernels.h, which hcflow.core.build renders from hcflow/_core_py.py with hcflow._core_gen
+ * into the build's include directory.  The rest mirrors _core_py (which documents geometry ids,
  * parameter packing and the algorithm) by hand and gives the same bits: it repeats the Python
  * operations in order, every ** is a pow() call, min() and max() keep Python's argument order, and
  * sums run left to right from 0.0.  Build it as hcflow.core does, with -std=c99 -O2 -fno-builtin
@@ -33,7 +33,9 @@ static double dv(double x, double y, int *err) {
 }
 #define PW(x, y) pw(x, y, &err)
 #define DV(x, y) dv(x, y, &err)
-#include "_core_kernels.h"  /* uses pw, dv, PW, DV and ERR_GEOMETRY */
+/* uses pw, dv, PW, DV and ERR_GEOMETRY; <> skips this file's own directory, so the build's -I
+ * directory wins over any stray copy beside it */
+#include <_core_kernels.h>
 
 /* Kernel and row buffer of one run, and the last emitted theta (its bits) with its cos and sin. */
 typedef struct { int geom; double p1, p2, *rows; long cap, n; double th, cos_th, sin_th; } Run;

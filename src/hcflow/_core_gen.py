@@ -1,22 +1,22 @@
 """Generate ``_core_kernels.h``, the C lane's closed forms and integrator constants.
 
-Run ``python -m hcflow._core_gen`` after changing a kernel or a constant of
-``_core_py``, and commit the header; ``tests/test_core.py`` checks that it is
-current.  ``hcflow`` never imports this module.  Each kernel runs once on
-``_Var`` values, which write every ``+ - * / **`` and ``_libm`` call as one C
-temporary in Python's order, ``/`` as ``DV`` and ``**`` as ``PW``: so each
-local (``sin(theta)``, ``d * d``) is computed once, and C's first ERR_ code
-comes from the operation at which Python first raises.  Constants are
-``repr`` literals, which ``strtod`` reads back to the same doubles.
+``core.build`` writes ``render()`` beside each library it compiles, and
+``core``'s digest covers this module and ``_core_py``, so a changed kernel or
+constant builds a new library.  Only a build imports this module.  Each
+kernel runs once on ``_Var`` values, which write every ``+ - * / **`` and
+``_libm`` call as one C temporary in Python's order, ``/`` as ``DV`` and
+``**`` as ``PW``: so each local (``sin(theta)``, ``d * d``) is computed once,
+and C's first ERR_ code comes from the operation at which Python first
+raises.  Constants are ``repr`` literals, which ``strtod`` reads back to the
+same doubles.
 """
 import types
-from pathlib import Path
 
 from . import _core_py
-from .catalog import GEOMETRY_IDS
+from .geometry import Geometry
 
-HEADER = Path(__file__).with_name("_core_kernels.h")
-NAMES = {gid: geometry.value for geometry, gid in GEOMETRY_IDS.items()}
+# catalog.GEOMETRY_IDS, not imported from catalog, which imports core, which imports this
+NAMES = {gid: geometry.value for gid, geometry in enumerate(Geometry)}
 _LIBM = lambda fn, v: v.emit(f"{fn.__name__}({v!r})")  # noqa: E731  (_core_py._libm, traced)
 
 
@@ -72,7 +72,7 @@ def render() -> str:
     """The text of ``_core_kernels.h``."""
     k_args, phi_args = ("p1", "p2", "x", "y", "zre", "zim"), ("p1", "p2", "x", "y", "u", "th")
     return "\n".join([
-        "/* Generated by python -m hcflow._core_gen from hcflow/_core_py.py; do not edit. */",
+        "/* Rendered by hcflow._core_gen from hcflow/_core_py.py for one build. */",
         "/* Dormand-Prince 5(4) tableau, error weights and dense-output coefficients */",
         f"static const double A[7][6] = {_table(_core_py._A)};",
         f"static const double E[7] = {_table(_core_py._E)};",
@@ -92,6 +92,3 @@ def render() -> str:
                    [_case(g, kernel, phi_args) for g, kernel in _core_py._PHI.items()]),
     ]) + "\n"
 
-
-if __name__ == "__main__":
-    HEADER.write_text(render())

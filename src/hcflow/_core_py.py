@@ -3,8 +3,8 @@
 This is the reference lane.  ``_core_c.c`` mirrors ``run_closed_flow``
 operation for operation and must give the same bits.  Its kernels and
 constants (``_A``, ``_E``, ``_P``, the step-control constants and ``_L_MIN``)
-are generated from this module: after changing one, run ``python -m
-hcflow._core_gen`` and commit ``_core_kernels.h``.  Change the loop's
+are generated from this module by ``_core_gen`` at each build, and a change
+to this file builds a new library at the next import.  Change the loop's
 arithmetic only together with the C loop, and keep every sum an explicit
 left-to-right one.  ``hcflow.core`` picks the C loop when it is built.
 

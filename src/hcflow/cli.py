@@ -456,7 +456,9 @@ def cmd_sweep(args) -> int:
     writer.writerow(columns)
     for i, overrides in enumerate(points):
         values = [rows[i][col] if col in rows[i] else overrides.get(col) for col in columns]
-        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in values])
+        writer.writerow([f"{v:.17g}" if isinstance(v, float)
+                         else json.dumps(v) if isinstance(v, (dict, list)) else v
+                         for v in values])
     _atomic_write(out_root / "summary.csv", text.getvalue())
     print(f"{len(points)} runs -> {out_root / 'summary.csv'}")
     lost = sum(row["status"] == SWEEP_WORKER_DIED for row in rows.values())

@@ -3,21 +3,24 @@
 ``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
 ``run_closed_flow`` operation for operation and gives the same bits, so the
 lane changes only speed and ``stats.compiled_core``.  Its closed forms and
-integrator constants are ``_core_kernels.h``, generated from ``_core_py`` by
-``python -m hcflow._core_gen`` (rerun it after changing them there); the loop
-is mirrored by hand.  Both integrate the
+integrator constants are ``_core_kernels.h``, which ``build`` generates from
+``_core_py`` with ``_core_gen`` for each compile; the loop is mirrored by
+hand.  Both integrate the
 log-polar state (x, y, log |z|^2, arg z), from the ``log_polar`` start that
 the binding computes in Python, and emit Cartesian rows.  The C loop emits
 each stride sample inside its step; the Python lane evaluates them after its
 loop, as arrays with the same per-sample operations.
 
 Importing this module loads ``LIBRARY``, ``__pycache__/_core_c-<digest>.so``
-beside it, where the digest is a CRC-32 of the two C files, the compiler
-flags and the machine type.  When that file is absent, the import first
-builds it with ``cc`` (``build``; ~0.5 s, once per digest, so a changed
-source or flag gets a new file).  Where there is no ``cc``, ``__pycache__``
-cannot be written, or the compiler or the load fails, ``COMPILED`` is False,
-``LIBRARY`` is None and the Python loop runs, silently.
+beside it, where the digest is a CRC-32 of the header's inputs
+(``_core_c.c``, ``_core_py.py`` and ``_core_gen.py``), the compiler flags and
+the machine type.  When that file is absent, the import first builds it with
+``cc`` (``build``; ~0.5 s, once per digest, so a changed source or flag gets
+a new file).  Where there is no ``cc``, ``__pycache__`` cannot be written, or
+the compiler or the load fails, ``COMPILED`` is False, ``LIBRARY`` is None
+and the Python loop runs, silently.  A compiler that fails or times out
+leaves ``__pycache__/_core_c-<digest>.failed``, holding its status, and no
+later import starts one for that digest; delete the file to try again.
 
 Only ``run_closed_flow`` is compiled: one ctypes call costs more than a
 Python ``closed_k``, so ``closed_k``, ``closed_k_columns`` and the status
@@ -42,7 +45,8 @@ from ._core_py import (  # noqa: F401  (re-exported)
     run_closed_flow, run_flow)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SOURCE = os.path.join(HERE, "_core_c.c")  # includes _core_kernels.h
+SOURCE = os.path.join(HERE, "_core_c.c")  # includes _core_kernels.h, which build writes
+INPUTS = (SOURCE, os.path.join(HERE, "_core_py.py"), os.path.join(HERE, "_core_gen.py"))
 # bit-identical to _core_py: -fno-builtin stops gcc folding pow(x, 2.0) into x*x (Python's **
 # calls libm pow), and -ffp-contract=off stops it fusing a*b + c
 CFLAGS = ("-std=c99", "-O2", "-fno-builtin", "-ffp-contract=off")
@@ -55,22 +59,36 @@ def _digest() -> str:
     # but whoever can write these can write the package's Python too.  hashlib would add ~3 ms
     # to every import
     crc = 0
-    for name in (SOURCE, os.path.join(HERE, "_core_kernels.h")):
+    for name in INPUTS:
         with open(name, "rb") as f:
             crc = zlib.crc32(f.read(), crc)
     return f"{zlib.crc32(' '.join((*CFLAGS, *SHARED, platform.machine())).encode(), crc):08x}"
 
 
+class BuildFailed(OSError):
+    """``cc`` ran and failed, or ran longer than ``BUILD_TIMEOUT_S``."""
+
+
+def write_kernels(directory: str) -> None:
+    """Write ``_core_kernels.h``, which ``_core_c.c`` includes, into ``directory``:
+    ``_core_gen``'s C text of ``_core_py``'s closed forms and constants."""
+    from . import _core_gen  # only a build needs it
+
+    with open(os.path.join(directory, "_core_kernels.h"), "w") as f:
+        f.write(_core_gen.render())
+
+
 def build(dest: str) -> None:
     """Compile ``_core_c.c`` with ``CFLAGS`` into the shared library ``dest``.
 
-    ``cc`` writes a temporary file in ``dest``'s directory, which replaces
-    ``dest`` only when the compiler succeeds, so no reader ever sees part of a
-    library, and the temporary file is removed in every case.  Raises
-    ``OSError`` where there is no ``cc``, where the directory cannot be
-    written (then no compiler starts), and where the compiler fails or runs
-    longer than ``BUILD_TIMEOUT_S``; then it is killed with every process it
-    started.
+    The build runs in a temporary directory beside ``dest``: ``write_kernels``
+    writes the header there, and ``cc`` writes the library there, which
+    replaces ``dest`` only when the compiler succeeds, so no reader ever sees
+    part of a library.  The directory is removed in every case.  Raises
+    ``OSError`` where there is no ``cc`` and where ``dest``'s directory cannot
+    be written (then no compiler starts), and ``BuildFailed`` where the
+    compiler fails or runs longer than ``BUILD_TIMEOUT_S``; then it is killed
+    with every process it started.
     """
     import signal  # only a build needs these: they add ~4.5 ms to an import
     import subprocess
@@ -80,10 +98,11 @@ def build(dest: str) -> None:
         raise FileNotFoundError(errno.ENOENT, "no C compiler on PATH", "cc")
     directory = os.path.dirname(os.path.abspath(dest))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".building-", suffix=".so", dir=directory)
-    os.close(fd)
+    work = tempfile.mkdtemp(prefix=".building-", dir=directory)
     try:
-        cmd = [cc, *CFLAGS, "-o", tmp, SOURCE, *SHARED]
+        write_kernels(work)
+        tmp = os.path.join(work, os.path.basename(dest))
+        cmd = [cc, *CFLAGS, "-I", work, "-o", tmp, SOURCE, *SHARED]
         proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL, start_new_session=True)
         try:
@@ -95,12 +114,10 @@ def build(dest: str) -> None:
                 os.killpg(proc.pid, signal.SIGKILL)
                 proc.wait()
         if status != 0:
-            raise OSError(f"{' '.join(cmd)} failed: {status}")
-        shutil.copymode(SOURCE, tmp)  # mkstemp's file is private; the library reads like its source
+            raise BuildFailed(f"{' '.join(cmd)} failed: {status}")
         os.replace(tmp, dest)
     finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def bind(path: str):
@@ -136,10 +153,22 @@ def bind(path: str):
 
 def _load():
     """The path of the package's C library, built first if it is absent, and
-    its ``run_closed_flow``."""
-    library = os.path.join(HERE, "__pycache__", f"_core_c-{_digest()}.so")
+    its ``run_closed_flow``.  A failed build leaves a ``.failed`` file that
+    stops the next imports of the same digest from building again."""
+    stem = os.path.join(HERE, "__pycache__", f"_core_c-{_digest()}")
+    library = stem + ".so"
     if not os.path.exists(library):
-        build(library)
+        if os.path.exists(stem + ".failed"):
+            raise OSError(f"the build of {library} failed before; see {stem}.failed")
+        try:
+            build(library)
+        except BuildFailed as exc:
+            try:
+                with open(stem + ".failed", "w") as f:
+                    f.write(f"{exc}\n")
+            except OSError:
+                pass
+            raise
     return library, bind(library)
 
 

@@ -1,4 +1,3 @@
-import shutil
 import sys
 from pathlib import Path
 
@@ -30,13 +29,12 @@ ALL_GEOMETRIES = list(Geometry)
 
 
 @pytest.fixture(scope="session")
-def c_library(tmp_path_factory):
-    """Path of the C core, built by ``core.build`` as ``import hcflow`` builds it."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH")
-    lib = tmp_path_factory.mktemp("core_c") / "_core_c.so"
-    core.build(str(lib))
-    return str(lib)
+def c_library():
+    """Path of the C core that ``import hcflow`` built and loaded: the digest covers
+    every input of the build, so it is the library of these sources."""
+    if core.LIBRARY is None:  # not COMPILED, which tests monkeypatch
+        pytest.skip("import hcflow built no C core")
+    return core.LIBRARY
 
 
 @pytest.fixture(scope="session")

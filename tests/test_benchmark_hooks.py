@@ -10,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -74,3 +75,13 @@ def test_kernel_timing_runs():
     # calls core.closed_k; a failed import of bench_kernels leaves it missing
     bench_kernels = _load(ROOT / "benchmarks" / "bench_kernels.py")
     assert bench_kernels.time_kernel(core, 1) > 0
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_c_kernel_timing_compiles_the_rendered_header():
+    # bench_kernels times hcf_closed_phi in a harness that includes _core_c.c, which needs
+    # the header that core.build renders; nothing else compiles that harness
+    bench_kernels = _load(ROOT / "benchmarks" / "bench_kernels.py")
+    hopf = bench_kernels.KERNEL_POINTS[0]
+    [ns] = bench_kernels.c_phi_ns([(hopf[0], bench_kernels.phi_args(*hopf))])
+    assert ns > 0

@@ -1,6 +1,7 @@
 """The C loop's build: ``import hcflow`` compiles it once per source digest,
-and falls back to the Python lane, silently and leaving no file, wherever it
-cannot.
+and falls back to the Python lane, silently and leaving no partial library,
+wherever it cannot.  A compiler that ran and failed leaves a ``.failed``
+file, so that later imports of the same sources do not start it again.
 
 Each case copies the package into ``tmp_path`` and imports it in a fresh
 interpreter, with a ``PATH`` that holds the real ``cc``, a fake one or none.
@@ -45,6 +46,20 @@ class Spy(subprocess.Popen):
 subprocess.Popen = Spy
 from hcflow import core
 print(json.dumps({"compiled": core.COMPILED, "library": core.LIBRARY, "started": len(started)}))
+"""
+
+# runs one Hopf flow (lambda = 0.7, from x = 2, y = 0.7, z = 0 to t = 5) in the lane that
+# import hcflow chose and in the Python lane, and prints each lane's steps and rows
+FLOW = r"""
+import hashlib, json
+from hcflow import _core_py, core
+from hcflow.catalog import GEOMETRY_IDS
+from hcflow.geometry import Geometry
+args = (GEOMETRY_IDS[Geometry.HOPF], 0.7, 0.0, (2.0, 0.7, 0.0, 0.0), 5.0,
+        1e-9, 1e-12, 0.005, 1e-10)
+runs = [core.run_closed_flow(*args), _core_py.run_closed_flow(*args)]
+print(json.dumps([{"status": run[0], "t_est": run[1], "steps": run[3:5],
+                   "rows": hashlib.sha256(run[2].tobytes()).hexdigest()} for run in runs]))
 """
 
 
@@ -93,13 +108,21 @@ def test_without_cc_the_python_lane_runs_silently(tmp_path, capsys):
 
 
 def test_a_failing_compiler_leaves_no_file(tmp_path):
-    # the fake cc writes the start of a library where -o points, then fails
+    # the fake cc writes the start of a library where -o points, then fails: no part of it is
+    # left, only the file of its status, which stops later imports from starting it again
     fake = _fake_cc(tmp_path / "fake", 'while [ $# -gt 0 ]; do\n'
                     '  if [ "$1" = -o ]; then printf "\\177ELF half" > "$2"; fi\n'
                     '  shift\ndone\nexit 1\n')
     root = _package(tmp_path)
-    assert _import(root, [fake]) == {"compiled": False, "library": None, "started": 1}
-    assert _leftovers(root) == []
+    python_lane = {"compiled": False, "library": None, "started": 1}
+    assert _import(root, [fake]) == python_lane
+    [failed] = _leftovers(root)
+    assert failed == f"_core_c-{core._digest()}.failed"
+    assert (root / "hcflow" / "__pycache__" / failed).read_text().endswith(" failed: 1\n")
+    assert _import(root, [fake]) == dict(python_lane, started=0)
+    (root / "hcflow" / "__pycache__" / failed).unlink()  # deleting it tries the build again
+    assert _import(root, [fake]) == python_lane
+    assert _leftovers(root) == [failed]
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -117,6 +140,38 @@ def test_a_changed_source_byte_builds_a_new_library(tmp_path):
     assert second["library"] != first["library"]
     names = [Path(second["library"]).name, Path(first["library"]).name]
     assert _leftovers(root) == sorted(names)
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_an_edit_to_core_py_builds_a_library_that_follows_it(tmp_path):
+    # each build renders the C kernels and constants from _core_py, whose bytes the digest
+    # covers: a changed step-control constant builds a new library that takes the new steps
+    root, path = _package(tmp_path), os.environ["PATH"].split(os.pathsep)
+    first = _import(root, path)
+    flows = [json.loads(_python(root, path, "-c", FLOW).stdout)]
+    module = root / "hcflow" / "_core_py.py"
+    text = module.read_text()
+    assert text.count("\n_SAFETY = 0.9\n") == 1
+    module.write_text(text.replace("\n_SAFETY = 0.9\n", "\n_SAFETY = 0.8\n"))
+    # the edit keeps the file's size and maybe its mtime second, by which bytecode is checked
+    for stale in (root / "hcflow" / "__pycache__").glob("_core_py.*.pyc"):
+        stale.unlink()
+    second = _import(root, path)
+    assert second["compiled"] and second["started"] == 1
+    assert second["library"] != first["library"]
+    flows.append(json.loads(_python(root, path, "-c", FLOW).stdout))
+    for c_lane, python_lane in flows:
+        assert c_lane == python_lane
+    assert flows[0][0]["steps"] != flows[1][0]["steps"]
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_a_stray_header_beside_the_source_is_not_compiled(tmp_path):
+    # the digest does not cover a file beside _core_c.c, so the build must not read one
+    root = _package(tmp_path)
+    (root / "hcflow" / "_core_kernels.h").write_text("#error stray header\n")
+    probe = _import(root, os.environ["PATH"].split(os.pathsep))
+    assert probe["compiled"] and probe["started"] == 1
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="drops a Linux capability")
@@ -161,15 +216,17 @@ def test_a_compiler_that_outlasts_the_timeout_is_killed_with_its_children(tmp_pa
     assert len(started) == 2 and not any(map(_running, started))
 
 
-def test_pyproject_ships_the_c_sources_and_reads_the_version():
+def test_pyproject_ships_the_c_sources_and_reads_the_version(tmp_path):
     tomllib = pytest.importorskip("tomllib")
     doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert "version" in doc["project"]["dynamic"]
     assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hcflow.__version__"}
-    # the package ships what core.build compiles: its source and every header that includes
+    # the package ships what core.build compiles: its source, which includes the one header
+    # that build writes
     source = Path(core.SOURCE)
-    includes = [line.split('"')[1] for line in source.read_text().splitlines()
-                if line.startswith('#include "')]
-    assert sorted(doc["tool"]["setuptools"]["package-data"]["hcflow"]) == sorted(
-        [source.name, *includes])
-    assert all((source.parent / name).is_file() for name in includes)
+    assert doc["tool"]["setuptools"]["package-data"]["hcflow"] == [source.name]
+    includes = [line.split()[1].strip('<>"') for line in source.read_text().splitlines()
+                if line.startswith("#include")]
+    core.write_kernels(str(tmp_path))
+    [header] = [p.name for p in tmp_path.iterdir()]
+    assert header in includes and not (source.parent / header).exists()

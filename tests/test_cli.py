@@ -503,7 +503,7 @@ def test_sweep_writes_the_bytes_of_run(tmp_path, lane):
             assert ((tmp_path / "sweep" / f"run_{i:04d}" / name).read_bytes()
                     == (tmp_path / f"run_{i}" / name).read_bytes()), (i, name)
     summary = (tmp_path / "sweep" / "summary.csv").read_bytes()
-    assert hashlib.sha256(summary).hexdigest()[:16] == "ac0550ac5c2a2dab"
+    assert hashlib.sha256(summary).hexdigest()[:16] == "3f45d6ff03066ddc"
 
 
 def test_sweep_inoue_growth_column(tmp_path):
@@ -634,6 +634,20 @@ def test_sweep_writes_one_column_per_name(tmp_path):
     assert torus["geometry"] == "torus" and torus["params"] == "{}" and torus["status"] == "ok"
     assert hopf["geometry"] == "hopf" and hopf["params"] == "" and hopf["status"] == "ok"
     assert unknown["geometry"] == "nowhere" and unknown["status"].startswith("error: ")
+
+
+def test_sweep_writes_a_dict_override_as_json(tmp_path):
+    # a cell reads back as the override it names, not as a Python repr
+    cfg = write_config(tmp_path / "base.json", t_max=1.0, sample_stride=0.5)
+    params = {"a": -0.8, "b": 0.5}
+    grid = {"points": [{"geometry": "inoue-s0", "params": params}]}
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    out = tmp_path / "sweep"
+    assert run_cli("sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.json"),
+                   "--out", str(out), "--workers", "1") == 0
+    with open(out / "summary.csv", newline="") as f:
+        [row] = csv.DictReader(f)
+    assert row["status"] == "ok" and json.loads(row["params"]) == params
 
 
 class _InlinePool:

@@ -1,8 +1,8 @@
 """Cross-lane checks: the compiled C loop against the pure-Python reference lane.
 
-The C core is built by ``core.build``, as ``import hcflow`` builds it, into a
-temporary directory (the ``c_library`` fixture of conftest.py), so these tests
-need only a C compiler, and they require the same bits from both lanes.
+The C core is the library that ``import hcflow`` built (the ``c_library``
+fixture of conftest.py), so these tests need only a C compiler, and they
+require the same bits from both lanes.
 """
 import ctypes
 import hashlib
@@ -28,13 +28,6 @@ def test_with_cc_the_package_runs_the_compiled_lane():
     # import hcflow built and loaded the C loop; a broken build fails here rather than
     # falling back to the Python lane unseen
     assert core.COMPILED and os.path.isfile(core.LIBRARY)
-
-
-def test_kernel_header_is_generated():
-    # the C core's closed forms and constants are _core_gen's output, byte for byte:
-    # run python -m hcflow._core_gen after changing a kernel or a constant of _core_py
-    from hcflow import _core_gen
-    assert _core_gen.HEADER.read_bytes() == _core_gen.render().encode()
 
 
 def test_package_does_not_import_the_generator():
