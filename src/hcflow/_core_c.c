@@ -1,18 +1,21 @@
-/* Compiled integrator core: the RK5(4) loop over the closed-form flow tensors.  The closed forms
+/* Compiled integrator core: the step loop of the RK5(4) integrator over the closed-form flow
+ * tensors.  A run's start (the monitor's scale, row 0, the first velocity and the initial step)
+ * is _core_py.start, which hcflow.core.bind calls before this loop.  The closed forms
  * (hcf_closed_k, hcf_closed_phi), the tableau, the step-control constants and L_MIN are in
  * _core_kernels.h, which hcflow.core.build renders from hcflow/_core_py.py with hcflow._core_gen
- * into the build's include directory.  The rest mirrors _core_py (which documents geometry ids,
- * parameter packing and the algorithm) by hand and gives the same bits: it repeats the Python
- * operations in order, every ** is a pow() call, min() and max() keep Python's argument order, and
- * sums run left to right from 0.0.  Build it as hcflow.core does, with -std=c99 -O2 -fno-builtin
- * -ffp-contract=off: gcc's builtins fold pow(x, 2.0) into x*x, and contraction fuses a*b + c.
- * Where Python raises (OverflowError from **, ZeroDivisionError), the loop returns an ERR_ code;
- * exp, cos and sin are plain libm calls, whose inf or NaN the Python lane takes where math raises.
- * The loop integrates the log-polar state (x, y, L = log |z|^2, theta = arg z), from L = -inf
- * at z = 0, skips the tableau's zero weights and tests the six new stages of a step once, as
- * _core_py does.  It emits each stride sample inside its step; the Python lane records the steps
- * and evaluates their samples after its loop, as arrays with the same per-sample operations, so a
- * sample's error still comes before any later step's. */
+ * into the build's include directory.  The loop mirrors _core_py._integrate (_core_py documents
+ * geometry ids, parameter packing and the algorithm) by hand and gives the same bits: it repeats
+ * the Python operations in order, every ** is a pow() call, min() and max() keep Python's
+ * argument order, and sums run left to right from 0.0.  Build it as hcflow.core does, with
+ * -std=c99 -O2 -fno-builtin -ffp-contract=off: gcc's builtins fold pow(x, 2.0) into x*x, and
+ * contraction fuses a*b + c.  Where Python raises (OverflowError from **, ZeroDivisionError),
+ * the loop returns an ERR_ code; exp, cos and sin are plain libm calls, whose inf or NaN the
+ * Python lane takes where math raises.  The loop integrates the log-polar state (x, y,
+ * L = log |z|^2, theta = arg z), from L = -inf at z = 0, skips the tableau's zero weights and
+ * tests the six new stages of a step once, as _core_py does.  It emits each stride sample inside
+ * its step; the Python lane records the steps and evaluates their samples after its loop, as
+ * arrays with the same per-sample operations, so a sample's error still comes before any later
+ * step's. */
 #include <math.h>
 #include <string.h>
 
@@ -50,17 +53,6 @@ static int rhs(const Run *r, const double *s, double *f) {
 static int finite4(const double *v) {
     return isfinite(v[0]) && isfinite(v[1]) && isfinite(v[2]) && isfinite(v[3]);
 }
-/* Append the row (t, z, -K(z)) of the Cartesian state z. */
-static int emit_row(Run *r, double t, const double *z) {
-    if (r->n == r->cap) return ERR_BUFFER;
-    double *row = r->rows + 9 * r->n++;
-    int err;
-    row[0] = t;
-    memcpy(row + 1, z, 4 * sizeof *z);
-    err = hcf_closed_k(r->geom, r->p1, r->p2, z, row + 5);
-    for (int c = 5; c < 9; c++) row[c] = -row[c];
-    return err;
-}
 /* The Cartesian state z of the state s: z = exp(L / 2) (cos theta, sin theta), and z = 0 where
  * exp(L) is below the normal range (L < L_MIN).  cos and sin are recomputed only when theta's
  * bits change (theta stays on the w * z entries); memcmp, not ==, so -0.0 keeps sin(-0.0). */
@@ -73,11 +65,16 @@ static void cartesian(Run *r, const double *s, double *z) {
         z[2] = rr * r->cos_th, z[3] = rr * r->sin_th;
     }
 }
-/* Append the row of the state s. */
+/* Append the row (t, z, -K(z)) of the state s, z its Cartesian state. */
 static int emit(Run *r, double t, const double *s) {
-    double z[4];
-    cartesian(r, s, z);
-    return emit_row(r, t, z);
+    if (r->n == r->cap) return ERR_BUFFER;
+    double *row = r->rows + 9 * r->n++;
+    int err;
+    row[0] = t;
+    cartesian(r, s, row + 1);
+    err = hcf_closed_k(r->geom, r->p1, r->p2, row + 1, row + 5);
+    for (int c = 5; c < 9; c++) row[c] = -row[c];
+    return err;
 }
 /* Whether the row of the state s can be made: the closed form at its Cartesian state returns
  * no ERR_ code (_core_py's row_defined). */
@@ -90,34 +87,6 @@ static double monitor(const double *s, const double *inv_scale) {
     double d = s[0] * s[1] - exp(s[2]);
     return pmin(pmin(s[0] * inv_scale[0], s[1] * inv_scale[1]), d * inv_scale[2]);
 }
-/* Skips a component whose scale is infinite (L = -inf), as _core_py._rms does. */
-static double rms(const double *v, const double *scale, int *err) {
-    double acc = 0.0;
-    for (int c = 0; c < 4; c++)
-        if (!isinf(scale[c])) acc += pw(v[c] / scale[c], 2, err);
-    return sqrt(acc / 4.0);
-}
-
-static int initial_step(const Run *r, const double *y0, const double *f0, double t_max,
-                        double rel_tol, double abs_tol, double *h) {
-    int err = 0, e;
-    double scale[4], y1[4], f1[4], df[4], d0, d1, d2, h0, h1;
-    for (int c = 0; c < 4; c++) scale[c] = abs_tol + rel_tol * fabs(y0[c]);
-    d0 = rms(y0, scale, &err);
-    d1 = rms(f0, scale, &err);
-    h0 = pmin((d0 < 1e-5 || d1 < 1e-5) ? 1e-6 : 0.01 * d0 / d1, t_max);
-    for (int c = 0; c < 4; c++) y1[c] = y0[c] + h0 * f0[c];
-    if ((e = rhs(r, y1, f1)) != 0 && !err) err = e;
-    d2 = d1;
-    if (finite4(f1)) {
-        for (int c = 0; c < 4; c++) df[c] = f1[c] - f0[c];
-        d2 = DV(rms(df, scale, &err), h0);
-    }
-    h1 = pmax(d1, d2) <= 1e-15 ? pmax(1e-6, h0 * 1e-3) : pow(0.01 / pmax(d1, d2), 0.2);
-    *h = pmin(pmin(100 * h0, h1), t_max);
-    return err;
-}
-
 static void dense_coefficients(double k[7][4], double h, double q[4][4]) {
     for (int c = 0; c < 4; c++)
         for (int j = 0; j < 4; j++) {
@@ -139,35 +108,28 @@ static void dense_eval(const double *y0, double q[4][4], double th, double *out)
 #define CHECK(call) do { if ((status = (call)) != 0) goto done; } while (0)
 #define FINISH(st, m) do { status = (st); out[4] = (m); goto done; } while (0)
 
-/* _core_py.run_closed_flow.  state0 is (x, y, Re z, Im z, L, theta), the last two from
- * _core_py.log_polar; the loop integrates (x, y, L, theta).  Rows go to
- * rows[cap][9]; out receives (row count, accepted, rejected, t_est or NaN for None, final
- * monitor).  Returns a STATUS_ code of _core_py or an ERR_ code. */
-int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, double t_max,
+/* The step loop of _core_py._integrate.  begin is the vector of _core_py.start: the state
+ * (x, y, L, theta), its velocity f0, the initial step h, the monitor's scale (3) and m0.  rows
+ * (cap rows of 9) holds row 0, which the caller wrote; out receives (row count, accepted,
+ * rejected, t_est or NaN for None, final monitor).  Returns a STATUS_ code of _core_py or an
+ * ERR_ code. */
+int hcf_run_closed_flow(int geom, double p1, double p2, const double *begin, double t_max,
                         double rel_tol, double abs_tol, double stride, double threshold,
                         long max_steps, double *rows, long cap, double *out) {
-    Run r = {geom, p1, p2, rows, cap, 0, state0[5], cos(state0[5]), sin(state0[5])};
-    double y0[4] = {state0[0], state0[1], state0[4], state0[5]}, y1[4], ys[4], y_end[4], k[7][4];
-    double q[4][4], inv_scale[3], h, t = 0.0, err = 0.0, err_prev = 1.0, t_end, m_last, m1;
+    Run r = {geom, p1, p2, rows, cap, 1, begin[3], cos(begin[3]), sin(begin[3])};
+    const double *inv_scale = begin + 9;
+    double y0[4], y1[4], ys[4], y_end[4], k[7][4], q[4][4];
+    double h = begin[8], t = 0.0, err = 0.0, err_prev = 1.0, t_end, t_cut, m_last = begin[12], m1;
     double lo, hi, mid, mids[60], ts;
     long n_acc = 0, n_rej = 0, n_dec = 0, next_sample = 1;  /* n_dec: see _core_py._integrate */
     int status = 0, bad, extinct, have_q;
 
+    memcpy(y0, begin, sizeof y0);
+    memcpy(k[0], begin + 4, sizeof k[0]);
     out[3] = NAN;
-    if (geom < 0 || geom > 8) { status = ERR_GEOMETRY; goto done; }
-    for (int c = 0; c < 2; c++) inv_scale[c] = dv(1.0, state0[c], &status);
-    if (status) goto done;
-    inv_scale[2] = state0[0] * state0[1];  /* where x y underflows to 0: (1 / x) * (1 / y) */
-    inv_scale[2] = inv_scale[2] != 0.0 ? 1.0 / inv_scale[2] : inv_scale[0] * inv_scale[1];
-    m_last = monitor(y0, inv_scale);
-    CHECK(emit_row(&r, 0.0, state0));
-    if (t_max <= 0.0) FINISH(REACHED_TMAX, m_last);
-    CHECK(rhs(&r, y0, k[0]));
-    if (!finite4(k[0])) FINISH(FAILURE, m_last);
-    CHECK(initial_step(&r, y0, k[0], t_max, rel_tol, abs_tol, &h));
     while (t < t_max) {
-        h = pmin(h, t_max - t);
-        if (h < 1e-14 * fabs(t) + 1e-200) {  /* extinct if the last 11 monitors shrink to tiny */
+        if (t_max - t <= h) h = t_max - t;  /* the step to t_max, which is never an underflow */
+        else if (h < 1e-14 * fabs(t) + 1e-200) {  /* extinct if the last 11 monitors shrink */
             if (!(m_last < 1e-6 && n_dec >= 10)) FINISH(FAILURE, m_last);
             out[3] = t;
             CHECK(emit(&r, t, y0));
@@ -217,7 +179,9 @@ int hcf_run_closed_flow(int geom, double p1, double p2, const double *state0, do
                 }
             t_end = t + hi * h;
         }
-        while (next_sample * stride <= t_end + 1e-12 * pmax(stride, t_end)) {
+        /* only the step that ends the run takes samples past its end */
+        t_cut = extinct || t_end >= t_max ? t_end + 1e-12 * pmax(stride, t_end) : t_end;
+        while (next_sample * stride <= t_cut) {
             ts = pmin(next_sample * stride, t_end);
             if (!have_q) dense_coefficients(k, h, q), have_q = 1;
             dense_eval(y0, q, pmin(pmax((ts - t) / h, 0.0), 1.0), ys);

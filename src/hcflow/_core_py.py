@@ -1,12 +1,13 @@
 """Pure-Python integrator core: closed-form flow tensors and the RK5(4) loop.
 
-This is the reference lane.  ``_core_c.c`` mirrors ``run_closed_flow``
-operation for operation and must give the same bits.  Its kernels and
-constants (``_A``, ``_E``, ``_P``, the step-control constants and ``_L_MIN``)
-are generated from this module by ``_core_gen`` at each build, and a change
-to this file builds a new library at the next import.  Change the loop's
-arithmetic only together with the C loop, and keep every sum an explicit
-left-to-right one.  ``hcflow.core`` picks the C loop when it is built.
+This is the reference lane.  Both lanes start a run with ``start``, and
+``_core_c.c`` mirrors the step loop ``_integrate`` operation for operation
+and must give the same bits.  Its kernels and constants (``_A``, ``_E``,
+``_P``, the step-control constants and ``_L_MIN``) are generated from this
+module by ``_core_gen`` at each build, and a change to this file builds a
+new library at the next import.  Change the loop's arithmetic only together
+with the C loop, and keep every sum an explicit left-to-right one.
+``hcflow.core`` picks the C loop when it is built.
 
 Each geometry's closed form is one function of ``_PHI``, (p1, p2, x, y, u =
 |z|^2, theta = arg z) -> (K11, K22, Re phi, Im phi), phi = K12 / z; the seven
@@ -49,7 +50,7 @@ Parameter packing: p1 = lam (hopf, properly-elliptic), p1 = epsilon
 from __future__ import annotations
 
 import math
-from math import cos, exp, inf, sin
+from math import cos, exp, inf, nan, sin
 
 import numpy as np
 
@@ -306,14 +307,17 @@ def run_flow(rhs, polar_rhs, state0, t_max: float, rel_tol: float, abs_tol: floa
     zre, zim)`` = (xdot, ydot, Re zdot, Im zdot) there.  ``rhs`` takes floats
     and ``_Floats`` columns alike, as the closed-form kernels do.
 
-    The loop only records the accepted steps that cover stride samples;
-    ``_rows`` evaluates all samples after it (see there).  If the loop raises,
-    the recorded samples are evaluated first, so that a sample's exception
-    comes first, as it would if each sample were emitted inside its step.
+    The run starts with ``start``, as the C lane's does.  The loop only
+    records the accepted steps that cover stride samples; ``_rows`` evaluates
+    all samples after it (see there).  If the loop raises, the recorded
+    samples are evaluated first, so that a sample's exception comes first, as
+    it would if each sample were emitted inside its step.
     """
-    x, y, zr, zi = state = tuple(float(v) for v in state0)
-    xy = x * y  # where it underflows to 0, the scale of D is (1 / x) * (1 / y)
-    inv_scale = (1.0 / x, 1.0 / y, 1.0 / xy if xy != 0.0 else (1.0 / x) * (1.0 / y))
+    state = tuple(float(v) for v in state0)
+    # row 0's derivatives are evaluated again by _rows, with the samples'
+    status, _, begin = start(rhs, polar_rhs, state, t_max, rel_tol, abs_tol)
+    if status is not None:
+        return status, None, _rows(rhs, state, [], stride, None), 0, 0, begin[-1]
 
     def row_defined(s) -> bool:
         """Whether the output row of the loop state ``s`` can be made: ``rhs``
@@ -327,8 +331,8 @@ def run_flow(rhs, polar_rhs, state0, t_max: float, rel_tol: float, abs_tol: floa
     records: list[tuple] = []
     try:
         status, t_est, tail, n_acc, n_rej, m_final = _integrate(
-            polar_rhs, (x, y, *log_polar(zr, zi)), inv_scale, t_max, rel_tol, abs_tol, stride,
-            threshold, max_steps, records, row_defined)
+            polar_rhs, begin, t_max, rel_tol, abs_tol, stride, threshold, max_steps, records,
+            row_defined)
     except Exception:
         _rows(rhs, state, records, stride, None)
         raise
@@ -336,9 +340,39 @@ def run_flow(rhs, polar_rhs, state0, t_max: float, rel_tol: float, abs_tol: floa
     return status, t_est, rows, n_acc, n_rej, m_final
 
 
-def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshold,
-               max_steps, records, row_defined):
-    """The RK5(4) loop of ``run_flow``; returns ``(status, t_est, tail, n_acc, n_rej, m_final)``.
+def start(rhs, polar_rhs, state0, t_max: float, rel_tol: float, abs_tol: float):
+    """The start of a run from the Cartesian ``state0``, for both lanes.
+
+    In the order in which a run raises: the monitor's scale (1 / x0, 1 / y0,
+    1 / (x0 y0)), row 0's derivatives ``rhs(*state0)``, the log-polar state
+    (``log_polar``) and its monitor m0, and, unless t_max <= 0, the first
+    velocity ``polar_rhs`` f0 and, where f0 is finite, the initial step h.
+
+    Returns ``(status, derivatives0, begin)``, where ``begin`` is the vector
+    (x, y, L, theta, f0 (4), h, inv_scale (3), m0) that the loop starts from
+    (``run_flow`` in Python, ``core.bind`` in C).  ``status`` is None where
+    the loop runs; else the run ends at row 0, with m0 its final monitor:
+    ``STATUS_REACHED_TMAX`` at t_max <= 0 and ``STATUS_FAILURE`` at a
+    non-finite f0.  f0 and h are NaN where they are not evaluated.
+    """
+    x, y, zr, zi = state0
+    xy = x * y  # where it underflows to 0, the scale of D is (1 / x) * (1 / y)
+    inv_scale = (1.0 / x, 1.0 / y, 1.0 / xy if xy != 0.0 else (1.0 / x) * (1.0 / y))
+    derivatives0 = rhs(x, y, zr, zi)
+    polar0 = (x, y, *log_polar(zr, zi))
+    m0 = _polar_monitor(*polar0, inv_scale)
+    f0, h, status = (nan,) * 4, nan, STATUS_REACHED_TMAX
+    if t_max > 0.0:
+        f0, status = polar_rhs(*polar0), STATUS_FAILURE
+        if all(map(math.isfinite, f0)):
+            h, status = _initial_step(polar_rhs, polar0, f0, t_max, rel_tol, abs_tol), None
+    return status, derivatives0, (*polar0, *f0, h, *inv_scale, m0)
+
+
+def _integrate(rhs, begin, t_max, rel_tol, abs_tol, stride, threshold, max_steps, records,
+               row_defined):
+    """The RK5(4) loop of ``run_flow`` from ``start``'s vector ``begin``;
+    returns ``(status, t_est, tail, n_acc, n_rej, m_final)``.
 
     Each accepted step that covers stride samples appends to ``records`` one
     tuple: ``(t, h, t_end, k1, x, y, zr, zi)`` and its 28 stage values, the
@@ -348,43 +382,40 @@ def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshol
 
     The state (x, y, zr, zi) holds the log-polar (x, y, L, theta), and stage
     s is (dxs, dys, drs, dis).  ``monitor`` is the positivity margin of a
-    state (``_polar_monitor``).  A run that stops at the monitor's crossing
-    ends on the bisection's last point, unless ``row_defined`` says its output
-    row cannot be made there (a threshold below what the state resolves can
-    bisect onto D = 0): then on the last point visited before whose row can
-    be, if one exists.  Each ``h * a_sj`` is computed once per
-    step, which is exact: Python evaluates ``h * a * k`` as ``(h * a) * k``.
-    Every attempted step evaluates its six new stages, so ``rhs`` is called
-    ``2 + 6 * (n_acc + n_rej)`` times, counting the initial step's two.
+    state (``_polar_monitor``).  A step that would pass t_max is clipped to
+    end there, and only a step that is not clipped is tested against the
+    step-size floor.  Only the step that ends the run (at t_max or at the
+    monitor's crossing) takes the samples up to the emission tolerance past
+    its end, stamped with its end; every other sample carries its grid time
+    k * stride.  A run that stops at the crossing ends on the bisection's
+    last point, unless ``row_defined`` says its output row cannot be made
+    there (a threshold below what the state resolves can bisect onto D = 0):
+    then on the last point visited before whose row can be, if one exists.
+    Each ``h * a_sj`` is computed once per step, which is exact: Python
+    evaluates ``h * a * k`` as ``(h * a) * k``.  Every attempted step
+    evaluates its six new stages, so ``rhs`` is called ``2 + 6 * (n_acc +
+    n_rej)`` times, counting the two of ``start``.
     """
     isfinite, monitor = math.isfinite, _polar_monitor
     (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
         (a50, a51, a52, a53, a54), (a60, _, a62, a63, a64, a65) = _A[1:]
     e0, _, e2, e3, e4, e5, e6 = _E  # a61 and e1 are 0.0
-    x, y, zr, zi = state0
+    x, y, zr, zi, dx0, dy0, dr0, di0, h, *inv_scale, m_last = begin
 
-    m_last = monitor(x, y, zr, zi, inv_scale)
     n_dec = 0  # how many monitors in a row strictly decrease into m_last
     next_sample = 1  # samples at k*stride, k >= 1; k = 0 is row 0
     t_last = 0.0  # time of the last recorded row, row 0 at first
-    if t_max <= 0.0:
-        return STATUS_REACHED_TMAX, None, None, 0, 0, m_last
-
-    dx0, dy0, dr0, di0 = f0 = rhs(x, y, zr, zi)
-    if not all(map(isfinite, f0)):
-        return STATUS_FAILURE, None, None, 0, 0, m_last
-
-    h = _initial_step(rhs, (x, y, zr, zi), f0, t_max, rel_tol, abs_tol)
     t = 0.0
     err_prev = 1.0
     n_acc = n_rej = 0
 
     while t < t_max:
-        h = min(h, t_max - t)
-        # underflow floor is relative to the current time so that stiff
+        if t_max - t <= h:  # the step to t_max, which is never an underflow
+            h = t_max - t
+        # the underflow floor is relative to the current time so that stiff
         # transients near t = 0 (e.g. nearly degenerate starts) can take
         # arbitrarily small first steps; max_steps guards against stalls
-        if h < 1e-14 * abs(t) + 1e-200:
+        elif h < 1e-14 * abs(t) + 1e-200:
             # step-size underflow: extinction only when the positivity margin
             # is already tiny and the last 11 monitors strictly decrease,
             # otherwise a failure
@@ -485,8 +516,9 @@ def _integrate(rhs, state0, inv_scale, t_max, rel_tol, abs_tol, stride, threshol
             t_end = t + theta_star * h
 
         # record the stride samples covered by [t, t_end]; _rows evaluates them.  The
-        # tolerance is relative, so a tiny t_max gets no samples past it
-        t_cut = t_end + 1e-12 * max(stride, t_end)
+        # step that ends the run also takes those a rounded k * stride puts just past
+        # its end; the tolerance is relative, so a tiny t_max gets no samples past it
+        t_cut = t_end + 1e-12 * max(stride, t_end) if extinct or t_end >= t_max else t_end
         if next_sample * stride <= t_cut:
             next_sample += 1
             while next_sample * stride <= t_cut:
@@ -617,15 +649,15 @@ class _Floats(np.ndarray):
         return np.float_power(self, other)
 
 
-def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
-                    rel_tol: float, abs_tol: float, stride: float,
-                    threshold: float, max_steps: int = MAX_STEPS):
-    """Closed-form-kernel flow run (signature shared with the compiled core).
+def fields(geom: int, p1: float, p2: float):
+    """The two velocity fields of geometry ``geom``'s closed form, which both
+    lanes take; ValueError for an unknown ``geom``.
 
-    ``run_flow`` integrates the log-polar state by the entry's phi kernel:
-    L' = -2 Re phi and theta' = -Im phi (-0.0 where phi is real), at u =
-    exp(L), inf where exp overflows, as in C.  The rows' derivatives are the
-    Cartesian kernel's, on the float64 columns of all rows (``_Floats``).
+    ``rhs(x, y, zre, zim)`` is -K by the Cartesian kernel, the rows'
+    derivatives, on floats and ``_Floats`` columns alike.  ``polar_rhs(x, y,
+    L, theta)`` is the loop's velocity by the phi kernel: L' = -2 Re phi and
+    theta' = -Im phi (-0.0 where phi is real), at u = exp(L), inf where exp
+    overflows, as in C.
     """
     kernel, phi = _kernel(geom), _kernel(geom, _PHI)
 
@@ -641,7 +673,15 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
         k11, k22, phi_re, phi_im = phi(p1, p2, x, y, u, theta)
         return -k11, -k22, -2.0 * phi_re, -phi_im
 
-    return run_flow(rhs, polar_rhs, state0, t_max, rel_tol, abs_tol, stride, threshold,
+    return rhs, polar_rhs
+
+
+def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
+                    rel_tol: float, abs_tol: float, stride: float,
+                    threshold: float, max_steps: int = MAX_STEPS):
+    """Closed-form-kernel flow run (signature shared with the compiled core):
+    ``run_flow`` with the ``fields`` of ``geom``."""
+    return run_flow(*fields(geom, p1, p2), state0, t_max, rel_tol, abs_tol, stride, threshold,
                     max_steps)
 
 

@@ -260,8 +260,9 @@ def udot_consistency(geometry: Geometry, params: GeometryParams,
                      traj: Trajectory) -> dict:
     """Compare d(|z|^2)/dt from the integrated z against the reduced formula.
 
-    The flow integrates (x, y, Re z, Im z); the reduced systems evolve
-    (x, y, u).  Their u-rates must agree at every sampled state.
+    The flow integrates (x, y, L, theta), L = log |z|^2 and theta = arg z,
+    and emits (x, y, Re z, Im z); the reduced systems evolve (x, y, u).
+    Their u-rates must agree at every sampled state.
     """
     observed = traj.udot
     expected = entry(geometry).udot(params, traj.x, traj.y, traj.z_re, traj.z_im)

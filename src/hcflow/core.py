@@ -1,15 +1,17 @@
 """Integrator core: the compiled C loop where it builds, else pure Python.
 
-``_core_py`` is the reference lane.  ``_core_c.c`` mirrors its
-``run_closed_flow`` operation for operation and gives the same bits, so the
-lane changes only speed and ``stats.compiled_core``.  Its closed forms and
-integrator constants are ``_core_kernels.h``, which ``build`` generates from
-``_core_py`` with ``_core_gen`` for each compile; the loop is mirrored by
-hand.  Both integrate the
-log-polar state (x, y, log |z|^2, arg z), from the ``log_polar`` start that
-the binding computes in Python, and emit Cartesian rows.  The C loop emits
-each stride sample inside its step; the Python lane evaluates them after its
-loop, as arrays with the same per-sample operations.
+``_core_py`` is the reference lane.  A run starts in Python in both lanes:
+``_core_py.fields`` gives an entry's velocity fields, and ``_core_py.start``
+the monitor's scale, row 0, the log-polar state, its first velocity and the
+initial step.  ``_core_c.c`` is only the step loop: it mirrors
+``_core_py._integrate`` operation for operation and gives the same bits, so
+the lane changes only speed and ``stats.compiled_core``.  Its closed forms
+and integrator constants are ``_core_kernels.h``, which ``build`` generates
+from ``_core_py`` with ``_core_gen`` for each compile; the loop is mirrored
+by hand.  Both integrate the log-polar state (x, y, log |z|^2, arg z) and
+emit Cartesian rows.  The C loop emits each stride sample inside its step;
+the Python lane evaluates them after its loop, as arrays with the same
+per-sample operations.
 
 Importing this module loads ``LIBRARY``, ``__pycache__/_core_c-<digest>.so``
 beside it, where the digest is a CRC-32 of the header's inputs
@@ -22,10 +24,12 @@ and the Python loop runs, silently.  A compiler that fails or times out
 leaves ``__pycache__/_core_c-<digest>.failed``, holding its status, and no
 later import starts one for that digest; delete the file to try again.
 
-Only ``run_closed_flow`` is compiled: one ctypes call costs more than a
-Python ``closed_k``, so ``closed_k``, ``closed_k_columns`` and the status
-codes always come from ``_core_py``, as does ``run_flow``, the Python loop
-that ``run_closed_flow`` drives with an entry's kernels.
+Only the loop of ``run_closed_flow`` is compiled: one ctypes call costs
+more than a Python ``closed_k``, so ``closed_k``, ``closed_k_columns`` and
+the status codes always come from ``_core_py``, as does ``run_flow``, the
+Python loop that ``run_closed_flow`` drives with an entry's kernels.  The
+binding passes its buffers as plain pointers, which needs no
+``numpy.ctypeslib``.
 """
 from __future__ import annotations
 
@@ -121,32 +125,39 @@ def build(dest: str) -> None:
 
 
 def bind(path: str):
-    """``run_closed_flow`` of the C library at ``path``, with ``_core_py``'s signature and results."""
-    def vector(n):
-        return np.ctypeslib.ndpointer(np.float64, 1, (n,), "C_CONTIGUOUS")
-
+    """``run_closed_flow`` of the C library at ``path``, with ``_core_py``'s
+    signature and results: ``_core_py.start`` gives row 0 and the vector that
+    the C step loop starts from."""
     fn = ctypes.CDLL(path).hcf_run_closed_flow
-    dbl, long_ = ctypes.c_double, ctypes.c_long
-    fn.argtypes = [ctypes.c_int, dbl, dbl, vector(6), dbl, dbl, dbl, dbl, dbl, long_,
-                   np.ctypeslib.ndpointer(np.float64, 2, None, "C_CONTIGUOUS"), long_, vector(5)]
+    dbl, long_, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
+    fn.argtypes = [ctypes.c_int, dbl, dbl, pointer, dbl, dbl, dbl, dbl, dbl, long_, pointer, long_,
+                   pointer]
     fn.restype = ctypes.c_int
+    vector, results = dbl * 13, dbl * 5
 
     def run_closed_flow(geom, p1, p2, state0, t_max, rel_tol, abs_tol, stride, threshold,
                         max_steps=_core_py.MAX_STEPS):
+        rhs, polar_rhs = _core_py.fields(geom, p1, p2)
+        state = tuple(float(v) for v in state0)
+        status, derivatives0, begin = _core_py.start(rhs, polar_rhs, state, t_max, rel_tol,
+                                                     abs_tol)
+        row0 = (0.0, *state, *derivatives0)
+        if status is not None:
+            return status, None, np.array([row0]), 0, 0, begin[-1]
         # samples up to the emission tolerance past t_max, plus t = 0 and the end point
-        cap = int(max(t_max, 0.0) * (1 + 1e-12) / stride) + 3
-        rows, out = np.empty((cap, 9)), np.empty(5)
-        x, y, zre, zim = (float(v) for v in state0)
-        start = np.array([x, y, zre, zim, *_core_py.log_polar(zre, zim)])
-        status = fn(geom, p1, p2, start, t_max, rel_tol, abs_tol, stride, threshold, max_steps,
-                    rows, cap, out)
+        cap = int(t_max * (1 + 1e-12) / stride) + 3
+        rows, out = np.empty((cap, 9)), results()
+        rows[0] = row0
+        # plain pointers: the buffers are made here, float64 and C-contiguous
+        status = fn(geom, p1, p2, vector(*begin), t_max, rel_tol, abs_tol, stride, threshold,
+                    max_steps, rows.ctypes.data, cap, out)
         if status > STATUS_FAILURE:  # where _core_py raises
             raise {3: OverflowError(errno.ERANGE, os.strerror(errno.ERANGE)),
-                   4: ZeroDivisionError("float division by zero"),
-                   5: ValueError(f"unknown geometry id {geom}")}.get(
+                   4: ZeroDivisionError("float division by zero")}.get(
                        status, RuntimeError(f"C core status {status}"))
-        t_est = None if np.isnan(out[3]) else float(out[3])
-        return status, t_est, rows[:int(out[0])], int(out[1]), int(out[2]), float(out[4])
+        n, n_acc, n_rej, t_est, m_final = out
+        return (status, None if t_est != t_est else t_est, rows[:int(n)], int(n_acc), int(n_rej),
+                m_final)
 
     return run_closed_flow
 

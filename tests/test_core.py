@@ -31,10 +31,12 @@ def test_with_cc_the_package_runs_the_compiled_lane():
 
 
 def test_package_does_not_import_the_generator():
-    code = "import sys, hcflow.cli; print('hcflow._core_gen' in sys.modules)"
+    # nor numpy.ctypeslib (~1 ms of import): the C core takes plain pointers
+    code = ("import sys, hcflow.cli; "
+            "print([m for m in ('hcflow._core_gen', 'numpy.ctypeslib') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 @pytest.fixture(scope="session")
@@ -327,6 +329,35 @@ def test_tiny_t_max_emits_its_stride_samples_only(lane, request):
 
 
 @pytest.mark.parametrize("lane", ["python", "c"])
+@pytest.mark.parametrize("t_max", [1.1111110000000002, 1e-250])
+def test_a_last_step_below_the_step_size_floor_reaches_t_max(t_max, lane, request):
+    # the torus does not move, so its steps grow tenfold from 1e-6: at t = 1.111111 the
+    # step left to t_max is 2.2e-16, below the floor 1e-14 * t; at t_max = 1e-250 the
+    # first step is below the floor's 1e-200.  A step clipped to end at t_max is taken
+    run = _core_py.run_closed_flow if lane == "python" else request.getfixturevalue("c_run")
+    status, t_est, rows, *_ = run(0, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0), t_max, 1e-9, 1e-12,
+                                  t_max / 1000, 1e-10)
+    assert status == _core_py.STATUS_REACHED_TMAX and t_est is None
+    assert len(rows) == 1001 and rows[-1, 0] == t_max
+
+
+@pytest.mark.parametrize("lane", ["python", "c"])
+@pytest.mark.parametrize("stride,t_max,n", [
+    (0.11111100000000002, 1.1111100000000003, 10),
+    (1.1111110000000142 / 1000, 1.1111110000000142, 1000),  # t_max 64 ulp above 1.111111
+], ids=["sample-past-a-step-end", "t_max-just-past-a-step-end"])
+def test_interior_samples_carry_their_grid_time(stride, t_max, n, lane, request):
+    # the torus's steps end at 0.111111 and 1.111111: samples 1 and 1000 lie just past
+    # those ends, within the emission tolerance, but only the step that ends the run
+    # takes samples past its end; all others come from the next step, at k * stride
+    run = _core_py.run_closed_flow if lane == "python" else request.getfixturevalue("c_run")
+    status, _, rows, *_ = run(0, 0.0, 0.0, (1.0, 1.0, 0.0, 0.0), t_max, 1e-9, 1e-12, stride,
+                              1e-10)
+    assert status == _core_py.STATUS_REACHED_TMAX
+    assert rows[:, 0].tolist() == [min(k * stride, t_max) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("lane", ["python", "c"])
 @pytest.mark.parametrize("run_id", ["torus-underflowing-scale", "torus-subnormal-x0"])
 def test_monitor_scale_of_an_underflowing_x0_y0(run_id, lane, request):
     # x0 * y0 is 0: D's scale is (1 / x0) * (1 / y0) = inf, not a division by zero, and
@@ -494,6 +525,50 @@ def test_loop_evaluates_six_stages_per_attempted_step():
         _wall_rows, rhs, (1.0, 1.0, 0.0, 0.0), 10.0, 1e-9, 1e-12, 0.1, 1e-10)
     assert status == _core_py.STATUS_FAILURE and n_rej > 0
     assert len(calls) == 2 + 6 * (n_acc + n_rej)
+
+
+def test_initial_step_takes_d1_where_the_trial_velocity_is_not_finite():
+    # from x0 = 0.505, the trial state x0 + h0 * f0 of the initial step lies past
+    # _wall's wall, where the field is NaN: the step's second estimate d2 is then d1
+    calls = []
+
+    def rhs(*state):
+        calls.append(state)
+        return _wall(*state)
+
+    start = (0.505, 1.0, 0.0, 0.0)
+    status, _, _, n_acc, n_rej, _ = _core_py.run_flow(
+        _wall_rows, rhs, start, 10.0, 1e-9, 1e-12, 0.1, 1e-10)
+    assert status == _core_py.STATUS_FAILURE
+    assert calls[1][0] < 0.5 and math.isnan(_wall(*calls[1])[0])
+    d1 = math.sqrt((1.0 / (1e-12 + 1e-9 * 0.505)) ** 2 / 4.0)  # rms of f0 = (-1, 0, 0, 0)
+    h = (0.01 / d1) ** 0.2
+    assert _core_py.start(_wall_rows, _wall, start, 10.0, 1e-9, 1e-12)[2][8] == h
+    assert calls[2][0] - 0.505 == pytest.approx(-h * _core_py._A[1][0], rel=1e-12)
+    assert len(calls) == 2 + 6 * (n_acc + n_rej)
+
+
+def test_a_non_finite_error_norm_quarters_the_step():
+    # the last stage has no weight in the step's solution but -1/40 in its error
+    # estimate: a finite 1e307 there leaves every stage and the new state finite,
+    # while the scaled error overflows to inf.  From the fifth attempted step on it
+    # is 1e307, and each attempt is rejected with a quarter of the step before
+    calls = []
+
+    def rhs(*state):
+        calls.append(state)
+        last_stage = len(calls) > 2 + 6 * 4 and len(calls) % 6 == 2
+        return (1e307 if last_stage else -1e-3), 0.0, 0.0, 0.0
+
+    status, _, _, n_acc, n_rej, _ = _core_py.run_flow(
+        _wall_rows, rhs, (1.0, 1.0, 0.0, 0.0), 1e6, 1e-9, 1e-12, 1e3, 1e-10, max_steps=8)
+    assert status == _core_py.STATUS_FAILURE and (n_acc, n_rej) == (4, 4)
+    assert len(calls) == 2 + 6 * (n_acc + n_rej)
+    x = calls[2 + 6 * 4 - 1][0]  # the state after four steps, where the last stage ran
+    moves = [calls[2 + 6 * attempt][0] - x for attempt in range(4, 8)]  # first stages
+    assert all(math.isfinite(v) for state in calls for v in state[:2])
+    for before, after in zip(moves, moves[1:]):
+        assert after == pytest.approx(before / 4, rel=1e-12)
 
 
 def test_sampling_grid_is_stride_multiples():
