@@ -1,14 +1,13 @@
 """Catalog of the nine model-geometry entries.
 
 Each entry carries the structure constants of its complexified Lie algebra,
-the closed-form flow tensor (the production fast path), the published
-component tables for S and Q1..Q4 (diagnostics only; they contain a few
-typos and are compared, never trusted), and the reduced evolution law of
-u = |z|^2.  Its ``_register`` call is the one statement of the geometry's
-results: outcome, limit, the signs of (xdot, ydot, udot, Ddot) along the
-flow, explicit bounds, circle length, normalized limit, and whether the
-un-rescaled flow converges.  ``hcflow.analysis``, ``hcflow.report`` and
-``hcflow list`` read these facts and do not branch on the geometry.
+the closed-form flow tensor (the production fast path), and the reduced
+evolution law of u = |z|^2.  Its ``_register`` call is the one statement of
+the geometry's results: outcome, limit, the signs of (xdot, ydot, udot,
+Ddot) along the flow, explicit bounds, circle length, normalized limit, and
+whether the un-rescaled flow converges.  ``hcflow.analysis``,
+``hcflow.report`` and ``hcflow list`` read these facts and do not branch on
+the geometry.
 
 The general contraction engine in ``hcflow.curvature`` is ground truth; the
 closed forms here are certified against it by the verification suite.
@@ -161,162 +160,6 @@ _SQRT3 = ("sqrt(3)", lambda p: math.sqrt(3))
 
 
 # ---------------------------------------------------------------------------
-# published S / Q component tables (diagnostics only)
-# ---------------------------------------------------------------------------
-
-def _herm(m11, m22, m12) -> np.ndarray:
-    return np.array([[m11, m12], [np.conjugate(m12), m22]], dtype=complex)
-
-
-def _tables_hyperelliptic(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    d2 = d * d
-    return {
-        "S": _herm(x * x * u / d2, x * y * u / d2, x * x * y * z / d2),
-        "Q1": _herm(x * x * u / d2, x * y * u / d2, x * z * u / d2),
-        "Q2": _herm(0, 2 * u / d, 0),
-        "Q3": _herm(x * x * u / d2, u * u / d2, x * z * u / d2),
-        "Q4": _herm(0, u / d, 0),
-    }
-
-
-def _tables_hopf(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    lam = p.lam
-    c = p.c
-    d2 = d * d
-    q1num = (c * x ** 3 * d2 + y * u * (x * x * y * y - u * u)
-             + (x + y) * (x * y - 2 * u) * u * u + 2 * x * x * y * d)
-    return {
-        "S": _herm(
-            x * (x ** 3 * c + u * (2 * x + y)) / d2,
-            (-c * x * x * (x * y - 2 * u) - 4 * u * d + y * y * (2 * x * x + u)) / d2,
-            x * z * (-1j * lam * d + x * x * c + y * (x + y) + u) / d2),
-        "Q1": _herm(x * q1num / d2 ** 2, y * q1num / d2 ** 2,
-                    z * (c * x ** 3 + (2 * x + y) * u) / d2),
-        "Q2": _herm(2 * u / d, 2 * c * x * x / d, -2 * x * y * (1 + 1j * lam) / d),
-        "Q3": _herm((c * x ** 4 + (2 * x * x + u) * u) / d2,
-                    (c * x * x + (2 * x + y) * y * u) / d2,
-                    z * (c * x ** 3 + 1j * lam * x + (x + y) * u + x * x * y) / d2),
-        "Q4": _herm(u / d, c * x * x / d, -(1 + 1j * lam) * x * z / d),
-    }
-
-
-def _tables_properly_elliptic(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    lam = p.lam
-    c = p.c
-    d2 = d * d
-    return {
-        "S": _herm(
-            (-y * (2 * x + c * y) * d + ((x + y) ** 2 + lam * lam * y * y - 4) * u) / d2,
-            y * (c * y ** 3 + (x - 2 * y) * u) / d2,
-            y * z * ((1 + 1j * lam) * d + x * x - 2 * x * y + c * y * y) / d2),
-        "Q1": _herm(x * (c * y ** 3 + (x - 2 * y) * u) / d2,
-                    y * (c * y ** 3 + (x - 2 * y) * u) / d2,
-                    z * (c * y ** 3 + (x - 2 * y) * u) / d2),
-        "Q2": _herm(2 * y * y * c / d, 2 * u / d, 2 * (1 + 1j * lam) * y * z / d),
-        "Q3": _herm((c * y * y + x * (x - 2 * y)) * u / d2,
-                    (c * y ** 4 + u * (u - 2 * y * y)) / d2,
-                    z * ((1 - 1j * lam) * y * d + c * y ** 3 + x * u) / d2),
-        "Q4": _herm(y * y * c / d, u / d, (1 + 1j * lam) / d),
-    }
-
-
-def _tables_kodaira_primary(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    d2 = d * d
-    return {
-        "S": _herm(-y * y * (x * y - 2 * u) / d2, y ** 4 / d2, y ** 3 * z / d2),
-        "Q1": _herm(x * y ** 3 / d2, y ** 4 / d2, y ** 3 * z / d2),
-        "Q2": _herm(2 * y * y / d, 0, 0),
-        "Q3": _herm(y * y * u / d2, y ** 4 / d2, y ** 3 * z / d2),
-        "Q4": _herm(y * y / d, 0, 0),
-    }
-
-
-def _tables_kodaira_secondary(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    d2 = d * d
-    return {
-        "S": _herm(((x * x + y * y) * u - y * y * d) / d2,
-                   y * (x * u + y ** 3) / d2,
-                   ((x * x + y * y) + 1j * d) / d2),
-        "Q1": _herm(x * (x * u + y ** 3) / d2, y * (x * u + y ** 3) / d2,
-                    z * (x * u + y ** 3) / d2),
-        "Q2": _herm(2 * y * y / d, 2 * u / d, 2j * y * z / d),
-        "Q3": _herm((x * x + y * y) * u / d2, (y ** 4 + u * u) / d2,
-                    z * (x + 1j * y) * (u - 1j * y * y) / d2),
-        "Q4": _herm(y * y / d, u / d, 1j * y * z / d),
-    }
-
-
-def _tables_inoue_s0(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    a, b = p.a, p.b
-    bb = b * b + 9 * a * a
-    d2 = d * d
-    return {
-        "S": _herm(x * (bb * u + 4 * a * a * d) / d2,
-                   x * y * (bb * u - 8 * a * a * d) / d2,
-                   x * z * (bb * x * y - 2 * a * (a + 1j * b) * d) / d2),
-        "Q1": _herm(x * x * (bb * u + 4 * a * a * d) / d2,
-                    x * y * (bb * u + 4 * a * a * d) / d2,
-                    x * z * (bb * u + 4 * a * a * d) / d2),
-        "Q2": _herm(8 * a * a * x * x / d, 2 * (b * b + a * a) * u / d,
-                    -4 * a * (a + 1j * b) / d),
-        "Q3": _herm(bb * x * x * u / d2,
-                    (bb * u * u + 4 * a * a * (x * y + 2 * u) * d) / d2,
-                    x * z * (bb * u + 2 * a * (3 * a + 1j * b) * d) / d2),
-        "Q4": _herm(4 * a * a * x * x / d, (b * b + a * a) * u / d,
-                    -2 * a * (a + 1j * b) / d),
-    }
-
-
-def _tables_inoue_j1(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    zb = np.conjugate(z)
-    zz2 = z * z + zb * zb
-    d2 = d * d
-    return {
-        "S": _herm((-2 * d2 - x * y * d - zz2 * u + 2 * x * y * u) / d2,
-                   y * y * (x * y + u - zz2) / d2,
-                   (x * y * y * (z - zb) + y * z * (x * y - z * z)) / d2),
-        "Q1": _herm(x * y * (x * y + u - zz2) / d2,
-                    y * y * (x * y + u - zz2) / d2,
-                    y * z * ((z - zb) * u + x * y * z - z ** 3) / d2),
-        "Q2": _herm(2 * u / d, 2 * y * y / d, 2 * y * zb / d),
-        "Q3": _herm((x * x * y * y - x * y * zz2 + u * u) / d2,
-                    y * y * (2 * u - zz2) / d2,
-                    y * (x * y - z * z) * (z - zb) / d2),
-        "Q4": _herm(u / d, y * y / d, y * zb / d),
-    }
-
-
-def _tables_inoue_j2(p, g):
-    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
-    zb = np.conjugate(z)
-    zz2 = z * z + zb * zb
-    d2 = d * d
-    return {
-        "S": _herm((x * y * y * (4 * x - y) - (2 * u - 2 * y * y + zz2) * u
-                    - y * (7 * x - (z + zb)) * d) / d2,
-                   y * y * (u + y * y + x * y - zz2) / d2,
-                   (y * y * d + x * y * y * (2 * z * z - zb) + z * y * (y * y - z * z)) / d2),
-        "Q1": _herm(x * y * (u - zz2 + y * (x + y)) / d2,
-                    y * y * (u - zz2 + y * (x + y)) / d2,
-                    y * ((z - zb) * u + x * y * z + y * y * z - z ** 3) / d2),
-        "Q2": _herm(2 * (u + y * (z + zb) + y * y) / d, 2 * y * y / d,
-                    2 * y * (y + zb) / d),
-        "Q3": _herm((2 * x * y * u - x * y * zz2 + y * y * u
-                     + (x * y - y * (z + zb) - u) * d) / d2,
-                    y * y * (2 * u - zz2 + y * y) / d2,
-                    y * (z * u + y * u - x * y * (z - zb) - z ** 3 + y * y * z - x * y * y) / d2),
-        "Q4": _herm((u + y * (z + zb) + y * y) / d, y * y / d, y * (y + zb) / d),
-    }
-
-
-# ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
 
@@ -330,7 +173,6 @@ class GeometryDescriptor:
     expected_outcome: str
     expected_limit: str
     _mu: Callable[..., StructureConstants]  # the parameters by name, scalars or arrays
-    _tables: Callable[[GeometryParams, HermitianMetric], dict] | None
     #: the sign of xdot, ydot, udot and Ddot along the flow, each "<= 0",
     #: ">= 0", "== 0" or None
     signs: tuple[str | None, str | None, str | None, str | None]
@@ -361,11 +203,6 @@ class GeometryDescriptor:
         # an entry without parameters builds one algebra for all n
         return StructureConstants(np.broadcast_to(mu.mu, (len(params), 4, 4, 4)))
 
-    @property
-    def has_tables(self) -> bool:
-        """Whether the entry ships published S/Q component tables (all but the torus)."""
-        return self._tables is not None
-
     def closed_form_K(self, params: GeometryParams,
                       g: HermitianMetric | Sequence[HermitianMetric] | np.ndarray) -> np.ndarray:
         """Flow tensor from the per-geometry closed-form table, as 2x2 Hermitian.
@@ -389,19 +226,6 @@ class GeometryDescriptor:
         K.imag[:, 0, 1] = k12im
         K.imag[:, 1, 0] = -k12im
         return K[0] if isinstance(g, HermitianMetric) else K
-
-    def appendix_tables(self, params: GeometryParams,
-                        g: HermitianMetric) -> dict[str, np.ndarray] | None:
-        """Published per-component S and Q tables, verbatim (diagnostics only).
-
-        Several entries are known to be dimensionally inconsistent; callers
-        must compare and report, never assert.  Returns None for the torus.
-        """
-        self._check(params)
-        if self._tables is None:
-            return None
-        g.require_positive()
-        return self._tables(params, g)
 
     def udot(self, params: GeometryParams, x: np.ndarray, y: np.ndarray,
              z_re: np.ndarray, z_im: np.ndarray) -> np.ndarray:
@@ -463,31 +287,29 @@ def _register(*fields, **facts) -> None:
 
 
 _register(Geometry.TORUS, "complex torus", "R^4 (abelian)",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_torus, None, ("== 0", "== 0", "== 0", None))
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_torus, ("== 0", "== 0", "== 0", None))
 _register(Geometry.HYPERELLIPTIC, "hyperelliptic surface", "SE~(2) x R",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_hyperelliptic, _tables_hyperelliptic,
-          ("<= 0", "<= 0", "<= 0", ">= 0"), converges_unrescaled=True)
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_hyperelliptic, ("<= 0", "<= 0", "<= 0", ">= 0"),
+          converges_unrescaled=True)
 _register(Geometry.HOPF, "Hopf surface", "SU(2) x R",
-          OUTCOME_EXTINCT, LIMIT_COLLAPSE, _mu_hopf, _tables_hopf, ("<= 0", None, "<= 0", None))
+          OUTCOME_EXTINCT, LIMIT_COLLAPSE, _mu_hopf, ("<= 0", None, "<= 0", None))
 _register(Geometry.PROPERLY_ELLIPTIC, "properly elliptic surface (non-Kaehler)",
           "SL~(2,R) x R", OUTCOME_IMMORTAL, LIMIT_KE_CURVE,
-          _mu_properly_elliptic, _tables_properly_elliptic, (None, "<= 0", "<= 0", ">= 0"),
+          _mu_properly_elliptic, (None, "<= 0", "<= 0", ">= 0"),
           normalized_limit=(2.0, 0.0))
 _register(Geometry.KODAIRA_PRIMARY, "primary Kodaira surface", "R x H3(R)",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_primary, _tables_kodaira_primary,
-          (None, None, "<= 0", ">= 0"), _bounds=_bounds_kodaira_primary)
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_primary, (None, None, "<= 0", ">= 0"),
+          _bounds=_bounds_kodaira_primary)
 _register(Geometry.KODAIRA_SECONDARY, "secondary Kodaira surface", "R |x H3(R)",
-          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_secondary, _tables_kodaira_secondary,
-          (None, "<= 0", "<= 0", ">= 0"))
+          OUTCOME_IMMORTAL, LIMIT_POINT, _mu_kodaira_secondary, (None, "<= 0", "<= 0", ">= 0"))
 _register(Geometry.INOUE_S0, "Inoue surface of type S0", "Sol_0^4",
-          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_s0, _tables_inoue_s0,
-          ("<= 0", None, "<= 0", ">= 0"),
+          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_s0, ("<= 0", None, "<= 0", ">= 0"),
           circle_length=("2*sqrt(2)*a", lambda p: 2 * math.sqrt(2) * abs(p.a)))
 _register(Geometry.INOUE_SPM_J1, "Inoue surface of type S+- (J1)", "Sol_1^4",
-          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j1, _tables_inoue_j1,
+          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j1,
           (None, "<= 0", "<= 0", ">= 0"), _bounds=_bounds_inoue_j1, circle_length=_SQRT3)
 _register(Geometry.INOUE_SP_J2, "Inoue surface of type S+ (J2)", "Sol_1^4",
-          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j2, _tables_inoue_j2,
+          OUTCOME_IMMORTAL, LIMIT_CIRCLE, _mu_inoue_j2,
           (None, "<= 0", "<= 0", None), _bounds=_bounds_inoue_j2, circle_length=_SQRT3)
 
 

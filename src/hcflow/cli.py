@@ -4,7 +4,7 @@ Commands
 --------
 list    catalog of geometries, parameter schemas and expected labels
 run     integrate one flow and write trajectory/outcome/analysis files
-verify  engine-vs-closed-form agreement suite (plus report-only table diffs)
+verify  engine-vs-closed-form agreement suite
 sweep   run a grid of configs in parallel and summarize one row per run
 
 Every run goes through ``parse_config``.  Each `run` flag in ``RUN_FLAGS``
@@ -309,8 +309,7 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = run_verification(geometries=geometries, samples=args.samples,
-                              seed=args.seed, include_appendix=args.appendix)
+    report = run_verification(geometries=geometries, samples=args.samples, seed=args.seed)
     if args.json:
         # wall-clock timing would break the byte-identical-output contract
         emitted = {k: v for k, v in report.items() if k != "elapsed_seconds"}
@@ -323,14 +322,6 @@ def cmd_verify(args) -> int:
             jacobi = item["structure_constants"]["violations"]["jacobi"]
             jacobi = "non-finite" if jacobi is None else f"{jacobi:.2e}"
             print(f"{item['geometry']:<22} max_rel_error={error} jacobi={jacobi} {status}")
-            if args.appendix and item.get("appendix_diff", {}).get("tables"):
-                for name, tab in item["appendix_diff"]["tables"].items():
-                    diff = tab["max_rel_diff"]
-                    if diff is None:
-                        print(f"    {name}: no samples")
-                        continue
-                    flag = "" if diff < 1e-9 else "  (differs: published table)"
-                    print(f"    {name}: max_rel_diff={diff:.3e}{flag}")
         print(f"total: {report['elapsed_seconds']:.2f}s "
               f"{'PASS' if report['passed'] else 'FAIL'}")
     return 0 if report["passed"] else 1
@@ -498,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--geometry")
     p_verify.add_argument("--samples", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--appendix", action="store_true",
-                          help="include report-only published-table diffs")
     p_verify.add_argument("--json", action="store_true")
 
     p_sweep = sub.add_parser("sweep", help="run a grid of configs")

@@ -1,11 +1,8 @@
-"""Verification harness: contraction engine vs closed-form tensors,
-structure-constant hygiene, and the report-only diff against the published
-per-component tables.
+"""Verification harness: contraction engine vs closed-form tensors, and
+structure-constant hygiene.
 
 The closed forms are the production fast path; they are only trusted because
-this suite certifies them against the contraction engine.  The published
-S/Q component tables are known to contain typos, so their diff is reported
-per component and never asserted.
+this suite certifies them against the contraction engine.
 """
 from __future__ import annotations
 
@@ -18,7 +15,6 @@ from . import algebra
 from .catalog import entry, list_geometries, sample_metrics, sample_params
 from .curvature import curvature_bundle, hermiticity_defect
 from .geometry import Geometry, GeometryParams
-from .metric import HermitianMetric
 
 log = logging.getLogger("hcflow.verify")
 
@@ -154,63 +150,16 @@ def verify_structure_constants(geometries: list[Geometry], draws: int, seed: int
     return report
 
 
-def appendix_diff(geometry: Geometry, samples: int, seed: int) -> dict:
-    """Report-only comparison of the published S/Q component tables against
-    the contraction engine, plus the reassembled K against the closed form.
-
-    Known discrepancies (dimensionally inconsistent published entries) show up
-    here as order-one diffs; they are recorded, not failed.  With no samples
-    nothing is compared, and every diff is None.
-    """
-    rng = np.random.default_rng(seed)
-    params = sample_params(geometry, rng)
-    desc = entry(geometry)
-    if not desc.has_tables:
-        return {"geometry": geometry.value, "tables": None}
-    mu = desc.structure_constants(params)
-    names = ("S", "Q1", "Q2", "Q3", "Q4")
-    worst: dict[str, np.ndarray] = {n: np.zeros((2, 2)) for n in names}
-    worst_assembled = 0.0
-    for [(_, rows)] in _chunks([rng], samples):  # one case: one piece per chunk
-        per_metric = [desc.appendix_tables(params, HermitianMetric(x, y, complex(z_re, z_im)))
-                      for x, y, z_re, z_im in rows.tolist()]
-        tables = {n: np.array([t[n] for t in per_metric]) for n in names}
-        bundle = curvature_bundle(mu, rows)
-        for n in names:
-            computed = getattr(bundle, n)
-            rel = np.abs(tables[n] - computed) / _scale(computed)[:, None, None]
-            worst[n] = np.maximum(worst[n], np.max(rel, axis=0))
-        assembled = (tables["S"] - 0.5 * tables["Q1"] + 0.25 * tables["Q2"]
-                     + 0.5 * tables["Q3"] - tables["Q4"])
-        closed = desc.closed_form_K(params, rows)
-        worst_assembled = float(np.max(_rel_matrix_error(assembled, closed),
-                                       initial=worst_assembled))
-    component_report = {
-        n: {"max_rel_diff": float(np.max(worst[n])) if samples else None,
-            "per_component": worst[n].tolist() if samples else None}
-        for n in names
-    }
-    return {
-        "geometry": geometry.value,
-        "params": params.as_dict(),
-        "samples": samples,
-        "tables": component_report,
-        "assembled_K_vs_closed_form": worst_assembled if samples else None,
-    }
-
-
 def run_verification(geometries: list[Geometry] | None = None, samples: int = 200,
-                     seed: int = 0, include_appendix: bool = False) -> dict:
+                     seed: int = 0) -> dict:
     """Full verification report; ``passed`` reflects only the K agreement."""
     geoms = geometries if geometries is not None else [d.geometry for d in list_geometries()]
     t0 = time.perf_counter()
     # geometry i draws its parameters, then its metrics, from default_rng(seed + i)
     rngs = [np.random.default_rng(seed + i) for i in range(len(geoms))]
     items = _agreement([(sample_params(g, rng), rng) for g, rng in zip(geoms, rngs)], samples)
-    for i, hygiene in enumerate(verify_structure_constants(geoms, 20, seed)):
-        items[i]["structure_constants"] = hygiene
-        if include_appendix:
-            items[i]["appendix_diff"] = appendix_diff(geoms[i], min(samples, 25), seed + i)
+    for item, hygiene in zip(items, verify_structure_constants(geoms, 20, seed)):
+        item["structure_constants"] = hygiene
     report: dict = {"seed": seed, "samples": samples, "geometries": items}
     report["elapsed_seconds"] = time.perf_counter() - t0
     report["passed"] = all(item["passed"] for item in report["geometries"])

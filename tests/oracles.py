@@ -7,6 +7,9 @@ loop, evaluated in a different association order.
 expand their quantity in structure constants along a route of their own.
 ``verification_one_geometry_at_a_time`` is the per-geometry loop that
 ``hcflow.verify.run_verification`` replaced by one stacked pass.
+``PUBLISHED_TABLES`` holds the paper's per-component S and Q1..Q4 tables as
+typed from its appendix, for every entry but the torus; some of them differ
+from the engine (``tests/test_catalog.py`` pins which).
 """
 from __future__ import annotations
 
@@ -15,9 +18,10 @@ import numpy as np
 from hcflow import algebra
 from hcflow.catalog import entry, sample_metrics, sample_params
 from hcflow.curvature import curvature_bundle, hermiticity_defect
+from hcflow.geometry import Geometry
 from hcflow.metric import HermitianMetric
 from hcflow.verify import (CHUNK, HYGIENE_TOL, K_AGREEMENT_TOL, _finite, _rel_matrix_error,
-                           _scale, appendix_diff)
+                           _scale)
 
 
 def det_cofactor(m: np.ndarray) -> complex:
@@ -150,8 +154,7 @@ def quadratic_terms_mu(mu: np.ndarray, g: HermitianMetric):
     return Q1, Q2, Q3, Q4
 
 
-def verification_one_geometry_at_a_time(geometries, samples: int, seed: int,
-                                        include_appendix: bool = False) -> dict:
+def verification_one_geometry_at_a_time(geometries, samples: int, seed: int) -> dict:
     """``run_verification``'s report without ``elapsed_seconds``, one geometry at a time.
 
     Geometry i draws its parameters and metrics from ``default_rng(seed + i)``;
@@ -185,8 +188,174 @@ def verification_one_geometry_at_a_time(geometries, samples: int, seed: int,
             "geometry": geometry.value, "draws": 20,
             "violations": {name: _finite(v) for name, v in violations.items()},
             "passed": all(v <= HYGIENE_TOL for v in violations.values())}
-        if include_appendix:
-            item["appendix_diff"] = appendix_diff(geometry, min(samples, 25), seed + i)
         report["geometries"].append(item)
     report["passed"] = all(item["passed"] for item in report["geometries"])
     return report
+
+
+# ---------------------------------------------------------------------------
+# the published S / Q component tables, each (params, metric) -> {name: 2x2}
+# ---------------------------------------------------------------------------
+
+def _herm(m11, m22, m12) -> np.ndarray:
+    return np.array([[m11, m12], [np.conjugate(m12), m22]], dtype=complex)
+
+
+def _tables_hyperelliptic(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    d2 = d * d
+    return {
+        "S": _herm(x * x * u / d2, x * y * u / d2, x * x * y * z / d2),
+        "Q1": _herm(x * x * u / d2, x * y * u / d2, x * z * u / d2),
+        "Q2": _herm(0, 2 * u / d, 0),
+        "Q3": _herm(x * x * u / d2, u * u / d2, x * z * u / d2),
+        "Q4": _herm(0, u / d, 0),
+    }
+
+
+def _tables_hopf(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    lam = p.lam
+    c = p.c
+    d2 = d * d
+    q1num = (c * x ** 3 * d2 + y * u * (x * x * y * y - u * u)
+             + (x + y) * (x * y - 2 * u) * u * u + 2 * x * x * y * d)
+    return {
+        "S": _herm(
+            x * (x ** 3 * c + u * (2 * x + y)) / d2,
+            (-c * x * x * (x * y - 2 * u) - 4 * u * d + y * y * (2 * x * x + u)) / d2,
+            x * z * (-1j * lam * d + x * x * c + y * (x + y) + u) / d2),
+        "Q1": _herm(x * q1num / d2 ** 2, y * q1num / d2 ** 2,
+                    z * (c * x ** 3 + (2 * x + y) * u) / d2),
+        "Q2": _herm(2 * u / d, 2 * c * x * x / d, -2 * x * y * (1 + 1j * lam) / d),
+        "Q3": _herm((c * x ** 4 + (2 * x * x + u) * u) / d2,
+                    (c * x * x + (2 * x + y) * y * u) / d2,
+                    z * (c * x ** 3 + 1j * lam * x + (x + y) * u + x * x * y) / d2),
+        "Q4": _herm(u / d, c * x * x / d, -(1 + 1j * lam) * x * z / d),
+    }
+
+
+def _tables_properly_elliptic(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    lam = p.lam
+    c = p.c
+    d2 = d * d
+    return {
+        "S": _herm(
+            (-y * (2 * x + c * y) * d + ((x + y) ** 2 + lam * lam * y * y - 4) * u) / d2,
+            y * (c * y ** 3 + (x - 2 * y) * u) / d2,
+            y * z * ((1 + 1j * lam) * d + x * x - 2 * x * y + c * y * y) / d2),
+        "Q1": _herm(x * (c * y ** 3 + (x - 2 * y) * u) / d2,
+                    y * (c * y ** 3 + (x - 2 * y) * u) / d2,
+                    z * (c * y ** 3 + (x - 2 * y) * u) / d2),
+        "Q2": _herm(2 * y * y * c / d, 2 * u / d, 2 * (1 + 1j * lam) * y * z / d),
+        "Q3": _herm((c * y * y + x * (x - 2 * y)) * u / d2,
+                    (c * y ** 4 + u * (u - 2 * y * y)) / d2,
+                    z * ((1 - 1j * lam) * y * d + c * y ** 3 + x * u) / d2),
+        "Q4": _herm(y * y * c / d, u / d, (1 + 1j * lam) / d),
+    }
+
+
+def _tables_kodaira_primary(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    d2 = d * d
+    return {
+        "S": _herm(-y * y * (x * y - 2 * u) / d2, y ** 4 / d2, y ** 3 * z / d2),
+        "Q1": _herm(x * y ** 3 / d2, y ** 4 / d2, y ** 3 * z / d2),
+        "Q2": _herm(2 * y * y / d, 0, 0),
+        "Q3": _herm(y * y * u / d2, y ** 4 / d2, y ** 3 * z / d2),
+        "Q4": _herm(y * y / d, 0, 0),
+    }
+
+
+def _tables_kodaira_secondary(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    d2 = d * d
+    return {
+        "S": _herm(((x * x + y * y) * u - y * y * d) / d2,
+                   y * (x * u + y ** 3) / d2,
+                   ((x * x + y * y) + 1j * d) / d2),
+        "Q1": _herm(x * (x * u + y ** 3) / d2, y * (x * u + y ** 3) / d2,
+                    z * (x * u + y ** 3) / d2),
+        "Q2": _herm(2 * y * y / d, 2 * u / d, 2j * y * z / d),
+        "Q3": _herm((x * x + y * y) * u / d2, (y ** 4 + u * u) / d2,
+                    z * (x + 1j * y) * (u - 1j * y * y) / d2),
+        "Q4": _herm(y * y / d, u / d, 1j * y * z / d),
+    }
+
+
+def _tables_inoue_s0(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    a, b = p.a, p.b
+    bb = b * b + 9 * a * a
+    d2 = d * d
+    return {
+        "S": _herm(x * (bb * u + 4 * a * a * d) / d2,
+                   x * y * (bb * u - 8 * a * a * d) / d2,
+                   x * z * (bb * x * y - 2 * a * (a + 1j * b) * d) / d2),
+        "Q1": _herm(x * x * (bb * u + 4 * a * a * d) / d2,
+                    x * y * (bb * u + 4 * a * a * d) / d2,
+                    x * z * (bb * u + 4 * a * a * d) / d2),
+        "Q2": _herm(8 * a * a * x * x / d, 2 * (b * b + a * a) * u / d,
+                    -4 * a * (a + 1j * b) / d),
+        "Q3": _herm(bb * x * x * u / d2,
+                    (bb * u * u + 4 * a * a * (x * y + 2 * u) * d) / d2,
+                    x * z * (bb * u + 2 * a * (3 * a + 1j * b) * d) / d2),
+        "Q4": _herm(4 * a * a * x * x / d, (b * b + a * a) * u / d,
+                    -2 * a * (a + 1j * b) / d),
+    }
+
+
+def _tables_inoue_j1(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    zb = np.conjugate(z)
+    zz2 = z * z + zb * zb
+    d2 = d * d
+    return {
+        "S": _herm((-2 * d2 - x * y * d - zz2 * u + 2 * x * y * u) / d2,
+                   y * y * (x * y + u - zz2) / d2,
+                   (x * y * y * (z - zb) + y * z * (x * y - z * z)) / d2),
+        "Q1": _herm(x * y * (x * y + u - zz2) / d2,
+                    y * y * (x * y + u - zz2) / d2,
+                    y * z * ((z - zb) * u + x * y * z - z ** 3) / d2),
+        "Q2": _herm(2 * u / d, 2 * y * y / d, 2 * y * zb / d),
+        "Q3": _herm((x * x * y * y - x * y * zz2 + u * u) / d2,
+                    y * y * (2 * u - zz2) / d2,
+                    y * (x * y - z * z) * (z - zb) / d2),
+        "Q4": _herm(u / d, y * y / d, y * zb / d),
+    }
+
+
+def _tables_inoue_j2(p, g):
+    x, y, z, u, d = g.x, g.y, g.z, g.u, g.det
+    zb = np.conjugate(z)
+    zz2 = z * z + zb * zb
+    d2 = d * d
+    return {
+        "S": _herm((x * y * y * (4 * x - y) - (2 * u - 2 * y * y + zz2) * u
+                    - y * (7 * x - (z + zb)) * d) / d2,
+                   y * y * (u + y * y + x * y - zz2) / d2,
+                   (y * y * d + x * y * y * (2 * z * z - zb) + z * y * (y * y - z * z)) / d2),
+        "Q1": _herm(x * y * (u - zz2 + y * (x + y)) / d2,
+                    y * y * (u - zz2 + y * (x + y)) / d2,
+                    y * ((z - zb) * u + x * y * z + y * y * z - z ** 3) / d2),
+        "Q2": _herm(2 * (u + y * (z + zb) + y * y) / d, 2 * y * y / d,
+                    2 * y * (y + zb) / d),
+        "Q3": _herm((2 * x * y * u - x * y * zz2 + y * y * u
+                     + (x * y - y * (z + zb) - u) * d) / d2,
+                    y * y * (2 * u - zz2 + y * y) / d2,
+                    y * (z * u + y * u - x * y * (z - zb) - z ** 3 + y * y * z - x * y * y) / d2),
+        "Q4": _herm((u + y * (z + zb) + y * y) / d, y * y / d, y * (y + zb) / d),
+    }
+
+
+PUBLISHED_TABLES = {
+    Geometry.HYPERELLIPTIC: _tables_hyperelliptic,
+    Geometry.HOPF: _tables_hopf,
+    Geometry.PROPERLY_ELLIPTIC: _tables_properly_elliptic,
+    Geometry.KODAIRA_PRIMARY: _tables_kodaira_primary,
+    Geometry.KODAIRA_SECONDARY: _tables_kodaira_secondary,
+    Geometry.INOUE_S0: _tables_inoue_s0,
+    Geometry.INOUE_SPM_J1: _tables_inoue_j1,
+    Geometry.INOUE_SP_J2: _tables_inoue_j2,
+}

@@ -174,6 +174,16 @@ def test_a_stray_header_beside_the_source_is_not_compiled(tmp_path):
     assert probe["compiled"] and probe["started"] == 1
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_the_generated_c_compiles_without_warnings(tmp_path):
+    # the loop and the kernels that _core_gen renders, built as core.build builds them
+    core.write_kernels(str(tmp_path))
+    cmd = ["cc", *core.CFLAGS, "-Wall", "-Wextra", "-Werror", "-I", str(tmp_path),
+           "-o", str(tmp_path / "_core_c.so"), core.SOURCE, *core.SHARED]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="drops a Linux capability")
 def test_a_read_only_pycache_starts_no_compiler(tmp_path):
     root = _package(tmp_path)

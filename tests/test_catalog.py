@@ -1,17 +1,19 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from hcflow import _core_py, curvature
 from hcflow.algebra import Z1, Z2, ZB2
-from hcflow.catalog import (GEOMETRY_IDS, catalog_json, entry, list_geometries,
-                            sample_metric, sample_params)
+from hcflow.catalog import (GEOMETRY_IDS, catalog_json, entry, list_geometries, pack_params,
+                            sample_metric, sample_metrics, sample_params)
 from hcflow.geometry import Geometry, GeometryParams
 from hcflow.metric import HermitianMetric
-from hcflow.verify import appendix_diff, run_verification, verify_geometry
+from hcflow.verify import _scale, run_verification, verify_geometry
 
 from conftest import ALL_GEOMETRIES
+from oracles import PUBLISHED_TABLES
 
 
 def test_catalog_has_nine_entries():
@@ -145,6 +147,44 @@ def test_engine_equals_closed_form_identically(geometry, params):
             assert sympy.expand(sympy.numer(sympy.together(difference))) == 0, (i, j)
 
 
+def _reduced_systems(p1, x, y):
+    """(K11, K22) of each entry at u = 0, where the flow is x' = -K11, y' = -K22
+    (ROADMAP item 13); p1 is lambda or a, and c = 1 + lambda^2."""
+    c = 1 + p1**2
+    kodaira = (-2 * y / x, y**2 / x**2)
+    return {Geometry.TORUS: (0, 0), Geometry.HYPERELLIPTIC: (0, 0),
+            Geometry.HOPF: (c * x**2 / y**2, 2 - 2 * c * x / y),
+            Geometry.PROPERLY_ELLIPTIC: (-2 - 2 * c * y / x, c * y**2 / x**2),
+            Geometry.KODAIRA_PRIMARY: kodaira, Geometry.KODAIRA_SECONDARY: kodaira,
+            Geometry.INOUE_S0: (0, -8 * p1**2), Geometry.INOUE_SPM_J1: (-3, 0),
+            Geometry.INOUE_SP_J2: (-3 - 2 * y / x, y**2 / x**2)}
+
+
+@pytest.mark.parametrize("geometry", ALL_GEOMETRIES, ids=lambda g: g.value)
+def test_phi_kernel_at_u_zero_gives_the_reduced_system(geometry, monkeypatch):
+    # the phi kernel on symbols, with sympy's sin and cos for math's: phi is finite
+    # for x, y > 0, so u' = u L' = -2 u Re phi keeps u = 0, and (K11, K22) there is
+    # the reduced system.  An entry with a constant nonzero rate (x' or y') grows that
+    # coefficient linearly, and its circle length is the rate's root
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y", positive=True)
+    p1, p2, theta = sympy.symbols("p1 p2 theta", real=True)
+    functions = {math.sin: sympy.sin, math.cos: sympy.cos}
+    monkeypatch.setattr(_core_py, "_libm", lambda fn, v: functions[fn](v))
+    k11, k22, phi_re, phi_im = (
+        sympy.simplify(sympy.nsimplify(sympy.sympify(v), rational=True))
+        for v in _core_py._PHI[GEOMETRY_IDS[geometry]](p1, p2, x, y, 0, theta))
+    assert phi_re.is_finite and phi_im.is_finite
+    expected = _reduced_systems(p1, x, y)[geometry]
+    assert [sympy.simplify(k - e) for k, e in zip((k11, k22), expected)] == [0, 0]
+    rates = [-k for k in (k11, k22) if k != 0 and not k.has(x, y)]
+    assert bool(rates) == (geometry in (Geometry.INOUE_S0, Geometry.INOUE_SPM_J1))
+    for seed in range(3) if rates else ():
+        params = sample_params(geometry, np.random.default_rng(seed))
+        root = sympy.sqrt(rates[0]).subs(dict(zip((p1, p2), pack_params(params))))
+        assert entry(geometry).expected_circle_length(params) == pytest.approx(float(root))
+
+
 def test_hyperelliptic_kaehler_locus():
     desc = entry(Geometry.HYPERELLIPTIC)
     params = GeometryParams(Geometry.HYPERELLIPTIC)
@@ -169,54 +209,58 @@ def test_diagonal_metrics_have_diagonal_k():
 
 
 # ---------------------------------------------------------------------------
-# published component tables (report-only diagnostics)
+# the published component tables (tests/oracles.py) against the engine
 # ---------------------------------------------------------------------------
 
+#: the (entry, table) pairs whose published table differs from the engine's:
+#: by 0.68 relative or more over seeds 0-9, where the other 27 agree to 2e-14
+TABLE_MISSES = {
+    (Geometry.HOPF, "Q1"), (Geometry.HOPF, "Q2"), (Geometry.HOPF, "Q3"),
+    (Geometry.PROPERLY_ELLIPTIC, "S"), (Geometry.PROPERLY_ELLIPTIC, "Q3"),
+    (Geometry.PROPERLY_ELLIPTIC, "Q4"),
+    (Geometry.KODAIRA_SECONDARY, "S"),
+    (Geometry.INOUE_S0, "S"), (Geometry.INOUE_S0, "Q2"), (Geometry.INOUE_S0, "Q4"),
+    (Geometry.INOUE_SPM_J1, "Q1"),
+    (Geometry.INOUE_SP_J2, "S"), (Geometry.INOUE_SP_J2, "Q3"),
+}
+TABLE_NAMES = ("S", "Q1", "Q2", "Q3", "Q4")
+
+
+@pytest.mark.parametrize("geometry,name", [(g, n) for g in PUBLISHED_TABLES for n in TABLE_NAMES],
+                         ids=lambda v: getattr(v, "value", v))
+def test_published_table_agrees_with_the_engine_except_the_known_misses(geometry, name):
+    # the largest componentwise difference over 25 metrics, relative to the engine's scale
+    rng = np.random.default_rng(4)
+    params = sample_params(geometry, rng)
+    rows = sample_metrics(rng, 25)
+    mu = entry(geometry).structure_constants(params)
+    engine = getattr(curvature.curvature_bundle(mu, rows), name)
+    published = PUBLISHED_TABLES[geometry]
+    table = np.array([published(params, HermitianMetric(x, y, complex(zr, zi)))[name]
+                      for x, y, zr, zi in rows.tolist()])
+    diff = np.max(np.abs(table - engine), axis=(-2, -1)) / _scale(engine)
+    if (geometry, name) in TABLE_MISSES:
+        assert np.max(diff) > 1e-2
+    else:
+        assert np.max(diff) <= 1e-12
+
+
 def test_appendix_tables_hyperelliptic_frozen_point():
-    tables = entry(Geometry.HYPERELLIPTIC).appendix_tables(
+    tables = PUBLISHED_TABLES[Geometry.HYPERELLIPTIC](
         GeometryParams(Geometry.HYPERELLIPTIC), HermitianMetric(1, 1, 0.5))
     assert tables["Q2"][1, 1].real == pytest.approx(2 / 3)
 
 
 def test_appendix_tables_kodaira_primary_frozen_point():
-    tables = entry(Geometry.KODAIRA_PRIMARY).appendix_tables(
+    tables = PUBLISHED_TABLES[Geometry.KODAIRA_PRIMARY](
         GeometryParams(Geometry.KODAIRA_PRIMARY), HermitianMetric(1, 1, 0))
     assert np.allclose(tables["S"], np.diag([-1.0, 1.0]))
     assert np.allclose(tables["Q2"], np.diag([2.0, 0.0]))
     assert np.allclose(tables["Q4"], np.diag([1.0, 0.0]))
 
 
-def test_appendix_tables_none_for_torus():
-    assert entry(Geometry.TORUS).appendix_tables(
-        GeometryParams(Geometry.TORUS), HermitianMetric(1, 1, 0)) is None
-
-
-def test_appendix_diff_clean_geometries_assemble_to_k():
-    # these published tables are internally consistent and reassemble the
-    # closed-form flow tensor exactly
-    for geometry in (Geometry.HYPERELLIPTIC, Geometry.KODAIRA_PRIMARY):
-        report = appendix_diff(geometry, samples=15, seed=4)
-        assert report["assembled_K_vs_closed_form"] <= 1e-12
-        for table in report["tables"].values():
-            assert table["max_rel_diff"] <= 1e-12
-
-
-def test_appendix_diff_reports_hopf_q1_discrepancy_without_failing():
-    # a known dimensional inconsistency in the published Hopf Q1 column:
-    # the diff harness must surface it as data, not as a failure
-    report = appendix_diff(Geometry.HOPF, samples=15, seed=4)
-    assert report["tables"]["Q1"]["per_component"][1][1] > 0.01
-    assert report["tables"]["S"]["max_rel_diff"] <= 1e-12
-    assert report["tables"]["Q4"]["max_rel_diff"] <= 1e-12
-
-
-def test_appendix_diff_is_json_serializable():
-    report = appendix_diff(Geometry.INOUE_SP_J2, samples=5, seed=6)
-    json.dumps(report, sort_keys=True)
-
-
 def test_run_verification_aggregates():
-    report = run_verification(samples=20, seed=1, include_appendix=False)
+    report = run_verification(samples=20, seed=1)
     assert report["passed"]
     assert len(report["geometries"]) == 9
     for item in report["geometries"]:

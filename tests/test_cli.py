@@ -439,11 +439,12 @@ def test_verify_cli_single_geometry(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_verify_cli_appendix_reports_but_passes(capsys):
+def test_verify_cli_appendix_is_a_usage_error(capsys):
+    # verify takes no --appendix: argparse names the unknown flag, and the exit code is 1
     assert run_cli("verify", "--geometry", "hopf", "--samples", "10",
-                   "--seed", "7", "--appendix") == 0
-    out = capsys.readouterr().out
-    assert "Q1" in out and "differs" in out
+                   "--seed", "7", "--appendix") == 1
+    captured = capsys.readouterr()
+    assert "--appendix" in captured.err and captured.out == ""
 
 
 def test_verify_cli_json_deterministic(capsys):

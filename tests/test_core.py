@@ -16,6 +16,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcflow import _core_py
 from hcflow import core
@@ -418,6 +419,43 @@ def test_run_flow_lanes_raise_alike(args, error, c_run):
         _core_py.run_closed_flow(*args)
     with pytest.raises(error):
         c_run(*args)
+
+
+def _outcome(run, args):
+    """``run(*args)``, or the type of the exception it raises."""
+    try:
+        return run(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_run_flow_lanes_agree_on_drawn_inputs(c_run, data):
+    # beyond the listed RUNS: every entry with drawn parameters, g0 scaled by 2^k for
+    # |k| <= 700 with z0 drawn or +-0, and drawn t_max, tolerances, stride, threshold
+    # and step budget.  Plain floats: with np.float64 arguments the Python lane's
+    # m_final is an np.float64
+    geometry = data.draw(st.sampled_from(list(Geometry)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    p1, p2 = pack_params(sample_params(geometry, rng))
+    g = sample_metric(rng)
+    z0 = data.draw(st.sampled_from([(g.z.real, g.z.imag), (0.0, 0.0), (-0.0, -0.0)]))
+    k = data.draw(st.integers(-700, 700))
+    state0 = tuple(math.ldexp(v, k) for v in (g.x, g.y, *z0))
+    t_max = data.draw(st.floats(-1.0, 1000.0))
+    args = (GEOMETRY_IDS[geometry], p1, p2, state0, t_max,
+            data.draw(st.floats(1e-12, 1e-3)), data.draw(st.floats(1e-15, 1e-6)),
+            data.draw(st.floats(max(t_max, 1.0) / 500, 100.0)),  # at most ~500 samples
+            data.draw(st.floats(1e-14, 1e-4)), data.draw(st.integers(0, 300)))
+    py, c = _outcome(_core_py.run_closed_flow, args), _outcome(c_run, args)
+    if isinstance(py, type) or isinstance(c, type):
+        assert c == py
+        return
+    # repr tells -0.0 from 0.0 and compares NaN equal
+    assert repr((c[0], c[1], *c[3:])) == repr((py[0], py[1], *py[3:]))
+    assert [type(v) for v in c] == [type(v) for v in py]
+    assert c[2].shape == py[2].shape and c[2].tobytes() == py[2].tobytes()
 
 
 def test_closed_k_rejects_unknown_geometry():

@@ -317,6 +317,31 @@ def test_kodaira_primary_self_similar_solution(y0):
     assert limit.kind == LIMIT_POINT
 
 
+@pytest.mark.parametrize("geometry,params", [
+    (Geometry.KODAIRA_PRIMARY, {}), (Geometry.KODAIRA_SECONDARY, {"epsilon": -1})],
+    ids=["kodaira-primary", "kodaira-secondary"])
+def test_kodaira_z0_zero_runs_follow_the_exact_solution(geometry, params, lane):
+    # with z0 = 0 both entries flow by x' = 2y/x, y' = -y^2/x^2: C = x y^2 is constant,
+    # and x^(5/2) = x0^(5/2) + 5 sqrt(C) t
+    x0, y0 = 1.3, 0.7
+    traj, _ = integrate(_config(geometry, HermitianMetric(x0, y0, 0), 1000.0, params=params))
+    c0 = x0 * y0 * y0
+    assert traj.t[-1] == 1000.0 and not traj.u.any()
+    assert np.max(np.abs(traj.x * traj.y ** 2 / c0 - 1.0)) <= 1e-7  # 4.9e-9 measured
+    x = (x0 ** 2.5 + 5.0 * math.sqrt(c0) * traj.t) ** 0.4
+    assert np.max(np.abs(traj.x / x - 1.0)) <= 1e-7  # 1.4e-9 measured
+
+
+def test_inoue_s0_z0_zero_run_is_linear_in_t(lane):
+    # with z0 = 0 the flow is x' = 0, y' = 8 a^2
+    a, x0, y0 = 0.8, 1.3, 0.7
+    traj, _ = integrate(_config(Geometry.INOUE_S0, HermitianMetric(x0, y0, 0), 1000.0,
+                                params={"a": a, "b": 0.5}))
+    assert traj.t[-1] == 1000.0 and not traj.u.any()
+    assert (traj.x == x0).all()
+    assert np.max(np.abs(traj.y / (y0 + 8 * a * a * traj.t) - 1.0)) <= 1e-7  # 1.2e-15 measured
+
+
 # ---------------------------------------------------------------------------
 # symmetries of the flow as metamorphic oracles
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ PINNED_VERIFY = {
     "seed-1": (["--all", "--samples", "100", "--seed", "1"], "933a9e46fdecbc7e"),
     "seed-2": (["--all", "--samples", "100", "--seed", "2"], "771a10d1a4c08f3d"),
     "seed-3": (["--all", "--samples", "100", "--seed", "3"], "92c66a2de48df0ef"),
-    "appendix": (["--all", "--samples", "25", "--seed", "5", "--appendix"], "4d86a946caa3d513"),
     "no-samples": (["--all", "--samples", "0", "--seed", "1"], "bfe1983cb4f95412"),
 }
 
@@ -361,16 +360,13 @@ def _verify_output(capsys, argv):
     ["--all", "--samples", "257", "--seed", "6"],
     ["--geometry", "inoue-s0", "--samples", "257", "--seed", "7"],
     ["--geometry", "kodaira-secondary", "--samples", "255", "--seed", "8"],
-    ["--all", "--samples", "30", "--seed", "9", "--appendix"],
-], ids=["all-0", "all-1", "all-255", "all-257", "inoue-s0-257", "kodaira-secondary-255",
-        "all-30-appendix"])
+], ids=["all-0", "all-1", "all-255", "all-257", "inoue-s0-257", "kodaira-secondary-255"])
 def test_stacked_verification_equals_one_geometry_at_a_time(capsys, argv):
     code, out = _verify_output(capsys, argv)
     args = cli.build_parser().parse_args(["verify", *argv])
     geometries = ([Geometry.from_name(args.geometry)] if args.geometry
                   else list(Geometry))
-    expected = verification_one_geometry_at_a_time(geometries, args.samples, args.seed,
-                                                    args.appendix)
+    expected = verification_one_geometry_at_a_time(geometries, args.samples, args.seed)
     assert code == 0 and out == cli._dump_json(expected)
 
 
@@ -390,19 +386,3 @@ def test_hygiene_nan_in_one_geometrys_slice_fails_that_geometry_alone(monkeypatc
     lines = [line for line in capsys.readouterr().out.splitlines() if "jacobi=" in line]
     assert [("jacobi=non-finite" in line) for line in lines] == [
         g is Geometry.HOPF for g in ALL_GEOMETRIES]
-
-
-def test_appendix_without_samples_reports_null(capsys):
-    code, out = _verify_output(capsys, ["--all", "--samples", "0", "--seed", "5", "--appendix"])
-    assert code == 0
-    for item in json.loads(out)["geometries"]:
-        diff = item["appendix_diff"]
-        if item["geometry"] == "torus":
-            assert diff["tables"] is None
-            continue
-        assert diff["samples"] == 0 and diff["assembled_K_vs_closed_form"] is None
-        assert all(t == {"max_rel_diff": None, "per_component": None}
-                   for t in diff["tables"].values())
-    cli.main(["verify", "--geometry", "hopf", "--samples", "0", "--appendix"])
-    out = capsys.readouterr().out
-    assert "    Q1: no samples" in out and "max_rel_diff" not in out
