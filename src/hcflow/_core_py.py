@@ -1,13 +1,16 @@
 """Pure-Python integrator core: closed-form flow tensors and the RK5(4) loop.
 
 This is the reference lane.  Both lanes start a run with ``start``, and
-``_core_c.c`` mirrors the step loop ``_integrate`` operation for operation
-and must give the same bits.  Its kernels and constants (``_A``, ``_E``,
-``_P``, the step-control constants and ``_L_MIN``) are generated from this
-module by ``_core_gen`` at each build, and a change to this file builds a
-new library at the next import.  Change the loop's arithmetic only together
-with the C loop, and keep every sum an explicit left-to-right one.
-``hcflow.core`` picks the C loop when it is built.
+``_core_c.c`` runs the step loop ``_integrate`` and must give the same bits.
+``_core_gen`` generates its arithmetic from this module at each build: the
+kernels, the tableau ``_A`` and ``_E``, the loop's constants, and the
+functions of the step's arithmetic (``_error_norm`` with ``_weight``, the
+step factors, ``_step_floor``, ``_sample_cut``, the monitor and the dense
+output).  A change to any of these is one edit here, which builds a new
+library at the next import.  The C loop keeps by hand only the control flow,
+the stage sums and the row emission; change those only together with it, and
+keep every sum an explicit left-to-right one.  ``hcflow.core`` picks the C
+loop when it is built.
 
 Each geometry's closed form is one function of ``_PHI``, (p1, p2, x, y, u =
 |z|^2, theta = arg z) -> (K11, K22, Re phi, Im phi), phi = K12 / z; the seven
@@ -23,11 +26,10 @@ Re z, Im z).  The one rule this adds: ``_rms`` skips a component whose scale
 is infinite.  exp, cos and sin are math's, libm's bits as in C; where math
 raises (exp overflows, cos or sin of an infinity) the lanes take C's inf or
 NaN.  The RK5(4) loop keeps the state and the seven stages in scalar locals
-and writes the stage sums and the error norm out term by term.  That removes
-interpreter overhead, not arithmetic: the operations and their order are
-those of a loop over the tableau's nonzero weights, with the ``0.0 +``
-starts (a torus stage is -0.0, and ``0.0 + -0.0`` is 0.0) and every ``**``
-kept.  A zero-weight term adds +-0.0 to a 0.0-started sum of finite values,
+and writes the stage sums and error estimates out term by term.  That
+removes interpreter overhead, not arithmetic: the operations and their order
+are those of a loop over the tableau's nonzero weights, with the ``0.0 +``
+starts (a torus stage is -0.0, and ``0.0 + -0.0`` is 0.0) kept.  A zero-weight term adds +-0.0 to a 0.0-started sum of finite values,
 which changes no bit, so neither lane has one.
 
 The loop only records the steps that cover stride samples.  After it,
@@ -50,7 +52,7 @@ Parameter packing: p1 = lam (hopf, properly-elliptic), p1 = epsilon
 from __future__ import annotations
 
 import math
-from math import cos, exp, inf, nan, sin
+from math import cos, exp, inf, nan, sin, sqrt
 
 import numpy as np
 
@@ -93,6 +95,12 @@ _ALPHA = 0.17  # error exponent of the PI controller
 _BETA = 0.04  # memory exponent of the PI controller
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+_NONFINITE_FACTOR = 0.25  # the step factor after a non-finite stage, new state or error norm
+_EXTINCT_MARGIN = 1e-6  # a step-size underflow is extinction below this monitor, after
+_EXTINCT_DECREASES = 10  # this many strict decreases of the monitor into it
+_ERR_FLOOR = 1e-10  # the least err_prev, the controller's memory
+_TAIL_TOL = 1e-15  # the final row is added unless the last sample lies within this of it
+_BISECTIONS = 60  # halvings of a step that locate the monitor's crossing
 
 
 # The phi kernels (see the module docstring; phi = K12 / z holds at u = 0 too)
@@ -250,20 +258,6 @@ def closed_k_columns(geom: int, p1: float, p2: float, x, y, zre, zim):
         return _kernel(geom)(p1, p2, *columns)
 
 
-def _polar_monitor(x, y, L, theta, inv_scale) -> float:
-    """Positivity margin of a log-polar state, normalized by the initial metric scale.
-
-    Minimum of x, y and the determinant x y - exp(L), each divided by the
-    matching power of the initial scale; extinction is declared when this
-    drops below the configured floor.
-    """
-    d = x * y - _libm(exp, L)
-    mx = x * inv_scale[0]
-    my = y * inv_scale[1]
-    md = d * inv_scale[2]
-    return min(mx, my, md)
-
-
 def _libm(fn, v):
     """``fn(v)`` for math's exp, cos or sin, with C's libm result where math
     raises: inf where exp overflows, NaN (as ``v - v``) at an infinite v."""
@@ -360,7 +354,7 @@ def start(rhs, polar_rhs, state0, t_max: float, rel_tol: float, abs_tol: float):
     inv_scale = (1.0 / x, 1.0 / y, 1.0 / xy if xy != 0.0 else (1.0 / x) * (1.0 / y))
     derivatives0 = rhs(x, y, zr, zi)
     polar0 = (x, y, *log_polar(zr, zi))
-    m0 = _polar_monitor(*polar0, inv_scale)
+    m0 = _polar_monitor(polar0, inv_scale)
     f0, h, status = (nan,) * 4, nan, STATUS_REACHED_TMAX
     if t_max > 0.0:
         f0, status = polar_rhs(*polar0), STATUS_FAILURE
@@ -412,14 +406,11 @@ def _integrate(rhs, begin, t_max, rel_tol, abs_tol, stride, threshold, max_steps
     while t < t_max:
         if t_max - t <= h:  # the step to t_max, which is never an underflow
             h = t_max - t
-        # the underflow floor is relative to the current time so that stiff
-        # transients near t = 0 (e.g. nearly degenerate starts) can take
-        # arbitrarily small first steps; max_steps guards against stalls
-        elif h < 1e-14 * abs(t) + 1e-200:
+        elif h < _step_floor(t):
             # step-size underflow: extinction only when the positivity margin
             # is already tiny and the last 11 monitors strictly decrease,
-            # otherwise a failure
-            if m_last < 1e-6 and n_dec >= 10:
+            # otherwise a failure (max_steps guards against stalls)
+            if m_last < _EXTINCT_MARGIN and n_dec >= _EXTINCT_DECREASES:
                 return STATUS_EXTINCT, t, (t, x, y, zr, zi), n_acc, n_rej, m_last
             return STATUS_FAILURE, None, None, n_acc, n_rej, m_last
         if n_acc + n_rej >= max_steps:
@@ -453,55 +444,56 @@ def _integrate(rhs, begin, t_max, rel_tol, abs_tol, stride, threshold, max_steps
         zr1 = zr + h60 * dr0 + h62 * dr2 + h63 * dr3 + h64 * dr4 + h65 * dr5
         zi1 = zi + h60 * di0 + h62 * di2 + h63 * di3 + h64 * di4 + h65 * di5
         dx6, dy6, dr6, di6 = rhs(x1, y1, zr1, zi1)
-        # a step with a non-finite stage is rejected
+        # a step with a non-finite stage or new state is rejected; only L = -inf (z = 0) may
+        # stay infinite, where its weight is infinite and its error term 0
         if not (isfinite(dx1) and isfinite(dy1) and isfinite(dr1) and isfinite(di1)
                 and isfinite(dx2) and isfinite(dy2) and isfinite(dr2) and isfinite(di2)
                 and isfinite(dx3) and isfinite(dy3) and isfinite(dr3) and isfinite(di3)
                 and isfinite(dx4) and isfinite(dy4) and isfinite(dr4) and isfinite(di4)
                 and isfinite(dx5) and isfinite(dy5) and isfinite(dr5) and isfinite(di5)
-                and isfinite(dx6) and isfinite(dy6) and isfinite(dr6) and isfinite(di6)):
+                and isfinite(dx6) and isfinite(dy6) and isfinite(dr6) and isfinite(di6)
+                and isfinite(x1) and isfinite(y1) and (isfinite(zr1) or zr1 == zr)
+                and isfinite(zi1)):
             n_rej += 1
-            h *= 0.25
+            h *= _NONFINITE_FACTOR
             continue
 
-        # error norm: per component, the 0.0-started sum of E_s * stage s, times h
+        # per component, the 0.0-started sum of E_s * stage s, times h
         ex = (0.0 + e0 * dx0 + e2 * dx2 + e3 * dx3 + e4 * dx4 + e5 * dx5 + e6 * dx6) * h
         ey = (0.0 + e0 * dy0 + e2 * dy2 + e3 * dy3 + e4 * dy4 + e5 * dy5 + e6 * dy6) * h
         er = (0.0 + e0 * dr0 + e2 * dr2 + e3 * dr3 + e4 * dr4 + e5 * dr5 + e6 * dr6) * h
         ei = (0.0 + e0 * di0 + e2 * di2 + e3 * di3 + e4 * di4 + e5 * di5 + e6 * di6) * h
-        err = math.sqrt((0.0 + (ex / (abs_tol + rel_tol * max(abs(x), abs(x1)))) ** 2
-                         + (ey / (abs_tol + rel_tol * max(abs(y), abs(y1)))) ** 2
-                         + (er / (abs_tol + rel_tol * max(abs(zr), abs(zr1)))) ** 2
-                         + (ei / (abs_tol + rel_tol * max(abs(zi), abs(zi1)))) ** 2) / 4.0)
+        state1 = (x1, y1, zr1, zi1)
+        err = _error_norm((ex, ey, er, ei), (x, y, zr, zi), state1, rel_tol, abs_tol)
         if not isfinite(err):
             n_rej += 1
-            h *= 0.25
+            h *= _NONFINITE_FACTOR
             continue
         if err > 1.0:
             n_rej += 1
-            h *= min(0.7, max(0.1, _SAFETY * err ** (-0.2)))
+            h *= _reject_factor(err)
             continue
 
         # accepted
         n_acc += 1
         t1 = t + h
-        m1 = monitor(x1, y1, zr1, zi1, inv_scale)
+        m1 = monitor(state1, inv_scale)
 
         extinct = m1 < threshold
         t_end = t1
         if extinct:
             # locate the crossing of the positivity floor inside this step
             state = (x, y, zr, zi)
-            qmat = _dense_coefficients(h, (dx0, dx1, dx2, dx3, dx4, dx5, dx6),
-                                       (dy0, dy1, dy2, dy3, dy4, dy5, dy6),
-                                       (dr0, dr1, dr2, dr3, dr4, dr5, dr6),
-                                       (di0, di1, di2, di3, di4, di5, di6))
+            qmat = _dense_coefficients(h, (dx0, dy0, dr0, di0, dx1, dy1, dr1, di1,
+                                           dx2, dy2, dr2, di2, dx3, dy3, dr3, di3,
+                                           dx4, dy4, dr4, di4, dx5, dy5, dr5, di5,
+                                           dx6, dy6, dr6, di6))
             lo, hi = 0.0, 1.0
             mids = []
-            for _ in range(60):
+            for _ in range(_BISECTIONS):
                 mid = 0.5 * (lo + hi)
                 mids.append(mid)
-                if monitor(*_dense_eval(state, qmat, mid), inv_scale) < threshold:
+                if monitor(_dense_eval(state, qmat, mid), inv_scale) < threshold:
                     hi = mid
                 else:
                     lo = mid
@@ -516,9 +508,8 @@ def _integrate(rhs, begin, t_max, rel_tol, abs_tol, stride, threshold, max_steps
             t_end = t + theta_star * h
 
         # record the stride samples covered by [t, t_end]; _rows evaluates them.  The
-        # step that ends the run also takes those a rounded k * stride puts just past
-        # its end; the tolerance is relative, so a tiny t_max gets no samples past it
-        t_cut = t_end + 1e-12 * max(stride, t_end) if extinct or t_end >= t_max else t_end
+        # step that ends the run also takes those up to its _sample_cut
+        t_cut = _sample_cut(t_end, stride) if extinct or t_end >= t_max else t_end
         if next_sample * stride <= t_cut:
             next_sample += 1
             while next_sample * stride <= t_cut:
@@ -529,8 +520,8 @@ def _integrate(rhs, begin, t_max, rel_tol, abs_tol, stride, threshold, max_steps
             t_last = min((next_sample - 1) * stride, t_end)
 
         if extinct:
-            tail = (t_end, *y_end) if t_last < t_end - 1e-15 else None
-            return STATUS_EXTINCT, t_end, tail, n_acc, n_rej, monitor(*y_end, inv_scale)
+            tail = (t_end, *y_end) if t_last < t_end - _TAIL_TOL else None
+            return STATUS_EXTINCT, t_end, tail, n_acc, n_rej, monitor(y_end, inv_scale)
 
         n_dec = n_dec + 1 if m_last > m1 else 0  # a NaN resets it
         m_last = m1
@@ -538,15 +529,10 @@ def _integrate(rhs, begin, t_max, rel_tol, abs_tol, stride, threshold, max_steps
         x, y, zr, zi = x1, y1, zr1, zi1
         dx0, dy0, dr0, di0 = dx6, dy6, dr6, di6
 
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        h *= factor
-        err_prev = max(err, 1e-10)
+        h *= _MAX_FACTOR if err == 0.0 else _accept_factor(err, err_prev)
+        err_prev = max(err, _ERR_FLOOR)
 
-    tail = (t_max, x, y, zr, zi) if t_last < t_max - 1e-15 else None
+    tail = (t_max, x, y, zr, zi) if t_last < t_max - _TAIL_TOL else None
     return STATUS_REACHED_TMAX, None, tail, n_acc, n_rej, m_last
 
 
@@ -625,7 +611,7 @@ def _rows_one_at_a_time(rhs, state0, records, stride, tail):
     rows = [(0.0, *state0, *rhs(*state0))]
     k = 1
     for t, h, t_end, k1, x, y, zr, zi, *stages in records:
-        qmat = _dense_coefficients(h, stages[:7], stages[7:14], stages[14:21], stages[21:])
+        qmat = _dense_coefficients(h, [v for s in range(7) for v in stages[s::7]])
         for k in range(k, k1):
             ts = k * stride
             if ts > t_end:
@@ -686,7 +672,7 @@ def run_closed_flow(geom: int, p1: float, p2: float, state0, t_max: float,
 
 
 def _initial_step(rhs, y0, f0, t_max, rel_tol, abs_tol) -> float:
-    scale = [abs_tol + rel_tol * abs(v) for v in y0]
+    scale = [_weight(v, v, rel_tol, abs_tol) for v in y0]
     d0 = _rms(y0, scale)
     d1 = _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -708,39 +694,91 @@ def _rms(v, scale) -> float:
     """Root mean square of v / scale, skipping a component whose scale is
     infinite (L = -inf of z = 0; its term would be NaN, not the 0 of z = 0).
 
-    Sums run left to right from 0.0, here and in ``_dense_eval``: ``sum()``
-    compensates its rounding from Python 3.12 on, which neither older Pythons
-    nor the C core do.
+    Sums run left to right from 0.0, here and in the functions below:
+    ``sum()`` compensates its rounding from Python 3.12 on, which neither
+    older Pythons nor the C core do.
     """
     acc = 0.0
     for c in range(4):
         if scale[c] != inf:
             acc += (v[c] / scale[c]) ** 2
-    return math.sqrt(acc / 4.0)
+    return sqrt(acc / 4.0)
 
 
-def _dense_coefficients(h, *components):
-    """Per-step interpolation coefficients: for each state component's seven
-    stages, one 0.0-started sum per power of the step fraction over its
-    nonzero weights, times h."""
-    coefficients = []
-    for k in components:
-        q = []
+# The step loop's arithmetic.  ``_core_gen`` traces each of these into the C
+# loop's header, so each is written once, here: branch-free, calling only
+# ``_libm``, ``sqrt``, ``abs``, ``min``, ``max`` and each other.  A parameter
+# that is indexed is an array in C, and a list result is written to ``out``.
+
+def _weight(v, v1, rel_tol, abs_tol):
+    """The error norm's scale of a component that steps from v to v1.  It is
+    infinite only where L = -inf stays -inf (z = 0), whose term is then 0."""
+    return abs_tol + rel_tol * max(abs(v), abs(v1))
+
+
+def _error_norm(e, v, v1, rel_tol, abs_tol):
+    """The RMS of the step's error estimates ``e`` over their ``_weight``s."""
+    return sqrt((0.0 + (e[0] / _weight(v[0], v1[0], rel_tol, abs_tol)) ** 2
+                 + (e[1] / _weight(v[1], v1[1], rel_tol, abs_tol)) ** 2
+                 + (e[2] / _weight(v[2], v1[2], rel_tol, abs_tol)) ** 2
+                 + (e[3] / _weight(v[3], v1[3], rel_tol, abs_tol)) ** 2) / 4.0)
+
+
+def _reject_factor(err):
+    """The step factor after a finite error norm ``err`` > 1."""
+    return min(0.7, max(0.1, _SAFETY * err ** (-0.2)))
+
+
+def _accept_factor(err, err_prev):
+    """The PI controller's step factor after an accepted step of error norm
+    ``err`` > 0, ``err_prev`` the last one's (at least ``_ERR_FLOOR``)."""
+    return min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA))
+
+
+def _step_floor(t):
+    """The least step at time t; a smaller one is a step-size underflow.  It is
+    relative to t, so that stiff transients near t = 0 (e.g. nearly degenerate
+    starts) can take arbitrarily small first steps."""
+    return 1e-14 * abs(t) + 1e-200
+
+
+def _sample_cut(t_end, stride):
+    """How far the step that ends the run at ``t_end`` takes samples: also
+    those that a rounded k * stride puts just past its end.  The tolerance is
+    relative, so a tiny t_max gets no samples past it."""
+    return t_end + 1e-12 * max(stride, t_end)
+
+
+def _polar_monitor(s, inv_scale) -> float:
+    """Positivity margin of the log-polar state s = (x, y, L, theta), normalized
+    by the initial metric scale.
+
+    Minimum of x, y and the determinant x y - exp(L), each divided by the
+    matching power of the initial scale; extinction is declared when this
+    drops below the configured floor.
+    """
+    d = s[0] * s[1] - _libm(exp, s[2])
+    return min(s[0] * inv_scale[0], s[1] * inv_scale[1], d * inv_scale[2])
+
+
+def _dense_coefficients(h, k):
+    """Per-step interpolation coefficients of the seven stages ``k``, four
+    components each: per component, one 0.0-started sum per power of the step
+    fraction over its nonzero weights, times h (four per component)."""
+    q = []
+    for c in range(4):
         for j in range(4):
             acc = 0.0
             for s in range(7):
                 if _P[s][j] != 0.0:
-                    acc += k[s] * _P[s][j]
+                    acc += k[4 * s + c] * _P[s][j]
             q.append(acc * h)
-        coefficients.append(q)
-    return coefficients
+    return q
 
 
-def _dense_eval(y0, qmat, theta):
-    th = theta
-    th2, th3, th4 = th * th, th ** 3, th ** 4
-    (x, y, zr, zi), (qx, qy, qr, qi) = y0, qmat
-    return [x + (0.0 + qx[0] * th + qx[1] * th2 + qx[2] * th3 + qx[3] * th4),
-            y + (0.0 + qy[0] * th + qy[1] * th2 + qy[2] * th3 + qy[3] * th4),
-            zr + (0.0 + qr[0] * th + qr[1] * th2 + qr[2] * th3 + qr[3] * th4),
-            zi + (0.0 + qi[0] * th + qi[1] * th2 + qi[2] * th3 + qi[3] * th4)]
+def _dense_eval(y0, q, theta):
+    """The interpolated state at the step fraction theta from y0, by the
+    coefficients ``q`` of ``_dense_coefficients``."""
+    th2, th3, th4 = theta * theta, theta ** 3, theta ** 4
+    return [y0[c] + (0.0 + q[4 * c] * theta + q[4 * c + 1] * th2 + q[4 * c + 2] * th3
+                     + q[4 * c + 3] * th4) for c in range(4)]

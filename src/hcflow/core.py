@@ -3,15 +3,17 @@
 ``_core_py`` is the reference lane.  A run starts in Python in both lanes:
 ``_core_py.fields`` gives an entry's velocity fields, and ``_core_py.start``
 the monitor's scale, row 0, the log-polar state, its first velocity and the
-initial step.  ``_core_c.c`` is only the step loop: it mirrors
-``_core_py._integrate`` operation for operation and gives the same bits, so
-the lane changes only speed and ``stats.compiled_core``.  Its closed forms
-and integrator constants are ``_core_kernels.h``, which ``build`` generates
-from ``_core_py`` with ``_core_gen`` for each compile; the loop is mirrored
-by hand.  Both integrate the log-polar state (x, y, log |z|^2, arg z) and
-emit Cartesian rows.  The C loop emits each stride sample inside its step;
-the Python lane evaluates them after its loop, as arrays with the same
-per-sample operations.
+initial step.  ``_core_c.c`` is only the step loop of
+``_core_py._integrate``, and it gives the same bits, so the lane changes
+only speed and ``stats.compiled_core``.  Its arithmetic is
+``_core_kernels.h``, which ``build`` generates from ``_core_py`` with
+``_core_gen`` for each compile: the closed forms, the tableau, the loop's
+constants, and the error norm, step factors, step floor, sample cut, monitor
+and dense output.  Its control flow, stage sums and row emission mirror
+``_integrate`` by hand.  Both integrate the log-polar state (x, y,
+log |z|^2, arg z) and emit Cartesian rows.  The C loop emits each stride
+sample inside its step; the Python lane evaluates them after its loop, as
+arrays with the same per-sample operations.
 
 Importing this module loads ``LIBRARY``, ``__pycache__/_core_c-<digest>.so``
 beside it, where the digest is a CRC-32 of the header's inputs
@@ -144,8 +146,8 @@ def bind(path: str):
         row0 = (0.0, *state, *derivatives0)
         if status is not None:
             return status, None, np.array([row0]), 0, 0, begin[-1]
-        # samples up to the emission tolerance past t_max, plus t = 0 and the end point
-        cap = int(t_max * (1 + 1e-12) / stride) + 3
+        # the samples up to the loop's last cut, plus row 0, the end point and one spare
+        cap = int(_core_py._sample_cut(t_max, stride) / stride) + 3
         rows, out = np.empty((cap, 9)), results()
         rows[0] = row0
         # plain pointers: the buffers are made here, float64 and C-contiguous

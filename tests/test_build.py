@@ -8,6 +8,7 @@ interpreter, with a ``PATH`` that holds the real ``cc``, a fake one or none.
 """
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -143,17 +144,22 @@ def test_a_changed_source_byte_builds_a_new_library(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-def test_an_edit_to_core_py_builds_a_library_that_follows_it(tmp_path):
-    # each build renders the C kernels and constants from _core_py, whose bytes the digest
-    # covers: a changed step-control constant builds a new library that takes the new steps
+@pytest.mark.parametrize("old, new", [
+    ("\n_SAFETY = 0.9\n", "\n_SAFETY = 0.8\n"),  # a step-control constant
+    ("return abs_tol + rel_tol * max(", "return abs_tol + 0.5 * rel_tol * max("),  # _weight
+], ids=["constant", "traced-function"])
+def test_an_edit_to_core_py_builds_a_library_that_follows_it(tmp_path, old, new):
+    # each build renders the C kernels, the step loop's arithmetic and its constants from
+    # _core_py, whose bytes the digest covers: an edit to a step-control constant or to a
+    # traced function builds a new library that takes the new steps, as the Python lane does
     root, path = _package(tmp_path), os.environ["PATH"].split(os.pathsep)
     first = _import(root, path)
     flows = [json.loads(_python(root, path, "-c", FLOW).stdout)]
     module = root / "hcflow" / "_core_py.py"
     text = module.read_text()
-    assert text.count("\n_SAFETY = 0.9\n") == 1
-    module.write_text(text.replace("\n_SAFETY = 0.9\n", "\n_SAFETY = 0.8\n"))
-    # the edit keeps the file's size and maybe its mtime second, by which bytecode is checked
+    assert text.count(old) == 1
+    module.write_text(text.replace(old, new))
+    # an edit may keep the file's size and its mtime second, by which bytecode is checked
     for stale in (root / "hcflow" / "__pycache__").glob("_core_py.*.pyc"):
         stale.unlink()
     second = _import(root, path)
@@ -182,6 +188,24 @@ def test_the_generated_c_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "_core_c.so"), core.SOURCE, *core.SHARED]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+# the floating-point literals that _core_c.c may hold; every other number of the step loop's
+# arithmetic is a constant or a function of _core_py, rendered into the header
+C_LITERALS = {
+    "0.0": "zeros: the start time, empty sums, the lower clamp of a step fraction, z = 0",
+    "0.5": "the bisection's midpoint and the half of L in |z| = exp(L / 2)",
+    "1.0": "the accept test err <= 1, the first err_prev, a whole step's fraction",
+    "2.0": "L' = -2 Re phi, the log-polar velocity",
+}
+
+
+def test_the_c_loop_holds_no_arithmetic_constant():
+    source = Path(core.SOURCE).read_text()
+    code = re.sub(r"//[^\n]*", "", re.sub(r"/\*.*?\*/", "", source, flags=re.S))
+    literals = re.findall(r"(?<![\w.])(?:\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+                          r"|\d+[eE][+-]?\d+)", code)
+    assert literals and sorted(set(literals) - set(C_LITERALS)) == []
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="drops a Linux capability")

@@ -525,7 +525,7 @@ def test_run_flow_deterministic():
 def test_dense_eval_sums_left_to_right():
     # compensated summation (sum() from Python 3.12 on) would add 2.0, not 1.0
     terms = (1e16, 1.0, -1e16, 1.0)
-    assert _core_py._dense_eval([0.5] * 4, [terms] * 4, 1.0) == [1.5] * 4
+    assert _core_py._dense_eval([0.5] * 4, terms * 4, 1.0) == [1.5] * 4
 
 
 def _wall(x, y, L, theta):
@@ -607,6 +607,29 @@ def test_a_non_finite_error_norm_quarters_the_step():
     assert all(math.isfinite(v) for state in calls for v in state[:2])
     for before, after in zip(moves, moves[1:]):
         assert after == pytest.approx(before / 4, rel=1e-12)
+
+
+def test_a_step_whose_new_state_overflows_is_rejected():
+    # after the third step the field is +-1e307 by call parity: the fourth step's new state
+    # overflows to inf while its error estimate stays finite, so the inf weight makes the
+    # error norm 0.  The step is rejected as a non-finite stage is, with a quarter of the
+    # step, and every later attempt starts from the third step's finite state (z0 = 0 keeps
+    # L = -inf, the one component that may stay infinite)
+    calls = []
+
+    def rhs(*state):
+        calls.append(state)
+        if len(calls) <= 2 + 6 * 3:
+            return -1e-3, 0.0, 0.0, 0.0
+        return ((1e307 if len(calls) % 2 else -1e307),) * 4
+
+    status, _, _, n_acc, n_rej, _ = _core_py.run_flow(
+        _wall_rows, rhs, (1.0, 1.0, 0.0, 0.0), 1e6, 1e-9, 1e-12, 1e3, 1e-10)
+    assert status == _core_py.STATUS_FAILURE and n_acc == 3 and n_rej > 0
+    assert len(calls) == 2 + 6 * (n_acc + n_rej)
+    first_stages = [calls[2 + 6 * attempt] for attempt in range(n_acc + n_rej)]
+    assert all(math.isfinite(v) for x, y, L, theta in first_stages for v in (x, y, theta))
+    assert all(L == -math.inf for _, _, L, _ in first_stages)
 
 
 def test_sampling_grid_is_stride_multiples():
