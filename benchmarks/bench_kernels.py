@@ -19,8 +19,9 @@ one draw per call and, as ``verify_structure_constants`` calls them, one
 stack of the distinct draws of 20 per geometry, all nine geometries
 together, (d) the CSV text of the two
 1001-row tables of a t = 1000 run (``trajectory.csv``, 9 columns, and
-``plot_data.csv``, 4), written by ``columns_csv`` and by a per-cell ``%.17g``
-reference, per cell, and (e) full flow runs, for two short collapsing runs
+``plot_data.csv``, 4), per cell, written by each lane's formatter (the C
+library's ``hcf_csv``, where it is built, and ``_g17.csv_text``) and by a
+per-cell ``%.17g`` reference, and (e) full flow runs, for two short collapsing runs
 (one from z0 = 0) and five long immortal runs, in each lane that is
 available.  Each flow line also gives the time per integrator step (accepted
 plus rejected; both lanes take the same steps) and per emitted sample (output
@@ -42,12 +43,12 @@ from pathlib import Path
 
 import numpy as np
 
-from hcflow import _core_py, algebra, core, curvature
+from hcflow import _core_py, _g17, algebra, core, curvature
 from hcflow.algebra import StructureConstants
 from hcflow.catalog import entry, sample_metric, sample_metrics, sample_params
 from hcflow.curvature import curvature_bundle
 from hcflow.geometry import Geometry
-from hcflow.integrate import Trajectory, columns_csv
+from hcflow.integrate import Trajectory
 from hcflow.metric import POSITIVITY_MARGIN
 from hcflow.verify import CHUNK
 
@@ -242,12 +243,15 @@ def main():
     print(f"algebra: four hygiene checks, {len(stack)} draws of nine geometries per call "
           f"{stacked * 1e6:8.2f} us/draw")
     for name, columns in csv_tables():
-        cells = len(columns) * len(columns[0])
-        array = best_per_item(lambda: columns_csv("", columns), cells, args.repeat)
-        reference = best_per_item(lambda: per_cell_csv(columns), cells, args.repeat)
-        print(f"serialization: {name:<14} {len(columns[0])}x{len(columns)} columns_csv "
-              f"{array * 1e6:6.3f} us/cell, per-cell %.17g {reference * 1e6:6.3f} us/cell "
-              f"({reference / array:.1f}x)")
+        table = np.column_stack(columns)
+        formatters = [("_g17.csv_text", lambda: _g17.csv_text("", table)),
+                      ("per-cell %.17g", lambda: per_cell_csv(columns))]
+        if core.COMPILED:
+            formatters.insert(0, ("C hcf_csv", lambda: core.csv_text("", table)))
+        times = [f"{label} {best_per_item(call, table.size, args.repeat) * 1e9:5.0f} ns/cell"
+                 for label, call in formatters]
+        print(f"serialization: {name:<14} {len(table)}x{table.shape[1]} {', '.join(times)}"
+              + ("" if core.COMPILED else "   (no C library: hcf_csv not timed)"))
     lanes = [("python", _core_py.run_closed_flow)]
     if core.COMPILED:
         lanes.append(("C", core.run_closed_flow))

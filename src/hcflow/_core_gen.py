@@ -1,22 +1,23 @@
-"""Generate ``_core_kernels.h``, the C lane's closed forms, step arithmetic and constants.
+"""Generate the C lane's headers: ``_core_kernels.h``, its closed forms, step
+arithmetic and constants, and ``_g17_tables.h``, its CSV formatter's constants.
 
-``core.build`` writes ``render()`` beside each library it compiles, and
-``core``'s digest covers this module and ``_core_py``, so a changed kernel,
-step-control function or constant builds a new library.  Only a build
-imports this module.  Each kernel and each function of ``STEP`` runs once on
-``_Var`` values, which write every ``+ - * / **``, ``abs``, ``sqrt`` and
-``_libm`` call as one C temporary in Python's order, ``/`` as ``DV``, ``**``
-as ``PW``, and ``min``/``max`` as ``pmin``/``pmax`` folded in argument order:
-so each local (``sin(theta)``, ``d * d``) is computed once, and C's first
-ERR_ code comes from the operation at which Python first raises.  Inside a
-trace every ``_core_py`` function is traced too, so the functions may call
-each other.  Constants are ``repr`` literals, which ``strtod`` reads back to
-the same doubles.
+``core.build`` writes ``render()`` and ``render_g17()`` beside each library it
+compiles, and ``core``'s digest covers this module, ``_core_py`` and ``_g17``,
+so a changed kernel, step-control function, constant or formatter table
+builds a new library.  Only a build imports this module.  Each kernel and
+each function of ``STEP`` runs once on ``_Var`` values, which write every
+``+ - * / **``, ``abs``, ``sqrt`` and ``_libm`` call as one C temporary in
+Python's order, ``/`` as ``DV``, ``**`` as ``PW``, and ``min``/``max`` as
+``pmin``/``pmax`` folded in argument order: so each local (``sin(theta)``,
+``d * d``) is computed once, and C's first ERR_ code comes from the operation
+at which Python first raises.  Inside a trace every ``_core_py`` function is
+traced too, so the functions may call each other.  Constants are ``repr``
+literals, which ``strtod`` reads back to the same doubles.
 """
 import functools
 import types
 
-from . import _core_py
+from . import _core_py, _g17
 from .geometry import Geometry
 
 # catalog.GEOMETRY_IDS, not imported from catalog, which imports core, which imports this
@@ -126,8 +127,8 @@ def _table(values):
     return repr(values)
 
 
-def _constant(name):
-    value = getattr(_core_py, name)
+def _constant(name, module=_core_py):
+    value = getattr(module, name)
     if isinstance(value, int):
         return f"enum {{ {name[1:]} = {value} }};"
     return f"static const double {name[1:]} = {value!r};"
@@ -157,4 +158,17 @@ def render() -> str:
         "",
         "/* The step loop's arithmetic: _core_py's functions of the same names. */",
         *(line for name in STEP for line in _step(ns, name)),
+    ]) + "\n"
+
+
+def render_g17() -> str:
+    """The text of ``_g17_tables.h``: ``_g17``'s constants and its table of 10**k for
+    k in [_K_MIN, _K_MAX], one row {hi, hi's two halves, lo} per k."""
+    rows = zip(*(column.tolist() for column in _g17._powers()))
+    return "\n".join([
+        "/* Rendered by hcflow._core_gen from hcflow/_g17.py for one build. */",
+        *(_constant(name, _g17) for name in ("_MIN", "_MAX", "_K_MIN", "_SPLIT", "_TIE")),
+        f"static const double POW10[{_g17._K_MAX - _g17._K_MIN + 1}][4] = {{",
+        *(f"    {_table(row)}," for row in rows),
+        "};",
     ]) + "\n"

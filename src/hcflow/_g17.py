@@ -1,5 +1,10 @@
 """CSV text of float64 tables, every cell exactly ``'%.17g' % v``, built as arrays.
 
+This is the Python lane's formatter (``core.csv_text`` where no C library
+is built).  The compiled lane's, ``_g17.c``, takes the same proof one cell at
+a time, from this module's constants and ``_powers()`` table, which
+``_core_gen`` renders into its header; so an edit here builds a new library.
+
 ``%.17g`` writes the 17-digit correctly rounded (half-even) decimal of v:
 N = round(|v| * 10**(16 - X)) in [10**16, 10**17), where X is the decimal
 exponent.  It lays N out as fixed-point for -4 <= X <= 16 and as

@@ -1,4 +1,4 @@
-"""Integrator core: the compiled C loop where it builds, else pure Python.
+"""Integrator core and CSV formatter: compiled C where it builds, else pure Python.
 
 ``_core_py`` is the reference lane.  A run starts in Python in both lanes:
 ``_core_py.fields`` gives an entry's velocity fields, and ``_core_py.start``
@@ -15,23 +15,30 @@ log |z|^2, arg z) and emit Cartesian rows.  The C loop emits each stride
 sample inside its step; the Python lane evaluates them after its loop, as
 arrays with the same per-sample operations.
 
-Importing this module loads ``LIBRARY``, ``__pycache__/_core_c-<digest>.so``
-beside it, where the digest is a CRC-32 of the header's inputs
-(``_core_c.c``, ``_core_py.py`` and ``_core_gen.py``), the compiler flags and
-the machine type.  When that file is absent, the import first builds it with
-``cc`` (``build``; ~0.5 s, once per digest, so a changed source or flag gets
-a new file).  Where there is no ``cc``, ``__pycache__`` cannot be written, or
-the compiler or the load fails, ``COMPILED`` is False, ``LIBRARY`` is None
-and the Python loop runs, silently.  A compiler that fails or times out
-leaves ``__pycache__/_core_c-<digest>.failed``, holding its status, and no
-later import starts one for that digest; delete the file to try again.
+The same library holds ``_g17.c``, the compiled lane's CSV formatter
+(``csv_text``): ``_g17``'s proof of each cell's 17 digits, one cell at a
+time, from the constants and power-of-ten tables that ``_core_gen`` renders
+from ``_g17`` into ``_g17_tables.h``.  So the compiled lane never imports
+``_g17``; the Python lane's ``csv_text`` imports it on first use.
 
-Only the loop of ``run_closed_flow`` is compiled: one ctypes call costs
-more than a Python ``closed_k``, so ``closed_k``, ``closed_k_columns`` and
-the status codes always come from ``_core_py``, as does ``run_flow``, the
-Python loop that ``run_closed_flow`` drives with an entry's kernels.  The
-binding passes its buffers as plain pointers, which needs no
-``numpy.ctypeslib``.
+Importing this module loads ``LIBRARY``, ``__pycache__/_core_c-<digest>.so``
+beside it, where the digest is a CRC-32 of the build's inputs (``_core_c.c``,
+``_g17.c``, and ``_core_py.py``, ``_core_gen.py`` and ``_g17.py``, which the
+headers are rendered from), the compiler flags and the machine type.  When
+that file is absent, the import first builds it with ``cc`` (``build``;
+~0.5 s, once per digest, so a changed source or flag gets a new file).
+Where there is no ``cc``, ``__pycache__`` cannot be written, or the compiler
+or the load fails, ``COMPILED`` is False, ``LIBRARY`` is None and the Python
+loop and formatter run, silently.  A compiler that fails or times out leaves
+``__pycache__/_core_c-<digest>.failed``, holding its status, and no later
+import starts one for that digest; delete the file to try again.
+
+Only ``run_closed_flow``'s loop and ``csv_text`` are compiled: one ctypes
+call costs more than a Python ``closed_k``, so ``closed_k``,
+``closed_k_columns`` and the status codes always come from ``_core_py``, as
+does ``run_flow``, the Python loop that ``run_closed_flow`` drives with an
+entry's kernels.  The binding passes its buffers as plain pointers, which
+needs no ``numpy.ctypeslib``.
 """
 from __future__ import annotations
 
@@ -52,12 +59,15 @@ from ._core_py import (  # noqa: F401  (re-exported)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SOURCE = os.path.join(HERE, "_core_c.c")  # includes _core_kernels.h, which build writes
-INPUTS = (SOURCE, os.path.join(HERE, "_core_py.py"), os.path.join(HERE, "_core_gen.py"))
+CSV_SOURCE = os.path.join(HERE, "_g17.c")  # includes _g17_tables.h, which build writes
+INPUTS = (SOURCE, CSV_SOURCE, *(os.path.join(HERE, name)
+                                for name in ("_core_py.py", "_core_gen.py", "_g17.py")))
 # bit-identical to _core_py: -fno-builtin stops gcc folding pow(x, 2.0) into x*x (Python's **
 # calls libm pow), and -ffp-contract=off stops it fusing a*b + c
 CFLAGS = ("-std=c99", "-O2", "-fno-builtin", "-ffp-contract=off")
 SHARED = ("-shared", "-fPIC", "-lm")  # after the source: a library that links libm
 BUILD_TIMEOUT_S = 60.0
+CSV_CELL_BYTES = 25  # hcf_csv's longest cell, "-1.2345678901234567e-123", and its separator
 
 
 def _digest() -> str:
@@ -76,19 +86,23 @@ class BuildFailed(OSError):
 
 
 def write_kernels(directory: str) -> None:
-    """Write ``_core_kernels.h``, which ``_core_c.c`` includes, into ``directory``:
-    ``_core_gen``'s C text of ``_core_py``'s closed forms and constants."""
+    """Write the headers that the C sources include into ``directory``:
+    ``_core_kernels.h``, ``_core_gen``'s C text of ``_core_py``'s closed forms and
+    constants, and ``_g17_tables.h``, that of ``_g17``'s constants and tables."""
     from . import _core_gen  # only a build needs it
 
-    with open(os.path.join(directory, "_core_kernels.h"), "w") as f:
-        f.write(_core_gen.render())
+    for name, text in (("_core_kernels.h", _core_gen.render()),
+                       ("_g17_tables.h", _core_gen.render_g17())):
+        with open(os.path.join(directory, name), "w") as f:
+            f.write(text)
 
 
 def build(dest: str) -> None:
-    """Compile ``_core_c.c`` with ``CFLAGS`` into the shared library ``dest``.
+    """Compile ``_core_c.c`` and ``_g17.c`` with ``CFLAGS`` into the shared library
+    ``dest``.
 
     The build runs in a temporary directory beside ``dest``: ``write_kernels``
-    writes the header there, and ``cc`` writes the library there, which
+    writes the headers there, and ``cc`` writes the library there, which
     replaces ``dest`` only when the compiler succeeds, so no reader ever sees
     part of a library.  The directory is removed in every case.  Raises
     ``OSError`` where there is no ``cc`` and where ``dest``'s directory cannot
@@ -108,7 +122,7 @@ def build(dest: str) -> None:
     try:
         write_kernels(work)
         tmp = os.path.join(work, os.path.basename(dest))
-        cmd = [cc, *CFLAGS, "-I", work, "-o", tmp, SOURCE, *SHARED]
+        cmd = [cc, *CFLAGS, "-I", work, "-o", tmp, SOURCE, CSV_SOURCE, *SHARED]
         proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
                                 stderr=subprocess.DEVNULL, start_new_session=True)
         try:
@@ -126,11 +140,21 @@ def build(dest: str) -> None:
         shutil.rmtree(work, ignore_errors=True)
 
 
+def csv_text(header: str, table: np.ndarray) -> str:
+    """The Python lane's CSV formatter, ``_g17.csv_text``: CSV text of a 2-D
+    float64 table under an ASCII ``header`` line, each cell ``'%.17g' % v``."""
+    from ._g17 import csv_text as python_csv_text  # on first use: the C lane never needs it
+
+    return python_csv_text(header, table)
+
+
 def bind(path: str):
-    """``run_closed_flow`` of the C library at ``path``, with ``_core_py``'s
-    signature and results: ``_core_py.start`` gives row 0 and the vector that
-    the C step loop starts from."""
-    fn = ctypes.CDLL(path).hcf_run_closed_flow
+    """``run_closed_flow`` and ``csv_text`` of the C library at ``path``, with the
+    signatures and results of ``_core_py.run_closed_flow`` and ``_g17.csv_text``:
+    ``_core_py.start`` gives row 0 and the vector that the C step loop starts
+    from, and ``hcf_csv`` writes the CSV rows."""
+    lib = ctypes.CDLL(path)
+    fn = lib.hcf_run_closed_flow
     dbl, long_, pointer = ctypes.c_double, ctypes.c_long, ctypes.c_void_p
     fn.argtypes = [ctypes.c_int, dbl, dbl, pointer, dbl, dbl, dbl, dbl, dbl, long_, pointer, long_,
                    pointer]
@@ -161,13 +185,24 @@ def bind(path: str):
         return (status, None if t_est != t_est else t_est, rows[:int(n)], int(n_acc), int(n_rej),
                 m_final)
 
-    return run_closed_flow
+    csv = lib.hcf_csv
+    csv.argtypes = [pointer, long_, long_, pointer]
+    csv.restype = long_
+
+    def csv_text(header, table):
+        cells = np.ascontiguousarray(table, dtype=np.float64)
+        out = np.empty(cells.size * CSV_CELL_BYTES, dtype=np.uint8)
+        n = csv(cells.ctypes.data, cells.size, cells.shape[1], out.ctypes.data)
+        return header + "\n" + out[:n].tobytes().decode("ascii")
+
+    return run_closed_flow, csv_text
 
 
 def _load():
     """The path of the package's C library, built first if it is absent, and
-    its ``run_closed_flow``.  A failed build leaves a ``.failed`` file that
-    stops the next imports of the same digest from building again."""
+    its ``run_closed_flow`` and ``csv_text``.  A failed build leaves a
+    ``.failed`` file that stops the next imports of the same digest from
+    building again."""
     stem = os.path.join(HERE, "__pycache__", f"_core_c-{_digest()}")
     library = stem + ".so"
     if not os.path.exists(library):
@@ -182,11 +217,11 @@ def _load():
             except OSError:
                 pass
             raise
-    return library, bind(library)
+    return (library, *bind(library))
 
 
 try:
-    LIBRARY, run_closed_flow = _load()  # noqa: F811
+    LIBRARY, run_closed_flow, csv_text = _load()  # noqa: F811
     COMPILED = True
 except OSError:  # no cc, no writable __pycache__, a failed build or load
     LIBRARY, COMPILED = None, False

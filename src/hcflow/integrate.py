@@ -146,12 +146,12 @@ class Trajectory:
 
 def columns_csv(header: str, columns) -> str:
     """CSV text of equal-length columns, every cell exactly ``'%.17g' % v``
-    (reads back exactly).  ``_g17.csv_text`` produces the text with a few
-    array passes per 256 rows; only cells it cannot settle (non-finite,
-    extreme or near-tie values) go through per-cell ``%.17g``."""
-    from ._g17 import csv_text  # imported on first use, outside hcflow's import time
-
-    return csv_text(header, np.column_stack(columns))
+    (reads back exactly).  ``core.csv_text`` writes it: in the compiled lane
+    the C library's ``hcf_csv``, one pass over the cells, and in the Python
+    lane ``_g17.csv_text``, a few array passes per 256 rows.  Both settle
+    each cell with ``_g17``'s proof, and only cells it cannot settle
+    (extreme or near-tie values) go through per-cell ``%.17g``."""
+    return core.csv_text(header, np.column_stack(columns))
 
 
 @dataclass(frozen=True)

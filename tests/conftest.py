@@ -38,19 +38,31 @@ def c_library():
 
 
 @pytest.fixture(scope="session")
-def c_run(c_library):
-    """The C core's ``run_closed_flow``, bound as ``hcflow.core`` binds it."""
+def c_bound(c_library):
+    """The C core's ``run_closed_flow`` and ``csv_text``, bound as ``hcflow.core`` binds them."""
     return core.bind(c_library)
+
+
+@pytest.fixture(scope="session")
+def c_run(c_bound):
+    """The C core's ``run_closed_flow``."""
+    return c_bound[0]
 
 
 @pytest.fixture(params=["python", "c"])
 def lane(request, monkeypatch):
-    """Runs the test in the integrator lane "python" or "c", whichever lane
-    ``import hcflow`` chose: sets ``core.run_closed_flow`` and ``core.COMPILED``."""
+    """Runs the test in the lane "python" or "c", whichever lane ``import hcflow``
+    chose: sets ``core.run_closed_flow``, ``core.csv_text`` (the CSV formatter,
+    ``_g17.csv_text`` or the C library's) and ``core.COMPILED``."""
     if request.param == "python":
+        from hcflow import _g17
+
         monkeypatch.setattr(core, "run_closed_flow", _core_py.run_closed_flow)
+        monkeypatch.setattr(core, "csv_text", _g17.csv_text)
     else:
-        monkeypatch.setattr(core, "run_closed_flow", request.getfixturevalue("c_run"))
+        run_closed_flow, csv_text = request.getfixturevalue("c_bound")
+        monkeypatch.setattr(core, "run_closed_flow", run_closed_flow)
+        monkeypatch.setattr(core, "csv_text", csv_text)
     monkeypatch.setattr(core, "COMPILED", request.param == "c")
     return request.param
 

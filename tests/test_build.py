@@ -171,21 +171,41 @@ def test_an_edit_to_core_py_builds_a_library_that_follows_it(tmp_path, old, new)
     assert flows[0][0]["steps"] != flows[1][0]["steps"]
 
 
+@pytest.mark.parametrize("name, old, new", [
+    ("_g17.py", "\n_TIE = 1e-9\n", "\n_TIE = 2e-9\n"),  # a constant of the formatter's proof
+    ("_g17.c", "/* CSV text", "/* csv text"),
+], ids=["g17-constant", "g17-source"])
+def test_an_edit_to_the_csv_formatter_moves_the_digest(tmp_path, monkeypatch, name, old, new):
+    # the C formatter's tables and constants are rendered from _g17, so the digest, which
+    # names the library, covers both of its inputs
+    package = _package(tmp_path) / "hcflow"
+    digest = core._digest()
+    monkeypatch.setattr(core, "INPUTS", tuple(str(package / Path(p).name) for p in core.INPUTS))
+    assert core._digest() == digest
+    module = package / name
+    text = module.read_text()
+    assert text.count(old) == 1
+    module.write_text(text.replace(old, new))
+    assert core._digest() != digest
+
+
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_a_stray_header_beside_the_source_is_not_compiled(tmp_path):
     # the digest does not cover a file beside _core_c.c, so the build must not read one
     root = _package(tmp_path)
-    (root / "hcflow" / "_core_kernels.h").write_text("#error stray header\n")
+    for header in ("_core_kernels.h", "_g17_tables.h"):
+        (root / "hcflow" / header).write_text("#error stray header\n")
     probe = _import(root, os.environ["PATH"].split(os.pathsep))
     assert probe["compiled"] and probe["started"] == 1
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
 def test_the_generated_c_compiles_without_warnings(tmp_path):
-    # the loop and the kernels that _core_gen renders, built as core.build builds them
+    # the loop, the CSV formatter and the headers that _core_gen renders, built as
+    # core.build builds them
     core.write_kernels(str(tmp_path))
     cmd = ["cc", *core.CFLAGS, "-Wall", "-Wextra", "-Werror", "-I", str(tmp_path),
-           "-o", str(tmp_path / "_core_c.so"), core.SOURCE, *core.SHARED]
+           "-o", str(tmp_path / "_core_c.so"), core.SOURCE, core.CSV_SOURCE, *core.SHARED]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
 
@@ -255,12 +275,14 @@ def test_pyproject_ships_the_c_sources_and_reads_the_version(tmp_path):
     doc = tomllib.loads((ROOT / "pyproject.toml").read_text())
     assert "version" in doc["project"]["dynamic"]
     assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "hcflow.__version__"}
-    # the package ships what core.build compiles: its source, which includes the one header
-    # that build writes
-    source = Path(core.SOURCE)
-    assert doc["tool"]["setuptools"]["package-data"]["hcflow"] == [source.name]
-    includes = [line.split()[1].strip('<>"') for line in source.read_text().splitlines()
-                if line.startswith("#include")]
+    # the package ships what core.build compiles: its two sources, each of which includes one
+    # of the headers that build writes
+    sources = [Path(core.SOURCE), Path(core.CSV_SOURCE)]
+    assert doc["tool"]["setuptools"]["package-data"]["hcflow"] == [p.name for p in sources]
     core.write_kernels(str(tmp_path))
-    [header] = [p.name for p in tmp_path.iterdir()]
-    assert header in includes and not (source.parent / header).exists()
+    headers = sorted(p.name for p in tmp_path.iterdir())
+    assert headers == ["_core_kernels.h", "_g17_tables.h"]
+    for source, header in zip(sources, headers):
+        includes = [line.split()[1].strip('<>"') for line in source.read_text().splitlines()
+                    if line.startswith("#include")]
+        assert header in includes and not (source.parent / header).exists()

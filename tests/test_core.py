@@ -40,6 +40,22 @@ def test_package_does_not_import_the_generator():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+def test_compiled_lane_run_does_not_import_g17(tmp_path):
+    # the C library formats the CSVs: a compiled-lane run with every emit target never
+    # compiles the Python lane's formatter, nor builds its tables
+    argv = ["run", "--geometry", "kodaira-secondary", "--epsilon", "1", "--x0", "1.3",
+            "--y0", "0.7", "--z0-re", "0.2", "--t-max", "1000", "--out", str(tmp_path),
+            "--emit", "trajectory-csv,outcome-json,analysis-json,plot-data"]
+    code = ("import sys, hcflow.cli; code = hcflow.cli.main(sys.argv[1:]); "
+            "print(hcflow.core.COMPILED, code, 'hcflow._g17' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.stderr.split() == ["True", "0", "False"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "analysis.json", "outcome.json", "plot_data.csv", "trajectory.csv"]
+
+
 @pytest.fixture(scope="session")
 def c_kernels(c_library):
     """The C core's ``hcf_closed_k`` and ``hcf_closed_phi`` with ``closed_k``'s and

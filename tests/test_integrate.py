@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from hcflow import _g17, core
 from hcflow.analysis import classify_gh_limit
@@ -195,16 +195,21 @@ def _tables(cells):
         st.lists(cells, min_size=n_cols, max_size=n_cols), min_size=1, max_size=70))
 
 
-@settings(max_examples=200, deadline=None)
+# the lane fixture sets the formatter once for all examples
+LANE_SETTINGS = settings(max_examples=200, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@LANE_SETTINGS
 @given(_tables(st.integers(0, 2**64 - 1)))
-def test_columns_csv_matches_per_cell_format_on_raw_bit_patterns(rows):
+def test_columns_csv_matches_per_cell_format_on_raw_bit_patterns(lane, rows):
     table = np.array(rows, dtype=np.uint64).view(np.float64)
     assert columns_csv("h", table.T) == _reference_csv("h", table)
 
 
-@settings(max_examples=200, deadline=None)
+@LANE_SETTINGS
 @given(_tables(st.floats(width=64)))
-def test_columns_csv_matches_per_cell_format_on_floats(rows):
+def test_columns_csv_matches_per_cell_format_on_floats(lane, rows):
     table = np.array(rows, dtype=np.float64)
     assert columns_csv("h", table.T) == _reference_csv("h", table)
 
@@ -224,7 +229,7 @@ def _csv_edge_values():
     return edges
 
 
-def test_columns_csv_matches_per_cell_format_on_edge_values():
+def test_columns_csv_matches_per_cell_format_on_edge_values(lane):
     edges = _csv_edge_values()
     _assert_matches_reference(edges, 1)
     _assert_matches_reference(edges[:len(edges) // 4 * 4], 4)
@@ -235,7 +240,9 @@ def test_columns_csv_matches_per_cell_format_on_edge_values():
 @pytest.mark.parametrize("shift", [-1, 1])
 def test_columns_csv_is_exact_when_the_decade_guess_is_off(monkeypatch, shift):
     # every cell's product then lies a decade out, which the formatter must
-    # detect (or, for a product rounding to 10**17, carry) rather than print
+    # detect (or, for a product rounding to 10**17, carry) rather than print;
+    # only the Python lane's guess can be shifted
+    monkeypatch.setattr(core, "csv_text", _g17.csv_text)
     guess = _g17._decade
     monkeypatch.setattr(_g17, "_decade", lambda a: guess(a) + shift)
     rng = np.random.default_rng(3)
@@ -243,7 +250,7 @@ def test_columns_csv_is_exact_when_the_decade_guess_is_off(monkeypatch, shift):
     _assert_matches_reference([*_csv_edge_values(), *values], 1)
 
 
-def test_columns_csv_matches_per_cell_format_on_ties_and_long_tables():
+def test_columns_csv_matches_per_cell_format_on_ties_and_long_tables(lane):
     rng = np.random.default_rng(7)
     ties = rng.integers(10**15, 10**16, 2000) + rng.choice([0.25, 0.5, 0.75], 2000)
     _assert_matches_reference(ties, 4)
@@ -252,7 +259,7 @@ def test_columns_csv_matches_per_cell_format_on_ties_and_long_tables():
     _assert_matches_reference(values, 9)
 
 
-def test_columns_csv_matches_per_cell_format_on_log_polar_tails():
+def test_columns_csv_matches_per_cell_format_on_log_polar_tails(lane):
     # a decaying run's u = exp(L) and z = exp(L / 2) (cos, sin) columns: O(1)
     # through 3-digit exponents and subnormals (per-cell fallback) down to 0
     L = np.linspace(0.0, -1600.0, 1001).tolist()
@@ -263,7 +270,18 @@ def test_columns_csv_matches_per_cell_format_on_log_polar_tails():
     assert columns_csv("h", table.T) == _reference_csv("h", table)
 
 
-def test_columns_csv_small_tables():
+def test_c_csv_matches_per_cell_format_on_raw_bit_patterns(c_bound):
+    # 10**5 raw bit patterns, of which ~8% lie outside [_MIN, _MAX) and go through
+    # snprintf, and the edge values, whose values just below a power of ten take
+    # the path where the C decade guess is one too high
+    rng = np.random.default_rng(11)
+    cells = np.concatenate([rng.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64),
+                            _csv_edge_values()])
+    table = np.resize(rng.permutation(cells), (-(-len(cells) // 9), 9))
+    assert c_bound[1]("h", table) == _reference_csv("h", table)
+
+
+def test_columns_csv_small_tables(lane):
     assert columns_csv("a,b", [np.zeros(0), np.zeros(0)]) == "a,b\n"
     one_row = columns_csv("a,b", [np.array([0.1]), np.array([-0.0])])
     assert one_row == "a,b\n0.10000000000000001,-0\n"
